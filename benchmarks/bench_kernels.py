@@ -3,7 +3,8 @@
 
 Three layers:
   * raw kernel calls (poly_mulmod) on representative ring shapes,
-  * end-to-end Witt multiplication throughput under the active kernel,
+  * end-to-end Witt multiplication throughput on W_2(cyc(3,2,1)), which runs
+    on the small-ring lookup tables under either kernel,
   * universal-table build times (the feasibility envelope per prime).
 
 Run twice to see both sides of the import-time switch:
@@ -62,7 +63,7 @@ def bench_kernel_calls():
 
 
 def bench_witt_mul():
-    print(f"== Witt multiplication throughput (active kernel: {_kernel.impl_name()}) ==")
+    print("== Witt multiplication throughput (lookup tables, any kernel) ==")
     ring = CyclotomicTruncation(3, 2, 1)
     raw = raw_witt_ops(ring, 3, 2)
     rng = random.Random(1)

@@ -1,11 +1,13 @@
 """Kernel selection: compiled coefficient-vector arithmetic with a pure-Python
 fallback.
 
-The hot loops of every exhaustive check are multiplications of canonical
-coefficient vectors in Z/m[x]/(minpoly).  Those run through this module so a
-single import-time switch picks the Cython extension when it was built and the
-pure-Python implementation otherwise.  Both implementations share one calling
-convention:
+Multiplications of canonical coefficient vectors in Z/m[x]/(minpoly) run
+through this module for rings with more than ``rings.TABLE_CAP`` elements;
+smaller rings use the lookup tables of ``rings.SmallRingTables`` and never
+call the multiplication kernel.  A single import-time switch picks the Cython
+extension when it was built and the pure-Python implementation otherwise
+(``WITTKIT_PURE`` forces the latter), so the switch only affects rings above
+the cap.  Both implementations share one calling convention:
 
     ctx = make_ctx(red_rows, m)   # red_rows[j] = x^(d+j) reduced, coeffs mod m
     c   = poly_mulmod(a, b, ctx)  # canonical product of canonical vectors

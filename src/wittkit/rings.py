@@ -15,15 +15,207 @@ minimal polynomial and modulo p^M, entries in [0, p^M)), so equality is
 tuple equality.  Handles and elements are immutable; everything here is safe
 to share between threads.
 
+Quotient rings with at most TABLE_CAP elements multiply through lookup tables
+over element indices (SmallRingTables); larger ones multiply coefficient
+tuples through the kernel in ``_kernel``.  Payloads are tuples either way.
+
 p = 2 is rejected everywhere.
 """
 
 import itertools
 import re
+from array import array
 from fractions import Fraction
+
+import numpy as np
 
 from . import _kernel as kernel
 from .modlin import solve_mod_pp
+
+# Quotient rings with m**d <= TABLE_CAP elements get lookup tables.  At the
+# cap the two multiplication tables take 2 * 729 * 27 entries of 2 bytes.
+TABLE_CAP = 729
+
+# Largest temporary the table-building functions allocate, in bytes.  glibc keeps
+# larger freed blocks resident, which would show as peak memory.
+_BLOCK_BYTES = 1 << 16
+
+
+class SmallRingTables:
+    """Lookup tables for Z/m[x]/(modpoly) with Q = m**d <= TABLE_CAP elements.
+
+    An element's index is its coefficient tuple read as base-m digits, first
+    coefficient most significant, which is the order of
+    ``_QuotientRing.enumerate_elements``; ``elems[i]`` and ``index[tuple]``
+    convert.  With dh = d // 2, H = m**dh and L = m**(d-dh), index b // L
+    holds the high digits of b (coefficients 0..dh-1) and b % L the low ones.
+    A sum splits both operands, because digits add without carries:
+
+        index(x + y) = add_hi[x//L*H + y//L] + add_lo[x%L*L + y%L]
+
+    (``add_hi`` entries are already multiplied by L).  A product splits one
+    operand: a*b is the ring sum of mul_hi[a*H + b//L], the product of a with
+    the high digits of b, and mul_lo[a*L + b%L], with the low ones.  ``neg``,
+    and the tables of ``pow_table(e)`` and ``scale_table(c)``, map an index to
+    the index of -a, a**e and c*a.  Every table is an ``array('H')``; the two
+    multiplication tables take 2*Q*(H+L) bytes, far less than a Q*Q table.
+
+    ``add_expr`` and ``mul_expr`` give the sum and product as Python source
+    over the tables in ``namespace``, for code generated elsewhere; ``add``
+    and ``mul`` are compiled from the same source.
+    """
+
+    def __init__(self, m, d, red_rows):
+        self.m, self.d = m, d
+        self.Q = Q = m**d
+        dh = d // 2
+        self.H, self.L = H, L = m**dh, m ** (d - dh)
+        self.elems = list(itertools.product(range(m), repeat=d))
+        self.index = {e: i for i, e in enumerate(self.elems)}
+        self.one = m ** (d - 1)
+        # x^s reduced, s = 0..2d-2: the coefficient rows of a product
+        xpow = np.zeros((2 * d - 1, d), dtype=np.int64)
+        xpow[np.arange(d), np.arange(d)] = 1
+        if d > 1:
+            xpow[d:] = np.array(red_rows, dtype=np.int64)
+        place = m ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        digits = _digits(np.arange(Q, dtype=np.int64), m, d)
+        self.mul_hi = _mul_table(digits, xpow, place, m, 0, dh)
+        self.mul_lo = _mul_table(digits, xpow, place, m, dh, d)
+        self.add_hi = _half_add_table(m, dh, L)
+        self.add_lo = _half_add_table(m, d - dh, 1)
+        self._pow = {}
+        self._scale = {}
+        self.neg = self.scale_table(m - 1)
+        self.namespace = {
+            "_MH": self.mul_hi,
+            "_ML": self.mul_lo,
+            "_AH": self.add_hi,
+            "_AL": self.add_lo,
+        }
+        self.add = eval(f"lambda x, y: {self.add_expr('x', 'y')}", self.namespace)  # noqa: S307
+        self.mul = eval(f"lambda a, b: {self.mul_expr('a', 'b')}", self.namespace)  # noqa: S307
+
+    def add_expr(self, x, y):
+        """Source of the index of x + y, for index names x and y."""
+        H, L = self.H, self.L
+        return f"_AH[{x} // {L} * {H} + {y} // {L}] + _AL[{x} % {L} * {L} + {y} % {L}]"
+
+    def mul_expr(self, a, b):
+        """Source of the index of a * b, for index names a and b."""
+        H, L = self.H, self.L
+        x = f"(_x := _MH[{a} * {H} + {b} // {L}])"
+        y = f"(_y := _ML[{a} * {L} + {b} % {L}])"
+        return f"_AH[{x} // {L} * {H} + {y} // {L}] + _AL[_x % {L} * {L} + _y % {L}]"
+
+    def pow(self, a, e):
+        table = self._pow.get(e)
+        if table is not None:
+            return table[a]
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return result
+
+    def pow_table(self, e):
+        """Table of a -> a**e, built once per exponent."""
+        table = self._pow.get(e)
+        if table is None:
+            result = np.full(self.Q, self.one, dtype=np.int64)
+            base = np.arange(self.Q, dtype=np.int64)
+            k = e
+            while k:
+                if k & 1:
+                    result = self._vmul(result, base)
+                k >>= 1
+                if k:
+                    base = self._vmul(base, base)
+            table = self._pow.setdefault(e, array("H", result.astype(np.uint16).tobytes()))
+        return table
+
+    def scale_table(self, c):
+        """Table of a -> c*a for an integer c, built once per residue mod m."""
+        c %= self.m
+        table = self._scale.get(c)
+        if table is None:
+            prod = self._vmul(np.arange(self.Q, dtype=np.int64), np.int64(c * self.one))
+            table = self._scale.setdefault(c, array("H", prod.astype(np.uint16).tobytes()))
+        return table
+
+    def nbytes(self):
+        tables = [self.mul_hi, self.mul_lo, self.add_hi, self.add_lo]
+        tables += list(self._pow.values()) + list(self._scale.values())
+        return sum(t.itemsize * len(t) for t in tables)
+
+    def _vmul(self, a, b):
+        """mul on numpy index arrays (int64 in, int64 out)."""
+        H, L = self.H, self.L
+        x = _gather(self.mul_hi, a * H + b // L)
+        y = _gather(self.mul_lo, a * L + b % L)
+        return _gather(self.add_hi, x // L * H + y // L) + _gather(self.add_lo, x % L * L + y % L)
+
+
+def _gather(table, idx):
+    return np.frombuffer(table, dtype=np.uint16)[idx].astype(np.int64)
+
+
+def _digits(idx, m, d):
+    """Base-m digits of indices, most significant first: shape (len, d)."""
+    place = m ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    return idx[:, None] // place % m
+
+
+def _mul_table(digits, xpow, place, m, lo, hi):
+    """Entries a*B + b: the index of a * (b's digits placed at coefficients
+    lo..hi-1), for every element a and every B = m**(hi-lo) digit block b."""
+    Q, d = digits.shape
+    k = hi - lo
+    B = m**k
+    part = _digits(np.arange(B, dtype=np.int64), m, k)
+    # a * b = a @ mats[:, b, :] with mats[i, b, :] = sum_j b_j x^(i+lo+j)
+    mats = np.zeros((d, B, d), dtype=np.int64)
+    for j in range(k):
+        mats += part[None, :, j, None] * xpow[lo + j : lo + j + d, None, :]
+    mats = mats.reshape(d, B * d) % m
+    out = np.empty(Q * B, dtype=np.uint16)
+    rows = max(1, _BLOCK_BYTES // (B * d * 8))
+    for a0 in range(0, Q, rows):
+        block = digits[a0 : a0 + rows] @ mats
+        block %= m
+        out[a0 * B : (a0 + len(block)) * B] = block.reshape(-1, d) @ place
+    return array("H", out.tobytes())
+
+
+def _half_add_table(m, k, scale):
+    """Entries x*B + y (B = m**k): the digitwise sum of k-digit blocks x and
+    y, times scale."""
+    B = m**k
+    part = _digits(np.arange(B, dtype=np.int64), m, k)
+    place = m ** np.arange(k - 1, -1, -1, dtype=np.int64) * scale
+    out = np.empty(B * B, dtype=np.uint16)
+    rows = max(1, _BLOCK_BYTES // (B * max(k, 1) * 8))
+    for x0 in range(0, B, rows):
+        block = (part[x0 : x0 + rows, None, :] + part[None, :, :]) % m
+        out[x0 * B : (x0 + len(block)) * B] = (block @ place).reshape(-1)
+    return array("H", out.tobytes())
+
+
+_tables_cache = {}
+
+
+def small_ring_tables(m, d, red_rows):
+    """The shared SmallRingTables for a ring shape, or None above TABLE_CAP."""
+    if m**d > TABLE_CAP:
+        return None
+    key = (m, d, red_rows)
+    tables = _tables_cache.get(key)
+    if tables is None:
+        tables = _tables_cache.setdefault(key, SmallRingTables(m, d, red_rows))
+    return tables
 
 
 def is_odd_prime(p):
@@ -288,7 +480,8 @@ class _QuotientRing(RingHandle):
     """
 
     # set by subclass __init__: p, m (coefficient modulus), d (degree),
-    # _ctx (kernel context), _var (print name)
+    # _ctx (kernel context), _tables (SmallRingTables or None), _var (print
+    # name)
 
     def _init_quotient(self, p, m, d, red_rows, var):
         self.p = p
@@ -296,6 +489,7 @@ class _QuotientRing(RingHandle):
         self.d = d
         self._red_rows = tuple(tuple(r) for r in red_rows)
         self._ctx = kernel.make_ctx(self._red_rows, m, d)
+        self._tables = small_ring_tables(m, d, self._red_rows)
         self._var = var
 
     def _add(self, a, b):
@@ -308,10 +502,16 @@ class _QuotientRing(RingHandle):
         return kernel.vec_negmod(a, self.m)
 
     def _mul(self, a, b):
-        return kernel.poly_mulmod(a, b, self._ctx)
+        t = self._tables
+        if t is None:
+            return kernel.poly_mulmod(a, b, self._ctx)
+        return t.elems[t.mul(t.index[a], t.index[b])]
 
     def _pow(self, a, e):
-        return kernel.poly_powmod(a, e, self._ctx)
+        t = self._tables
+        if t is None:
+            return kernel.poly_powmod(a, e, self._ctx)
+        return t.elems[t.pow(t.index[a], e)]
 
     def _scale(self, a, c):
         return kernel.vec_scalemod(a, c, self.m)

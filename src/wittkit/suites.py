@@ -51,6 +51,16 @@ class SuiteConfig:
             raise UsageError("budget must be positive")
         if self.workers < 1:
             raise UsageError("workers must be >= 1")
+        cap = witt._MAX_PRACTICAL_LEN.get(self.p)
+        if cap is not None:
+            for name in self.suites:
+                for suite in SUITES if name == "all" else [name]:
+                    need = WITT_LENGTHS.get(suite, lambda cfg: 0)(self)
+                    if need > cap:
+                        raise UsageError(
+                            f"suite {suite} needs Witt length {need}, above the "
+                            f"practical bound {cap} for p = {self.p}"
+                        )
         return self
 
     def to_dict(self):
@@ -762,12 +772,16 @@ def suite_tate_tower(cfg):
             "R(alpha-tower) = (([eps]-1)/([eps^{1/p}]-1)) alpha-tower (the xi scalar)",
             tate.r_of_alpha_tower_is_xi_tower(tower, xi),
         )
-    small = CyclotomicTruncation(p, 1, 1)
+    probes = (
+        (CyclotomicTruncation(p, 1, 1), 1, 10**5),
+        (CyclotomicTruncation(p, 2, 1), 2, 10**6),
+    )
+    sampled = any(A.cardinality() ** n > budget for A, n, budget in probes)
     rep.add(
         "freeness",
         "scalar representation of the rank-one model is faithful",
-        tate.freeness_probe(small, 1, budget=10**5)
-        and tate.freeness_probe(CyclotomicTruncation(p, 2, 1), 2, budget=10**6),
+        all(tate.freeness_probe(A, n, budget=budget, rng=rng) for A, n, budget in probes),
+        precision={"mode": "sampled", "samples": tate.FREENESS_SAMPLES} if sampled else None,
     )
     rep.add(
         "bott-image",
@@ -869,6 +883,19 @@ SUITES = {
 
 # invocable explicitly, excluded from "all" (it fails by design)
 EXTRA_SUITES = {"negative-controls": suite_negative_controls}
+
+# the longest Witt vectors each suite builds, as a function of the config
+WITT_LENGTHS = {
+    "witt-identities": lambda c: max(4 if c.p == 3 else 3, c.N),
+    "sequences": lambda c: max(3, c.n + 1, min(c.n + 3, c.N) if c.N >= c.n + 2 else 0),
+    "kaehler-torsion": lambda c: 0,
+    "tilt-theta": lambda c: max(min(c.T, c.N), min(c.n, c.N - 1) + 1 if c.N >= 2 else 0),
+    "fixed-points": lambda c: 2,
+    "qlog": lambda c: 2,
+    "tate-tower": lambda c: min(3, max(2, c.N - 1)) + 1,
+    "log-presentation": lambda c: 0,
+    "negative-controls": lambda c: 2,
+}
 
 
 def run_suites(cfg):

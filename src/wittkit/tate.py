@@ -178,19 +178,31 @@ def r_of_alpha_tower_is_xi_tower(tower, xi):
     return lhs == rhs
 
 
-def freeness_probe(ring, n, budget=None):
+# random payloads the freeness probe checks when W_n(A) is over its budget
+FREENESS_SAMPLES = 1000
+
+
+def freeness_probe(ring, n, budget=None, rng=None):
     """Distinct scalars give distinct elements, exhaustively over W_n(A).
 
     The model is free by construction; this guards the element representation
-    (no accidental identification through normalization or hashing).
+    (no accidental identification through normalization or hashing).  When
+    W_n(A) has more than ``budget`` elements, FREENESS_SAMPLES payloads drawn
+    from ``rng`` are checked instead, or None is returned without an rng.
     """
     from .witt import raw_witt_ops
 
     raw = raw_witt_ops(ring, ring.p, n)
     size = ring.cardinality() ** n
-    if budget is not None and size > budget:
-        return None
     layer = TateLayer(ring, n)
+    if budget is not None and size > budget:
+        if rng is None:
+            return None
+        payloads = {
+            tuple(tuple(rng.randrange(ring.m) for _ in range(ring.d)) for _ in range(n))
+            for _ in range(FREENESS_SAMPLES)
+        }
+        return len({layer.element(raw.wrap(u)) for u in payloads}) == len(payloads)
     seen = set()
     count = 0
     for payload in raw.enumerate_payloads():

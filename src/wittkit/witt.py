@@ -9,8 +9,13 @@ Universal polynomials are sparse dicts {exponent tuple: int coefficient}.
 Evaluation happens through Python functions compiled from the dicts; for
 truncations with p^M = 0 the compiled form drops monomials whose coefficient
 vanishes mod p^M (sound in the target ring, and the bulk of the speedup for
-exhaustive checks).  An interpreted evaluator with pluggable scalar operations
-covers carriers that are not RingElements (tilt lifts need fused sums).
+exhaustive checks).  RawWittOps, which the wrapped operations go through on
+quotient rings, compiles one of two forms: for rings with lookup tables
+(rings.SmallRingTables, at most rings.TABLE_CAP elements) one function per
+operation over element indices, converting coordinate tuples only on entry
+and exit; above the cap one function per coordinate calling the coefficient
+kernel.  An interpreted evaluator with pluggable scalar operations covers
+carriers that are not RingElements (tilt lifts need fused sums).
 """
 
 import functools
@@ -188,6 +193,87 @@ class WittUniversalTable:
             fn = _compile_poly_raw(self._poly(which, i), nvars, ring, ring.m)
             self._compiled[key] = fn
         return fn
+
+    def compiled_indexed(self, which, tables):
+        """All coordinates of sum/prod/frob in one function on raw payloads,
+        evaluated through the lookup tables of a small ring."""
+        key = (which, "indexed", tables)
+        fn = self._compiled.get(key)
+        if fn is None:
+            polys = getattr(self, f"{which}_polys")
+            fn = _compile_polys_indexed(polys, 1 if which == "frob" else 2, self.n, tables)
+            self._compiled[key] = fn
+        return fn
+
+
+def _compile_polys_indexed(polys, operands, n, tables):
+    """Compile polynomials in operands*n variables to one function
+    f(payload, ...) -> payload over a SmallRingTables ring.
+
+    Coordinates convert to element indices on entry and back on exit; in
+    between every product, sum, power and scalar multiple is a table lookup.
+    Monomials are pruned modulo m as in _compile_poly_raw, and powers and
+    partial products are shared between the coordinates.
+    """
+    m = tables.m
+    ns = dict(tables.namespace, _E=tables.elems, _I=tables.index)
+    body = []
+    used = set()
+    memo = {}
+
+    def temp(key, expr):
+        name = memo.get(key)
+        if name is None:
+            name = memo[key] = f"t{len(memo)}"
+            body.append(f"    {name} = {expr}")
+        return name
+
+    def power(i, e):
+        used.add(i)
+        if e == 1:
+            return f"v{i}"
+        ns[f"_P{e}"] = tables.pow_table(e)
+        return temp(("pow", i, e), f"_P{e}[v{i}]")
+
+    def mul(a, b):
+        return temp(("mul", a, b), tables.mul_expr(a, b))
+
+    def add(a, b):
+        return temp(("add", a, b), tables.add_expr(a, b))
+
+    outs = []
+    for poly in polys:
+        terms = []
+        for mono in sorted(poly):
+            c = poly[mono] % m
+            if c == 0:
+                continue
+            factors = [power(i, e) for i, e in enumerate(mono) if e]
+            if not factors:
+                terms.append(str(c * tables.one))  # the constant c*1
+                continue
+            val = factors[0]
+            for f in factors[1:]:
+                val = mul(val, f)
+            if c != 1:
+                ns[f"_S{c}"] = tables.scale_table(c)
+                val = temp(("scale", val, c), f"_S{c}[{val}]")
+            terms.append(val)
+        acc = terms[0] if terms else "0"
+        for t in terms[1:]:
+            acc = add(acc, t)
+        outs.append(f"_E[{acc}]")
+    args = [f"u{k}" for k in range(operands)]
+    head = [f"def _f({', '.join(args)}):"]
+    for k, arg in enumerate(args):
+        head.append(f"    ({''.join(f'a{k * n + i}, ' for i in range(n))}) = {arg}")
+    head += [f"    v{i} = _I[a{i}]" for i in sorted(used)]
+    tail = f"    return ({''.join(f'{out}, ' for out in outs)})"
+    src = "\n".join(head + body + [tail]) + "\n"
+    exec(src, ns)  # noqa: S102 - generated from table data only
+    fn = ns["_f"]
+    fn.__source__ = src
+    return fn
 
 
 def _compile_poly_raw(poly, nvars, ring, prune_mod):
@@ -458,19 +544,30 @@ class RawWittOps:
         self.n = n
         table = get_table(p, n)
         self.zero_payload = ring.zero().data
-        self._sum = [table.compiled_raw("sum", i, ring) for i in range(n)]
-        self._prod = [table.compiled_raw("prod", i, ring) for i in range(n)]
-        self._frob = [table.compiled_raw("frob", i, ring) for i in range(n - 1)]
+        if ring._tables is not None:
+            # (sum, prod, frob), each computing every coordinate at once
+            self._indexed = tuple(
+                table.compiled_indexed(which, ring._tables) for which in ("sum", "prod", "frob")
+            )
+        else:
+            self._indexed = None
+            self._sum = [table.compiled_raw("sum", i, ring) for i in range(n)]
+            self._prod = [table.compiled_raw("prod", i, ring) for i in range(n)]
+            self._frob = [table.compiled_raw("frob", i, ring) for i in range(n - 1)]
         from . import _kernel as kernel
 
         self._negvec = kernel.vec_negmod
         self._m = ring.m
 
     def add(self, u, v):
+        if self._indexed:
+            return self._indexed[0](u, v)
         args = u + v
         return tuple(f(*args) for f in self._sum)
 
     def mul(self, u, v):
+        if self._indexed:
+            return self._indexed[1](u, v)
         args = u + v
         return tuple(f(*args) for f in self._prod)
 
@@ -478,6 +575,8 @@ class RawWittOps:
         return tuple(self._negvec(c, self._m) for c in u)
 
     def frob(self, u):
+        if self._indexed:
+            return self._indexed[2](u)
         return tuple(f(*u) for f in self._frob)
 
     def scalar_mul(self, k, u):

@@ -133,3 +133,16 @@ def test_console_script_installed():
         [sys.executable, "-m", "wittkit.cli", "--list"], capture_output=True, text=True
     )
     assert proc.returncode == 0 and "qlog" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-n", "6", "-N", "7", "--suite", "sequences"],
+        ["-p", "5", "-N", "5", "--suite", "witt-identities"],
+    ],
+)
+def test_out_of_envelope_witt_length_is_a_usage_error(argv, capsys):
+    # both used to end in a ValueError traceback from the table-length bound
+    assert main(argv) == 2
+    assert "practical bound" in capsys.readouterr().err

@@ -58,3 +58,12 @@ def test_fixed_points_report_lists_solutions():
     ][0]
     assert len(enum.precision["solutions"]) == 27
     assert all("junk_s_valuation" in s for s in enum.precision["spurious"])
+
+
+def test_tate_tower_samples_freeness_over_budget():
+    # W_2(cyc(5,2,1)) has 5^40 elements: the probe samples instead of failing
+    agg = run_suites(SuiteConfig(p=5, N=3, suites=["tate-tower"]).validate())
+    assert agg.exit_code == 0, agg.to_text()
+    freeness = [c for c in agg.reports[0].checks if c.check_id == "freeness"][0]
+    assert freeness.verdict == "pass"
+    assert freeness.precision == {"mode": "sampled", "samples": 1000}

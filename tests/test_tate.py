@@ -1,6 +1,8 @@
 """The free rank-one Tate-module model: transitions, twist law, fixed points,
 Bott images."""
 
+import random
+
 import pytest
 
 from wittkit.rings import CharPQuotient, CyclotomicTruncation
@@ -78,6 +80,11 @@ def test_freeness_probe():
     assert freeness_probe(CyclotomicTruncation(3, 1, 1), 1, budget=10**4)
     assert freeness_probe(CyclotomicTruncation(3, 2, 1), 1, budget=10**4)
     assert freeness_probe(CyclotomicTruncation(3, 1, 1), 1, budget=1) is None
+
+
+def test_freeness_probe_samples_over_budget():
+    ring = CyclotomicTruncation(5, 2, 1)
+    assert freeness_probe(ring, 2, budget=10**6, rng=random.Random(0)) is True
 
 
 def test_fixed_points_alpha_labels():
