@@ -2,9 +2,11 @@
 """Compare the compiled kernel against the pure-Python fallback.
 
 Three layers:
-  * raw kernel calls (poly_mulmod) on representative ring shapes,
+  * raw kernel calls (poly_mulmod) on the contexts of real rings above the
+    table cap, next to the fallback's schoolbook loop,
   * end-to-end Witt multiplication throughput on W_2(cyc(3,2,1)), which runs
-    on the small-ring lookup tables under either kernel,
+    on the small-ring lookup tables under either kernel, and on W_4(Z),
+    which runs on plain ints,
   * universal-table build times (the feasibility envelope per prime).
 
 Run twice to see both sides of the import-time switch:
@@ -21,29 +23,30 @@ import time
 
 from wittkit import _kernel
 from wittkit._kernel import _fallback
-from wittkit.rings import CyclotomicTruncation
+from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing
 from wittkit.witt import get_table, random_witt, raw_witt_ops, z_element
 
 
-def _reduction_rows(base, m, d):
-    rows = [tuple(base)]
-    for _ in range(d - 2):
-        prev = rows[-1]
-        shifted = [0] + list(prev[: d - 1])
-        top = prev[d - 1]
-        rows.append(tuple((shifted[i] + top * base[i]) % m for i in range(d)))
-    return rows if d > 1 else []
+def _time_per_call(fn, pairs, ctx):
+    t0 = time.perf_counter()
+    for a, b in pairs:
+        fn(a, b, ctx)
+    return (time.perf_counter() - t0) / len(pairs)
 
 
 def bench_kernel_calls():
-    print("== poly_mulmod: compiled vs fallback ==")
+    print("== poly_mulmod on rings above the table cap: compiled vs fallback ==")
     rng = random.Random(0)
     impls = [("python", _fallback)]
     if _kernel._speedups is not None:
         impls.append(("cython", _kernel._speedups))
-    for d, m, label in [(6, 3, "cyc(3,2,1)"), (6, 27, "cyc(3,2,3)"), (100, 5, "cyc(5,3,1)"), (27, 3, "charp(3,0,27)")]:
-        base = [rng.randrange(m) for _ in range(d)]
-        red = _reduction_rows(base, m, d)
+    for ring in [
+        CyclotomicTruncation(3, 2, 2),
+        CyclotomicTruncation(3, 2, 3),
+        CyclotomicTruncation(5, 3, 1),
+        CharPQuotient(3, 0, 27),
+    ]:
+        d, m = ring.d, ring.m
         pairs = [
             (
                 tuple(rng.randrange(m) for _ in range(d)),
@@ -51,19 +54,21 @@ def bench_kernel_calls():
             )
             for _ in range(2000)
         ]
-        row = [f"{label:<16} d={d:<4} m={m:<3}"]
+        row = [f"{ring.descriptor():<14} d={d:<4} m={m:<3}"]
         for name, impl in impls:
-            ctx = impl.make_ctx(red, m, d)
-            t0 = time.perf_counter()
-            for a, b in pairs:
-                impl.poly_mulmod(a, b, ctx)
-            dt = (time.perf_counter() - t0) / len(pairs)
-            row.append(f"{name}: {dt * 1e6:8.2f} us")
+            # the ring's own context when impl is the one in use
+            ctx = ring._ctx if impl is _kernel._impl else impl.make_ctx(ring._red_rows, m, d)
+            if impl is _fallback:
+                name += " packed" if ctx.slots is not None else " schoolbook"
+            row.append(f"{name}: {_time_per_call(impl.poly_mulmod, pairs, ctx) * 1e6:8.2f} us")
+        ctx = _fallback.make_ctx(ring._red_rows, m, d)
+        dt = _time_per_call(_fallback.schoolbook_mulmod, pairs[:200], ctx)
+        row.append(f"python schoolbook: {dt * 1e6:8.2f} us")
         print("  " + "   ".join(row))
 
 
 def bench_witt_mul():
-    print("== Witt multiplication throughput (lookup tables, any kernel) ==")
+    print("== Witt multiplication throughput (lookup tables and plain ints, any kernel) ==")
     ring = CyclotomicTruncation(3, 2, 1)
     raw = raw_witt_ops(ring, 3, 2)
     rng = random.Random(1)
@@ -75,6 +80,16 @@ def bench_witt_mul():
     dt = (time.perf_counter() - t0) / len(ws)
     print(f"  W_2(cyc(3,2,1)) mul: {dt * 1e6:8.2f} us  "
           f"(full 531441-element sweep ~ {dt * 531441:6.1f} s)")
+    Z = IntegerRing()
+    raw = raw_witt_ops(Z, 3, 4)
+    ws = [raw.unwrap(random_witt(Z, 3, 4, rng)) for _ in range(200)]
+    raw.mul(raw.add(ws[0], ws[1]), ws[1])  # compile on first use, untimed
+    t0 = time.perf_counter()
+    for u, v in zip(ws[::2], ws[1::2]):
+        raw.add(u, v)
+        raw.mul(u, v)
+    dt = (time.perf_counter() - t0) / (len(ws) // 2)
+    print(f"  W_4(Z) add+mul on plain ints: {dt * 1e6:8.2f} us")
 
 
 def bench_table_builds():

@@ -7,10 +7,14 @@ smaller rings use the lookup tables of ``rings.SmallRingTables`` and never
 call the multiplication kernel.  A single import-time switch picks the Cython
 extension when it was built and the pure-Python implementation otherwise
 (``WITTKIT_PURE`` forces the latter), so the switch only affects rings above
-the cap.  Both implementations share one calling convention:
+the cap.  The pure-Python implementation packs the vectors of cyclotomic and
+characteristic-p truncations into ints and multiplies them once (see
+``_fallback``); other reduction rows, and moduli too large for 64-bit slots,
+take its schoolbook loop.  Both implementations share one calling
+convention:
 
-    ctx = make_ctx(red_rows, m)   # red_rows[j] = x^(d+j) reduced, coeffs mod m
-    c   = poly_mulmod(a, b, ctx)  # canonical product of canonical vectors
+    ctx = make_ctx(red_rows, m, d)  # red_rows[j] = x^(d+j) reduced, coeffs mod m
+    c   = poly_mulmod(a, b, ctx)    # canonical product of canonical vectors
 
 Vectors are tuples of ints in [0, m).  ``benchmarks/bench_kernels.py`` compares
 the two implementations.

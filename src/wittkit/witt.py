@@ -10,18 +10,20 @@ Evaluation happens through Python functions compiled from the dicts; for
 truncations with p^M = 0 the compiled form drops monomials whose coefficient
 vanishes mod p^M (sound in the target ring, and the bulk of the speedup for
 exhaustive checks).  RawWittOps, which the wrapped operations go through on
-quotient rings, compiles one of two forms: for rings with lookup tables
-(rings.SmallRingTables, at most rings.TABLE_CAP elements) one function per
-operation over element indices, converting coordinate tuples only on entry
-and exit; above the cap one function per coordinate calling the coefficient
-kernel.  An interpreted evaluator with pluggable scalar operations covers
+quotient rings and on Z, compiles one of three forms: for rings with lookup
+tables (rings.SmallRingTables, at most rings.TABLE_CAP elements) one
+function per operation over element indices, converting coordinate tuples
+only on entry and exit; above the cap one function per coordinate calling
+the coefficient kernel (packed big-int products); over Z the unpruned
+polynomials evaluated on the coordinates' Python ints, wrapping only the
+results.  An interpreted evaluator with pluggable scalar operations covers
 carriers that are not RingElements (tilt lifts need fused sums).
 """
 
 import functools
 import itertools
 
-from .rings import RingElement, RingHandle, require_odd_prime
+from .rings import IntegerRing, RingElement, RingHandle, require_odd_prime
 
 _MAX_PRACTICAL_LEN = {3: 5, 5: 4}
 
@@ -386,9 +388,9 @@ def _compile_poly(poly, nvars, prune_mod):
             terms.append(f"_zero + {c}" if c != 0 else "")
     terms = [t for t in terms if t]
     if not terms:
-        src = f"def _f({args}, _zero):\n    return _zero\n"
+        src = f"def _f({args}, _zero=0):\n    return _zero\n"
     else:
-        src = f"def _f({args}, _zero):\n    return sum(({', '.join(terms)},), _zero)\n"
+        src = f"def _f({args}, _zero=0):\n    return sum(({', '.join(terms)},), _zero)\n"
     ns = {}
     exec(src, ns)  # noqa: S102 - generated from table data only
     fn = ns["_f"]
@@ -531,7 +533,8 @@ def _prune_mod(ring):
 
 
 class RawWittOps:
-    """Witt operations on raw coordinate payloads (tuples of tuples).
+    """Witt operations on raw coordinate payloads (tuples of ring payloads:
+    coefficient tuples, or ints over Z).
 
     The workhorse of exhaustive checks: no RingElement allocation in the
     loop.  Obtain via raw_witt_ops(ring, p, n); results equal the wrapped
@@ -544,20 +547,38 @@ class RawWittOps:
         self.n = n
         table = get_table(p, n)
         self.zero_payload = ring.zero().data
-        if ring._tables is not None:
+        self._neg = ring._neg
+        tables = getattr(ring, "_tables", None)
+        if tables is not None:
             # (sum, prod, frob), each computing every coordinate at once
             self._indexed = tuple(
-                table.compiled_indexed(which, ring._tables) for which in ("sum", "prod", "frob")
+                table.compiled_indexed(which, tables) for which in ("sum", "prod", "frob")
             )
+            return
+        self._indexed = None
+        if isinstance(ring, IntegerRing):
+            # exact over plain ints; nothing is pruned, so the polynomials are
+            # large and each operation compiles on its first use
+            self._compile = table.compiled
         else:
-            self._indexed = None
-            self._sum = [table.compiled_raw("sum", i, ring) for i in range(n)]
-            self._prod = [table.compiled_raw("prod", i, ring) for i in range(n)]
-            self._frob = [table.compiled_raw("frob", i, ring) for i in range(n - 1)]
-        from . import _kernel as kernel
+            self._compile = functools.partial(table.compiled_raw, ring=ring)
+            # compile all three now: the compile's transient memory is then
+            # freed before the operations start allocating
+            for name in ("_sum", "_prod", "_frob"):
+                getattr(self, name)
 
-        self._negvec = kernel.vec_negmod
-        self._m = ring.m
+    # one function per coordinate, for rings without tables
+    @functools.cached_property
+    def _sum(self):
+        return [self._compile("sum", i) for i in range(self.n)]
+
+    @functools.cached_property
+    def _prod(self):
+        return [self._compile("prod", i) for i in range(self.n)]
+
+    @functools.cached_property
+    def _frob(self):
+        return [self._compile("frob", i) for i in range(self.n - 1)]
 
     def add(self, u, v):
         if self._indexed:
@@ -572,7 +593,7 @@ class RawWittOps:
         return tuple(f(*args) for f in self._prod)
 
     def neg(self, u):
-        return tuple(self._negvec(c, self._m) for c in u)
+        return tuple(map(self._neg, u))
 
     def frob(self, u):
         if self._indexed:
@@ -611,7 +632,7 @@ _raw_cache = {}
 def raw_witt_ops(ring, p, n):
     key = (ring, p, n)
     ops = _raw_cache.get(key)
-    if ops is None and hasattr(ring, "_ctx"):
+    if ops is None and (hasattr(ring, "_ctx") or isinstance(ring, IntegerRing)):
         ops = RawWittOps(ring, p, n)
         _raw_cache[key] = ops
     return ops

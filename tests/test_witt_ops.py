@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from wittkit.rings import CharPQuotient, CyclotomicTruncation, random_element
+from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing, random_element
 from wittkit.witt import (
+    WittVector,
     frobenius,
     frobenius_power,
+    get_table,
     ghost,
     parse_witt,
     random_witt,
@@ -202,3 +204,36 @@ def test_shape_mismatch():
         restriction(witt_one(r, 3, 1))
     with pytest.raises(ValueError):
         frobenius(witt_one(r, 3, 1))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)])
+def test_integer_witt_ops_match_the_operator_form(p, n):
+    # W_n(Z) runs on plain ints; the operator form evaluates the same
+    # polynomials on RingElements
+    Z = IntegerRing()
+    assert raw_witt_ops(Z, p, n) is not None
+    table = get_table(p, n)
+    rng = random.Random(f"witt-z/{p}/{n}")
+
+    def coord():
+        big = 2**64 + rng.randrange(2**70)
+        return rng.choice([rng.randint(-9, 9), big, -big])
+
+    def vector():
+        return WittVector(Z, p, [Z.from_int(coord()) for _ in range(n)])
+
+    for _ in range(12 if (p, n) in ((3, 4), (5, 3)) else 30):
+        u, v = vector(), vector()
+        args = u.coords + v.coords
+        zero = Z.zero()
+        s, m = witt_add(u, v), witt_mul(u, v)
+        assert s.coords == tuple(table.compiled("sum", i)(*args, zero) for i in range(n))
+        assert m.coords == tuple(table.compiled("prod", i)(*args, zero) for i in range(n))
+        gu, gv = ghost(u), ghost(v)
+        assert ghost(s) == tuple(a + b for a, b in zip(gu, gv))
+        assert ghost(m) == tuple(a * b for a, b in zip(gu, gv))
+        assert ghost(witt_neg(u)) == tuple(-a for a in gu)
+        if n >= 2:
+            f = frobenius(u)
+            assert f.coords == tuple(table.compiled("frob", i)(*u.coords, zero) for i in range(n - 1))
+            assert ghost(f) == gu[1:]
