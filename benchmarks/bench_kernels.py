@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Compare the compiled kernel against the pure-Python fallback.
 
-Three layers:
+Five layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
     table cap, next to the fallback's schoolbook loop,
   * end-to-end Witt multiplication throughput on W_2(cyc(3,2,1)), which runs
     on the small-ring lookup tables under either kernel, and on W_4(Z),
     which runs on plain ints,
+  * raw Witt add/mul/frob above the table cap (W_3(cyc(3,2,2)) and
+    W_4(cyc(3,3,1))), each operation one compiled function over the kernel,
+    with the time to compile the three,
+  * the fixed-point solver on W_2(charp(3,0,9)),
   * universal-table build times (the feasibility envelope per prime).
 
 Run twice to see both sides of the import-time switch:
@@ -24,7 +28,8 @@ import time
 from wittkit import _kernel
 from wittkit._kernel import _fallback
 from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing
-from wittkit.witt import get_table, random_witt, raw_witt_ops, z_element
+from wittkit.tilt import frobenius_equation_solve
+from wittkit.witt import RawWittOps, get_table, random_witt, raw_witt_ops, z_element
 
 
 def _time_per_call(fn, pairs, ctx):
@@ -92,6 +97,37 @@ def bench_witt_mul():
     print(f"  W_4(Z) add+mul on plain ints: {dt * 1e6:8.2f} us")
 
 
+def bench_raw_ops_above_the_cap():
+    print("== raw Witt ops above the table cap (one function per operation) ==")
+    rng = random.Random(2)
+    for ring, n in [(CyclotomicTruncation(3, 2, 2), 3), (CyclotomicTruncation(3, 3, 1), 4)]:
+        table = get_table(3, n)
+        table._compiled.clear()  # time the compile, not the cache
+        t0 = time.perf_counter()
+        raw = RawWittOps(ring, 3, n)
+        compile_ms = (time.perf_counter() - t0) * 1e3
+        ws = [raw.unwrap(random_witt(ring, 3, n, rng)) for _ in range(40 if n < 4 else 10)]
+        pairs = list(zip(ws[::2], ws[1::2]))
+        row = [f"W_{n}({ring.descriptor()}): compile {compile_ms:6.1f} ms"]
+        for name, fn in [("add", raw.add), ("mul", raw.mul), ("frob", lambda u, v: raw.frob(u))]:
+            t0 = time.perf_counter()
+            for u, v in pairs:
+                fn(u, v)
+            row.append(f"{name} {(time.perf_counter() - t0) / len(pairs) * 1e6:8.1f} us")
+        print("  " + "   ".join(row))
+
+
+def bench_fixed_point_solver():
+    print("== fixed-point solver ==")
+    ring = CharPQuotient(3, 0, 9)
+    raw_witt_ops(ring, 3, 2)  # compile outside the timing
+    t0 = time.perf_counter()
+    rep = frobenius_equation_solve(ring, 2)
+    dt = time.perf_counter() - t0
+    print(f"  frobenius_equation_solve(charp(3,0,9), 2): {dt:6.2f} s  "
+          f"({len(rep['solutions'])} solutions, {len(rep['spurious'])} spurious)")
+
+
 def bench_table_builds():
     print("== universal table build times (feasibility envelope) ==")
     for p, n in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]:
@@ -107,6 +143,8 @@ def main():
     print(f"kernel in use: {_kernel.impl_name()}")
     bench_kernel_calls()
     bench_witt_mul()
+    bench_raw_ops_above_the_cap()
+    bench_fixed_point_solver()
     bench_table_builds()
     if _kernel.impl_name() == "cython" and "WITTKIT_BENCH_CHILD" not in os.environ:
         print("\n-- rerunning end-to-end numbers with WITTKIT_PURE=1 --")

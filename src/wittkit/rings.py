@@ -268,7 +268,9 @@ class RingElement:
         self.data = data
 
     def _check(self, other):
-        if not isinstance(other, RingElement) or other.ring != self.ring:
+        if not isinstance(other, RingElement) or (
+            other.ring is not self.ring and other.ring != self.ring
+        ):
             raise ValueError("owner mismatch")
         return other
 
@@ -309,7 +311,7 @@ class RingElement:
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
-            and other.ring == self.ring
+            and (other.ring is self.ring or other.ring == self.ring)
             and other.data == self.data
         )
 
@@ -662,6 +664,7 @@ class CyclotomicTruncation(_QuotientRing):
             raise ValueError("precision M must be >= 1")
         self.N = N
         self.M = M
+        self._hash = hash(("cyc", p, N, M))
         self.minpoly = _cyclotomic_minpoly(p, N)
         d = len(self.minpoly) - 1
         m = p**M
@@ -702,7 +705,7 @@ class CyclotomicTruncation(_QuotientRing):
         )
 
     def __hash__(self):
-        return hash(("cyc", self.p, self.N, self.M))
+        return self._hash
 
 
 class CharPQuotient(_QuotientRing):
@@ -722,6 +725,7 @@ class CharPQuotient(_QuotientRing):
             raise ValueError("t-adic precision K must be >= 1")
         self.e = e
         self.K = K
+        self._hash = hash(("charp", p, e, K))
         d = K * p**e
         self._init_quotient(p, p, d, [(0,) * d] * max(d - 1, 0), "t")
 
@@ -805,7 +809,7 @@ class CharPQuotient(_QuotientRing):
         )
 
     def __hash__(self):
-        return hash(("charp", self.p, self.e, self.K))
+        return self._hash
 
 
 class ProductRing(RingHandle):

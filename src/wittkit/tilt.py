@@ -27,6 +27,7 @@ from .witt import (
     frobenius,
     get_table,
     multi_sum_polys,
+    raw_witt_ops,
     teichmuller,
     verschiebung,
     witt_add,
@@ -617,28 +618,7 @@ def frobenius_equation_solve(ring, n, solution_budget=100000):
     solutions = [WittVector(ring, p, coords) for coords in partials]
 
     claimed_set = {witt_mul(c, mu) for c in enumerate_wn_fp(ring, p, n)}
-    claimed_found = []
-    spurious_info = []
-    for y in solutions:
-        if y in claimed_set:
-            claimed_found.append(y)
-            continue
-        # junk = deviation from the nearest claimed-form element; it is the
-        # nilpotent truncation artifact, so classify by its valuation
-        best_val, best_junk = -1, None
-        for cform in claimed_set:
-            junk = witt_add(y, witt_neg(cform))
-            val = min(ring.s_valuation(c) for c in junk.coords)
-            if val > best_val:
-                best_val, best_junk = val, junk
-        spurious_info.append(
-            {
-                "element": y,
-                "junk": best_junk,
-                "junk_s_valuation": best_val,
-                "junk_t_annihilator": _min_annihilating_t_power(ring, best_junk),
-            }
-        )
+    claimed_found, spurious_info = _classify_solutions(ring, n, solutions, claimed_set)
     return {
         "ratio": ratio,
         "inclusion_exact": inclusion_ok,
@@ -666,14 +646,54 @@ def _mul_coord_affine_parts(ratio, prefix, k):
     return a, b
 
 
-def _min_annihilating_t_power(ring, y):
-    t = ring.t_element()
-    power = ring.one()
-    for j in range(ring.K + 1):
-        if all((power * c).is_zero() for c in y.coords):
-            return j
-        power = power * t
-    return None
+def _classify_solutions(ring, n, solutions, claimed_set):
+    """(claimed, spurious): the solutions in claimed_set, and a record for
+    each other one.
+
+    A spurious y's junk is its deviation y - c from the claimed element c
+    of highest s-valuation, the first in claimed_set's iteration order on a
+    tie.  The junk is the nilpotent truncation artifact, so it is classified
+    by that valuation and by its least annihilating t-power.  The scan runs
+    on raw payloads: the claimed elements are negated once, each candidate
+    junk is one raw Witt addition, and only the chosen junk is wrapped.
+    """
+    raw = raw_witt_ops(ring, ring.p, n)
+    zero = raw.zero_payload
+    claimed_payloads = {raw.unwrap(c) for c in claimed_set}
+    negated = [raw.neg(raw.unwrap(c)) for c in claimed_set]
+    claimed, spurious = [], []
+    for y in solutions:
+        u = raw.unwrap(y)
+        if u in claimed_payloads:
+            claimed.append(y)
+            continue
+        best_val, best_junk = -1, None
+        for c in negated:
+            junk = raw.add(u, c)
+            # the valuation beats best_val iff every coordinate vanishes
+            # through coefficient best_val
+            head = zero[: best_val + 1]
+            if all(x[: best_val + 1] == head for x in junk):
+                best_val = min(ring.s_valuation(RingElement(ring, x)) for x in junk)
+                best_junk = junk
+        spurious.append(
+            {
+                "element": y,
+                "junk": raw.wrap(best_junk),
+                "junk_s_valuation": best_val,
+                "junk_t_annihilator": _min_annihilating_t_power(ring, best_val),
+            }
+        )
+    return claimed, spurious
+
+
+def _min_annihilating_t_power(ring, v):
+    """Least j with t^j y = 0 for y in W_n(ring) of s-valuation v (d for y = 0).
+
+    t = s^(p^e) and F_p[s] has no zero divisors below s^d, so t^j y = 0 iff
+    j p^e + v >= d, where d = K p^e.
+    """
+    return -(-(ring.d - v) // ring.p**ring.e)
 
 
 def project_charp(src, dst, elem):

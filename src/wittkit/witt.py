@@ -10,18 +10,27 @@ Evaluation happens through Python functions compiled from the dicts; for
 truncations with p^M = 0 the compiled form drops monomials whose coefficient
 vanishes mod p^M (sound in the target ring, and the bulk of the speedup for
 exhaustive checks).  RawWittOps, which the wrapped operations go through on
-quotient rings and on Z, compiles one of three forms: for rings with lookup
-tables (rings.SmallRingTables, at most rings.TABLE_CAP elements) one
-function per operation over element indices, converting coordinate tuples
-only on entry and exit; above the cap one function per coordinate calling
-the coefficient kernel (packed big-int products); over Z the unpruned
-polynomials evaluated on the coordinates' Python ints, wrapping only the
-results.  An interpreted evaluator with pluggable scalar operations covers
-carriers that are not RingElements (tilt lifts need fused sums).
+quotient rings and on Z, runs each of sum, product and Frobenius as one
+function that computes every coordinate at once.  One compiler
+(_compile_polys) builds them: it shares every power and partial product
+between the coordinates, and an expression back end renders the arithmetic.
+For rings with lookup tables (rings.SmallRingTables, at most
+rings.TABLE_CAP elements) the back end works over element indices,
+converting coordinate tuples only on entry and exit; above the cap it calls
+the coefficient kernel (packed big-int products) and forms each coordinate
+as one linear combination reduced mod m; over Z it evaluates the unpruned
+polynomials on the coordinates' Python ints.  The operator form
+(WittUniversalTable.compiled, one function per coordinate on RingElements)
+serves other rings and is the tests' oracle.  An interpreted evaluator with
+pluggable scalar operations covers carriers that are not RingElements (tilt
+lifts need fused sums).
 """
 
+import collections
 import functools
 import itertools
+import operator
+import re
 
 from .rings import IntegerRing, RingElement, RingHandle, require_odd_prime
 
@@ -187,38 +196,47 @@ class WittUniversalTable:
             self._compiled[key] = fn
         return fn
 
-    def compiled_raw(self, which, i, ring):
-        key = (which, i, "raw", ring)
-        fn = self._compiled.get(key)
-        if fn is None:
-            nvars = self.n if which == "frob" else 2 * self.n
-            fn = _compile_poly_raw(self._poly(which, i), nvars, ring, ring.m)
-            self._compiled[key] = fn
-        return fn
-
     def compiled_indexed(self, which, tables):
         """All coordinates of sum/prod/frob in one function on raw payloads,
         evaluated through the lookup tables of a small ring."""
-        key = (which, "indexed", tables)
+        return self._compiled_all(which, ("indexed", tables), lambda: _TableExprs(tables))
+
+    def compiled_coeffs(self, which, ring):
+        """All coordinates of sum/prod/frob in one function on raw payloads
+        of a quotient ring, multiplying through the coefficient kernel."""
+        return self._compiled_all(which, ("coeffs", ring), lambda: _KernelExprs(ring))
+
+    def compiled_ints(self, which):
+        """All coordinates of sum/prod/frob in one function on tuples of
+        Python ints (W_n(Z)); nothing is pruned."""
+        return self._compiled_all(which, ("ints",), _IntExprs)
+
+    def _compiled_all(self, which, key, make_exprs):
+        key = (which,) + key
         fn = self._compiled.get(key)
         if fn is None:
             polys = getattr(self, f"{which}_polys")
-            fn = _compile_polys_indexed(polys, 1 if which == "frob" else 2, self.n, tables)
+            fn = _compile_polys(polys, 1 if which == "frob" else 2, self.n, make_exprs())
             self._compiled[key] = fn
         return fn
 
 
-def _compile_polys_indexed(polys, operands, n, tables):
+def _compile_polys(polys, operands, n, exprs):
     """Compile polynomials in operands*n variables to one function
-    f(payload, ...) -> payload over a SmallRingTables ring.
+    f(payload, ...) -> payload that computes every coordinate at once.
 
-    Coordinates convert to element indices on entry and back on exit; in
-    between every product, sum, power and scalar multiple is a table lookup.
-    Monomials are pruned modulo m as in _compile_poly_raw, and powers and
-    partial products are shared between the coordinates.
+    Monomials are pruned modulo exprs.m (None prunes nothing).  Powers,
+    partial products and scaled terms are named temporaries, computed once
+    and reused by all coordinates; powers come from exprs.pow_expr or, when it
+    gives none, from memoised square-and-multiply.  The expression back end
+    (_TableExprs, _KernelExprs or _IntExprs) renders products, powers, the
+    terms c*monomial and the final combination of each coordinate, and
+    names them through temp() where they are worth sharing.  Back ends with
+    inline_once set then get every temporary read only once substituted
+    into its reader.
     """
-    m = tables.m
-    ns = dict(tables.namespace, _E=tables.elems, _I=tables.index)
+    m = exprs.m
+    ns = dict(exprs.namespace)
     body = []
     used = set()
     memo = {}
@@ -226,50 +244,50 @@ def _compile_polys_indexed(polys, operands, n, tables):
     def temp(key, expr):
         name = memo.get(key)
         if name is None:
-            name = memo[key] = f"t{len(memo)}"
+            name = memo[key] = f"t{len(body)}"
             body.append(f"    {name} = {expr}")
         return name
+
+    def mul(a, b):
+        return exprs.product(a, b, temp)
 
     def power(i, e):
         used.add(i)
         if e == 1:
-            return f"v{i}"
-        ns[f"_P{e}"] = tables.pow_table(e)
-        return temp(("pow", i, e), f"_P{e}[v{i}]")
-
-    def mul(a, b):
-        return temp(("mul", a, b), tables.mul_expr(a, b))
-
-    def add(a, b):
-        return temp(("add", a, b), tables.add_expr(a, b))
+            return exprs.var(i)
+        key = ("pow", i, e)
+        name = memo.get(key)
+        if name is None:
+            expr = exprs.pow_expr(exprs.var(i), e, ns)
+            if expr is not None:
+                return temp(key, expr)
+            half = power(i, e // 2)
+            name = mul(half, half)
+            if e & 1:
+                name = mul(name, exprs.var(i))
+            memo[key] = name
+        return name
 
     outs = []
     for poly in polys:
         terms = []
         for mono in sorted(poly):
-            c = poly[mono] % m
+            c = poly[mono] if m is None else poly[mono] % m
             if c == 0:
                 continue
             factors = [power(i, e) for i, e in enumerate(mono) if e]
-            if not factors:
-                terms.append(str(c * tables.one))  # the constant c*1
-                continue
-            val = factors[0]
+            val = factors[0] if factors else None  # None: the constant 1
             for f in factors[1:]:
                 val = mul(val, f)
-            if c != 1:
-                ns[f"_S{c}"] = tables.scale_table(c)
-                val = temp(("scale", val, c), f"_S{c}[{val}]")
-            terms.append(val)
-        acc = terms[0] if terms else "0"
-        for t in terms[1:]:
-            acc = add(acc, t)
-        outs.append(f"_E[{acc}]")
+            terms.append(exprs.term(c, val, temp, ns))
+        outs.append(exprs.combine(terms, temp))
+    if exprs.inline_once:
+        body, outs = _inline_single_uses(body, outs)
     args = [f"u{k}" for k in range(operands)]
     head = [f"def _f({', '.join(args)}):"]
     for k, arg in enumerate(args):
         head.append(f"    ({''.join(f'a{k * n + i}, ' for i in range(n))}) = {arg}")
-    head += [f"    v{i} = _I[a{i}]" for i in sorted(used)]
+    head += [line for line in map(exprs.load, sorted(used)) if line]
     tail = f"    return ({''.join(f'{out}, ' for out in outs)})"
     src = "\n".join(head + body + [tail]) + "\n"
     exec(src, ns)  # noqa: S102 - generated from table data only
@@ -278,86 +296,165 @@ def _compile_polys_indexed(polys, operands, n, tables):
     return fn
 
 
-def _compile_poly_raw(poly, nvars, ring, prune_mod):
-    """Compile to a function on raw payload tuples, bound to kernel calls.
+# the names _compile_polys gives its temporaries
+_TEMP = re.compile(r"\bt\d+\b")
 
-    Much faster than the operator form: no RingElement allocation per
-    intermediate.  Only valid for quotient-ring handles (single modulus m).
+
+def _inline_single_uses(body, outs):
+    """(body, outs) with every temporary that is read once substituted into
+    the expression that reads it.
+
+    Only sound for side-effect-free expressions that evaluate each operand
+    once.  A function with a thousand single-use temporaries compiles into
+    several MB that the allocator then keeps; nested calls compile smaller
+    and run no slower.
     """
-    from . import _kernel as kernel
+    uses = collections.Counter(_TEMP.findall("\n".join(body + outs)))
+    inlined = {}
 
-    lines = [f"def _f({', '.join(f'v{i}' for i in range(nvars))}):"]
-    # per-variable power prelude
-    needed = {}
-    for mono in poly:
-        for i, e in enumerate(mono):
-            if e > 1:
-                needed.setdefault(i, set()).add(e)
-    terms = []
-    for mono in sorted(poly):
-        c = poly[mono]
-        if prune_mod is not None:
-            c %= prune_mod
-            if c == 0:
-                continue
-            if c > prune_mod - c:
-                c -= prune_mod
-        factors = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                factors.append(f"v{i}")
-            elif e > 1:
-                factors.append(f"w{i}_{e}")
-        if not factors:
-            expr = "_one"
+    def substitute(text):
+        return _TEMP.sub(lambda mt: inlined.get(mt.group(), mt.group()), text)
+
+    kept = []
+    for line in body:
+        name, expr = line.strip().split(" = ", 1)
+        expr = substitute(expr)
+        if uses[name] == 2:  # its definition and one read
+            inlined[name] = expr
         else:
-            expr = factors[0]
-            for f in factors[1:]:
-                expr = f"_mul({expr}, {f}, _ctx)"
-        terms.append((c, expr))
-    used_powers = set()
-    for mono in sorted(poly):
-        c = poly[mono]
-        if prune_mod is not None and c % prune_mod == 0:
-            continue
-        for i, e in enumerate(mono):
-            if e > 1:
-                used_powers.add((i, e))
-    for i, e in sorted(used_powers):
-        lines.append(f"    w{i}_{e} = _pow(v{i}, {e}, _ctx)")
-    if not terms:
-        lines.append("    return _zero")
-    else:
-        first = True
-        for c, expr in terms:
-            if c == 1:
-                t = expr
-            elif c == -1:
-                t = f"_neg({expr}, _m)"
-            else:
-                t = f"_scale({expr}, {c}, _m)"
-            if first:
-                lines.append(f"    acc = {t}")
-                first = False
-            else:
-                lines.append(f"    acc = _add(acc, {t}, _m)")
-        lines.append("    return acc")
-    src = "\n".join(lines) + "\n"
-    ns = {
-        "_mul": kernel.poly_mulmod,
-        "_pow": kernel.poly_powmod,
-        "_add": kernel.vec_addmod,
-        "_neg": kernel.vec_negmod,
-        "_scale": kernel.vec_scalemod,
-        "_ctx": ring._ctx,
-        "_m": ring.m,
-        "_zero": ring.zero().data,
-        "_one": ring.one().data,
-    }
-    exec(src, ns)  # noqa: S102 - generated from table data only
-    fn = ns["_f"]
-    fn.__source__ = src
-    return fn
+            kept.append(f"    {name} = {expr}")
+    return kept, [substitute(out) for out in outs]
+
+
+def _signed_groups(terms, m):
+    """Terms (c, name) grouped by coefficient, each c the residue of least
+    absolute value mod m (m None: c as given), in first-seen order."""
+    groups = {}
+    for c, name in terms:
+        if m is not None and c > m - c:
+            c -= m
+        groups.setdefault(c, []).append(name)
+    return groups
+
+
+def _linear_expr(groups):
+    """Source of sum_c c * (sum of names) for groups {c: [names]}."""
+    parts = []
+    for c, names in groups.items():
+        inner = " + ".join(names)
+        if c == 1:
+            parts.append(f"+ {inner}")
+        elif c == -1:
+            parts.append(f"- {inner}" if len(names) == 1 else f"- ({inner})")
+        else:
+            inner = inner if len(names) == 1 else f"({inner})"
+            parts.append(f"- {-c}*{inner}" if c < 0 else f"+ {c}*{inner}")
+    expr = " ".join(parts)
+    return expr[2:] if expr.startswith("+ ") else expr
+
+
+class _TableExprs:
+    """Back end over element indices of a SmallRingTables ring: coordinates
+    convert to indices on entry and back on exit, and every product, sum,
+    power and scalar multiple in between is a table lookup."""
+
+    inline_once = False  # mul_expr reads its operands twice and uses walrus names
+
+    def __init__(self, tables):
+        self.tables = tables
+        self.m = tables.m
+        self.namespace = dict(tables.namespace, _E=tables.elems, _I=tables.index)
+
+    def var(self, i):
+        return f"v{i}"
+
+    def load(self, i):
+        return f"    v{i} = _I[a{i}]"
+
+    def product(self, a, b, temp):
+        return temp(("mul", a, b), self.tables.mul_expr(a, b))
+
+    def pow_expr(self, v, e, ns):
+        ns[f"_P{e}"] = self.tables.pow_table(e)
+        return f"_P{e}[{v}]"
+
+    def term(self, c, val, temp, ns):
+        if val is None:
+            return str(c * self.tables.one)  # the constant c*1
+        if c != 1:
+            ns[f"_S{c}"] = self.tables.scale_table(c)
+            val = temp(("scale", val, c), f"_S{c}[{val}]")
+        return val
+
+    def combine(self, terms, temp):
+        acc = terms[0] if terms else "0"
+        for t in terms[1:]:
+            acc = temp(("add", acc, t), self.tables.add_expr(acc, t))
+        return f"_E[{acc}]"
+
+
+class _IntExprs:
+    """Back end over Python ints (W_n(Z)): exact, nothing pruned, and each
+    coordinate one integer linear combination of its terms."""
+
+    m = None
+    namespace = {}
+    inline_once = True  # plain calls and operators: inlining is sound
+
+    def var(self, i):
+        return f"a{i}"
+
+    def load(self, i):
+        return None  # payload entries are used as they are
+
+    def product(self, a, b, temp):
+        return temp(("mul", a, b), f"{a} * {b}")
+
+    def pow_expr(self, v, e, ns):
+        return f"{v} ** {e}"
+
+    def term(self, c, val, temp, ns):
+        return c, val
+
+    def combine(self, terms, temp):
+        if not terms:
+            return "0"
+        return f"({_linear_expr(_signed_groups(((c, v or '1') for c, v in terms), None))})"
+
+
+class _KernelExprs(_IntExprs):
+    """Back end over coefficient tuples of a quotient ring above the table
+    cap: products call the kernel's poly_mulmod, powers are built from
+    products, and each coordinate is one linear combination of its terms,
+    reduced slot by slot mod m."""
+
+    def __init__(self, ring):
+        from . import _kernel as kernel
+
+        self.m = ring.m
+        self.namespace = {
+            "_mul": kernel.poly_mulmod,
+            "_ctx": ring._ctx,
+            "_zero": ring.zero().data,
+            "_one": ring.one().data,
+        }
+
+    def product(self, a, b, temp):
+        return temp(("mul", a, b), f"_mul({a}, {b}, _ctx)")
+
+    def pow_expr(self, v, e, ns):
+        return None
+
+    def combine(self, terms, temp):
+        if not terms:
+            return "_zero"
+        if len(terms) == 1 and terms[0][0] == 1 and terms[0][1] is not None:
+            return terms[0][1]  # a product or an input, already canonical
+        names = [v or "_one" for _, v in terms]
+        zs = [f"z{k}" for k in range(len(names))]
+        groups = _signed_groups(zip((c for c, _ in terms), zs), self.m)
+        expr = f"({_linear_expr(groups)}) % {self.m}"
+        return f"tuple([{expr} for {', '.join(zs)}, in zip({', '.join(names)})])"
 
 
 def _compile_poly(poly, nvars, prune_mod):
@@ -476,11 +573,21 @@ class WittVector:
         if not coords:
             raise ValueError("length must be >= 1")
         for c in coords:
-            if not isinstance(c, RingElement) or c.ring != ring:
+            if not isinstance(c, RingElement) or (c.ring is not ring and c.ring != ring):
                 raise ValueError("owner mismatch")
         self.ring = ring
         self.p = p
         self.coords = coords
+
+    @classmethod
+    def _trusted(cls, ring, p, coords):
+        """A vector from a nonempty tuple of RingElements known to be owned
+        by ring, skipping the checks of __init__."""
+        w = object.__new__(cls)
+        w.ring = ring
+        w.p = p
+        w.coords = coords
+        return w
 
     @property
     def length(self):
@@ -489,7 +596,7 @@ class WittVector:
     def _check(self, other):
         if (
             not isinstance(other, WittVector)
-            or other.ring != self.ring
+            or (other.ring is not self.ring and other.ring != self.ring)
             or other.p != self.p
             or other.length != self.length
         ):
@@ -511,7 +618,7 @@ class WittVector:
     def __eq__(self, other):
         return (
             isinstance(other, WittVector)
-            and other.ring == self.ring
+            and (other.ring is self.ring or other.ring == self.ring)
             and other.p == self.p
             and other.coords == self.coords
         )
@@ -538,7 +645,10 @@ class RawWittOps:
 
     The workhorse of exhaustive checks: no RingElement allocation in the
     loop.  Obtain via raw_witt_ops(ring, p, n); results equal the wrapped
-    API coordinatewise.
+    API coordinatewise.  Sum, product and Frobenius are each one compiled
+    function that computes every coordinate at once (_compile_polys): over
+    the lookup tables of a ring with at most rings.TABLE_CAP elements, through
+    the coefficient kernel above the cap, and on plain ints over Z.
     """
 
     def __init__(self, ring, p, n):
@@ -548,57 +658,44 @@ class RawWittOps:
         table = get_table(p, n)
         self.zero_payload = ring.zero().data
         self._neg = ring._neg
-        tables = getattr(ring, "_tables", None)
-        if tables is not None:
-            # (sum, prod, frob), each computing every coordinate at once
-            self._indexed = tuple(
-                table.compiled_indexed(which, tables) for which in ("sum", "prod", "frob")
-            )
-            return
-        self._indexed = None
+        self._tables = getattr(ring, "_tables", None)
         if isinstance(ring, IntegerRing):
-            # exact over plain ints; nothing is pruned, so the polynomials are
-            # large and each operation compiles on its first use
-            self._compile = table.compiled
+            # nothing is pruned over Z, so the polynomials are large and each
+            # operation compiles on its first use
+            self._compile = table.compiled_ints
+            return
+        if self._tables is not None:
+            self._compile = functools.partial(table.compiled_indexed, tables=self._tables)
         else:
-            self._compile = functools.partial(table.compiled_raw, ring=ring)
-            # compile all three now: the compile's transient memory is then
-            # freed before the operations start allocating
-            for name in ("_sum", "_prod", "_frob"):
-                getattr(self, name)
+            self._compile = functools.partial(table.compiled_coeffs, ring=ring)
+        # compile all three now: the compile's transient memory is then freed
+        # before the operations start allocating
+        for name in ("_sum", "_prod", "_frob"):
+            getattr(self, name)
 
-    # one function per coordinate, for rings without tables
     @functools.cached_property
     def _sum(self):
-        return [self._compile("sum", i) for i in range(self.n)]
+        return self._compile("sum")
 
     @functools.cached_property
     def _prod(self):
-        return [self._compile("prod", i) for i in range(self.n)]
+        return self._compile("prod")
 
     @functools.cached_property
     def _frob(self):
-        return [self._compile("frob", i) for i in range(self.n - 1)]
+        return self._compile("frob")
 
     def add(self, u, v):
-        if self._indexed:
-            return self._indexed[0](u, v)
-        args = u + v
-        return tuple(f(*args) for f in self._sum)
+        return self._sum(u, v)
 
     def mul(self, u, v):
-        if self._indexed:
-            return self._indexed[1](u, v)
-        args = u + v
-        return tuple(f(*args) for f in self._prod)
+        return self._prod(u, v)
 
     def neg(self, u):
         return tuple(map(self._neg, u))
 
     def frob(self, u):
-        if self._indexed:
-            return self._indexed[2](u)
-        return tuple(f(*u) for f in self._frob)
+        return self._frob(u)
 
     def scalar_mul(self, k, u):
         if k < 0:
@@ -614,16 +711,25 @@ class RawWittOps:
         return acc
 
     def wrap(self, u):
-        return WittVector(self.ring, self.p, tuple(RingElement(self.ring, c) for c in u))
+        ring = self.ring
+        return WittVector._trusted(ring, self.p, tuple(RingElement(ring, c) for c in u))
 
     def unwrap(self, w):
         return tuple(c.data for c in w.coords)
 
     def enumerate_payloads(self):
-        """All coordinate payloads of W_n(A), lazily, deterministic order."""
+        """All coordinate payloads of W_n(A), lazily, deterministic order.
+
+        One flat product over the d*n coefficients, cut into n coordinates.
+        A product of per-coordinate products would build all m**d
+        coordinates before yielding the first payload, which callers that
+        read only a prefix of a large W_n(A) cannot afford.
+        """
         d, n = self.ring.d, self.n
-        for flat in itertools.product(range(self.ring.m), repeat=d * n):
-            yield tuple(flat[i * d : (i + 1) * d] for i in range(n))
+        flat = itertools.product(range(self.ring.m), repeat=d * n)
+        if n == 1:
+            return zip(flat)
+        return map(operator.itemgetter(*[slice(i * d, (i + 1) * d) for i in range(n)]), flat)
 
 
 _raw_cache = {}
@@ -727,11 +833,7 @@ def frobenius(u):
         raise ValueError("length underflow: F needs n >= 2")
     raw = raw_witt_ops(u.ring, u.p, u.length)
     if raw is not None:
-        return WittVector(
-            u.ring,
-            u.p,
-            tuple(RingElement(u.ring, c) for c in raw.frob(raw.unwrap(u))),
-        )
+        return raw.wrap(raw.frob(raw.unwrap(u)))
     table = get_table(u.p, u.length)
     prune = _prune_mod(u.ring)
     zero = u.ring.zero()

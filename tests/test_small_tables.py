@@ -1,6 +1,6 @@
 """Lookup-table arithmetic of small quotient rings against the schoolbook
-kernel, and the table-driven Witt operations against the kernel-compiled
-universal polynomials."""
+kernel, and the table-driven Witt operations against the universal
+polynomials evaluated on RingElements."""
 
 import itertools
 import random
@@ -66,29 +66,32 @@ LENGTHS["cyc(5,1,1)"] = (1, 2, 3)
 
 @pytest.mark.parametrize("desc", SHAPES)
 def test_raw_witt_ops_match_the_kernel_polynomials(desc):
+    # oracle: the operator form, the unpruned polynomials on RingElements
     ring = ring_from_descriptor(desc)
     p = ring.p
+    zero = ring.zero()
     for n in LENGTHS[desc]:
         raw = raw_witt_ops(ring, p, n)
-        assert raw._indexed is not None
+        assert raw._tables is not None and raw._tables is ring._tables
         table = get_table(p, n)
-        fs = [table.compiled_raw("sum", i, ring) for i in range(n)]
-        fp = [table.compiled_raw("prod", i, ring) for i in range(n)]
-        ff = [table.compiled_raw("frob", i, ring) for i in range(n - 1)]
+        fs = [table.compiled("sum", i) for i in range(n)]
+        fp = [table.compiled("prod", i) for i in range(n)]
+        ff = [table.compiled("frob", i) for i in range(n - 1)]
         rng = random.Random(f"raw/{desc}/{n}")
         for _ in range(40 if n < 4 else 5):
-            u = raw.unwrap(random_witt(ring, p, n, rng))
-            v = raw.unwrap(random_witt(ring, p, n, rng))
-            assert raw.add(u, v) == tuple(f(*u, *v) for f in fs)
-            assert raw.mul(u, v) == tuple(f(*u, *v) for f in fp)
-            assert raw.frob(u) == tuple(f(*u) for f in ff)
+            x, y = random_witt(ring, p, n, rng), random_witt(ring, p, n, rng)
+            u, v = raw.unwrap(x), raw.unwrap(y)
+            args = x.coords + y.coords
+            assert raw.add(u, v) == tuple(f(*args, zero).data for f in fs)
+            assert raw.mul(u, v) == tuple(f(*args, zero).data for f in fp)
+            assert raw.frob(u) == tuple(f(*x.coords, zero).data for f in ff)
 
 
 def test_rings_above_the_cap_build_no_tables():
     ring = CyclotomicTruncation(3, 2, 2)
     assert ring.cardinality() > TABLE_CAP
     assert ring._tables is None
-    assert raw_witt_ops(ring, 3, 2)._indexed is None
+    assert raw_witt_ops(ring, 3, 2)._tables is None
 
 
 @pytest.mark.parametrize("desc", ["cyc(3,2,1)", "charp(3,0,6)", "cyc(3,1,3)"])

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from wittkit.rings import CharPQuotient, CyclotomicTruncation
+from wittkit.rings import CharPQuotient, CyclotomicTruncation, ring_from_descriptor
 from wittkit.tilt import (
     QLogDivisionError,
     TiltElement,
     TiltPrecisionError,
     check_ker_F_generators,
+    enumerate_wn_fp,
     eps_charp,
     epsilon,
     frobenius_equation_solve,
@@ -228,3 +229,57 @@ def test_solution_count_bounds():
     ring = CharPQuotient(3, 0, 9)
     rep = frobenius_equation_solve(ring, 1)
     assert len(rep["solutions"]) >= len(rep["claimed"])
+
+
+def _wrapped_scan(ring, solutions, claimed_set):
+    """Oracle for the solver's spurious-solution scan, through the wrapped
+    WittVector API: one witt_add(y, -c) per (solution, claimed) pair, the
+    valuation from ring.s_valuation, and the least annihilating t-power by
+    multiplying with t^0, t^1, ... up to t^K."""
+    t = ring.t_element()
+    claimed, spurious = [], []
+    for y in solutions:
+        if y in claimed_set:
+            claimed.append(y)
+            continue
+        best_val, best_junk = -1, None
+        for cform in claimed_set:
+            junk = witt_add(y, witt_neg(cform))
+            val = min(ring.s_valuation(c) for c in junk.coords)
+            if val > best_val:
+                best_val, best_junk = val, junk
+        power, annihilator = ring.one(), None
+        for j in range(ring.K + 1):
+            if all((power * c).is_zero() for c in best_junk.coords):
+                annihilator = j
+                break
+            power = power * t
+        spurious.append((y, best_junk, best_val, annihilator))
+    return claimed, spurious
+
+
+@pytest.mark.parametrize(
+    "desc,n",
+    [
+        ("charp(3,0,6)", 1),
+        ("charp(3,0,6)", 2),
+        ("charp(3,0,9)", 1),
+        ("charp(3,0,9)", 2),
+        ("charp(3,1,2)", 1),  # p^e = 3
+        ("charp(3,1,2)", 2),
+        ("charp(3,0,1)", 1),  # K = 1
+        ("charp(3,0,1)", 2),
+    ],
+)
+def test_fixed_points_raw_scan_matches_the_wrapped_scan(desc, n):
+    ring = ring_from_descriptor(desc)
+    p = ring.p
+    rep = frobenius_equation_solve(ring, n)
+    mu = witt_add(teichmuller(eps_charp(ring), p, n), witt_neg(witt_one(ring, p, n)))
+    claimed_set = {witt_mul(c, mu) for c in enumerate_wn_fp(ring, p, n)}
+    claimed, spurious = _wrapped_scan(ring, rep["solutions"], claimed_set)
+    assert rep["claimed"] == claimed
+    assert [
+        (s["element"], s["junk"], s["junk_s_valuation"], s["junk_t_annihilator"])
+        for s in rep["spurious"]
+    ] == spurious

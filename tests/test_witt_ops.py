@@ -1,10 +1,18 @@
 """Witt vector operator laws over the quotient rings."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing, random_element
+from wittkit.rings import (
+    CharPQuotient,
+    CyclotomicTruncation,
+    IntegerRing,
+    random_element,
+    ring_from_descriptor,
+)
 from wittkit.witt import (
     WittVector,
     frobenius,
@@ -237,3 +245,76 @@ def test_integer_witt_ops_match_the_operator_form(p, n):
             f = frobenius(u)
             assert f.coords == tuple(table.compiled("frob", i)(*u.coords, zero) for i in range(n - 1))
             assert ghost(f) == gu[1:]
+
+
+# rings above the table cap; cyc(3,1,40) multiplies with the schoolbook loop
+ABOVE_THE_CAP = [
+    ("cyc(3,2,2)", 2),
+    ("cyc(3,2,2)", 3),
+    ("cyc(3,3,1)", 4),
+    ("cyc(3,2,3)", 3),
+    ("cyc(5,3,1)", 2),
+    ("cyc(7,2,1)", 2),
+    ("cyc(3,1,40)", 2),
+    ("charp(3,0,9)", 2),
+    ("charp(3,0,27)", 2),
+]
+
+
+@pytest.mark.parametrize("desc,n", ABOVE_THE_CAP)
+def test_raw_witt_ops_above_the_cap_match_the_operator_form(desc, n):
+    # one function per operation computes every coordinate through the
+    # kernel; the oracle evaluates the unpruned polynomials on RingElements
+    ring = ring_from_descriptor(desc)
+    p = ring.p
+    raw = raw_witt_ops(ring, p, n)
+    assert ring._tables is None and raw._tables is None
+    table = get_table(p, n)
+    zero = ring.zero()
+    rng = random.Random(f"raw-above-cap/{desc}/{n}")
+    elems = [zero, ring.one(), ring.from_int(-1)]
+    for k in range(12):
+        if k < 3:  # zero, one and minus one in every coordinate
+            x = WittVector(ring, p, [elems[k]] * n)
+            y = WittVector(ring, p, [elems[(k + 1) % 3]] * n)
+        else:
+            x, y = random_witt(ring, p, n, rng), random_witt(ring, p, n, rng)
+        u, v = raw.unwrap(x), raw.unwrap(y)
+        args = x.coords + y.coords
+        assert raw.add(u, v) == tuple(table.compiled("sum", i)(*args, zero).data for i in range(n))
+        assert raw.mul(u, v) == tuple(table.compiled("prod", i)(*args, zero).data for i in range(n))
+        assert raw.frob(u) == tuple(
+            table.compiled("frob", i)(*x.coords, zero).data for i in range(n - 1)
+        )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumerate_payloads_keeps_the_flat_product_order(n):
+    ring = CharPQuotient(3, 0, 2)
+    d = ring.d
+    raw = raw_witt_ops(ring, 3, n)
+    flat = [
+        tuple(f[i * d : (i + 1) * d] for i in range(n))
+        for f in itertools.product(range(ring.m), repeat=d * n)
+    ]
+    assert list(raw.enumerate_payloads()) == flat
+    ring = CyclotomicTruncation(3, 1, 2)  # m = 9, d = 2
+    raw = raw_witt_ops(ring, 3, 2)
+    got = list(raw.enumerate_payloads())
+    assert len(got) == ring.cardinality() ** 2
+    assert got == sorted(got) and got[1] == ((0, 0), (0, 1))
+
+
+def test_enumerate_payloads_reads_a_prefix_lazily():
+    # sampled checks read only the first payloads of a W_n(A) far too large
+    # to enumerate; building all 3^12 coordinates of charp(3,0,12) first
+    # would take ~80 MB
+    raw = raw_witt_ops(CharPQuotient(3, 0, 12), 3, 2)
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(raw.enumerate_payloads(), 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert first[0] == ((0,) * 12, (0,) * 12) and first[1][1][-1] == 1
