@@ -1,32 +1,24 @@
 #!/usr/bin/env python3
-"""Compare the compiled kernel against the pure-Python fallback.
+"""Time the arithmetic layers of wittkit.
 
 Five layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
-    table cap, next to the fallback's schoolbook loop,
+    table cap, next to the kernel's schoolbook loop,
   * end-to-end Witt multiplication throughput on W_2(cyc(3,2,1)), which runs
-    on the small-ring lookup tables under either kernel, and on W_4(Z),
-    which runs on plain ints,
+    on the small-ring lookup tables, and on W_4(Z), which runs on plain ints,
   * raw Witt add/mul/frob above the table cap (W_3(cyc(3,2,2)) and
     W_4(cyc(3,3,1))), each operation one compiled function over the kernel,
     with the time to compile the three,
   * the fixed-point solver on W_2(charp(3,0,9)),
   * universal-table build times (the feasibility envelope per prime).
 
-Run twice to see both sides of the import-time switch:
-
     python benchmarks/bench_kernels.py
-    WITTKIT_PURE=1 python benchmarks/bench_kernels.py
 """
 
-import os
 import random
-import subprocess
-import sys
 import time
 
 from wittkit import _kernel
-from wittkit._kernel import _fallback
 from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing
 from wittkit.tilt import frobenius_equation_solve
 from wittkit.witt import RawWittOps, get_table, random_witt, raw_witt_ops, z_element
@@ -40,11 +32,8 @@ def _time_per_call(fn, pairs, ctx):
 
 
 def bench_kernel_calls():
-    print("== poly_mulmod on rings above the table cap: compiled vs fallback ==")
+    print("== poly_mulmod on rings above the table cap: packed vs schoolbook ==")
     rng = random.Random(0)
-    impls = [("python", _fallback)]
-    if _kernel._speedups is not None:
-        impls.append(("cython", _kernel._speedups))
     for ring in [
         CyclotomicTruncation(3, 2, 2),
         CyclotomicTruncation(3, 2, 3),
@@ -59,21 +48,17 @@ def bench_kernel_calls():
             )
             for _ in range(2000)
         ]
+        ctx = ring._ctx
+        name = "packed" if ctx.slots is not None else "schoolbook"
         row = [f"{ring.descriptor():<14} d={d:<4} m={m:<3}"]
-        for name, impl in impls:
-            # the ring's own context when impl is the one in use
-            ctx = ring._ctx if impl is _kernel._impl else impl.make_ctx(ring._red_rows, m, d)
-            if impl is _fallback:
-                name += " packed" if ctx.slots is not None else " schoolbook"
-            row.append(f"{name}: {_time_per_call(impl.poly_mulmod, pairs, ctx) * 1e6:8.2f} us")
-        ctx = _fallback.make_ctx(ring._red_rows, m, d)
-        dt = _time_per_call(_fallback.schoolbook_mulmod, pairs[:200], ctx)
-        row.append(f"python schoolbook: {dt * 1e6:8.2f} us")
+        row.append(f"{name}: {_time_per_call(_kernel.poly_mulmod, pairs, ctx) * 1e6:8.2f} us")
+        dt = _time_per_call(_kernel.schoolbook_mulmod, pairs[:200], ctx)
+        row.append(f"schoolbook: {dt * 1e6:8.2f} us")
         print("  " + "   ".join(row))
 
 
 def bench_witt_mul():
-    print("== Witt multiplication throughput (lookup tables and plain ints, any kernel) ==")
+    print("== Witt multiplication throughput (lookup tables and plain ints) ==")
     ring = CyclotomicTruncation(3, 2, 1)
     raw = raw_witt_ops(ring, 3, 2)
     rng = random.Random(1)
@@ -140,17 +125,11 @@ def bench_table_builds():
 
 
 def main():
-    print(f"kernel in use: {_kernel.impl_name()}")
     bench_kernel_calls()
     bench_witt_mul()
     bench_raw_ops_above_the_cap()
     bench_fixed_point_solver()
     bench_table_builds()
-    if _kernel.impl_name() == "cython" and "WITTKIT_BENCH_CHILD" not in os.environ:
-        print("\n-- rerunning end-to-end numbers with WITTKIT_PURE=1 --")
-        sys.stdout.flush()
-        env = dict(os.environ, WITTKIT_PURE="1", WITTKIT_BENCH_CHILD="1")
-        subprocess.run([sys.executable, __file__], env=env, check=False)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ identities relating them.
 The ``paper-check`` console script (see wittkit.cli) runs the named suites.
 """
 
-from ._kernel import HAVE_SPEEDUPS, impl_name
+from ._kernel import impl_name
 from .rings import (
     CharPQuotient,
     CyclotomicTruncation,
@@ -35,7 +35,6 @@ from .witt import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAVE_SPEEDUPS",
     "impl_name",
     "PrimeContext",
     "IntegerRing",

@@ -1,4 +1,15 @@
-"""Pure-Python kernel.  Exact by construction: Python ints never overflow.
+"""Coefficient-vector arithmetic in Z/m[x]/(minpoly), in pure Python.  Exact
+by construction: Python ints never overflow.
+
+Multiplications of canonical coefficient vectors run through this module for
+rings with more than ``rings.TABLE_CAP`` elements; smaller rings use the
+lookup tables of ``rings.SmallRingTables`` and never call the multiplication
+kernel.  The calling convention:
+
+    ctx = make_ctx(red_rows, m, d)  # red_rows[j] = x^(d+j) reduced, coeffs mod m
+    c   = poly_mulmod(a, b, ctx)    # canonical product of canonical vectors
+
+Vectors are tuples of ints in [0, m).
 
 Every ring that reaches this kernel (more than ``rings.TABLE_CAP`` elements)
 is a ``CyclotomicTruncation`` or a ``CharPQuotient``, and ``make_ctx``
@@ -146,3 +157,8 @@ def vec_negmod(a, m):
 def vec_scalemod(a, c, m):
     c %= m
     return tuple([c * x % m for x in a])
+
+
+def impl_name():
+    """The coefficient kernel's name: always "python", the only one there is."""
+    return "python"

@@ -17,7 +17,8 @@ to share between threads.
 
 Quotient rings with at most TABLE_CAP elements multiply through lookup tables
 over element indices (SmallRingTables); larger ones multiply coefficient
-tuples through the kernel in ``_kernel``.  Payloads are tuples either way.
+tuples through the pure-Python kernel in ``_kernel`` (packed big-int
+products, or a schoolbook loop).  Payloads are tuples either way.
 
 p = 2 is rejected everywhere.
 """
@@ -909,7 +910,7 @@ class ProductRing(RingHandle):
         s = s.strip()
         if not (s.startswith("(") and s.endswith(")")):
             raise ValueError(f"bad product element {s!r}")
-        parts = s[1:-1].split(";")
+        parts = split_top_level(s[1:-1], ";")
         return self.from_components(
             f.parse_element(part) for f, part in zip(self.factors, parts)
         )
@@ -995,21 +996,26 @@ def ring_from_descriptor(s):
     if m:
         return CharPQuotient(*(int(g) for g in m.groups()))
     if s.startswith("prod(") and s.endswith(")"):
-        inner = s[5:-1]
-        parts = []
-        depth = 0
-        start = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(inner[start:i])
-                start = i + 1
-        parts.append(inner[start:])
-        return ProductRing(ring_from_descriptor(part) for part in parts)
+        return ProductRing(ring_from_descriptor(part) for part in split_top_level(s[5:-1], ","))
     raise ValueError(f"bad ring descriptor {s!r}")
+
+
+def split_top_level(s, sep):
+    """Split s at the occurrences of the character sep outside parentheses,
+    so that nested product descriptors and elements stay whole."""
+    parts = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append(s[start:i])
+            start = i + 1
+    parts.append(s[start:])
+    return parts
 
 
 def make_cyclotomic(p, N, M):

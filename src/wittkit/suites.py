@@ -41,8 +41,8 @@ class SuiteConfig:
     def validate(self):
         if not is_odd_prime(self.p):
             raise UsageError(f"p must be an odd prime, got {self.p}")
-        if self.n < 1 or self.N < 1 or self.M < 1 or self.K < 1 or self.e < 0:
-            raise UsageError("n, N, M, K must be >= 1 and e >= 0")
+        if min(self.n, self.N, self.M, self.T, self.K) < 1 or self.e < 0:
+            raise UsageError("n, N, M, T, K must be >= 1 and e >= 0")
         if self.n > self.N:
             raise UsageError(f"need n <= N, got n={self.n}, N={self.N}")
         if self.T > self.N:
@@ -51,16 +51,20 @@ class SuiteConfig:
             raise UsageError("budget must be positive")
         if self.workers < 1:
             raise UsageError("workers must be >= 1")
+        names = [s for name in self.suites for s in (SUITES if name == "all" else [name])]
         cap = witt._MAX_PRACTICAL_LEN.get(self.p)
         if cap is not None:
-            for name in self.suites:
-                for suite in SUITES if name == "all" else [name]:
-                    need = WITT_LENGTHS.get(suite, lambda cfg: 0)(self)
-                    if need > cap:
-                        raise UsageError(
-                            f"suite {suite} needs Witt length {need}, above the "
-                            f"practical bound {cap} for p = {self.p}"
-                        )
+            for suite in names:
+                need = WITT_LENGTHS.get(suite, lambda cfg: 0)(self)
+                if need > cap:
+                    raise UsageError(
+                        f"suite {suite} needs Witt length {need}, above the "
+                        f"practical bound {cap} for p = {self.p}"
+                    )
+        # tilt-theta reads lift 1 of stabilized sums of depth-T tilts, and a
+        # stabilized sum loses default_delta = min(M, 3) lifts
+        if "tilt-theta" in names and self.T <= tilt.default_delta(self):
+            raise UsageError(f"suite tilt-theta needs T > min(M, 3), got T={self.T}, M={self.M}")
         return self
 
     def to_dict(self):
@@ -74,7 +78,6 @@ class SuiteConfig:
             "K": self.K,
             "budget": self.budget,
             "seed": self.seed,
-            "workers": self.workers,
         }
 
     def rng(self, suite):

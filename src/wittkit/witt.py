@@ -17,9 +17,9 @@ between the coordinates, and an expression back end renders the arithmetic.
 For rings with lookup tables (rings.SmallRingTables, at most
 rings.TABLE_CAP elements) the back end works over element indices,
 converting coordinate tuples only on entry and exit; above the cap it calls
-the coefficient kernel (packed big-int products) and forms each coordinate
-as one linear combination reduced mod m; over Z it evaluates the unpruned
-polynomials on the coordinates' Python ints.  The operator form
+the coefficient kernel (``_kernel``, packed big-int products) and forms each
+coordinate as one linear combination reduced mod m; over Z it evaluates the
+unpruned polynomials on the coordinates' Python ints.  The operator form
 (WittUniversalTable.compiled, one function per coordinate on RingElements)
 serves other rings and is the tests' oracle.  An interpreted evaluator with
 pluggable scalar operations covers carriers that are not RingElements (tilt
@@ -32,7 +32,8 @@ import itertools
 import operator
 import re
 
-from .rings import IntegerRing, RingElement, RingHandle, require_odd_prime
+from . import _kernel
+from .rings import IntegerRing, RingElement, RingHandle, require_odd_prime, split_top_level
 
 _MAX_PRACTICAL_LEN = {3: 5, 5: 4}
 
@@ -429,11 +430,9 @@ class _KernelExprs(_IntExprs):
     reduced slot by slot mod m."""
 
     def __init__(self, ring):
-        from . import _kernel as kernel
-
         self.m = ring.m
         self.namespace = {
-            "_mul": kernel.poly_mulmod,
+            "_mul": _kernel.poly_mulmod,
             "_ctx": ring._ctx,
             "_zero": ring.zero().data,
             "_one": ring.one().data,
@@ -975,7 +974,7 @@ def parse_witt(s, ring):
     if not m:
         raise ValueError(f"bad Witt vector literal {s!r}")
     p, n, rest = int(m.group(1)), int(m.group(2)), m.group(3)
-    parts = rest.split(";")
+    parts = split_top_level(rest, ";")
     if len(parts) != n:
         raise ValueError("coordinate count mismatch")
     return WittVector(ring, p, tuple(ring.parse_element(part) for part in parts))

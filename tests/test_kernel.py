@@ -1,12 +1,11 @@
-"""The compiled kernel and the pure-Python fallback must agree exactly, and
-the fallback's packed products must agree with its schoolbook loop."""
+"""The kernel's packed products must agree with its schoolbook loop and with
+naive modular arithmetic."""
 
 import random
 
 import pytest
 
 from wittkit import _kernel
-from wittkit._kernel import _fallback
 from wittkit.rings import CyclotomicTruncation, ring_from_descriptor
 
 
@@ -23,38 +22,17 @@ def _reduction_rows(base, m, d):
 SHAPES = [(2, 9), (6, 3), (6, 27), (100, 5), (1, 3), (27, 3), (20, 25)]
 
 
-@pytest.mark.skipif(not _kernel.HAVE_SPEEDUPS, reason="extension not built")
-@pytest.mark.parametrize("d,m", SHAPES)
-def test_speedups_match_fallback(d, m):
-    from wittkit._kernel import _speedups
-
-    rng = random.Random(d * 1000 + m)
-    base = [rng.randrange(m) for _ in range(d)]
-    red = _reduction_rows(base, m, d)
-    cf = _fallback.make_ctx(red, m, d)
-    cs = _speedups.make_ctx(red, m, d)
-    for _ in range(50):
-        a = tuple(rng.randrange(m) for _ in range(d))
-        b = tuple(rng.randrange(m) for _ in range(d))
-        assert _fallback.poly_mulmod(a, b, cf) == _speedups.poly_mulmod(a, b, cs)
-        assert _fallback.poly_powmod(a, 11, cf) == _speedups.poly_powmod(a, 11, cs)
-        assert _fallback.vec_addmod(a, b, m) == _speedups.vec_addmod(a, b, m)
-        assert _fallback.vec_submod(a, b, m) == _speedups.vec_submod(a, b, m)
-        assert _fallback.vec_negmod(a, m) == _speedups.vec_negmod(a, m)
-        assert _fallback.vec_scalemod(a, -7, m) == _speedups.vec_scalemod(a, -7, m)
-
-
 def test_fallback_packed_path_matches_loops():
     # a degree well above the old vectorized cutoff: one packed product each
     ring = CyclotomicTruncation(3, 4, 2)
     d, m = ring.d, ring.m
-    ctx = _fallback.make_ctx(ring._red_rows, m, d)
+    ctx = _kernel.make_ctx(ring._red_rows, m, d)
     assert ctx.slots is not None
     rng = random.Random(1)
     for _ in range(25):
         a = tuple(rng.randrange(m) for _ in range(d))
         b = tuple(rng.randrange(m) for _ in range(d))
-        assert _fallback.poly_mulmod(a, b, ctx) == _fallback.schoolbook_mulmod(a, b, ctx)
+        assert _kernel.poly_mulmod(a, b, ctx) == _kernel.schoolbook_mulmod(a, b, ctx)
 
 
 # ring -> width in bytes of its packed slots
@@ -78,7 +56,7 @@ PACKED_SHAPES = {
 def test_packed_products_match_the_schoolbook_loop(desc):
     ring = ring_from_descriptor(desc)
     p, d, m = ring.p, ring.d, ring.m
-    ctx = _fallback.make_ctx(ring._red_rows, m, d)
+    ctx = _kernel.make_ctx(ring._red_rows, m, d)
     assert ctx.slots.size == d * PACKED_SHAPES[desc]
     zero, one, top = (0,) * d, (1,) + (0,) * (d - 1), (m - 1,) * d  # top reaches the slot bound
     special = [zero, one, top]
@@ -90,18 +68,18 @@ def test_packed_products_match_the_schoolbook_loop(desc):
     pairs = [(a, b) for a in special for b in special]
     pairs += [(rand(), rand()) for _ in range(500)]
     for a, b in pairs:
-        assert _fallback.poly_mulmod(a, b, ctx) == _fallback.schoolbook_mulmod(a, b, ctx)
+        assert _kernel.poly_mulmod(a, b, ctx) == _kernel.schoolbook_mulmod(a, b, ctx)
     for a in special + [a for a, _ in pairs[9:14]]:
         want = one
         for e in range(1, p * p + 1):
-            want = _fallback.schoolbook_mulmod(want, a, ctx)
+            want = _kernel.schoolbook_mulmod(want, a, ctx)
             if e >= 2:
-                assert _fallback.poly_powmod(a, e, ctx) == want
+                assert _kernel.poly_powmod(a, e, ctx) == want
 
 
 def test_shapes_past_the_slot_bound_keep_the_schoolbook_loop():
     ring = CyclotomicTruncation(3, 1, 40)  # (m-1)^2 alone needs more than 64 bits
-    ctx = _fallback.make_ctx(ring._red_rows, ring.m, ring.d)
+    ctx = _kernel.make_ctx(ring._red_rows, ring.m, ring.d)
     assert ctx.slots is None
     rng = random.Random(40)
     for _ in range(200):
@@ -111,7 +89,7 @@ def test_shapes_past_the_slot_bound_keep_the_schoolbook_loop():
         c0 = a[0] * b[0] - a[1] * b[1]
         c1 = a[0] * b[1] + a[1] * b[0] - a[1] * b[1]
         want = (c0 % ring.m, c1 % ring.m)
-        assert _fallback.poly_mulmod(a, b, ctx) == _fallback.schoolbook_mulmod(a, b, ctx) == want
+        assert _kernel.poly_mulmod(a, b, ctx) == _kernel.schoolbook_mulmod(a, b, ctx) == want
 
 
 def test_arbitrary_reduction_rows_keep_the_schoolbook_loop():
@@ -119,7 +97,7 @@ def test_arbitrary_reduction_rows_keep_the_schoolbook_loop():
     for d, m in SHAPES:
         base = [rng.randrange(m) for _ in range(d)]
         base[1 % d] = 1  # no sum_{i<p} x^(i*q) has this row
-        ctx = _fallback.make_ctx(_reduction_rows(base, m, d), m, d)
+        ctx = _kernel.make_ctx(_reduction_rows(base, m, d), m, d)
         assert ctx.slots is None or d == 1
 
 
@@ -130,7 +108,7 @@ def test_mulmod_against_naive_modular_arithmetic():
     minpoly = [1, 0, 0, 1, 0, 0, 1]  # x^6 + x^3 + 1
     base = [(-c) % m for c in minpoly[:d]]
     red = _reduction_rows(base, m, d)
-    ctx = _fallback.make_ctx(red, m, d)
+    ctx = _kernel.make_ctx(red, m, d)
     for _ in range(40):
         a = [rng.randrange(m) for _ in range(d)]
         b = [rng.randrange(m) for _ in range(d)]
@@ -144,4 +122,4 @@ def test_mulmod_against_naive_modular_arithmetic():
             for j in range(d + 1):
                 prod[k - d + j] -= c * minpoly[j]
         want = tuple(c % m for c in prod[:d])
-        assert _fallback.poly_mulmod(tuple(a), tuple(b), ctx) == want
+        assert _kernel.poly_mulmod(tuple(a), tuple(b), ctx) == want

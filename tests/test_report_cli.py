@@ -20,6 +20,8 @@ def test_suite_config_validation():
     with pytest.raises(UsageError):
         SuiteConfig(T=5, N=2).validate()
     with pytest.raises(UsageError):
+        SuiteConfig(T=0, suites=["qlog"]).validate()
+    with pytest.raises(UsageError):
         run_suites(SuiteConfig(suites=["nope"]).validate())
 
 
@@ -96,7 +98,7 @@ def test_cli_negative_controls_exit_one(tmp_path):
 
 def test_cli_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for path in (a, b):
+    for path, workers in ((a, "1"), (b, "2")):
         assert (
             main(
                 [
@@ -111,7 +113,7 @@ def test_cli_determinism(tmp_path):
                     "--out",
                     str(path),
                     "--workers",
-                    "2",
+                    workers,
                 ]
             )
             == 0
@@ -146,3 +148,24 @@ def test_out_of_envelope_witt_length_is_a_usage_error(argv, capsys):
     # both used to end in a ValueError traceback from the table-length bound
     assert main(argv) == 2
     assert "practical bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "tilt-theta", "-T", "0"],
+        ["--suite", "tilt-theta", "-T", "-1"],
+        ["--suite", "tilt-theta", "-T", "1", "-N", "1"],
+        ["--suite", "tilt-theta", "-T", "2", "-M", "2"],
+        ["--suite", "tilt-theta", "-T", "3", "-N", "3", "-M", "3"],
+        ["--suite", "tilt-theta", "-T", "2", "-M", "3"],
+        ["--suite", "all", "-M", "2"],
+    ],
+    ids=["T0", "T-1", "T1-N1", "T2-M2", "T3-N3-M3", "T2-M3", "all-M2"],
+)
+def test_out_of_envelope_tilt_depth_is_a_usage_error(argv, capsys):
+    # each used to end in a traceback: a stabilized tilt sum loses min(M, 3)
+    # lifts, and tilt-theta then reads lift 1
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("paper-check: ")
