@@ -911,6 +911,8 @@ class ProductRing(RingHandle):
         if not (s.startswith("(") and s.endswith(")")):
             raise ValueError(f"bad product element {s!r}")
         parts = split_top_level(s[1:-1], ";")
+        if len(parts) != len(self.factors):
+            raise ValueError("component count mismatch")
         return self.from_components(
             f.parse_element(part) for f, part in zip(self.factors, parts)
         )

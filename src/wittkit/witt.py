@@ -19,11 +19,11 @@ rings.TABLE_CAP elements) the back end works over element indices,
 converting coordinate tuples only on entry and exit; above the cap it calls
 the coefficient kernel (``_kernel``, packed big-int products) and forms each
 coordinate as one linear combination reduced mod m; over Z it evaluates the
-unpruned polynomials on the coordinates' Python ints.  The operator form
-(WittUniversalTable.compiled, one function per coordinate on RingElements)
-serves other rings and is the tests' oracle.  An interpreted evaluator with
-pluggable scalar operations covers carriers that are not RingElements (tilt
-lifts need fused sums).
+unpruned polynomials on the coordinates' Python ints.  Product rings run
+each factor's RawWittOps on their component of every coordinate, since
+W_n(A x B) = W_n(A) x W_n(B).  An interpreted evaluator with pluggable
+scalar operations (eval_poly_ops) covers carriers that are not ring payloads
+(tilt lifts need fused sums) and is the tests' oracle.
 """
 
 import collections
@@ -33,7 +33,7 @@ import operator
 import re
 
 from . import _kernel
-from .rings import IntegerRing, RingElement, RingHandle, require_odd_prime, split_top_level
+from .rings import IntegerRing, ProductRing, RingElement, require_odd_prime, split_top_level
 
 _MAX_PRACTICAL_LEN = {3: 5, 5: 4}
 
@@ -176,26 +176,6 @@ class WittUniversalTable:
         # are odd); stored for the interface, verified symbolically below
         self.neg_polys = [_pscale(_var(i, n), -1) for i in range(n)]
         self._compiled = {}
-
-    def _poly(self, which, i):
-        return {"sum": self.sum_polys, "prod": self.prod_polys, "frob": self.frob_polys}[
-            which
-        ][i]
-
-    def compiled(self, which, i, prune_mod=None):
-        """Compiled evaluator for sum/prod/frob polynomial i.
-
-        prune_mod != None drops monomials with coefficient = 0 mod prune_mod
-        and reduces the others; only sound when the target ring satisfies
-        prune_mod = 0.
-        """
-        key = (which, i, prune_mod)
-        fn = self._compiled.get(key)
-        if fn is None:
-            nvars = self.n if which == "frob" else 2 * self.n
-            fn = _compile_poly(self._poly(which, i), nvars, prune_mod)
-            self._compiled[key] = fn
-        return fn
 
     def compiled_indexed(self, which, tables):
         """All coordinates of sum/prod/frob in one function on raw payloads,
@@ -456,44 +436,6 @@ class _KernelExprs(_IntExprs):
         return f"tuple([{expr} for {', '.join(zs)}, in zip({', '.join(names)})])"
 
 
-def _compile_poly(poly, nvars, prune_mod):
-    args = ", ".join(f"v{i}" for i in range(nvars))
-    terms = []
-    for mono in sorted(poly):
-        c = poly[mono]
-        if prune_mod is not None:
-            c %= prune_mod
-            if c == 0:
-                continue
-            if c > prune_mod - c:
-                c -= prune_mod  # small negative beats large positive
-        factors = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                factors.append(f"v{i}")
-            elif e > 1:
-                factors.append(f"v{i}**{e}")
-        body = "*".join(factors)
-        if c == 1 and body:
-            terms.append(body)
-        elif c == -1 and body:
-            terms.append(f"-{body}")
-        elif body:
-            terms.append(f"{c}*{body}")
-        else:
-            terms.append(f"_zero + {c}" if c != 0 else "")
-    terms = [t for t in terms if t]
-    if not terms:
-        src = f"def _f({args}, _zero=0):\n    return _zero\n"
-    else:
-        src = f"def _f({args}, _zero=0):\n    return sum(({', '.join(terms)},), _zero)\n"
-    ns = {}
-    exec(src, ns)  # noqa: S102 - generated from table data only
-    fn = ns["_f"]
-    fn.__source__ = src
-    return fn
-
-
 @functools.lru_cache(maxsize=None)
 def multi_sum_polys(p, n, k):
     """Universal polynomials for the k-fold Witt sum at length n.
@@ -632,22 +574,18 @@ class WittVector:
         return serialize_witt(self)
 
 
-def _prune_mod(ring):
-    """p^M when the ring satisfies p^M = 0, else None."""
-    m = getattr(ring, "m", None)
-    return m
-
-
 class RawWittOps:
     """Witt operations on raw coordinate payloads (tuples of ring payloads:
-    coefficient tuples, or ints over Z).
+    coefficient tuples, ints over Z, or tuples of factor RingElements over a
+    product ring).
 
     The workhorse of exhaustive checks: no RingElement allocation in the
     loop.  Obtain via raw_witt_ops(ring, p, n); results equal the wrapped
     API coordinatewise.  Sum, product and Frobenius are each one compiled
     function that computes every coordinate at once (_compile_polys): over
     the lookup tables of a ring with at most rings.TABLE_CAP elements, through
-    the coefficient kernel above the cap, and on plain ints over Z.
+    the coefficient kernel above the cap, and on plain ints over Z.  Over a
+    product ring each operation runs the factors' RawWittOps (_product_op).
     """
 
     def __init__(self, ring, p, n):
@@ -662,6 +600,9 @@ class RawWittOps:
             # nothing is pruned over Z, so the polynomials are large and each
             # operation compiles on its first use
             self._compile = table.compiled_ints
+            return
+        if isinstance(ring, ProductRing):
+            self._compile = functools.partial(_product_op, ring, p, n)
             return
         if self._tables is not None:
             self._compile = functools.partial(table.compiled_indexed, tables=self._tables)
@@ -731,15 +672,34 @@ class RawWittOps:
         return map(operator.itemgetter(*[slice(i * d, (i + 1) * d) for i in range(n)]), flat)
 
 
+def _product_op(ring, p, n, which):
+    """sum, prod or frob on raw payloads of W_n(A_1 x ... x A_k).
+
+    W_n(A_1 x ... x A_k) = W_n(A_1) x ... x W_n(A_k) coordinatewise, so the
+    payloads are split into one payload per factor, each factor's raw
+    operation runs on its own, and the results are rejoined into tuples of
+    factor RingElements.  Nested products recurse through raw_witt_ops.
+    """
+    factors = ring.factors
+    fns = [getattr(raw_witt_ops(f, p, n), f"_{which}") for f in factors]
+
+    def op(*payloads):
+        parts = [
+            fn(*(tuple(c[k].data for c in u) for u in payloads)) for k, fn in enumerate(fns)
+        ]
+        return tuple(tuple(map(RingElement, factors, coord)) for coord in zip(*parts))
+
+    return op
+
+
 _raw_cache = {}
 
 
 def raw_witt_ops(ring, p, n):
     key = (ring, p, n)
     ops = _raw_cache.get(key)
-    if ops is None and (hasattr(ring, "_ctx") or isinstance(ring, IntegerRing)):
-        ops = RawWittOps(ring, p, n)
-        _raw_cache[key] = ops
+    if ops is None:
+        ops = _raw_cache[key] = RawWittOps(ring, p, n)
     return ops
 
 
@@ -767,31 +727,13 @@ def teichmuller(a, p, n):
 def witt_add(u, v):
     u._check(v)
     raw = raw_witt_ops(u.ring, u.p, u.length)
-    if raw is not None:
-        return raw.wrap(raw.add(raw.unwrap(u), raw.unwrap(v)))
-    table = get_table(u.p, u.length)
-    prune = _prune_mod(u.ring)
-    zero = u.ring.zero()
-    args = u.coords + v.coords
-    coords = [
-        table.compiled("sum", i, prune)(*args, zero) for i in range(u.length)
-    ]
-    return WittVector(u.ring, u.p, coords)
+    return raw.wrap(raw.add(raw.unwrap(u), raw.unwrap(v)))
 
 
 def witt_mul(u, v):
     u._check(v)
     raw = raw_witt_ops(u.ring, u.p, u.length)
-    if raw is not None:
-        return raw.wrap(raw.mul(raw.unwrap(u), raw.unwrap(v)))
-    table = get_table(u.p, u.length)
-    prune = _prune_mod(u.ring)
-    zero = u.ring.zero()
-    args = u.coords + v.coords
-    coords = [
-        table.compiled("prod", i, prune)(*args, zero) for i in range(u.length)
-    ]
-    return WittVector(u.ring, u.p, coords)
+    return raw.wrap(raw.mul(raw.unwrap(u), raw.unwrap(v)))
 
 
 def witt_neg(u):
@@ -831,16 +773,7 @@ def frobenius(u):
     if u.length < 2:
         raise ValueError("length underflow: F needs n >= 2")
     raw = raw_witt_ops(u.ring, u.p, u.length)
-    if raw is not None:
-        return raw.wrap(raw.frob(raw.unwrap(u)))
-    table = get_table(u.p, u.length)
-    prune = _prune_mod(u.ring)
-    zero = u.ring.zero()
-    coords = [
-        table.compiled("frob", i, prune)(*u.coords, zero)
-        for i in range(u.length - 1)
-    ]
-    return WittVector(u.ring, u.p, coords)
+    return raw.wrap(raw.frob(raw.unwrap(u)))
 
 
 def frobenius_power(u, k):
@@ -858,11 +791,6 @@ def ghost(u):
             acc = acc + (u.p**j) * (u.coords[j] ** (u.p ** (i - j)))
         out.append(acc)
     return tuple(out)
-
-
-def decompose_teichmuller(u):
-    """Coordinates as the standard expansion u = sum_i V^i([a_i])."""
-    return u.coords
 
 
 def witt_is_unit(u):
@@ -968,9 +896,7 @@ def serialize_witt(u):
 
 
 def parse_witt(s, ring):
-    import re as _re
-
-    m = _re.fullmatch(r"W\[p=(\d+),n=(\d+);\s*(.*)\]", s.strip())
+    m = re.fullmatch(r"W\[p=(\d+),n=(\d+);\s*(.*)\]", s.strip())
     if not m:
         raise ValueError(f"bad Witt vector literal {s!r}")
     p, n, rest = int(m.group(1)), int(m.group(2)), m.group(3)
@@ -1025,7 +951,10 @@ def eval_poly_ops(poly, values, ops):
 
     The final accumulation goes through ops.sum in one call, which lets
     precision-losing carriers (tilt addition) pay a single stabilization
-    cost per polynomial instead of one per monomial.
+    cost per polynomial instead of one per monomial; a _compile_polys back
+    end would have to keep that fused sum.  Nothing is pruned and nothing is
+    compiled, so with the operations of a ring's RingElements this is also
+    the tests' oracle for the compiled Witt operations.
     """
     powers = {}
 

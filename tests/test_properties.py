@@ -12,6 +12,7 @@ import contextlib
 import io
 from pathlib import Path
 
+import pytest
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,18 @@ from wittkit.rings import (
     ring_from_descriptor,
 )
 from wittkit.suites import EXTRA_SUITES, SUITES, SuiteConfig, UsageError
-from wittkit.witt import WittVector, parse_witt, serialize_witt, witt_from_json, witt_to_json
+from wittkit.witt import (
+    WittVector,
+    frobenius,
+    get_table,
+    parse_witt,
+    serialize_witt,
+    witt_add,
+    witt_from_json,
+    witt_mul,
+    witt_neg,
+    witt_to_json,
+)
 
 configuration.set_hypothesis_home_dir(Path(__file__).resolve().parents[1] / ".pytest_cache" / "hypothesis")
 
@@ -103,6 +115,7 @@ def _elements(ring):
 
 
 rings = st.sampled_from([3, 5]).flatmap(lambda p: st.tuples(st.just(p), _rings(p)))
+product_rings = rings.filter(lambda p_ring: isinstance(p_ring[1], ProductRing))
 
 
 @DETERMINISTIC
@@ -111,7 +124,11 @@ def test_ring_and_element_round_trips(p_ring, data):
     _, ring = p_ring
     assert ring_from_descriptor(ring.descriptor()) == ring
     x = data.draw(_elements(ring))
-    assert ring.parse_element(ring.format_element(x)) == x
+    text = ring.format_element(x)
+    assert ring.parse_element(text) == x
+    if isinstance(ring, ProductRing):
+        with pytest.raises(ValueError, match="component count mismatch"):
+            ring.parse_element(text[:-1] + "; 0)")
 
 
 @DETERMINISTIC
@@ -121,3 +138,19 @@ def test_witt_vector_round_trips(p_ring, n, data):
     u = WittVector(ring, p, tuple(data.draw(_elements(ring)) for _ in range(n)))
     assert parse_witt(serialize_witt(u), ring) == u
     assert witt_from_json(witt_to_json(u), ring) == u
+
+
+@DETERMINISTIC
+@given(product_rings, st.integers(1, 3), st.data())
+def test_product_ring_witt_ops_match_the_polynomials_on_ring_elements(eval_polys, p_ring, n, data):
+    # product rings run each factor's raw operations; the oracle evaluates
+    # the universal polynomials on the product's own RingElements
+    p, ring = p_ring
+    u, v = (WittVector(ring, p, tuple(data.draw(_elements(ring)) for _ in range(n))) for _ in "uv")
+    table = get_table(p, n)
+    args = u.coords + v.coords
+    assert witt_add(u, v).coords == eval_polys(table.sum_polys, args)
+    assert witt_mul(u, v).coords == eval_polys(table.prod_polys, args)
+    assert witt_neg(u).coords == eval_polys(table.neg_polys, u.coords)
+    if n >= 2:
+        assert frobenius(u).coords == eval_polys(table.frob_polys, u.coords)

@@ -215,9 +215,9 @@ def test_shape_mismatch():
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)])
-def test_integer_witt_ops_match_the_operator_form(p, n):
-    # W_n(Z) runs on plain ints; the operator form evaluates the same
-    # polynomials on RingElements
+def test_integer_witt_ops_match_the_operator_form(p, n, eval_polys):
+    # W_n(Z) runs on plain ints; the oracle evaluates the same polynomials
+    # on RingElements
     Z = IntegerRing()
     assert raw_witt_ops(Z, p, n) is not None
     table = get_table(p, n)
@@ -233,17 +233,16 @@ def test_integer_witt_ops_match_the_operator_form(p, n):
     for _ in range(12 if (p, n) in ((3, 4), (5, 3)) else 30):
         u, v = vector(), vector()
         args = u.coords + v.coords
-        zero = Z.zero()
         s, m = witt_add(u, v), witt_mul(u, v)
-        assert s.coords == tuple(table.compiled("sum", i)(*args, zero) for i in range(n))
-        assert m.coords == tuple(table.compiled("prod", i)(*args, zero) for i in range(n))
+        assert s.coords == eval_polys(table.sum_polys, args)
+        assert m.coords == eval_polys(table.prod_polys, args)
         gu, gv = ghost(u), ghost(v)
         assert ghost(s) == tuple(a + b for a, b in zip(gu, gv))
         assert ghost(m) == tuple(a * b for a, b in zip(gu, gv))
         assert ghost(witt_neg(u)) == tuple(-a for a in gu)
         if n >= 2:
             f = frobenius(u)
-            assert f.coords == tuple(table.compiled("frob", i)(*u.coords, zero) for i in range(n - 1))
+            assert f.coords == eval_polys(table.frob_polys, u.coords)
             assert ghost(f) == gu[1:]
 
 
@@ -262,7 +261,7 @@ ABOVE_THE_CAP = [
 
 
 @pytest.mark.parametrize("desc,n", ABOVE_THE_CAP)
-def test_raw_witt_ops_above_the_cap_match_the_operator_form(desc, n):
+def test_raw_witt_ops_above_the_cap_match_the_operator_form(desc, n, eval_polys):
     # one function per operation computes every coordinate through the
     # kernel; the oracle evaluates the unpruned polynomials on RingElements
     ring = ring_from_descriptor(desc)
@@ -281,11 +280,9 @@ def test_raw_witt_ops_above_the_cap_match_the_operator_form(desc, n):
             x, y = random_witt(ring, p, n, rng), random_witt(ring, p, n, rng)
         u, v = raw.unwrap(x), raw.unwrap(y)
         args = x.coords + y.coords
-        assert raw.add(u, v) == tuple(table.compiled("sum", i)(*args, zero).data for i in range(n))
-        assert raw.mul(u, v) == tuple(table.compiled("prod", i)(*args, zero).data for i in range(n))
-        assert raw.frob(u) == tuple(
-            table.compiled("frob", i)(*x.coords, zero).data for i in range(n - 1)
-        )
+        assert raw.add(u, v) == tuple(c.data for c in eval_polys(table.sum_polys, args))
+        assert raw.mul(u, v) == tuple(c.data for c in eval_polys(table.prod_polys, args))
+        assert raw.frob(u) == tuple(c.data for c in eval_polys(table.frob_polys, x.coords))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -86,27 +86,9 @@ def test_ghost_homomorphism_numeric():
             assert [c.data for c in ghost(witt_neg(u))] == [-a.data for a in gu]
 
 
-def test_multi_sum_polys_match_iterated_addition():
+def test_multi_sum_polys_match_iterated_addition(eval_polys):
     Z = IntegerRing()
     rng = random.Random(8)
-    from wittkit.witt import eval_poly_ops
-
-    class IntOps:
-        def zero(self):
-            return 0
-
-        def one(self):
-            return 1
-
-        def mul(self, a, b):
-            return a * b
-
-        def scale_int(self, a, c):
-            return a * c
-
-        def sum(self, items):
-            return sum(items)
-
     polys = multi_sum_polys(3, 2, 3)
     for _ in range(25):
         vecs = [
@@ -114,9 +96,8 @@ def test_multi_sum_polys_match_iterated_addition():
             for _ in range(3)
         ]
         want = witt_add(witt_add(vecs[0], vecs[1]), vecs[2])
-        values = [c.data for v in vecs for c in v.coords]
-        got = [eval_poly_ops(poly, values, IntOps()) for poly in polys]
-        assert got == [c.data for c in want.coords]
+        values = [c for v in vecs for c in v.coords]
+        assert eval_polys(polys, values) == want.coords
 
 
 def test_exact_division_fails_loudly():
