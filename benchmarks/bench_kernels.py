@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the arithmetic layers of wittkit.
 
-Five layers:
+Six layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
     table cap, next to the kernel's schoolbook loop,
   * end-to-end Witt multiplication throughput on W_2(cyc(3,2,1)), which runs
@@ -10,6 +10,8 @@ Five layers:
     W_4(cyc(3,3,1))), each operation one compiled function over the kernel,
     with the time to compile the three,
   * the fixed-point solver on W_2(charp(3,0,9)),
+  * one exhaustive exactness sweep (L2): map calls and seconds of
+    exactness_report on the Witt restriction complex over cyc(3,2,1), n = 1,
   * universal-table build times (the feasibility envelope per prime).
 
     python benchmarks/bench_kernels.py
@@ -20,6 +22,7 @@ import time
 
 from wittkit import _kernel
 from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing
+from wittkit.sequences import exactness_report, witt_restriction_complex
 from wittkit.tilt import frobenius_equation_solve
 from wittkit.witt import RawWittOps, get_table, random_witt, raw_witt_ops, z_element
 
@@ -113,6 +116,25 @@ def bench_fixed_point_solver():
           f"({len(rep['solutions'])} solutions, {len(rep['spurious'])} spurious)")
 
 
+def bench_exactness_sweep():
+    print("== exhaustive exactness sweep (L2) ==")
+    cx = witt_restriction_complex(CyclotomicTruncation(3, 2, 1), 3, 1)
+    calls = [0]
+
+    def counted(f):
+        def evaluate(x):
+            calls[0] += 1
+            return f(x)
+
+        return evaluate
+
+    cx.maps = [counted(f) for f in cx.maps]
+    t0 = time.perf_counter()
+    exactness_report(cx, budget=10**6)
+    dt = time.perf_counter() - t0
+    print(f"  exactness_report({cx.name}, budget 10^6): {calls[0]} map calls, {dt:6.2f} s")
+
+
 def bench_table_builds():
     print("== universal table build times (feasibility envelope) ==")
     for p, n in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]:
@@ -129,6 +151,7 @@ def main():
     bench_witt_mul()
     bench_raw_ops_above_the_cap()
     bench_fixed_point_solver()
+    bench_exactness_sweep()
     bench_table_builds()
 
 

@@ -37,7 +37,12 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=0, help="random seed")
     ap.add_argument("--out", default=None, help="write the report to this path")
     ap.add_argument("--format", choices=["json", "text"], default="text")
-    ap.add_argument("--workers", type=int, default=1, help="concurrent suites")
+    ap.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted and checked (>= 1); suites run one after another",
+    )
     ap.add_argument("--list", action="store_true", help="print suite ids and exit")
     return ap
 

@@ -367,23 +367,8 @@ class RingHandle:
         """Number of elements, or None for Z."""
         return None
 
-    def is_finite(self):
-        return self.cardinality() is not None
-
-    def add(self, a, b):
-        return a + b
-
     def mul(self, a, b):
         return a * b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def pow(self, a, e):
-        return a**e
 
     def is_unit(self, a):
         """(True, inverse) or (False, None)."""
@@ -529,9 +514,6 @@ class _QuotientRing(RingHandle):
             raise ValueError("coefficient vector longer than the power basis")
         coeffs += [0] * (self.d - len(coeffs))
         return RingElement(self, tuple(c % self.m for c in coeffs))
-
-    def gen(self):
-        return self.from_coeffs([0, 1])
 
     def cardinality(self):
         return self.m**self.d

@@ -55,12 +55,12 @@ def ring_carrier(ring):
 
 def witt_carrier(ring, p, n):
     raw = raw_witt_ops(ring, p, n)
-    zero = ring.zero().data
+    zero = (ring.zero().data,) * n
     return Carrier(
         f"W_{n}({ring.descriptor()})",
         ring.cardinality() ** n,
         raw.enumerate_payloads,
-        lambda w: all(c == zero for c in w),
+        lambda w: w == zero,
     )
 
 
@@ -73,6 +73,11 @@ def quotient_carrier(ring, k):
         lambda: itertools.product(range(pk), repeat=ring.d),
         lambda x: all(c % pk == 0 for c in x),
     )
+
+
+# carriers above the budget are read through their first SAMPLE elements
+SAMPLE = 1000
+UNCHECKED = "sampled evidence only (budget exceeded)"
 
 
 class SlotVerdict:
@@ -110,178 +115,96 @@ class FiniteComplex:
         self.maps = maps
 
 
-def exactness_report(complex_, budget=10**6, rng=None, sample=1000, classifiers=None):
-    """Per-slot verdicts for a finite complex.
+def exactness_report(complex_, budget=10**6, rng=None, classifiers=None):
+    """Per-slot verdicts for a finite complex C_0 -> C_1 -> ... -> C_k.
+
+    One scan per source carrier C_i, in order.  A carrier is swept (every
+    element) when its size is at most `budget`, and read through its first
+    SAMPLE elements otherwise; it is scanned only when some slot reads it.
+    Each scanned x is mapped once into {f_i(x): first x}.  That one value
+    answers injectivity (i = 0) and the kernel test of the middle slot at C_i
+    against the previous map's image.  The composite slot i -> i+2 evaluates
+    f_{i+1} once per distinct value of f_i, in order of first occurrence, so
+    its witness is the first x with a non-zero composite.  The surjectivity
+    slot compares the last carrier with the last map's image.  So f_i is
+    evaluated at most |C_i| + min(|C_{i-1}|, |C_i|) times.  A middle or
+    surjectivity slot is checked only when both of its carriers are swept;
+    otherwise it reports "pass" in sampled mode.  The middle slot between
+    the two maps of a failed composite gets no verdict.
+
+    rng is accepted, since callers pass it, and unused: samples are the
+    first elements in enumeration order until sampling is seeded (ROADMAP
+    item 2).
 
     classifiers: optional {slot_index: fn(element) -> str | None}; a kernel
     element outside the image with a non-None explanation downgrades the slot
     to "truncation-limited" instead of "fail".
     """
     classifiers = classifiers or {}
-    verdicts = []
-    n = len(complex_.carriers)
-
-    def sampled_elements(carrier, count):
-        # deterministic reservoir of the first `count` elements plus random
-        # skips; enumeration order is deterministic, rng drives the skip
-        out = []
-        it = carrier.elements()
-        for x in it:
-            out.append(x)
-            if len(out) >= count:
-                break
-        return out
-
-    # composite-zero first; a failure poisons the slots it touches
-    composite_bad = set()
-    for i in range(len(complex_.maps) - 1):
-        f, g = complex_.maps[i], complex_.maps[i + 1]
-        mid = complex_.carriers[i + 1]
-        src = complex_.carriers[i]
-        exhaustive = src.size is not None and src.size <= budget
-        elems = src.elements() if exhaustive else sampled_elements(src, sample)
-        witness = None
-        for x in elems:
-            if not complex_.carriers[i + 2].is_zero(g(f(x))):
-                witness = x
-                break
-        if witness is not None:
-            composite_bad.add(i + 1)
-            verdicts.append(
-                SlotVerdict(
-                    f"composite {i}->{i + 2}",
-                    "fail",
-                    witness,
-                    "composite of consecutive maps is not zero",
-                    "exhaustive" if exhaustive else "sampled",
-                )
-            )
+    carriers, maps = complex_.carriers, complex_.maps
+    last = len(maps)
+    swept = [c.size is not None and c.size <= budget for c in carriers]
+    mode = ["exhaustive" if s else "sampled" for s in swept]
+    composites, slots = [], []
+    # image: {f_{i-1}(x): first x}, kept when C_{i-1} and C_i are swept;
+    # broken: the composite (i-1) -> (i+1) failed, and slot i gets no verdict
+    image, broken = None, False
+    for i, (src, f) in enumerate(zip(carriers, maps)):
+        slot = f"exact at {src.name}"
+        # the kernel test at C_i: membership in the image of the map into C_i
+        if i == 0:
+            in_image = src.is_zero
+        elif broken or image is None:
+            in_image = None
         else:
-            verdicts.append(
-                SlotVerdict(
-                    f"composite {i}->{i + 2}",
-                    "pass",
-                    mode="exhaustive" if exhaustive else "sampled",
-                )
-            )
-
-    # injectivity of the first map
-    src = complex_.carriers[0]
-    exhaustive = src.size is not None and src.size <= budget
-    elems = src.elements() if exhaustive else sampled_elements(src, sample)
-    witness = None
-    for x in elems:
-        if complex_.carriers[1].is_zero(complex_.maps[0](x)) and not src.is_zero(x):
-            witness = x
+            in_image = image.__contains__
+        if i and not broken and in_image is None:
+            slots.append(SlotVerdict(slot, "pass", note=UNCHECKED, mode="sampled"))
+        keep = swept[i] and swept[i + 1]
+        if i == last - 1 and in_image is None and not keep:
+            image = None
             break
-    verdicts.append(
-        SlotVerdict(
-            f"exact at {src.name} (injectivity)",
-            "pass" if witness is None else "fail",
-            witness,
-            mode="exhaustive" if exhaustive else "sampled",
-        )
-    )
+        classify = classifiers.get(i) if i else None
+        tgt_zero = carriers[i + 1].is_zero
+        values, witness, note = {}, None, None
+        for x in src.elements() if swept[i] else itertools.islice(src.elements(), SAMPLE):
+            y = f(x)
+            values.setdefault(y, x)
+            if in_image and witness is None and tgt_zero(y) and not in_image(x):
+                note = classify(x) if classify else None
+                witness = x if note is None else None
+        if i == 0:
+            verdict = "pass" if witness is None else "fail"
+            slots.append(SlotVerdict(f"{slot} (injectivity)", verdict, witness, mode=mode[0]))
+        elif witness is not None:
+            slots.append(SlotVerdict(slot, "fail", witness, "kernel element outside the image"))
+        elif in_image:
+            verdict = "pass" if note is None else "truncation-limited"
+            slots.append(SlotVerdict(slot, verdict, note=note or ""))
+        if i < last - 1:
+            g, zero = maps[i + 1], carriers[i + 2].is_zero
+            witness = next((x for y, x in values.items() if not zero(g(y))), None)
+            broken = witness is not None
+            note = "composite of consecutive maps is not zero" if broken else ""
+            verdict = "fail" if broken else "pass"
+            slot = f"composite {i}->{i + 2}"
+            composites.append(SlotVerdict(slot, verdict, witness, note, mode[i]))
+        image = values if keep else None
 
-    # middle slots: ker(maps[i]) = im(maps[i-1])
-    for i in range(1, n - 1):
-        if i in composite_bad:
-            continue
-        mid = complex_.carriers[i]
-        src = complex_.carriers[i - 1]
-        exhaustive = (
-            mid.size is not None
-            and src.size is not None
-            and max(mid.size, src.size) <= budget
-        )
-        classifier = classifiers.get(i)
-        if exhaustive:
-            image = set()
-            for x in src.elements():
-                image.add(complex_.maps[i - 1](x))
-            bad = None
-            note = ""
-            limited = False
-            for y in mid.elements():
-                if complex_.carriers[i + 1].is_zero(complex_.maps[i](y)) and y not in image:
-                    why = classifier(y) if classifier else None
-                    if why is None:
-                        bad = y
-                        break
-                    limited = True
-                    note = why
-            if bad is not None:
-                verdicts.append(
-                    SlotVerdict(
-                        f"exact at {mid.name}",
-                        "fail",
-                        bad,
-                        "kernel element outside the image",
-                    )
-                )
-            else:
-                verdicts.append(
-                    SlotVerdict(
-                        f"exact at {mid.name}",
-                        "truncation-limited" if limited else "pass",
-                        note=note,
-                    )
-                )
-        else:
-            # sampled: constructed image points are in the kernel (composite
-            # already checked); verdict flagged as sampled evidence only
-            verdicts.append(
-                SlotVerdict(
-                    f"exact at {mid.name}",
-                    "pass",
-                    note="sampled evidence only (budget exceeded)",
-                    mode="sampled",
-                )
-            )
-
-    # surjectivity of the last map
-    tgt = complex_.carriers[-1]
-    src = complex_.carriers[-2]
-    exhaustive = (
-        tgt.size is not None and src.size is not None and max(tgt.size, src.size) <= budget
-    )
-    classifier = classifiers.get(n - 1)
-    if exhaustive:
-        image = set()
-        for x in src.elements():
-            image.add(complex_.maps[-1](x))
-        missing = [y for y in tgt.elements() if y not in image]
-        if not missing:
-            verdicts.append(SlotVerdict(f"exact at {tgt.name} (surjectivity)", "pass"))
-        else:
-            why = classifier(missing) if classifier else None
-            if why is None:
-                verdicts.append(
-                    SlotVerdict(
-                        f"exact at {tgt.name} (surjectivity)",
-                        "fail",
-                        missing[0],
-                        f"{len(missing)} elements miss the image",
-                    )
-                )
-            else:
-                verdicts.append(
-                    SlotVerdict(
-                        f"exact at {tgt.name} (surjectivity)",
-                        "truncation-limited",
-                        note=why,
-                    )
-                )
+    tgt = carriers[last]
+    slot = f"exact at {tgt.name} (surjectivity)"
+    missing = [] if image is None else [y for y in tgt.elements() if y not in image]
+    classify = classifiers.get(last)
+    why = classify(missing) if missing and classify else None
+    if image is None:
+        slots.append(SlotVerdict(slot, "pass", note=UNCHECKED, mode="sampled"))
+    elif not missing:
+        slots.append(SlotVerdict(slot, "pass"))
+    elif why is None:
+        slots.append(SlotVerdict(slot, "fail", missing[0], f"{len(missing)} elements miss the image"))
     else:
-        verdicts.append(
-            SlotVerdict(
-                f"exact at {tgt.name} (surjectivity)",
-                "pass",
-                note="sampled evidence only (budget exceeded)",
-                mode="sampled",
-            )
-        )
-    return verdicts
+        slots.append(SlotVerdict(slot, "truncation-limited", note=why))
+    return composites + slots
 
 
 # --- the two Witt-vector sequences --------------------------------------------
@@ -289,7 +212,6 @@ def exactness_report(complex_, budget=10**6, rng=None, sample=1000, classifiers=
 
 def witt_restriction_complex(ring, p, n):
     """0 -> A --V^n--> W_{n+1}(A) --R--> W_n(A) -> 0."""
-    raw_hi = raw_witt_ops(ring, p, n + 1)
     zero = ring.zero().data
 
     def vmap(a):
@@ -314,7 +236,6 @@ def exact_rz_complex(ring, n):
     """
     p = ring.p
     raw_hi = raw_witt_ops(ring, p, n + 1)
-    raw_lo = raw_witt_ops(ring, p, n) if n >= 1 else None
     zero = ring.zero().data
     z = raw_hi.unwrap(z_element(ring, n + 1))
     pk = min(p**n, ring.m)
@@ -468,20 +389,18 @@ def check_module_axioms(tm, rng, triples=100):
 
 def check_fnd_leibniz(ring, n, rng, samples=50):
     """fnd(x w) = F^n(x) fnd(w) + F^n(w) fnd(x), exact on samples."""
-    from .kaehler import fn_d as _fnd
-
     omega = omega1_for_ring(ring)
     p = ring.p
     bad = []
     for _ in range(samples):
         x = random_witt(ring, p, n + 1, rng)
         w = random_witt(ring, p, n + 1, rng)
-        lhs = _fnd(witt_mul(x, w), omega)
+        lhs = fn_d(witt_mul(x, w), omega)
         fx = frobenius_power(x, n).coords[0]
         fw = frobenius_power(w, n).coords[0]
         rhs = [
             (a + b) % ring.m
-            for a, b in zip(omega.mult(fw, _fnd(x, omega)), omega.mult(fx, _fnd(w, omega)))
+            for a, b in zip(omega.mult(fw, fn_d(x, omega)), omega.mult(fx, fn_d(w, omega)))
         ]
         if not omega.eq(lhs, rhs):
             bad.append((x, w))

@@ -904,8 +904,7 @@ WITT_LENGTHS = {
 
 
 def run_suites(cfg):
-    from concurrent.futures import ThreadPoolExecutor
-
+    """Run the named suites one after another (cfg.workers selects nothing)."""
     from .report import AggregateReport
 
     names = []
@@ -920,11 +919,6 @@ def run_suites(cfg):
     names = [s for s in names if not (s in seen or seen.add(s))]
     agg = AggregateReport(cfg.to_dict())
     funcs = {**SUITES, **EXTRA_SUITES}
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for report in pool.map(lambda s: funcs[s](cfg), names):
-                agg.add(report)
-    else:
-        for s in names:
-            agg.add(funcs[s](cfg))
+    for s in names:
+        agg.add(funcs[s](cfg))
     return agg

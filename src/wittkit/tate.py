@@ -60,10 +60,6 @@ class TateLayer:
             witt_neg(witt_one(self.ring, p, self.n)),
         )
 
-    def scalar_of(self, elem):
-        """The unique scalar with elem = scalar * alpha_n (free rank one)."""
-        return elem
-
 
 class TateTower:
     """Layers 1..height with the F- and R-transition laws."""

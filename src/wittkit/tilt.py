@@ -163,10 +163,6 @@ def tilt_one(base, depth):
     return tilt_const(base, 1, depth)
 
 
-def tilt_mul(s, t):
-    return s * t
-
-
 def tilt_sum(elems, delta=None, check_stability=True):
     """Stabilized sum: result lift i is (sum of lifts at i+delta)^(p^delta).
 
@@ -389,14 +385,11 @@ def theta(w):
 # --- kernel generators of Frobenius powers ------------------------------------
 
 
-def check_ker_F_generators(ring, n, rng=None, sample_budget=64, exhaustive_cap=None):
-    """Membership and truncation-level co-membership for ker F^n.
+def check_ker_F_generators(ring, n, rng=None):
+    """Membership for ker F^n.
 
     (i)  F^n(z_{n+1}) = 0 and F(sum_{i<p^n} [zeta_{p^(n+1)}]^i) = 0, exactly.
     (ii) constructed members z_{n+1}*r divide back by z_{n+1}.
-    (iii) sampled or exhaustive kernel elements are probed for divisibility;
-          failures are truncation artifacts and make the verdict
-          "truncation-limited" rather than "fail".
 
     Returns a dict of named results.
     """
@@ -437,33 +430,11 @@ def check_ker_F_generators(ring, n, rng=None, sample_budget=64, exhaustive_cap=N
                 constructed_ok = False
                 witnesses.append(("constructed member did not divide", repr(w)))
 
-    probed = divisible = 0
-    if exhaustive_cap is not None and ring.cardinality() ** (n + 1) <= exhaustive_cap:
-        from .witt import raw_witt_ops
-
-        raw = raw_witt_ops(ring, p, n + 1)
-        count = 0
-        for payload in raw.enumerate_payloads():
-            w = raw.wrap(payload)
-            wk = w
-            for _ in range(n):
-                wk = frobenius(wk)
-            if wk.is_zero():
-                probed += 1
-                if witt_divide_exact(w, z) is not None:
-                    divisible += 1
-            count += 1
-            if probed >= sample_budget:
-                break
     verdict = "pass" if (membership_zn and membership_big and constructed_ok) else "fail"
-    if verdict == "pass" and probed and divisible < probed:
-        verdict = "truncation-limited"
     return {
         "membership_z": membership_zn,
         "membership_big_sum": membership_big,
         "constructed_members_divide": constructed_ok,
-        "kernel_probed": probed,
-        "kernel_divisible": divisible,
         "verdict": verdict,
         "witnesses": witnesses,
     }

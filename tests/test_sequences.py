@@ -1,5 +1,7 @@
 """Complex exactness machinery and its registered instances."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -107,3 +109,164 @@ def test_carrier_sizes():
     assert ring_carrier(ring).size == 9
     assert witt_carrier(ring, 3, 2).size == 81
     assert len(list(witt_carrier(ring, 3, 2).elements())) == 81
+
+
+def _non_exact_complex(ring):
+    """The restriction complex over `ring` (n = 1) with one extra element,
+    (1, 0) in W_2, sent to zero by R: its middle slot is not exact."""
+    cx = witt_restriction_complex(ring, ring.p, 1)
+    rmap, extra, zero = cx.maps[1], (ring.one().data, ring.zero().data), (ring.zero().data,)
+    cx.maps[1] = lambda w: zero if w == extra else rmap(w)
+    return cx
+
+
+def _restriction(ring, n):
+    return lambda: (witt_restriction_complex(ring, ring.p, n), None)
+
+
+COMPLEXES = {
+    "restriction-charp(3,0,1)-n1": _restriction(CharPQuotient(3, 0, 1), 1),
+    "restriction-charp(3,0,1)-n2": _restriction(CharPQuotient(3, 0, 1), 2),
+    "restriction-charp(3,0,2)-n1": _restriction(CharPQuotient(3, 0, 2), 1),
+    "restriction-charp(3,0,2)-n2": _restriction(CharPQuotient(3, 0, 2), 2),
+    "restriction-cyc(3,1,1)-n1": _restriction(CyclotomicTruncation(3, 1, 1), 1),
+    "restriction-cyc(3,1,1)-n2": _restriction(CyclotomicTruncation(3, 1, 1), 2),
+    "restriction-charp(5,0,1)-n1": _restriction(CharPQuotient(5, 0, 1), 1),
+    "exact-rz-cyc(3,2,1)": lambda: exact_rz_complex(CyclotomicTruncation(3, 2, 1), 1),
+    "broken-cyc(3,2,1)": lambda: (broken_complex(CyclotomicTruncation(3, 2, 1), 3, 1), None),
+    "non-exact-cyc(3,1,1)": lambda: (_non_exact_complex(CyclotomicTruncation(3, 1, 1)), None),
+}
+BUDGETS = (1, 9, 27, 81, 729, 10**4)
+
+# per complex and budget (in BUDGETS order): the SHA-256 of the report's
+# as_dict() list and the calls per map, recorded at commit f1d92da, before
+# exactness_report became one scan per carrier
+RECORDED = {
+    "restriction-charp(3,0,1)-n1": [
+        ("e54463b69c698e32331847f12b29a1fc93008c8a0005bcc32fbd252009f7f1ee", (6, 3)),
+        ("6a3fb393cd96dbd9d1e87d098cab81be5156d14bd7526f368f24336f9f2e17c8", (9, 21)),
+        ("6a3fb393cd96dbd9d1e87d098cab81be5156d14bd7526f368f24336f9f2e17c8", (9, 21)),
+        ("6a3fb393cd96dbd9d1e87d098cab81be5156d14bd7526f368f24336f9f2e17c8", (9, 21)),
+        ("6a3fb393cd96dbd9d1e87d098cab81be5156d14bd7526f368f24336f9f2e17c8", (9, 21)),
+        ("6a3fb393cd96dbd9d1e87d098cab81be5156d14bd7526f368f24336f9f2e17c8", (9, 21)),
+    ],
+    "restriction-charp(3,0,1)-n2": [
+        ("185be78b7bbbf8d700bd4ac55e7877b951d85d18b89a3ae500d8209c0856a6de", (6, 3)),
+        ("092b75d4cfbdd8f168902eb18b85554b3dae5b6af1964a2a5546985d2a1f2a45", (6, 3)),
+        ("20d4259cb0796e8a99781ea1765822ea2ee4bb6f6dcf4054be7f5471e3c90686", (9, 57)),
+        ("20d4259cb0796e8a99781ea1765822ea2ee4bb6f6dcf4054be7f5471e3c90686", (9, 57)),
+        ("20d4259cb0796e8a99781ea1765822ea2ee4bb6f6dcf4054be7f5471e3c90686", (9, 57)),
+        ("20d4259cb0796e8a99781ea1765822ea2ee4bb6f6dcf4054be7f5471e3c90686", (9, 57)),
+    ],
+    "restriction-charp(3,0,2)-n1": [
+        ("c333e45eb076a0f36e677b75cb32b42e1645214c19105f65fce8ad403dd75dc0", (18, 9)),
+        ("b5a9524c0fa17b97dfb85a55b04bfd706eab285fc7ff16ecc3c37f75309ecfe6", (18, 9)),
+        ("b5a9524c0fa17b97dfb85a55b04bfd706eab285fc7ff16ecc3c37f75309ecfe6", (18, 9)),
+        ("f1c9f278158f6f17279810ec2d40245a9cbb4b697752e4eccacfabd00ca54a69", (27, 171)),
+        ("f1c9f278158f6f17279810ec2d40245a9cbb4b697752e4eccacfabd00ca54a69", (27, 171)),
+        ("f1c9f278158f6f17279810ec2d40245a9cbb4b697752e4eccacfabd00ca54a69", (27, 171)),
+    ],
+    "restriction-charp(3,0,2)-n2": [
+        ("afeb04ffe2147366c2919ec73b9d5423666f9a1d94f8c2b63fc3142d5cc06757", (18, 9)),
+        ("c6798f5857507c0a3d6400ac55cb104fdd736a0fbf13e2287fe2512b1d9d9dd6", (18, 9)),
+        ("c6798f5857507c0a3d6400ac55cb104fdd736a0fbf13e2287fe2512b1d9d9dd6", (18, 9)),
+        ("c6798f5857507c0a3d6400ac55cb104fdd736a0fbf13e2287fe2512b1d9d9dd6", (18, 9)),
+        ("6fcd0b3395e3ca27a687d14123b0bd59bfedd9e35328e440471e8be825894477", (27, 1467)),
+        ("6fcd0b3395e3ca27a687d14123b0bd59bfedd9e35328e440471e8be825894477", (27, 1467)),
+    ],
+    "restriction-cyc(3,1,1)-n1": [
+        ("3dfe1c1ab089e27c8ee44cd2a4a3f93a68cae8a5d8c0ab23cd14db8fd9769169", (18, 9)),
+        ("6f5077e0e1d2a4962b368ce8a65d3c4b7faab46a29c053e5c22ff4c97c14f3ff", (18, 9)),
+        ("6f5077e0e1d2a4962b368ce8a65d3c4b7faab46a29c053e5c22ff4c97c14f3ff", (18, 9)),
+        ("b6630cb694aa886025ff4bebda84d9f26c698a762e36c963022abe6742ce94a5", (27, 171)),
+        ("b6630cb694aa886025ff4bebda84d9f26c698a762e36c963022abe6742ce94a5", (27, 171)),
+        ("b6630cb694aa886025ff4bebda84d9f26c698a762e36c963022abe6742ce94a5", (27, 171)),
+    ],
+    "restriction-cyc(3,1,1)-n2": [
+        ("9f2cb3eed087d9a4c0db1b9afef5dd8908958bfeddf2d0316e7db672d3a3ab3f", (18, 9)),
+        ("f10c2fae670ea7535925291c5d3fe0d7825f848acdcc7e488b71e7fa4253b5a8", (18, 9)),
+        ("f10c2fae670ea7535925291c5d3fe0d7825f848acdcc7e488b71e7fa4253b5a8", (18, 9)),
+        ("f10c2fae670ea7535925291c5d3fe0d7825f848acdcc7e488b71e7fa4253b5a8", (18, 9)),
+        ("e68e64a3270f55d39d799ccb9a20ff5be1f561fab0e55e31f085058448d06595", (27, 1467)),
+        ("e68e64a3270f55d39d799ccb9a20ff5be1f561fab0e55e31f085058448d06595", (27, 1467)),
+    ],
+    "restriction-charp(5,0,1)-n1": [
+        ("39f4530755235c65ca5348bcaf5ab007978a6abeec091af52bb9b6823c06c86a", (10, 5)),
+        ("3296388c0741f8a15e3a6a000fc73a2c4c6f01a62b39fbb05bbab14374e308a9", (10, 5)),
+        ("f28c72820f36abb20539895d2a95eaef178f1b75af95266ecfece4f0725ef532", (15, 55)),
+        ("f28c72820f36abb20539895d2a95eaef178f1b75af95266ecfece4f0725ef532", (15, 55)),
+        ("f28c72820f36abb20539895d2a95eaef178f1b75af95266ecfece4f0725ef532", (15, 55)),
+        ("f28c72820f36abb20539895d2a95eaef178f1b75af95266ecfece4f0725ef532", (15, 55)),
+    ],
+    "exact-rz-cyc(3,2,1)": [
+        ("67701ffe0175284a061a5151f3a82ea19eeb5ae1e9dd6fd683b39bc3e9e36300", (1458, 1729, 1000)),
+        ("67701ffe0175284a061a5151f3a82ea19eeb5ae1e9dd6fd683b39bc3e9e36300", (1458, 1729, 1000)),
+        ("67701ffe0175284a061a5151f3a82ea19eeb5ae1e9dd6fd683b39bc3e9e36300", (1458, 1729, 1000)),
+        ("67701ffe0175284a061a5151f3a82ea19eeb5ae1e9dd6fd683b39bc3e9e36300", (1458, 1729, 1000)),
+        ("beb127cfa51c0feaedc76d6103234714e3c78999298727c8b81951be0bccbf38", (1458, 1729, 1729)),
+        ("beb127cfa51c0feaedc76d6103234714e3c78999298727c8b81951be0bccbf38", (1458, 1729, 1729)),
+    ],
+    "broken-cyc(3,2,1)": [
+        ("80077e62e717ff968890a0611e22ffda7bcb7ce6e8932058929510c2a4cab289", (731, 2)),
+        ("80077e62e717ff968890a0611e22ffda7bcb7ce6e8932058929510c2a4cab289", (731, 2)),
+        ("80077e62e717ff968890a0611e22ffda7bcb7ce6e8932058929510c2a4cab289", (731, 2)),
+        ("80077e62e717ff968890a0611e22ffda7bcb7ce6e8932058929510c2a4cab289", (731, 2)),
+        ("7135d3c2376ee8b7a1b9b240b93db3355cb0a3785d84c955a683b98e97b71da9", (731, 2)),
+        ("7135d3c2376ee8b7a1b9b240b93db3355cb0a3785d84c955a683b98e97b71da9", (731, 2)),
+    ],
+    "non-exact-cyc(3,1,1)": [
+        ("3dfe1c1ab089e27c8ee44cd2a4a3f93a68cae8a5d8c0ab23cd14db8fd9769169", (18, 9)),
+        ("6f5077e0e1d2a4962b368ce8a65d3c4b7faab46a29c053e5c22ff4c97c14f3ff", (18, 9)),
+        ("6f5077e0e1d2a4962b368ce8a65d3c4b7faab46a29c053e5c22ff4c97c14f3ff", (18, 9)),
+        ("f3b8d1df20d7e82a5fab206c86ca314b3daff040550e47b454380c4e39051e37", (27, 118)),
+        ("f3b8d1df20d7e82a5fab206c86ca314b3daff040550e47b454380c4e39051e37", (27, 118)),
+        ("f3b8d1df20d7e82a5fab206c86ca314b3daff040550e47b454380c4e39051e37", (27, 118)),
+    ],
+}
+
+
+def _counted(cx):
+    calls = [0] * len(cx.maps)
+
+    def counted(f, i):
+        def evaluate(x):
+            calls[i] += 1
+            return f(x)
+
+        return evaluate
+
+    cx.maps = [counted(f, i) for i, f in enumerate(cx.maps)]
+    return calls
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("name", list(COMPLEXES))
+def test_report_bytes_and_map_calls_match_the_recorded_reports(name, budget):
+    cx, classifiers = COMPLEXES[name]()
+    calls = _counted(cx)
+    verdicts = exactness_report(cx, budget=budget, classifiers=classifiers)
+    body = json.dumps([v.as_dict() for v in verdicts], sort_keys=True).encode()
+    digest, recorded_calls = RECORDED[name][BUDGETS.index(budget)]
+    assert hashlib.sha256(body).hexdigest() == digest
+    assert all(c <= r for c, r in zip(calls, recorded_calls)), (calls, recorded_calls)
+
+
+def test_non_exact_complex_fails_at_its_extra_kernel_element():
+    ring = CyclotomicTruncation(3, 1, 1)
+    verdicts = exactness_report(_non_exact_complex(ring), budget=10**4)
+    fails = [v for v in verdicts if v.verdict == "fail"]
+    assert [v.slot for v in fails] == ["exact at W_2(cyc(3,1,1))"]
+    assert fails[0].witness == (ring.one().data, ring.zero().data)
+
+
+def test_each_map_is_evaluated_once_per_source_element():
+    # swept carriers: map i runs once per element of C_i, plus once per
+    # distinct value of map i-1 for the composite slot
+    cx = witt_restriction_complex(CyclotomicTruncation(3, 1, 1), 3, 2)
+    calls = _counted(cx)
+    sizes = [c.size for c in cx.carriers]
+    assert sizes == [9, 729, 81]
+    exactness_report(cx, budget=10**6)
+    bounds = [sizes[0], sizes[1] + min(sizes[0], sizes[1])]
+    assert bounds == [9, 738]
+    assert all(c <= b for c, b in zip(calls, bounds)), (calls, bounds)
