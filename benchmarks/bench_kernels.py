@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Time the arithmetic layers of wittkit.
 
-Six layers:
+Seven layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
     table cap, next to the kernel's schoolbook loop,
   * end-to-end Witt multiplication throughput on W_2(cyc(3,2,1)), which runs
     on the small-ring lookup tables, and on W_4(Z), which runs on plain ints,
+    and (L1) wrapped against raw add/mul per call on W_2(cyc(3,2,1)),
   * raw Witt add/mul/frob above the table cap (W_3(cyc(3,2,2)) and
     W_4(cyc(3,3,1))), each operation one compiled function over the kernel,
     with the time to compile the three,
   * the fixed-point solver on W_2(charp(3,0,9)),
   * one exhaustive exactness sweep (L2): map calls and seconds of
     exactness_report on the Witt restriction complex over cyc(3,2,1), n = 1,
+  * the exhaustive freeness probe over W_2(cyc(3,2,1)) (L2): seconds, and
+    its tracemalloc peak in a second run,
   * universal-table build times (the feasibility envelope per prime).
 
     python benchmarks/bench_kernels.py
@@ -19,12 +22,22 @@ Six layers:
 
 import random
 import time
+import tracemalloc
 
 from wittkit import _kernel
 from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing
 from wittkit.sequences import exactness_report, witt_restriction_complex
+from wittkit.tate import freeness_probe
 from wittkit.tilt import frobenius_equation_solve
-from wittkit.witt import RawWittOps, get_table, random_witt, raw_witt_ops, z_element
+from wittkit.witt import (
+    RawWittOps,
+    get_table,
+    random_witt,
+    raw_witt_ops,
+    witt_add,
+    witt_mul,
+    z_element,
+)
 
 
 def _time_per_call(fn, pairs, ctx):
@@ -73,6 +86,16 @@ def bench_witt_mul():
     dt = (time.perf_counter() - t0) / len(ws)
     print(f"  W_2(cyc(3,2,1)) mul: {dt * 1e6:8.2f} us  "
           f"(full 531441-element sweep ~ {dt * 531441:6.1f} s)")
+    vs = [raw.wrap(w) for w in ws]
+    row = []
+    for name, wrapped, bare in [("add", witt_add, raw.add), ("mul", witt_mul, raw.mul)]:
+        for label, fn, args in [("wrapped", wrapped, vs), ("raw", bare, ws)]:
+            t0 = time.perf_counter()
+            for u, v in zip(args[::2], args[1::2]):
+                fn(u, v)
+            dt = (time.perf_counter() - t0) / (len(args) // 2)
+            row.append(f"{label} {name} {dt * 1e6:6.2f} us")
+    print("  W_2(cyc(3,2,1)) per call (L1): " + "   ".join(row))
     Z = IntegerRing()
     raw = raw_witt_ops(Z, 3, 4)
     ws = [raw.unwrap(random_witt(Z, 3, 4, rng)) for _ in range(200)]
@@ -135,6 +158,23 @@ def bench_exactness_sweep():
     print(f"  exactness_report({cx.name}, budget 10^6): {calls[0]} map calls, {dt:6.2f} s")
 
 
+def bench_freeness_probe():
+    print("== exhaustive freeness probe (L2) ==")
+    ring = CyclotomicTruncation(3, 2, 1)
+    raw_witt_ops(ring, 3, 2)  # compile outside the timing
+    t0 = time.perf_counter()
+    ok = freeness_probe(ring, 2)
+    dt = time.perf_counter() - t0
+    tracemalloc.start()
+    try:
+        freeness_probe(ring, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"  freeness_probe(cyc(3,2,1), 2) -> {ok}: {dt:6.2f} s, "
+          f"tracemalloc peak {peak / 2**20:7.2f} MiB")
+
+
 def bench_table_builds():
     print("== universal table build times (feasibility envelope) ==")
     for p, n in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]:
@@ -152,6 +192,7 @@ def main():
     bench_raw_ops_above_the_cap()
     bench_fixed_point_solver()
     bench_exactness_sweep()
+    bench_freeness_probe()
     bench_table_builds()
 
 

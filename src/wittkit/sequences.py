@@ -45,11 +45,12 @@ class Carrier:
 
 
 def ring_carrier(ring):
+    zero = ring.zero().data
     return Carrier(
         ring.descriptor(),
         ring.cardinality(),
         lambda: (e.data for e in ring.enumerate_elements()),
-        lambda x: all(c == 0 for c in x) if isinstance(x, tuple) else x == 0,
+        lambda x: x == zero,
     )
 
 

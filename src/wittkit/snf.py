@@ -52,13 +52,6 @@ class _Worker:
             row[i] += q * row[j]
         self.vinv[j] = [a - q * b for a, b in zip(self.vinv[j], self.vinv[i])]
 
-    def col_neg(self, i):
-        for row in self.d:
-            row[i] = -row[i]
-        for row in self.v:
-            row[i] = -row[i]
-        self.vinv[i] = [-a for a in self.vinv[i]]
-
     def _find_pivot(self, k):
         best = None
         for i in range(k, self.nr):

@@ -24,9 +24,11 @@ from .tilt import (
 )
 from .witt import (
     frobenius,
+    raw_witt_ops,
     restriction,
     teichmuller,
     witt_add,
+    witt_int,
     witt_mul,
     witt_neg,
     witt_one,
@@ -121,11 +123,12 @@ class TateTower:
 
     def twist_law_holds_int(self, c, elem):
         """R(c x) = c R(x) for integer scalars (phi fixes them)."""
+        ring, p = self.ring, self.ring.p
         lhs = self.tower_restrict(
-            [witt_mul(witt_scalar(self.ring, n + 1, c), x) for n, x in enumerate(elem)]
+            [witt_mul(witt_int(c, ring, p, n + 1), x) for n, x in enumerate(elem)]
         )
         rhs = [
-            witt_mul(witt_scalar(self.ring, n + 1, c), x)
+            witt_mul(witt_int(c, ring, p, n + 1), x)
             for n, x in enumerate(self.tower_restrict(elem))
         ]
         return lhs == rhs
@@ -161,12 +164,6 @@ class TateTower:
         return self.layer(n).dlog_element()
 
 
-def witt_scalar(ring, n, c):
-    from .witt import witt_int
-
-    return witt_int(c, ring, ring.p, n)
-
-
 def r_of_alpha_tower_is_xi_tower(tower, xi):
     """R(alpha-tower) = theta-tower of xi (the mu / phi^{-1}(mu) scalar)."""
     lhs = tower.tower_restrict(tower.alpha_tower())
@@ -182,29 +179,24 @@ def freeness_probe(ring, n, budget=None, rng=None):
     """Distinct scalars give distinct elements, exhaustively over W_n(A).
 
     The model is free by construction; this guards the element representation
-    (no accidental identification through normalization or hashing).  When
-    W_n(A) has more than ``budget`` elements, FREENESS_SAMPLES payloads drawn
-    from ``rng`` are checked instead, or None is returned without an rng.
+    (no accidental identification through normalization or hashing).  Each
+    payload must come back from its layer element unchanged: a left inverse
+    of scalar -> element makes that map injective.  When W_n(A) has more than
+    ``budget`` elements, FREENESS_SAMPLES payloads drawn from ``rng`` are
+    checked instead, or None is returned without an rng.
     """
-    from .witt import raw_witt_ops
-
     raw = raw_witt_ops(ring, ring.p, n)
-    size = ring.cardinality() ** n
     layer = TateLayer(ring, n)
-    if budget is not None and size > budget:
+    if budget is not None and ring.cardinality() ** n > budget:
         if rng is None:
             return None
         payloads = {
             tuple(tuple(rng.randrange(ring.m) for _ in range(ring.d)) for _ in range(n))
             for _ in range(FREENESS_SAMPLES)
         }
-        return len({layer.element(raw.wrap(u)) for u in payloads}) == len(payloads)
-    seen = set()
-    count = 0
-    for payload in raw.enumerate_payloads():
-        seen.add(layer.element(raw.wrap(payload)))
-        count += 1
-    return len(seen) == count
+    else:
+        payloads = raw.enumerate_payloads()
+    return all(raw.unwrap(layer.element(raw.wrap(u))) == u for u in payloads)
 
 
 def fixed_points_report(charp_ring, n, solution_budget=100000):

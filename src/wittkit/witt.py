@@ -9,9 +9,10 @@ Universal polynomials are sparse dicts {exponent tuple: int coefficient}.
 Evaluation happens through Python functions compiled from the dicts; for
 truncations with p^M = 0 the compiled form drops monomials whose coefficient
 vanishes mod p^M (sound in the target ring, and the bulk of the speedup for
-exhaustive checks).  RawWittOps, which the wrapped operations go through on
-quotient rings and on Z, runs each of sum, product and Frobenius as one
-function that computes every coordinate at once.  One compiler
+exhaustive checks).  There is one element representation: a WittVector
+stores the payload tuple that RawWittOps computes on, and its ``coords`` are
+a view built on demand.  RawWittOps runs each of sum, product and Frobenius
+as one function that computes every coordinate at once.  One compiler
 (_compile_polys) builds them: it shares every power and partial product
 between the coordinates, and an expression back end renders the arithmetic.
 For rings with lookup tables (rings.SmallRingTables, at most
@@ -505,9 +506,15 @@ def verify_ghost_symbolic(table):
 
 
 class WittVector:
-    """Element of W_n(A): a length-n tuple of canonical RingElements."""
+    """Element of W_n(A), stored as its payload: the tuple of its n
+    coordinates' ring payloads, the form RawWittOps computes on.
 
-    __slots__ = ("ring", "p", "coords")
+    ``coords`` is a read-only view that builds the coordinates as
+    RingElements on each read.  The constructor takes RingElements and
+    checks that ring owns them; _trusted takes a payload unchecked.
+    """
+
+    __slots__ = ("ring", "p", "data")
 
     def __init__(self, ring, p, coords):
         coords = tuple(coords)
@@ -518,21 +525,26 @@ class WittVector:
                 raise ValueError("owner mismatch")
         self.ring = ring
         self.p = p
-        self.coords = coords
+        self.data = tuple(c.data for c in coords)
 
     @classmethod
-    def _trusted(cls, ring, p, coords):
-        """A vector from a nonempty tuple of RingElements known to be owned
-        by ring, skipping the checks of __init__."""
+    def _trusted(cls, ring, p, data):
+        """A vector from a nonempty tuple of payloads of ring, skipping the
+        checks of __init__."""
         w = object.__new__(cls)
         w.ring = ring
         w.p = p
-        w.coords = coords
+        w.data = data
         return w
 
     @property
+    def coords(self):
+        ring = self.ring
+        return tuple(RingElement(ring, c) for c in self.data)
+
+    @property
     def length(self):
-        return len(self.coords)
+        return len(self.data)
 
     def _check(self, other):
         if (
@@ -561,14 +573,15 @@ class WittVector:
             isinstance(other, WittVector)
             and (other.ring is self.ring or other.ring == self.ring)
             and other.p == self.p
-            and other.coords == self.coords
+            and other.data == self.data
         )
 
     def __hash__(self):
-        return hash((self.p, self.coords))
+        return hash((self.p, self.data))
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
+        zero = self.ring.zero().data
+        return all(c == zero for c in self.data)
 
     def __repr__(self):
         return serialize_witt(self)
@@ -579,12 +592,13 @@ class RawWittOps:
     coefficient tuples, ints over Z, or tuples of factor RingElements over a
     product ring).
 
-    The workhorse of exhaustive checks: no RingElement allocation in the
-    loop.  Obtain via raw_witt_ops(ring, p, n); results equal the wrapped
-    API coordinatewise.  Sum, product and Frobenius are each one compiled
-    function that computes every coordinate at once (_compile_polys): over
-    the lookup tables of a ring with at most rings.TABLE_CAP elements, through
-    the coefficient kernel above the cap, and on plain ints over Z.  Over a
+    The payload is what a WittVector stores, so there is one element
+    representation: wrap attaches ring and p to a payload and unwrap reads
+    it back, neither building a RingElement.  Obtain via raw_witt_ops(ring,
+    p, n).  Sum, product and Frobenius are each one compiled function that
+    computes every coordinate at once (_compile_polys): over the lookup
+    tables of a ring with at most rings.TABLE_CAP elements, through the
+    coefficient kernel above the cap, and on plain ints over Z.  Over a
     product ring each operation runs the factors' RawWittOps (_product_op).
     """
 
@@ -651,22 +665,26 @@ class RawWittOps:
         return acc
 
     def wrap(self, u):
-        ring = self.ring
-        return WittVector._trusted(ring, self.p, tuple(RingElement(ring, c) for c in u))
+        return WittVector._trusted(self.ring, self.p, u)
 
     def unwrap(self, w):
-        return tuple(c.data for c in w.coords)
+        return w.data
 
     def enumerate_payloads(self):
         """All coordinate payloads of W_n(A), lazily, deterministic order.
 
-        One flat product over the d*n coefficients, cut into n coordinates.
-        A product of per-coordinate products would build all m**d
-        coordinates before yielding the first payload, which callers that
-        read only a prefix of a large W_n(A) cannot afford.
+        Over a quotient ring: one flat product over the d*n coefficients,
+        cut into n coordinates.  A product of per-coordinate products would
+        build all m**d coordinates before yielding the first payload, which
+        callers that read only a prefix of a large W_n(A) cannot afford.
+        Other rings go through ring.enumerate_elements(), in its order (Z
+        raises ValueError).
         """
-        d, n = self.ring.d, self.n
-        flat = itertools.product(range(self.ring.m), repeat=d * n)
+        ring, n = self.ring, self.n
+        if isinstance(ring, (IntegerRing, ProductRing)):
+            return itertools.product([e.data for e in ring.enumerate_elements()], repeat=n)
+        d = ring.d
+        flat = itertools.product(range(ring.m), repeat=d * n)
         if n == 1:
             return zip(flat)
         return map(operator.itemgetter(*[slice(i * d, (i + 1) * d) for i in range(n)]), flat)
@@ -704,8 +722,7 @@ def raw_witt_ops(ring, p, n):
 
 
 def witt_zero(ring, p, n):
-    z = ring.zero()
-    return WittVector(ring, p, (z,) * n)
+    return WittVector._trusted(ring, p, (ring.zero().data,) * n)
 
 
 def witt_one(ring, p, n):
@@ -720,52 +737,42 @@ def witt_int(c, ring, p, n):
 def teichmuller(a, p, n):
     """[a] = (a, 0, ..., 0), the multiplicative section."""
     ring = a.ring
-    z = ring.zero()
-    return WittVector(ring, p, (a,) + (z,) * (n - 1))
+    return WittVector._trusted(ring, p, (a.data,) + (ring.zero().data,) * (n - 1))
 
 
 def witt_add(u, v):
     u._check(v)
     raw = raw_witt_ops(u.ring, u.p, u.length)
-    return raw.wrap(raw.add(raw.unwrap(u), raw.unwrap(v)))
+    return raw.wrap(raw.add(u.data, v.data))
 
 
 def witt_mul(u, v):
     u._check(v)
     raw = raw_witt_ops(u.ring, u.p, u.length)
-    return raw.wrap(raw.mul(raw.unwrap(u), raw.unwrap(v)))
+    return raw.wrap(raw.mul(u.data, v.data))
 
 
 def witt_neg(u):
     # p odd: ghost components are odd functions, so negation is coordinatewise
-    return WittVector(u.ring, u.p, tuple(-c for c in u.coords))
+    return WittVector._trusted(u.ring, u.p, tuple(map(u.ring._neg, u.data)))
 
 
 def witt_scalar_mul(k, u):
-    """k*u for an integer k, by double-and-add on Witt addition."""
-    if k < 0:
-        return witt_scalar_mul(-k, witt_neg(u))
-    acc = witt_zero(u.ring, u.p, u.length)
-    base = u
-    while k:
-        if k & 1:
-            acc = witt_add(acc, base)
-        k >>= 1
-        if k:
-            base = witt_add(base, base)
-    return acc
+    """k*u for an integer k."""
+    raw = raw_witt_ops(u.ring, u.p, u.length)
+    return raw.wrap(raw.scalar_mul(k, u.data))
 
 
 def verschiebung(u):
     """V: W_n -> W_{n+1}, (a_0..a_{n-1}) -> (0, a_0..a_{n-1})."""
-    return WittVector(u.ring, u.p, (u.ring.zero(),) + u.coords)
+    return WittVector._trusted(u.ring, u.p, (u.ring.zero().data,) + u.data)
 
 
 def restriction(u):
     """R: W_n -> W_{n-1}, drop the last coordinate."""
     if u.length < 2:
         raise ValueError("length underflow: R needs n >= 2")
-    return WittVector(u.ring, u.p, u.coords[:-1])
+    return WittVector._trusted(u.ring, u.p, u.data[:-1])
 
 
 def frobenius(u):
@@ -773,7 +780,7 @@ def frobenius(u):
     if u.length < 2:
         raise ValueError("length underflow: F needs n >= 2")
     raw = raw_witt_ops(u.ring, u.p, u.length)
-    return raw.wrap(raw.frob(raw.unwrap(u)))
+    return raw.wrap(raw.frob(u.data))
 
 
 def frobenius_power(u, k):
@@ -811,10 +818,10 @@ def _witt_invert(u):
     # peel: v = [a0^-1] + V(w); solve F(u) w = unV(1 - u*[a0^-1])
     t = teichmuller(a0_inv, u.p, u.length)
     rem = witt_add(witt_one(u.ring, u.p, u.length), witt_neg(witt_mul(u, t)))
-    assert rem.coords[0].is_zero()
+    assert rem.data[0] == u.ring.zero().data
     w = _witt_invert(frobenius(u))  # F(u) is a unit too: (a0^p) is a unit
     # solve F(u) * y = unV(rem) exactly: y = F(u)^{-1} * unV(rem)
-    y = witt_mul(w, WittVector(u.ring, u.p, rem.coords[1:]))
+    y = witt_mul(w, WittVector._trusted(u.ring, u.p, rem.data[1:]))
     return witt_add(t, verschiebung(y))
 
 
@@ -839,11 +846,9 @@ def witt_divide_exact(x, u, ann_cap=256):
     for cand in candidates:
         t = teichmuller(cand, p, n)
         rem = witt_add(x, witt_neg(witt_mul(u, t)))
-        if not rem.coords[0].is_zero():
+        if rem.data[0] != ring.zero().data:
             continue
-        sub = witt_divide_exact(
-            WittVector(ring, p, rem.coords[1:]), frobenius(u), ann_cap
-        )
+        sub = witt_divide_exact(WittVector._trusted(ring, p, rem.data[1:]), frobenius(u), ann_cap)
         if sub is not None:
             q = witt_add(t, verschiebung(sub))
             if witt_mul(u, q) == x:

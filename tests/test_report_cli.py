@@ -96,6 +96,20 @@ def test_cli_negative_controls_exit_one(tmp_path):
     assert fails and all(c["witnesses"] for c in fails)
 
 
+def test_cli_tilt_theta_failures_carry_witnesses(tmp_path):
+    out = tmp_path / "tilt.json"
+    argv = ["--suite", "tilt-theta", "-N", "3", "-M", "2", "-T", "3"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 1
+    fails = [
+        c
+        for s in json.loads(out.read_text())["suites"]
+        for c in s["checks"]
+        if c["verdict"] == "fail"
+    ]
+    assert {"theta-ring-map", "theta1-kernel"} <= {c["id"] for c in fails}
+    assert all(c["witnesses"] for c in fails)
+
+
 def test_cli_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path, workers in ((a, "1"), (b, "2")):

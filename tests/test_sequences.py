@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from wittkit.rings import CharPQuotient, CyclotomicTruncation
+from wittkit.rings import CharPQuotient, CyclotomicTruncation, ProductRing
 from wittkit.sequences import (
     TwistedModule,
     broken_complex,
@@ -36,6 +36,14 @@ from wittkit.witt import verschiebung, witt_one
 def test_witt_restriction_sequence_exact(ring, n):
     cx = witt_restriction_complex(ring, ring.p, n)
     verdicts = exactness_report(cx, budget=10**6)
+    assert all(v.verdict == "pass" for v in verdicts), [v.as_dict() for v in verdicts]
+
+
+def test_witt_restriction_sequence_exact_over_a_product_ring():
+    # W_2 of a product ring is swept through the ring's own enumeration
+    ring = ProductRing([CyclotomicTruncation(3, 1, 1), CharPQuotient(3, 0, 2)])
+    verdicts = exactness_report(witt_restriction_complex(ring, 3, 1), budget=10**6)
+    assert [v.mode for v in verdicts] == ["exhaustive"] * 4
     assert all(v.verdict == "pass" for v in verdicts), [v.as_dict() for v in verdicts]
 
 

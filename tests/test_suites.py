@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wittkit import witt
 from wittkit.cli import main
 from wittkit.suites import SUITES, SuiteConfig, run_suites
 
@@ -67,3 +68,17 @@ def test_tate_tower_samples_freeness_over_budget():
     freeness = [c for c in agg.reports[0].checks if c.check_id == "freeness"][0]
     assert freeness.verdict == "pass"
     assert freeness.precision == {"mode": "sampled", "samples": 1000}
+
+
+def test_each_failing_identity_carries_its_own_witness(monkeypatch):
+    # a restriction that drops the first coordinate breaks R F = F R outside
+    # characteristic p, and no other identity
+    monkeypatch.setattr(
+        witt, "restriction", lambda u: witt.WittVector(u.ring, u.p, u.coords[1:])
+    )
+    agg = run_suites(SuiteConfig(suites=["witt-identities"], budget=1).validate())
+    checks = {c.check_id: c for c in agg.reports[0].checks}
+    rf, xv = checks["rf-commute-cyc(3,2,2)"], checks["xv-identity-cyc(3,2,2)"]
+    assert rf.verdict == "fail" and len(rf.witnesses) == 1
+    assert xv.verdict == "pass" and xv.witnesses == []
+    assert [c.check_id for c in agg.reports[0].failed] == ["rf-commute-cyc(3,2,2)"]

@@ -2,6 +2,7 @@
 Bott images."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,7 @@ from wittkit.tate import (
     r_of_alpha_tower_is_xi_tower,
 )
 from wittkit.tilt import epsilon, tilt_teichmuller, tilt_witt_add, xi_element
-from wittkit.witt import teichmuller, witt_add, witt_neg, witt_one
+from wittkit.witt import WittVector, teichmuller, witt_add, witt_neg, witt_one
 
 
 def _tower():
@@ -80,11 +81,29 @@ def test_freeness_probe():
     assert freeness_probe(CyclotomicTruncation(3, 1, 1), 1, budget=10**4)
     assert freeness_probe(CyclotomicTruncation(3, 2, 1), 1, budget=10**4)
     assert freeness_probe(CyclotomicTruncation(3, 1, 1), 1, budget=1) is None
+    # all 3^12 elements of W_2(cyc(3,2,1)), without holding them
+    tracemalloc.start()
+    try:
+        assert freeness_probe(CyclotomicTruncation(3, 2, 1), 2) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_freeness_probe_samples_over_budget():
     ring = CyclotomicTruncation(5, 2, 1)
     assert freeness_probe(ring, 2, budget=10**6, rng=random.Random(0)) is True
+
+
+def test_freeness_probe_catches_a_collapsing_layer(monkeypatch):
+    def collapse(self, scalar):  # forgets the last coordinate
+        return WittVector(scalar.ring, scalar.p, scalar.coords[:-1] + (scalar.ring.zero(),))
+
+    monkeypatch.setattr(TateLayer, "element", collapse)
+    assert freeness_probe(CyclotomicTruncation(3, 2, 1), 2, budget=10**6) is False
+    ring = CyclotomicTruncation(5, 2, 1)
+    assert freeness_probe(ring, 2, budget=10**6, rng=random.Random(0)) is False
 
 
 def test_fixed_points_alpha_labels():

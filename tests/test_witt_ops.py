@@ -10,6 +10,7 @@ from wittkit.rings import (
     CharPQuotient,
     CyclotomicTruncation,
     IntegerRing,
+    RingElement,
     random_element,
     ring_from_descriptor,
 )
@@ -212,6 +213,55 @@ def test_shape_mismatch():
         restriction(witt_one(r, 3, 1))
     with pytest.raises(ValueError):
         frobenius(witt_one(r, 3, 1))
+    with pytest.raises(ValueError, match="owner mismatch"):
+        WittVector(r, 3, [r.one(), CharPQuotient(3, 0, 3).one()])
+
+
+def test_a_vector_stores_the_payload_raw_ops_compute_on():
+    ring = CyclotomicTruncation(3, 2, 1)
+    raw = raw_witt_ops(ring, 3, 2)
+    u = raw.unwrap(random_witt(ring, 3, 2, random.Random(5)))
+    w = raw.wrap(u)
+    assert w.data is u and raw.unwrap(w) is u
+    public = WittVector(ring, 3, [RingElement(ring, c) for c in u])
+    assert public == w and hash(public) == hash(w)
+    assert all(isinstance(c, RingElement) and c.ring is w.ring for c in w.coords)
+    assert tuple(c.data for c in w.coords) == u
+
+
+def test_wrapped_arithmetic_builds_no_ring_elements(monkeypatch):
+    ring = CyclotomicTruncation(3, 2, 1)
+    raw = raw_witt_ops(ring, 3, 2)
+    rng = random.Random(6)
+    u, v = random_witt(ring, 3, 2, rng), random_witt(ring, 3, 2, rng)
+    payload = raw.unwrap(u)
+    built = []
+    init = RingElement.__init__
+
+    def counting_init(self, ring, data):
+        built.append(data)
+        init(self, ring, data)
+
+    monkeypatch.setattr(RingElement, "__init__", counting_init)
+    witt_add(u, v)
+    witt_mul(u, v)
+    frobenius(u)
+    witt_neg(u)
+    raw.wrap(payload)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "desc,n", [("cyc(3,2,1)", 2), ("Z", 3), ("prod(cyc(3,1,1),charp(3,0,2))", 2)]
+)
+def test_scalar_mul_is_iterated_addition(desc, n):
+    ring = ring_from_descriptor(desc)
+    u = random_witt(ring, 3, n, random.Random(desc))
+    up, down = witt_zero(ring, 3, n), witt_zero(ring, 3, n)
+    for k in range(5):
+        assert witt_scalar_mul(k, u) == up
+        assert witt_scalar_mul(-k, u) == down
+        up, down = witt_add(up, u), witt_add(down, witt_neg(u))
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)])
@@ -300,6 +350,17 @@ def test_enumerate_payloads_keeps_the_flat_product_order(n):
     got = list(raw.enumerate_payloads())
     assert len(got) == ring.cardinality() ** 2
     assert got == sorted(got) and got[1] == ((0, 0), (0, 1))
+
+
+def test_enumerate_payloads_of_rings_without_coefficients():
+    # a product ring enumerates through its elements, in their order; Z
+    # cannot be enumerated
+    prod = ring_from_descriptor("prod(cyc(3,1,1),charp(3,0,2))")
+    got = list(raw_witt_ops(prod, 3, 2).enumerate_payloads())
+    assert len(got) == len(set(got)) == 6561
+    assert got == list(itertools.product([e.data for e in prod.enumerate_elements()], repeat=2))
+    with pytest.raises(ValueError):
+        list(raw_witt_ops(IntegerRing(), 3, 2).enumerate_payloads())
 
 
 def test_enumerate_payloads_reads_a_prefix_lazily():
