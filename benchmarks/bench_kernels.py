@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the arithmetic layers of wittkit.
 
-Seven layers:
+Eight layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
     table cap, next to the kernel's schoolbook loop,
   * end-to-end Witt multiplication throughput on W_2(cyc(3,2,1)), which runs
@@ -15,7 +15,10 @@ Seven layers:
     exactness_report on the Witt restriction complex over cyc(3,2,1), n = 1,
   * the exhaustive freeness probe over W_2(cyc(3,2,1)) (L2): seconds, and
     its tracemalloc peak in a second run,
-  * universal-table build times (the feasibility envelope per prime).
+  * universal-table build times (the feasibility envelope per prime),
+  * the Kahler layer: log_presentation_check on the first tuple of the
+    log-presentation suite at p = 7 (a 168 x 210 system over Z/7^3), and
+    Omega1.mult per call on cyc(3,2,1) and cyc(3,4,1).
 
     python benchmarks/bench_kernels.py
 """
@@ -25,6 +28,7 @@ import time
 import tracemalloc
 
 from wittkit import _kernel
+from wittkit.kaehler import log_presentation_check, omega1_for_ring
 from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing
 from wittkit.sequences import exactness_report, witt_restriction_complex
 from wittkit.tate import freeness_probe
@@ -186,6 +190,34 @@ def bench_table_builds():
         print(f"  (p={p}, n={n}): {dt * 1e3:8.1f} ms, {terms} monomials")
 
 
+def bench_kaehler():
+    print("== Kahler layer ==")
+    p = 7
+    ring = CyclotomicTruncation(p, 2, 3)
+    y = (ring.zeta(2) - ring.one()) ** (ring.d // p)
+    x = ring.divide_exact(ring.from_int(p), y)
+    u = ring.divide_exact(y**p, ring.from_int(p))
+    t0 = time.perf_counter()
+    ok = log_presentation_check(ring, ring.from_int(p), u, x, y, 1)
+    dt = time.perf_counter() - t0
+    print(f"  log_presentation_check({ring.descriptor()}, m = {p}) -> {ok}: {dt:6.3f} s")
+    rng = random.Random(3)
+    row = []
+    for ring in [CyclotomicTruncation(3, 2, 1), CyclotomicTruncation(3, 4, 1)]:
+        om = omega1_for_ring(ring)
+        d, m = ring.d, ring.m
+        pairs = [
+            ([rng.randrange(m) for _ in range(d)], [rng.randrange(m) for _ in range(d)])
+            for _ in range(2000)
+        ]
+        t0 = time.perf_counter()
+        for a, b in pairs:
+            om.mult(a, b)
+        dt = (time.perf_counter() - t0) / len(pairs)
+        row.append(f"{ring.descriptor()} {dt * 1e6:7.2f} us")
+    print("  Omega1.mult per call: " + "   ".join(row))
+
+
 def main():
     bench_kernel_calls()
     bench_witt_mul()
@@ -194,6 +226,7 @@ def main():
     bench_exactness_sweep()
     bench_freeness_probe()
     bench_table_builds()
+    bench_kaehler()
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ log-differential sub-presentation check dlog m = x dy - u^{-1} du.
 """
 
 from math import gcd, prod
+from operator import mul
 
 from .modlin import solve_mod_pp
 from .rings import IntegerRing, RingElement
@@ -39,12 +40,18 @@ class PresentedModule:
             diag = [
                 d[i][i] if i < len(d) else 0 for i in range(self.gens)
             ]
-            self._snf = (diag, v, vinv)
+            # V by columns: coordinate j of vec is vec . (column j of V)
+            self._snf = (diag, list(zip(*v)), vinv)
         return self._snf
 
+    def _snf_coords(self, vec):
+        """vec in the Smith basis: the row vector vec * V."""
+        _, v_cols, _ = self._snf_data()
+        return [sum(map(mul, vec, col)) for col in v_cols]
+
     def normal_form(self, vec):
-        diag, v, _ = self._snf_data()
-        y = [sum(vec[i] * v[i][j] for i in range(self.gens)) for j in range(self.gens)]
+        diag = self._snf_data()[0]
+        y = self._snf_coords(vec)
         return tuple(y[j] % diag[j] if diag[j] else y[j] for j in range(self.gens))
 
     def is_zero(self, vec):
@@ -57,8 +64,8 @@ class PresentedModule:
 
     def order_of(self, vec):
         """Additive order of the class of vec; None when infinite."""
-        diag, v, _ = self._snf_data()
-        y = [sum(vec[i] * v[i][j] for i in range(self.gens)) for j in range(self.gens)]
+        diag = self._snf_data()[0]
+        y = self._snf_coords(vec)
         order = 1
         for j in range(self.gens):
             d = diag[j]
@@ -178,9 +185,15 @@ class Omega1(PresentedModule):
     Generators are x^j dx for j < deg f; elements are integer coefficient
     vectors.  ``mult`` is A-scalar multiplication on representatives and
     ``d_of`` the universal derivation.
+
+    Built with a ``ring`` (by ``omega1_for_ring``), ``mult`` multiplies with
+    the ring's own multiplication on canonical tuples: lookup tables at or
+    below rings.TABLE_CAP elements, packed kernel products above it.
+    Without one, ``mult`` is schoolbook multiplication mod f (and mod the
+    modulus, if any) through ``_poly_mul_mod_f``.
     """
 
-    def __init__(self, f, modulus=None):
+    def __init__(self, f, modulus=None, ring=None):
         f = list(map(int, f))
         if not f or f[-1] != 1:
             raise ValueError("f must be monic")
@@ -200,6 +213,7 @@ class Omega1(PresentedModule):
                 relations.append(row)
         super().__init__(d, relations)
         self.dx = tuple([1] + [0] * (d - 1))
+        self.ring = ring
 
     def _vec_of(self, a):
         if isinstance(a, RingElement):
@@ -215,9 +229,21 @@ class Omega1(PresentedModule):
             out = [c % self.modulus for c in out]
         return out
 
+    def _canonical(self, a):
+        """The ring payload of a: entries reduced mod the modulus, padded
+        with zeros to the degree."""
+        if isinstance(a, RingElement) and a.ring is self.ring:
+            return a.data
+        vec = [c % self.modulus for c in self._vec_of(a)]
+        if len(vec) > self.gens:
+            raise ValueError("coefficient vector longer than the power basis")
+        return tuple(vec) + (0,) * (self.gens - len(vec))
+
     def mult(self, a, elem):
-        """a * elem for a in A."""
-        return _poly_mul_mod_f(self._vec_of(a), list(elem), self.f, self.modulus)
+        """a * elem for a in A, as a list."""
+        if self.ring is None:
+            return _poly_mul_mod_f(self._vec_of(a), list(elem), self.f, self.modulus)
+        return list(self.ring._mul(self._canonical(a), self._canonical(elem)))
 
     def dlog(self, u, u_inv=None):
         """dlog u = u^{-1} du; u_inv may be supplied when u is only a unit
@@ -232,10 +258,14 @@ def omega1_monogenic(f, modulus=None):
 
 
 def omega1_for_ring(ring):
-    """Omega^1 of a cyclotomic truncation, in its own power basis."""
+    """Omega^1 of a cyclotomic truncation, in its own power basis.
+
+    Its ``mult`` is the ring's multiplication (tables or packed kernel
+    products) on canonical tuples.
+    """
     if ring.kind != "CyclotomicTruncation":
         raise ValueError("omega1_for_ring needs a cyclotomic truncation")
-    return Omega1(ring.minpoly, ring.m)
+    return Omega1(ring.minpoly, ring.m, ring)
 
 
 def fn_d(w, omega):
@@ -466,20 +496,17 @@ def log_presentation_check(ring, m, u, x, y, bigN):
                     row[off + i] = c
         return row
 
-    for rel in omega.relations:
+    # only the f' x^j dx relations of omega: its p^M x^j dx relations, like
+    # p^M times any generator, vanish over Z/p^M
+    for rel in omega.relations[:d]:
         rows.append(wide(omega_part=rel))
-    for off in range(1, 4):
-        for j in range(d):
-            row = [0] * gens
-            row[off * d + j] = pm
-            rows.append(row)
     for w, slot in ((m, "m"), (y, "y"), (u, "u")):
         dw = omega.d_of(w)
         for j in range(d):
             xj = [0] * d
             xj[j] = 1
             opart = omega.mult(xj, dw)
-            tpart = [-c % pm for c in _poly_mul_mod_f(xj, list(w.data), ring.minpoly, pm)]
+            tpart = [-c % pm for c in omega.mult(xj, w.data)]
             rows.append(
                 wide(
                     omega_part=opart,

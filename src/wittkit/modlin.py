@@ -4,7 +4,22 @@ Z/p^M is a chain ring: every nonzero element is unit * p^v, so Gaussian
 elimination works once pivots are chosen by minimal p-valuation.  These
 routines back divide_exact on the finite quotient rings and every membership
 test on finitely presented modules with a p-power modulus.
+
+``solve_mod_pp`` eliminates on sparse rows: each row is a ``{column: value}``
+dict of its nonzero residues, keyed by original column.  A column swap only
+updates the two permutation lists (position -> column and column ->
+position), and a pivot step touches only the rows holding the pivot column
+and only the pivot row's entries.
+
+The pivot is the first entry of minimal p-valuation in row-major order over
+the remaining rows, in their current order, and the current column
+positions.  The rule is fixed: any other choice can return a different
+solution, and callers (``divide_exact``, ``check_p_surjectivity``,
+``_solve_scalar_multiple``) report the solution as a witness, so the report
+bytes depend on it.
 """
+
+from math import gcd
 
 
 def pval(c, p, M):
@@ -28,56 +43,68 @@ def solve_mod_pp(rows, rhs, p, M):
     pm = p**M
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    a = [[c % pm for c in row] for row in rows]
+    a = [{j: r for j, r in enumerate([c % pm for c in row]) if r} for row in rows]
     b = [c % pm for c in rhs]
-    col_of = list(range(nc))  # column permutation bookkeeping
+    col_at = list(range(nc))  # position -> column
+    pos = list(range(nc))  # column -> position
+    val_of = {p**v: v for v in range(M)}  # gcd(p^M, row) = p^(min valuation)
     pivots = []  # (row index k, valuation v); pivot entry is exactly p^v
     k = 0
     while k < min(nr, nc):
         best = None
         for i in range(k, nr):
-            for j in range(k, nc):
-                if a[i][j]:
-                    v = pval(a[i][j], p, M)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-            if best and best[0] == 0:
-                break
+            row = a[i]
+            if row:
+                v = val_of[gcd(pm, *row.values())]
+                if best is None or v < best[0]:
+                    best = (v, i)
+                    if v == 0:
+                        break
         if best is None:
             break
-        v, bi, bj = best
+        v, bi = best
+        # the first position in row bi holding an entry of valuation v
+        q = p ** (v + 1)
+        bj = min(pos[col] for col, c in a[bi].items() if c % q)
         a[k], a[bi] = a[bi], a[k]
         b[k], b[bi] = b[bi], b[k]
-        for row in a:
-            row[k], row[bj] = row[bj], row[k]
-        col_of[k], col_of[bj] = col_of[bj], col_of[k]
-        unit = a[k][k] // p**v
-        inv_unit = pow(unit, -1, pm)
-        a[k] = [c * inv_unit % pm for c in a[k]]
-        b[k] = b[k] * inv_unit % pm
-        # forward elimination only: below the pivot every entry of column k
-        # has valuation >= v (the pivot was minimal over the submatrix)
+        ck, col = col_at[k], col_at[bj]
+        col_at[k], col_at[bj] = col, ck
+        pos[col], pos[ck] = k, bj
+        piv = a[k]
+        pv = p**v
+        inv_unit = pow(piv[col] // pv, -1, pm)
+        for j in piv:
+            piv[j] = piv[j] * inv_unit % pm
+        bk = b[k] = b[k] * inv_unit % pm
+        # forward elimination only: below the pivot every entry of the pivot
+        # column has valuation >= v (the pivot was minimal over the submatrix)
         for i in range(k + 1, nr):
-            if a[i][k]:
-                w = a[i][k] // p**v
-                a[i] = [(c - w * ck) % pm for c, ck in zip(a[i], a[k])]
-                b[i] = (b[i] - w * b[k]) % pm
+            row = a[i]
+            c = row.get(col)
+            if c:
+                w = c // pv
+                for j, cj in piv.items():
+                    r = (row.get(j, 0) - w * cj) % pm
+                    if r:
+                        row[j] = r
+                    else:
+                        row.pop(j, None)
+                b[i] = (b[i] - w * bk) % pm
         pivots.append((k, v))
         k += 1
-    # rows below the pivot block are identically zero, so b must vanish there
-    for i in range(k, nr):
-        if b[i] % pm:
-            return None
+    # rows below the pivot block are empty, so b must vanish there
+    if any(b[k:]):
+        return None
     x = [0] * nc
     for i, v in reversed(pivots):
-        c = b[i]
-        for j in range(i + 1, nc):
-            if a[i][j]:
-                c -= a[i][j] * x[col_of[j]]
-        c %= pm
-        if c % p**v:
+        # row i holds its pivot, whose x is still 0, and entries of later
+        # positions only
+        c = (b[i] - sum(e * x[j] for j, e in a[i].items())) % pm
+        pv = p**v
+        if c % pv:
             return None
-        x[col_of[i]] = c // p**v
+        x[col_at[i]] = c // pv
     return x
 
 

@@ -743,13 +743,13 @@ def teichmuller(a, p, n):
 def witt_add(u, v):
     u._check(v)
     raw = raw_witt_ops(u.ring, u.p, u.length)
-    return raw.wrap(raw.add(u.data, v.data))
+    return WittVector._trusted(u.ring, u.p, raw.add(u.data, v.data))
 
 
 def witt_mul(u, v):
     u._check(v)
     raw = raw_witt_ops(u.ring, u.p, u.length)
-    return raw.wrap(raw.mul(u.data, v.data))
+    return WittVector._trusted(u.ring, u.p, raw.mul(u.data, v.data))
 
 
 def witt_neg(u):
@@ -760,7 +760,7 @@ def witt_neg(u):
 def witt_scalar_mul(k, u):
     """k*u for an integer k."""
     raw = raw_witt_ops(u.ring, u.p, u.length)
-    return raw.wrap(raw.scalar_mul(k, u.data))
+    return WittVector._trusted(u.ring, u.p, raw.scalar_mul(k, u.data))
 
 
 def verschiebung(u):
@@ -780,7 +780,7 @@ def frobenius(u):
     if u.length < 2:
         raise ValueError("length underflow: F needs n >= 2")
     raw = raw_witt_ops(u.ring, u.p, u.length)
-    return raw.wrap(raw.frob(u.data))
+    return WittVector._trusted(u.ring, u.p, raw.frob(u.data))
 
 
 def frobenius_power(u, k):

@@ -6,7 +6,7 @@ the discriminant count |Omega^1(Z[zeta_9])| = 3^9, and sympy's Smith form.
 """
 
 import random
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 from sympy import Matrix
@@ -15,6 +15,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from wittkit.kaehler import (
     ModuleMap,
     PresentedModule,
+    _poly_mul_mod_f,
     alpha_order_report,
     check_p_surjectivity,
     conormal_check,
@@ -26,6 +27,7 @@ from wittkit.kaehler import (
     torsion_is_free_rank_one,
 )
 from wittkit.rings import CyclotomicTruncation, random_element
+from wittkit.snf import smith_with_inverse
 from wittkit.witt import teichmuller, verschiebung, witt_one, z_element
 
 
@@ -184,6 +186,42 @@ def test_log_presentation_cases():
     )
     with pytest.raises(ValueError):
         log_presentation_check(ring, ring.from_int(3), u, x, y, 2)
+
+
+@pytest.mark.parametrize(
+    "pnm", [(3, 1, 1), (3, 2, 1), (3, 2, 2), (3, 4, 1), (5, 2, 1), (7, 2, 1)]
+)
+def test_ring_backed_mult_matches_schoolbook(pnm):
+    # omega1_for_ring multiplies through the ring (tables or packed kernel
+    # products); the ring-less schoolbook product mod (f, p^M) is the oracle
+    ring = CyclotomicTruncation(*pnm)
+    om = omega1_for_ring(ring)
+    d, m = ring.d, ring.m
+    rng = random.Random(sum(pnm))
+    for trial in range(30):
+        # unreduced and negative entries, and a shorter than the degree
+        la = d if trial % 3 else rng.randint(1, d)
+        a = [rng.randrange(-2 * m, 3 * m) for _ in range(la)]
+        b = [rng.randrange(-2 * m, 3 * m) for _ in range(d)]
+        got = om.mult(a, b)
+        assert isinstance(got, list)
+        assert got == _poly_mul_mod_f(a, b, ring.minpoly, m)
+        e = random_element(ring, rng)
+        assert om.mult(e, b) == _poly_mul_mod_f(list(e.data), b, ring.minpoly, m)
+    with pytest.raises(ValueError):
+        om.mult([1] * (d + 1), [0] * d)
+
+
+def test_normal_form_and_order_read_the_smith_basis():
+    om = omega1_for_ring(CyclotomicTruncation(3, 2, 2))
+    _, d, v, _ = smith_with_inverse(om.relations)
+    diag = [d[i][i] for i in range(om.gens)]
+    rng = random.Random(3)
+    for _ in range(20):
+        vec = [rng.randrange(-20, 20) for _ in range(om.gens)]
+        y = [sum(vec[i] * v[i][j] for i in range(om.gens)) for j in range(om.gens)]
+        assert om.normal_form(vec) == tuple(c % q if q else c for c, q in zip(y, diag))
+        assert om.order_of(vec) == lcm(*(q // gcd(q, c % q) for c, q in zip(y, diag)))
 
 
 def test_presented_module_json():

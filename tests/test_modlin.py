@@ -1,7 +1,10 @@
-"""Prime-power linear solving, cross-checked by brute force on tiny systems."""
+"""Prime-power linear solving, cross-checked by brute force on tiny systems
+and against the dense elimination the sparse solver replaced."""
 
 import itertools
 import random
+
+import pytest
 
 from wittkit.modlin import nullspace_mod_p, pval, solve_mod_pp
 
@@ -40,6 +43,124 @@ def test_solve_mod_pp_against_brute_force():
             assert tuple(x % mod for x in got) in brute
         else:
             assert got is None, (rows, rhs, got)
+
+
+def _dense_solve_mod_pp(rows, rhs, p, M):
+    """The dense Gaussian elimination solve_mod_pp replaced, kept as the
+    oracle: the sparse solver must return this exact list."""
+    pm = p**M
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    a = [[c % pm for c in row] for row in rows]
+    b = [c % pm for c in rhs]
+    col_of = list(range(nc))
+    pivots = []
+    k = 0
+    while k < min(nr, nc):
+        best = None
+        for i in range(k, nr):
+            for j in range(k, nc):
+                if a[i][j]:
+                    v = pval(a[i][j], p, M)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+            if best and best[0] == 0:
+                break
+        if best is None:
+            break
+        v, bi, bj = best
+        a[k], a[bi] = a[bi], a[k]
+        b[k], b[bi] = b[bi], b[k]
+        for row in a:
+            row[k], row[bj] = row[bj], row[k]
+        col_of[k], col_of[bj] = col_of[bj], col_of[k]
+        inv_unit = pow(a[k][k] // p**v, -1, pm)
+        a[k] = [c * inv_unit % pm for c in a[k]]
+        b[k] = b[k] * inv_unit % pm
+        for i in range(k + 1, nr):
+            if a[i][k]:
+                w = a[i][k] // p**v
+                a[i] = [(c - w * ck) % pm for c, ck in zip(a[i], a[k])]
+                b[i] = (b[i] - w * b[k]) % pm
+        pivots.append((k, v))
+        k += 1
+    for i in range(k, nr):
+        if b[i] % pm:
+            return None
+    x = [0] * nc
+    for i, v in reversed(pivots):
+        c = b[i]
+        for j in range(i + 1, nc):
+            if a[i][j]:
+                c -= a[i][j] * x[col_of[j]]
+        c %= pm
+        if c % p**v:
+            return None
+        x[col_of[i]] = c // p**v
+    return x
+
+
+def _random_system(rng, p, M, nr, nc, density, scale):
+    """A seeded system: entries nonzero with probability density, each a
+    multiple of scale; some rows and columns zeroed; a consistent or a random
+    right-hand side."""
+    pm = p**M
+    rows = [
+        [rng.randrange(pm) * scale % pm if rng.random() < density else 0 for _ in range(nc)]
+        for _ in range(nr)
+    ]
+    if rng.random() < 0.3:
+        rows[rng.randrange(nr)] = [0] * nc
+    if rng.random() < 0.3:
+        j = rng.randrange(nc)
+        for row in rows:
+            row[j] = 0
+    if rng.random() < 0.5:
+        x = [rng.randrange(pm) for _ in range(nc)]
+        rhs = [sum(c * xi for c, xi in zip(row, x)) % pm for row in rows]
+    else:
+        rhs = [rng.randrange(pm) for _ in range(nr)]
+    return rows, rhs
+
+
+SHAPES = [(1, 1), (1, 4), (4, 1), (3, 3), (5, 9), (9, 5), (12, 12), (8, 24), (24, 8), (24, 48)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_sparse_solver_matches_dense_oracle(p, M):
+    rng = random.Random(100 * p + M)
+    pm = p**M
+    solved = unsolvable = 0
+    for nr, nc in SHAPES:
+        for density in (0.05, 0.2, 0.5, 1.0):
+            # scale p: every entry a multiple of p, so pivots are non-units
+            for scale in (1, p) if M > 1 else (1,):
+                rows, rhs = _random_system(rng, p, M, nr, nc, density, scale)
+                want = _dense_solve_mod_pp(rows, rhs, p, M)
+                got = solve_mod_pp(rows, rhs, p, M)
+                assert got == want, (rows, rhs)
+                if got is None:
+                    unsolvable += 1
+                    continue
+                solved += 1
+                assert all(
+                    sum(c * xi for c, xi in zip(row, got)) % pm == b % pm
+                    for row, b in zip(rows, rhs)
+                )
+    assert solved and unsolvable
+
+
+def test_sparse_solver_unreduced_and_degenerate_inputs():
+    p, M = 3, 2
+    rows = [[-1, 9, 30], [0, 0, 0], [4, -18, 3]]
+    assert solve_mod_pp(rows, [5, 0, -2], p, M) == _dense_solve_mod_pp(rows, [5, 0, -2], p, M)
+    assert solve_mod_pp(rows, [0, 1, 0], p, M) is None  # zero row, nonzero rhs
+    assert solve_mod_pp([[0, 0]], [0], p, M) == [0, 0]
+    assert solve_mod_pp([[0, 0]], [3], p, M) is None
+    assert solve_mod_pp([[3]], [1], p, M) is None  # 3 x = 1 has no root mod 9
+    assert solve_mod_pp([[3]], [6], p, M) == [2]
+    assert solve_mod_pp([], [], p, M) == []
 
 
 def test_nullspace_mod_p():

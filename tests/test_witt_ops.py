@@ -229,6 +229,19 @@ def test_a_vector_stores_the_payload_raw_ops_compute_on():
     assert tuple(c.data for c in w.coords) == u
 
 
+def test_results_are_owned_by_the_operand_ring():
+    # raw_witt_ops caches by ring equality; a result must still carry the
+    # operand's own ring object, not the one cached first
+    r1 = CyclotomicTruncation(3, 2, 1)
+    witt_add(witt_one(r1, 3, 2), witt_one(r1, 3, 2))
+    r2 = CyclotomicTruncation(3, 2, 1)
+    assert r2 == r1 and r2 is not r1
+    rng = random.Random(7)
+    u, v = random_witt(r2, 3, 2, rng), random_witt(r2, 3, 2, rng)
+    for w in (witt_add(u, v), witt_mul(u, v), witt_scalar_mul(4, u), frobenius(u)):
+        assert w.ring is r2
+
+
 def test_wrapped_arithmetic_builds_no_ring_elements(monkeypatch):
     ring = CyclotomicTruncation(3, 2, 1)
     raw = raw_witt_ops(ring, 3, 2)
