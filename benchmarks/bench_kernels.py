@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the arithmetic layers of wittkit.
 
-Eight layers:
+Nine layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
     table cap, next to the kernel's schoolbook loop,
   * end-to-end Witt multiplication throughput on W_2(cyc(3,2,1)), which runs
@@ -18,19 +18,34 @@ Eight layers:
   * universal-table build times (the feasibility envelope per prime),
   * the Kahler layer: log_presentation_check on the first tuple of the
     log-presentation suite at p = 7 (a 168 x 210 system over Z/7^3), and
-    Omega1.mult per call on cyc(3,2,1) and cyc(3,4,1).
+    Omega1.mult per call on cyc(3,2,1) and cyc(3,4,1),
+  * the batch form of the raw Witt operations: ns per element of sum and
+    product, per element against batched, on W_2(cyc(3,2,1)) (index
+    arrays, at the sweep chunk size) and W_3(cyc(3,2,2)) (coefficient
+    arrays, at the sample chunk size), and seconds of the exhaustive
+    V-additivity sweep over the 531,441 pairs of W_2(charp(3,0,3)).
 
-    python benchmarks/bench_kernels.py
+    python benchmarks/bench_kernels.py [--json PATH]
+
+With --json, the batch figures are also written to PATH as JSON, with the
+machine's processor count and the Python version.
 """
 
+import argparse
+import json
+import os
+import platform
 import random
 import time
 import tracemalloc
+
+import numpy as np
 
 from wittkit import _kernel
 from wittkit.kaehler import log_presentation_check, omega1_for_ring
 from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing
 from wittkit.sequences import exactness_report, witt_restriction_complex
+from wittkit.suites import CHUNK, SAMPLE_CHUNK
 from wittkit.tate import freeness_probe
 from wittkit.tilt import frobenius_equation_solve
 from wittkit.witt import (
@@ -218,7 +233,61 @@ def bench_kaehler():
     print("  Omega1.mult per call: " + "   ".join(row))
 
 
+def _ns_per_element(fn, count, repeat=3):
+    """The best of repeat timings of fn(), in ns per element of count."""
+    best = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best / count * 1e9
+
+
+def bench_batch_ops():
+    print("== batch form of the raw Witt ops: ns per element, per element vs batched ==")
+    figures = {}
+    rng = random.Random(4)
+    for ring, n, size in [
+        (CyclotomicTruncation(3, 2, 1), 2, CHUNK),
+        (CyclotomicTruncation(3, 2, 2), 3, SAMPLE_CHUNK),
+    ]:
+        raw = raw_witt_ops(ring, 3, n)
+        us = [raw.unwrap(random_witt(ring, 3, n, rng)) for _ in range(size)]
+        vs = [raw.unwrap(random_witt(ring, 3, n, rng)) for _ in range(size)]
+        u, v = raw.to_batch(us), raw.to_batch(vs)
+        raw.add_batch(u, v), raw.mul_batch(u, v)  # compile on first use, untimed
+        name = f"W{n}_{ring.descriptor()}"
+        row = [f"W_{n}({ring.descriptor()}), batches of {size}:"]
+        for op, one, many in [("add", raw.add, raw.add_batch), ("mul", raw.mul, raw.mul_batch)]:
+            per = _ns_per_element(lambda: list(map(one, us, vs)), size)
+            batched = _ns_per_element(lambda: many(u, v), size)
+            figures[f"{op}_ns.{name}.per_element"] = round(per, 1)
+            figures[f"{op}_ns.{name}.batched"] = round(batched, 1)
+            row.append(f"{op} {per:7.0f} / {batched:5.0f} ns")
+        print("  " + "   ".join(row))
+    ring = CharPQuotient(3, 0, 3)
+    raw2, raw3 = raw_witt_ops(ring, 3, 2), raw_witt_ops(ring, 3, 3)
+    size = ring.cardinality() ** 2
+    t0 = time.perf_counter()
+    holds = True
+    for start in range(0, size**2, CHUNK):
+        at = np.arange(start, min(start + CHUNK, size**2), dtype=np.int64)
+        u, v = raw2.payload_batch(at // size), raw2.payload_batch(at % size)
+        zero = (np.zeros_like(at),)
+        lhs = raw3.add_batch(zero + u, zero + v)
+        holds &= bool(raw3.equal_batch(lhs, zero + raw2.add_batch(u, v)).all())
+    dt = time.perf_counter() - t0
+    figures["v_additive_s.W2_charp(3,0,3)"] = round(dt, 3)
+    print(f"  V(u + v) = V(u) + V(v) over all {size**2} pairs of W_2({ring.descriptor()}) "
+          f"-> {holds}: {dt:6.2f} s")
+    return figures
+
+
 def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--json", metavar="PATH", help="also write the batch figures here")
+    args = ap.parse_args()
     bench_kernel_calls()
     bench_witt_mul()
     bench_raw_ops_above_the_cap()
@@ -227,6 +296,13 @@ def main():
     bench_freeness_probe()
     bench_table_builds()
     bench_kaehler()
+    figures = bench_batch_ops()
+    if args.json:
+        record = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version()}
+        record.update(figures)
+        with open(args.json, "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -63,7 +63,8 @@ class SmallRingTables:
 
     ``add_expr`` and ``mul_expr`` give the sum and product as Python source
     over the tables in ``namespace``, for code generated elsewhere; ``add``
-    and ``mul`` are compiled from the same source.
+    and ``mul`` are compiled from the same source.  The same source also runs
+    on numpy index arrays over ``int64`` copies of the tables.
     """
 
     def __init__(self, m, d, red_rows):
@@ -87,6 +88,7 @@ class SmallRingTables:
         self.add_lo = _half_add_table(m, d - dh, 1)
         self._pow = {}
         self._scale = {}
+        self._int64 = {}
         self.neg = self.scale_table(m - 1)
         self.namespace = {
             "_MH": self.mul_hi,
@@ -94,8 +96,10 @@ class SmallRingTables:
             "_AH": self.add_hi,
             "_AL": self.add_lo,
         }
-        self.add = eval(f"lambda x, y: {self.add_expr('x', 'y')}", self.namespace)  # noqa: S307
-        self.mul = eval(f"lambda a, b: {self.mul_expr('a', 'b')}", self.namespace)  # noqa: S307
+        # eval adds __builtins__ to the dict it is given: keep namespace to the tables
+        ns = dict(self.namespace)
+        self.add = eval(f"lambda x, y: {self.add_expr('x', 'y')}", ns)  # noqa: S307
+        self.mul = eval(f"lambda a, b: {self.mul_expr('a', 'b')}", ns)  # noqa: S307
 
     def add_expr(self, x, y):
         """Source of the index of x + y, for index names x and y."""
@@ -146,6 +150,15 @@ class SmallRingTables:
             prod = self._vmul(np.arange(self.Q, dtype=np.int64), np.int64(c * self.one))
             table = self._scale.setdefault(c, array("H", prod.astype(np.uint16).tobytes()))
         return table
+
+    def int64(self, table):
+        """An int64 numpy copy of one of these tables, built once, for index
+        arrays to gather through: lookups then return numpy's own index type,
+        and the index arithmetic between them cannot wrap as uint16 would."""
+        got = self._int64.get(id(table))
+        if got is None:
+            got = self._int64[id(table)] = np.frombuffer(table, dtype=np.uint16).astype(np.int64)
+        return got
 
     def nbytes(self):
         tables = [self.mul_hi, self.mul_lo, self.add_hi, self.add_lo]

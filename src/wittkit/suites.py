@@ -10,6 +10,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import kaehler, sequences, tate, tilt, witt
 from .report import CheckReport
 from .rings import (
@@ -87,6 +89,59 @@ class SuiteConfig:
 
 # --- suite: witt-identities -----------------------------------------------------
 
+# Batched checks evaluate an exhaustive sweep CHUNK elements at a time, and
+# draw and evaluate samples SAMPLE_CHUNK at a time: their arrays then stay
+# within a few MB, and sampled checks within a fraction of one.
+CHUNK = 8192
+SAMPLE_CHUNK = 256
+
+
+def _swept(count, batch, at):
+    """The chunks of an exhaustive sweep over positions 0..count-1, in
+    order: batch(positions) gives a chunk's batches, at(position) one
+    element."""
+    for start in range(0, count, CHUNK):
+        positions = np.arange(start, min(start + CHUNK, count), dtype=np.int64)
+        yield batch(positions), lambda i, start=start: at(start + i)
+
+
+def _drawn(count, draw, batch):
+    """The chunks of count samples, each drawn by draw() in order:
+    batch(samples) gives a chunk's batches."""
+    for start in range(0, count, SAMPLE_CHUNK):
+        samples = [draw() for _ in range(min(SAMPLE_CHUNK, count - start))]
+        yield batch(samples), samples.__getitem__
+
+
+def _first_failures(chunks, checks):
+    """The first element, in order, at which each check fails.
+
+    chunks yields (batches, at): one chunk of elements as batches, and
+    at(i), its i-th element.  A check maps the batches to the mask of the
+    elements where it holds.  The result has, per check, at(i) for its first
+    False, or None.  Every chunk is read, so sampled checks draw all their
+    samples whatever the verdicts.
+    """
+    found = [None] * len(checks)
+    for batches, at in chunks:
+        for c, holds in enumerate(checks):
+            if found[c] is None:
+                mask = holds(*batches)
+                if not mask.all():
+                    found[c] = at(int(np.argmin(mask)))
+    return found
+
+
+def _V(w):
+    """V on a batch: zero (index 0, or the zero row) shifted in front."""
+    return (np.zeros_like(w[0]),) + tuple(w)
+
+
+def _R(raw, w):
+    """R on a batch: witt.restriction drops the last coordinate of whatever
+    coordinates a vector holds, so it applies to a wrapped batch as it is."""
+    return witt.restriction(raw.wrap(w)).data
+
 
 def suite_witt_identities(cfg):
     rep = CheckReport("witt-identities")
@@ -135,109 +190,111 @@ def suite_witt_identities(cfg):
         n = 2
         raw2 = witt.raw_witt_ops(ring, p, n)
         raw3 = witt.raw_witt_ops(ring, p, n + 1)
-        zero = ring.zero().data
+        same = raw2.equal_batch
+
+        def fv_eq_p(w):
+            return same(raw3.frob_batch(_V(w)), raw2.scalar_mul_batch(p, w))
+
         if mode == "exhaustive":
+            size = ring.cardinality() ** n
+
+            def payload(k):
+                return raw2.payload_at(raw2.payload_batch(np.array([k])), 0)
+
+            def v_additive(u, v):
+                return same(raw3.add_batch(_V(u), _V(v)), _V(raw2.add_batch(u, v)))
+
             # FV = p on all of W_2
-            ok = True
-            witness = None
-            for w in raw2.enumerate_payloads():
-                if raw3.frob((zero,) + w) != raw2.scalar_mul(p, w):
-                    ok, witness = False, w
-                    break
+            [witness] = _first_failures(
+                _swept(size, lambda at: (raw2.payload_batch(at),), payload), [fv_eq_p]
+            )
             rep.add(
                 f"fv-eq-p-{ring.descriptor()}",
                 "F(V(w)) = p w",
-                ok,
-                witnesses=[witness] if witness else [],
+                witness is None,
+                witnesses=[] if witness is None else [witness],
                 precision={"mode": mode, "domain": f"W_2({ring.descriptor()})"},
             )
             # V additivity over pairs: exhaustive within budget, else sampled
-            ok = True
-            witness = None
-            pair_count = ring.cardinality() ** 4
+            pair_count = size**2
             if pair_count <= cfg.budget:
-                pairs = (
-                    (u, v)
-                    for u in raw2.enumerate_payloads()
-                    for v in raw2.enumerate_payloads()
+                pairs = _swept(
+                    pair_count,
+                    lambda at: (raw2.payload_batch(at // size), raw2.payload_batch(at % size)),
+                    lambda k: (payload(k // size), payload(k % size)),
                 )
                 pair_mode = "exhaustive pairs"
             else:
-                pairs = (
-                    (
+                pair_count = 1000
+                pairs = _drawn(
+                    pair_count,
+                    lambda: (
                         raw2.unwrap(witt.random_witt(ring, p, 2, rng)),
                         raw2.unwrap(witt.random_witt(ring, p, 2, rng)),
-                    )
-                    for _ in range(1000)
+                    ),
+                    lambda drawn: tuple(raw2.to_batch(part) for part in zip(*drawn)),
                 )
                 pair_mode = "sampled pairs"
-                pair_count = 1000
-            for u, v in pairs:
-                if raw3.add((zero,) + u, (zero,) + v) != (zero,) + raw2.add(u, v):
-                    ok, witness = False, (u, v)
-                    break
+            [witness] = _first_failures(pairs, [v_additive])
             rep.add(
                 f"v-additive-{ring.descriptor()}",
                 "V(u + v) = V(u) + V(v)",
-                ok,
-                witnesses=[witness] if witness else [],
+                witness is None,
+                witnesses=[] if witness is None else [witness],
                 precision={"mode": pair_mode, "count": pair_count},
             )
             # F[a] = [a^p] over all of A
-            ok = True
-            for a in ring.enumerate_elements():
-                if witt.frobenius(witt.teichmuller(a, p, 3)) != witt.teichmuller(
-                    a**p, p, 2
-                ):
-                    ok = False
-                    break
+            witness = next(
+                (
+                    a
+                    for a in ring.enumerate_elements()
+                    if witt.frobenius(witt.teichmuller(a, p, 3)) != witt.teichmuller(a**p, p, 2)
+                ),
+                None,
+            )
             rep.add(
                 f"f-teichmuller-{ring.descriptor()}",
                 "F([a]) = [a^p]",
-                ok,
+                witness is None,
+                witnesses=[] if witness is None else [witness],
                 precision={"mode": mode},
             )
         samples = 1000 if mode == "sampled" else 200
-        # the first failing sample of each identity; the exhaustive fv-eq-p
-        # above already covers F(V(y)) = p y on the exhaustive ring
-        wit_xv, wit_rf, wit_fvp = [], [], []
-        for _ in range(samples):
-            x = witt.random_witt(ring, p, n + 1, rng)
-            y = witt.random_witt(ring, p, n, rng)
-            if not wit_xv and witt.witt_mul(x, witt.verschiebung(y)) != witt.verschiebung(
-                witt.witt_mul(witt.frobenius(x), y)
-            ):
-                wit_xv.append(("xV(y)", x, y))
-            if not wit_rf and witt.restriction(witt.frobenius(x)) != witt.frobenius(
-                witt.restriction(x)
-            ):
-                wit_rf.append(("RF=FR", x))
-            if (
-                mode == "sampled"
-                and not wit_fvp
-                and witt.frobenius(witt.verschiebung(y)) != witt.witt_scalar_mul(p, y)
-            ):
-                wit_fvp.append(("FV=p", y))
-        rep.add(
-            f"xv-identity-{ring.descriptor()}",
-            "x V(y) = V(F(x) y)",
-            not wit_xv,
-            witnesses=wit_xv,
-            precision={"mode": mode, "samples": samples},
-        )
-        rep.add(
-            f"rf-commute-{ring.descriptor()}",
-            "R F = F R",
-            not wit_rf,
-            witnesses=wit_rf,
-            precision={"mode": mode, "samples": samples},
-        )
+
+        def draw():
+            # x, then y
+            return witt.random_witt(ring, p, n + 1, rng), witt.random_witt(ring, p, n, rng)
+
+        def batch(drawn):
+            xs = raw3.to_batch([x.data for x, _ in drawn])
+            return xs, raw2.to_batch([y.data for _, y in drawn]), raw3.frob_batch(xs)
+
+        checks = [
+            (
+                "xv-identity",
+                "x V(y) = V(F(x) y)",
+                lambda x, y, fx: same(raw3.mul_batch(x, _V(y)), _V(raw2.mul_batch(fx, y))),
+                lambda x, y: ("xV(y)", x, y),
+            ),
+            (
+                "rf-commute",
+                "R F = F R",
+                lambda x, y, fx: same(_R(raw2, fx), raw2.frob_batch(_R(raw3, x))),
+                lambda x, y: ("RF=FR", x),
+            ),
+        ]
+        # the exhaustive fv-eq-p above already covers F(V(y)) = p y there
         if mode == "sampled":
+            checks.append(
+                ("fv-eq-p", "F(V(w)) = p w", lambda x, y, fx: fv_eq_p(y), lambda x, y: ("FV=p", y))
+            )
+        found = _first_failures(_drawn(samples, draw, batch), [check[2] for check in checks])
+        for (name, anchor, _, explain), witness in zip(checks, found):
             rep.add(
-                f"fv-eq-p-{ring.descriptor()}",
-                "F(V(w)) = p w",
-                not wit_fvp,
-                witnesses=wit_fvp,
+                f"{name}-{ring.descriptor()}",
+                anchor,
+                witness is None,
+                witnesses=[] if witness is None else [explain(*witness)],
                 precision={"mode": mode, "samples": samples},
             )
 
@@ -273,20 +330,21 @@ def suite_witt_identities(cfg):
     mu = witt.witt_add(
         witt.teichmuller(zeta, p, cfg.N), witt.witt_neg(witt.witt_one(ring, p, cfg.N))
     )
-    ok = True
+    witness = None
     for _ in range(50):
         y = witt.random_witt(ring, p, cfg.N, rng)
         lhs = witt.witt_mul(mu, y)
         diff = witt.witt_add(lhs, witt.witt_neg(mu))
         congruent = all(all(c % p == 0 for c in t) for t in diff.data)
-        if congruent:
+        if congruent and witness is None:
             unit, _ = ring.is_unit(y.coords[0])
             if not unit:
-                ok = False
+                witness = y
     rep.add(
         "zeta-congruence-unit",
         "([zeta]-1) y = [zeta]-1 mod p W_n(A) forces y to be a unit mod p",
-        ok,
+        witness is None,
+        witnesses=[] if witness is None else [witness],
         precision={"samples": 50},
     )
 
@@ -304,10 +362,12 @@ def suite_witt_identities(cfg):
         precision={"ring": ring27.descriptor()},
     )
     trivial = witt.teichmuller_divide(x, ring27.one(), 3)
+    ok = trivial is not None and trivial[0] == 0 and trivial[1] == x
     rep.add(
         "teichmuller-divide-unit",
         "[1] q = p^0 x",
-        trivial is not None and trivial[0] == 0 and trivial[1] == x,
+        ok,
+        witnesses=[] if ok else [repr(trivial)],
     )
     return rep.finish()
 
@@ -874,7 +934,7 @@ def suite_negative_controls(cfg):
         "corrupted-witt-table",
         "a perturbed universal polynomial must violate the ghost identity",
         witness is None,  # reported as a failure on purpose
-        witnesses=[witness] if witness else [],
+        witnesses=[] if witness is None else [witness],
     )
     return rep.finish()
 

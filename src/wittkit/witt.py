@@ -20,11 +20,14 @@ rings.TABLE_CAP elements) the back end works over element indices,
 converting coordinate tuples only on entry and exit; above the cap it calls
 the coefficient kernel (``_kernel``, packed big-int products) and forms each
 coordinate as one linear combination reduced mod m; over Z it evaluates the
-unpruned polynomials on the coordinates' Python ints.  Product rings run
-each factor's RawWittOps on their component of every coordinate, since
-W_n(A x B) = W_n(A) x W_n(B).  An interpreted evaluator with pluggable
-scalar operations (eval_poly_ops) covers carriers that are not ring payloads
-(tilt lifts need fused sums) and is the tests' oracle.
+unpruned polynomials on the coordinates' Python ints.  Quotient rings also
+have a batch form of sum, product and Frobenius, from two more back ends of
+the same compiler: the table source on numpy arrays of element indices, and
+batched convolutions on (B, d) arrays of coefficients above the cap.
+Product rings run each factor's RawWittOps on their component of every
+coordinate, since W_n(A x B) = W_n(A) x W_n(B).  An interpreted evaluator
+with pluggable scalar operations (eval_poly_ops) covers carriers that are
+not ring payloads (tilt lifts need fused sums) and is the tests' oracle.
 """
 
 import collections
@@ -32,6 +35,8 @@ import functools
 import itertools
 import operator
 import re
+
+import numpy as np
 
 from . import _kernel
 from .rings import IntegerRing, ProductRing, RingElement, require_odd_prime, split_top_level
@@ -178,15 +183,19 @@ class WittUniversalTable:
         self.neg_polys = [_pscale(_var(i, n), -1) for i in range(n)]
         self._compiled = {}
 
-    def compiled_indexed(self, which, tables):
+    def compiled_indexed(self, which, tables, batch=False):
         """All coordinates of sum/prod/frob in one function on raw payloads,
-        evaluated through the lookup tables of a small ring."""
-        return self._compiled_all(which, ("indexed", tables), lambda: _TableExprs(tables))
+        evaluated through the lookup tables of a small ring; with batch, on
+        numpy arrays of element indices instead."""
+        exprs = _TableBatchExprs if batch else _TableExprs
+        return self._compiled_all(which, ("indexed", tables, batch), lambda: exprs(tables))
 
-    def compiled_coeffs(self, which, ring):
+    def compiled_coeffs(self, which, ring, batch=False):
         """All coordinates of sum/prod/frob in one function on raw payloads
-        of a quotient ring, multiplying through the coefficient kernel."""
-        return self._compiled_all(which, ("coeffs", ring), lambda: _KernelExprs(ring))
+        of a quotient ring, multiplying through the coefficient kernel; with
+        batch, on (B, d) numpy arrays of coefficients instead."""
+        exprs = _KernelBatchExprs if batch else _KernelExprs
+        return self._compiled_all(which, ("coeffs", ring, batch), lambda: exprs(ring))
 
     def compiled_ints(self, which):
         """All coordinates of sum/prod/frob in one function on tuples of
@@ -211,7 +220,8 @@ def _compile_polys(polys, operands, n, exprs):
     partial products and scaled terms are named temporaries, computed once
     and reused by all coordinates; powers come from exprs.pow_expr or, when it
     gives none, from memoised square-and-multiply.  The expression back end
-    (_TableExprs, _KernelExprs or _IntExprs) renders products, powers, the
+    (_TableExprs, _KernelExprs or _IntExprs, or the batch forms
+    _TableBatchExprs and _KernelBatchExprs) renders products, powers, the
     terms c*monomial and the final combination of each coordinate, and
     names them through temp() where they are worth sharing.  Back ends with
     inline_once set then get every temporary read only once substituted
@@ -347,6 +357,9 @@ class _TableExprs:
         self.m = tables.m
         self.namespace = dict(tables.namespace, _E=tables.elems, _I=tables.index)
 
+    def _table(self, table):
+        return table
+
     def var(self, i):
         return f"v{i}"
 
@@ -357,22 +370,45 @@ class _TableExprs:
         return temp(("mul", a, b), self.tables.mul_expr(a, b))
 
     def pow_expr(self, v, e, ns):
-        ns[f"_P{e}"] = self.tables.pow_table(e)
+        ns[f"_P{e}"] = self._table(self.tables.pow_table(e))
         return f"_P{e}[{v}]"
 
     def term(self, c, val, temp, ns):
         if val is None:
             return str(c * self.tables.one)  # the constant c*1
         if c != 1:
-            ns[f"_S{c}"] = self.tables.scale_table(c)
+            ns[f"_S{c}"] = self._table(self.tables.scale_table(c))
             val = temp(("scale", val, c), f"_S{c}[{val}]")
         return val
 
     def combine(self, terms, temp):
+        return f"_E[{self._sum(terms, temp)}]"
+
+    def _sum(self, terms, temp):
         acc = terms[0] if terms else "0"
         for t in terms[1:]:
             acc = temp(("add", acc, t), self.tables.add_expr(acc, t))
-        return f"_E[{acc}]"
+        return acc
+
+
+class _TableBatchExprs(_TableExprs):
+    """The table back end on a batch: every coordinate is a numpy array of
+    element indices, in and out, and the same source gathers through int64
+    copies of the tables."""
+
+    def __init__(self, tables):
+        self.tables = tables
+        self.m = tables.m
+        self.namespace = {name: tables.int64(t) for name, t in tables.namespace.items()}
+
+    def _table(self, table):
+        return self.tables.int64(table)
+
+    def load(self, i):
+        return f"    v{i} = a{i}"
+
+    def combine(self, terms, temp):
+        return self._sum(terms, temp)
 
 
 class _IntExprs:
@@ -435,6 +471,67 @@ class _KernelExprs(_IntExprs):
         groups = _signed_groups(zip((c for c, _ in terms), zs), self.m)
         expr = f"({_linear_expr(groups)}) % {self.m}"
         return f"tuple([{expr} for {', '.join(zs)}, in zip({', '.join(names)})])"
+
+
+class _KernelBatchExprs(_IntExprs):
+    """The kernel back end on a batch: every coordinate is a (B, d) array of
+    coefficient rows, of int64 or Python ints (_coeff_batch_dtype).  A
+    product is a batched convolution reduced through the ring's reduction
+    rows (_batch_mulmod), and each coordinate one linear combination of its
+    terms, reduced mod m."""
+
+    def __init__(self, ring):
+        self.m = ring.m
+        self.namespace = {
+            "_mul": _batch_mulmod(ring),
+            "_one": np.array(ring.one().data, dtype=_coeff_batch_dtype(ring)),
+        }
+
+    def product(self, a, b, temp):
+        return temp(("mul", a, b), f"_mul({a}, {b})")
+
+    def pow_expr(self, v, e, ns):
+        return None
+
+    def combine(self, terms, temp):
+        # every coordinate of a Witt sum, product or Frobenius keeps a
+        # monomial in the variables (x_i + y_i, x_i y_0^(p^i), x_i^p mod p),
+        # so terms is never empty and never all constants
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]  # a product or an input, already reduced
+        groups = _signed_groups(((c, v or "_one") for c, v in terms), self.m)
+        return f"({_linear_expr(groups)}) % {self.m}"
+
+
+def _coeff_batch_dtype(ring):
+    """The dtype of a batch of coefficient rows of a quotient ring: int64
+    when no sum inside a batched product can reach 2**63 (they stay below
+    (2d-1) * d * (m-1)^3), else Python ints."""
+    d, m = ring.d, ring.m
+    return np.int64 if (2 * d - 1) * d * (m - 1) ** 3 < 2**63 else object
+
+
+def _batch_mulmod(ring):
+    """The product of (B, d) coefficient arrays in a quotient ring: the
+    convolution of each pair of rows, one shifted multiple of the second
+    factor per column of the first, then its top d-1 slots folded in
+    through the reduction rows (x^(d+j) reduced) by one matrix product, and
+    mod m.  Numpy's integer loops run it: a float64 product would call
+    BLAS, and numpy's sliding windows would leave a little memory behind
+    on every call, both costing more resident memory than the arrays."""
+    d, m = ring.d, ring.m
+    dtype = _coeff_batch_dtype(ring)
+    red = np.array(ring._red_rows, dtype=dtype).reshape(d - 1, d)
+
+    def mul(a, b):
+        conv = np.zeros((len(a), 2 * d - 1), dtype=dtype)
+        for i in range(d):
+            conv[:, i : i + d] += a[:, i, None] * b
+        out = conv[:, :d] + conv[:, d:] @ red
+        out %= m
+        return out
+
+    return mul
 
 
 @functools.lru_cache(maxsize=None)
@@ -600,6 +697,8 @@ class RawWittOps:
     tables of a ring with at most rings.TABLE_CAP elements, through the
     coefficient kernel above the cap, and on plain ints over Z.  Over a
     product ring each operation runs the factors' RawWittOps (_product_op).
+    Over a quotient ring, add_batch, mul_batch, frob_batch and
+    scalar_mul_batch run the same operations on a batch of many payloads.
     """
 
     def __init__(self, ring, p, n):
@@ -610,6 +709,7 @@ class RawWittOps:
         self.zero_payload = ring.zero().data
         self._neg = ring._neg
         self._tables = getattr(ring, "_tables", None)
+        self._compile_batch = None  # Z and product rings have no batch form
         if isinstance(ring, IntegerRing):
             # nothing is pruned over Z, so the polynomials are large and each
             # operation compiles on its first use
@@ -622,6 +722,7 @@ class RawWittOps:
             self._compile = functools.partial(table.compiled_indexed, tables=self._tables)
         else:
             self._compile = functools.partial(table.compiled_coeffs, ring=ring)
+        self._compile_batch = functools.partial(self._compile, batch=True)
         # compile all three now: the compile's transient memory is then freed
         # before the operations start allocating
         for name in ("_sum", "_prod", "_frob"):
@@ -654,15 +755,93 @@ class RawWittOps:
     def scalar_mul(self, k, u):
         if k < 0:
             return self.scalar_mul(-k, self.neg(u))
-        acc = (self.zero_payload,) * self.n
-        base = u
-        while k:
-            if k & 1:
-                acc = self.add(acc, base)
-            k >>= 1
-            if k:
-                base = self.add(base, base)
-        return acc
+        return _double_and_add(k, u, self.add, (self.zero_payload,) * self.n)
+
+    # --- the batch form, over quotient rings -------------------------------
+    #
+    # A batch holds B payloads of W_n(A) as one numpy array per coordinate:
+    # element indices (shape (B,)) at or below the table cap, coefficient
+    # rows (shape (B, d); int64, or Python ints for a large modulus) above
+    # it.  Zero is index 0 or the zero row, so V and R are shifts of the
+    # coordinate tuple on batches too.  The batch functions come from the
+    # same compiler and compile on first use.
+
+    def _batch_form(self):
+        if self._compile_batch is None:
+            raise TypeError(f"W_n({self.ring.descriptor()}) has no batch form")
+
+    def _batch_fn(self, which):
+        self._batch_form()
+        return self._compile_batch(which)
+
+    @functools.cached_property
+    def _sum_batch(self):
+        return self._batch_fn("sum")
+
+    @functools.cached_property
+    def _prod_batch(self):
+        return self._batch_fn("prod")
+
+    @functools.cached_property
+    def _frob_batch(self):
+        return self._batch_fn("frob")
+
+    def add_batch(self, u, v):
+        return self._sum_batch(u, v)
+
+    def mul_batch(self, u, v):
+        return self._prod_batch(u, v)
+
+    def frob_batch(self, u):
+        return self._frob_batch(u)
+
+    def scalar_mul_batch(self, k, u):
+        """k*u on a batch, for an integer k >= 0, by the additions of
+        scalar_mul."""
+        if k < 0:
+            raise ValueError("batch scalar multiples take k >= 0")
+        return _double_and_add(k, u, self.add_batch, tuple(map(np.zeros_like, u)))
+
+    def to_batch(self, payloads):
+        """The batch of a nonempty list of payloads (of any one length)."""
+        coords = zip(*payloads)
+        if self._tables is not None:
+            index = self._tables.index
+            return tuple(np.array([index[c] for c in col], dtype=np.int64) for col in coords)
+        self._batch_form()
+        dtype = _coeff_batch_dtype(self.ring)
+        return tuple(np.array(col, dtype=dtype) for col in coords)
+
+    def payload_at(self, batch, k):
+        """Payload k of a batch, as the tuple of Python tuples a
+        WittVector stores."""
+        if self._tables is not None:
+            elems = self._tables.elems
+            return tuple(elems[int(c[k])] for c in batch)
+        return tuple(tuple(c[k].tolist()) for c in batch)
+
+    def payload_batch(self, positions):
+        """The batch of the payloads at the given positions (an int64 array)
+        of enumerate_payloads, computed from the positions alone."""
+        ring, n = self.ring, self.n
+        if self._tables is not None:
+            Q = ring.cardinality()
+            return tuple(positions // Q ** (n - 1 - i) % Q for i in range(n))
+        self._batch_form()
+        if ring.m ** (ring.d * n) > 2**63:
+            raise ValueError(f"W_{n}({ring.descriptor()}) is too large to index")
+        place = ring.m ** np.arange(ring.d * n - 1, -1, -1, dtype=np.int64)
+        digits = positions[:, None] // place % ring.m
+        return tuple(digits[:, i * ring.d : (i + 1) * ring.d] for i in range(n))
+
+    @staticmethod
+    def equal_batch(u, v):
+        """The mask of the elements at which two batches agree."""
+        mask = True
+        for a, b in zip(u, v, strict=True):
+            eq = a == b
+            mask &= eq if eq.ndim == 1 else eq.all(axis=1)
+        return mask
 
     def wrap(self, u):
         return WittVector._trusted(self.ring, self.p, u)
@@ -690,22 +869,37 @@ class RawWittOps:
         return map(operator.itemgetter(*[slice(i * d, (i + 1) * d) for i in range(n)]), flat)
 
 
+def _double_and_add(k, u, add, zero):
+    """k*u for an integer k >= 0, by doubling and adding through add."""
+    acc = zero
+    base = u
+    while k:
+        if k & 1:
+            acc = add(acc, base)
+        k >>= 1
+        if k:
+            base = add(base, base)
+    return acc
+
+
 def _product_op(ring, p, n, which):
     """sum, prod or frob on raw payloads of W_n(A_1 x ... x A_k).
 
     W_n(A_1 x ... x A_k) = W_n(A_1) x ... x W_n(A_k) coordinatewise, so the
     payloads are split into one payload per factor, each factor's raw
     operation runs on its own, and the results are rejoined into tuples of
-    factor RingElements.  Nested products recurse through raw_witt_ops.
+    factor RingElements.  Those are owned by the first operand's own factor
+    rings, not by the factors of the equal ring cached first.  Nested
+    products recurse through raw_witt_ops.
     """
-    factors = ring.factors
-    fns = [getattr(raw_witt_ops(f, p, n), f"_{which}") for f in factors]
+    fns = [getattr(raw_witt_ops(f, p, n), f"_{which}") for f in ring.factors]
 
     def op(*payloads):
+        owners = [c.ring for c in payloads[0][0]]
         parts = [
             fn(*(tuple(c[k].data for c in u) for u in payloads)) for k, fn in enumerate(fns)
         ]
-        return tuple(tuple(map(RingElement, factors, coord)) for coord in zip(*parts))
+        return tuple(tuple(map(RingElement, owners, coord)) for coord in zip(*parts))
 
     return op
 

@@ -6,6 +6,7 @@ import pytest
 
 from wittkit import witt
 from wittkit.cli import main
+from wittkit.rings import CyclotomicTruncation
 from wittkit.suites import SUITES, SuiteConfig, run_suites
 
 
@@ -82,3 +83,43 @@ def test_each_failing_identity_carries_its_own_witness(monkeypatch):
     assert rf.verdict == "fail" and len(rf.witnesses) == 1
     assert xv.verdict == "pass" and xv.witnesses == []
     assert [c.check_id for c in agg.reports[0].failed] == ["rf-commute-cyc(3,2,2)"]
+
+
+def test_forced_failures_of_witness_less_checks_carry_a_witness(monkeypatch):
+    # F([a]) off by one for every a; a non-unit y with ([zeta]-1) y = [zeta]-1;
+    # and [1] q = p^N x solved with N = 1
+    frobenius, draw, divide = witt.frobenius, witt.random_witt, witt.teichmuller_divide
+    is_unit = CyclotomicTruncation.is_unit
+    target = CyclotomicTruncation(3, 2, 1)  # the zeta-congruence ring at N = 2, M = 1
+
+    def off_by_one(u):
+        w = frobenius(u)
+        if u.ring.descriptor() == "charp(3,0,3)" and u.length == 3:
+            w = witt.witt_add(w, witt.witt_one(u.ring, u.p, 2))
+        return w
+
+    def ones(ring, p, n, rng):
+        w = draw(ring, p, n, rng)
+        return witt.witt_one(ring, p, n) if ring == target and n == 2 else w
+
+    def no_units(ring, a):
+        return (False, None) if ring == target else is_unit(ring, a)
+
+    def one_too_many(x, a, n_max):
+        got = divide(x, a, n_max)
+        return (1, got[1]) if a == a.ring.one() else got
+
+    monkeypatch.setattr(witt, "frobenius", off_by_one)
+    monkeypatch.setattr(witt, "random_witt", ones)
+    monkeypatch.setattr(CyclotomicTruncation, "is_unit", no_units)
+    monkeypatch.setattr(witt, "teichmuller_divide", one_too_many)
+    agg = run_suites(SuiteConfig(suites=["witt-identities"], budget=1).validate())
+    checks = {c.check_id: c for c in agg.reports[0].checks}
+    teich = checks["f-teichmuller-charp(3,0,3)"]
+    assert teich.verdict == "fail" and [str(w) for w in teich.witnesses] == ["<charp(3,0,3): 0>"]
+    congruence = checks["zeta-congruence-unit"]
+    assert congruence.verdict == "fail"
+    assert [str(w) for w in congruence.witnesses] == ["W[p=3,n=2; 1; 0]"]
+    unit = checks["teichmuller-divide-unit"]
+    assert unit.verdict == "fail" and len(unit.witnesses) == 1
+    assert unit.witnesses[0].startswith("(1, W[p=3,n=1;")

@@ -1,0 +1,228 @@
+"""The batch form of the raw Witt operations, against the per-element form,
+and the first-witness rule of the batched witt-identities checks."""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from wittkit import witt
+from wittkit.rings import ring_from_descriptor
+from wittkit.suites import CHUNK, SAMPLE_CHUNK, SuiteConfig, suite_witt_identities
+from wittkit.witt import random_witt, raw_witt_ops
+
+# (ring, Witt lengths): four shapes with lookup tables, three above the cap
+# on int64 rows, and one whose modulus 3^40 needs rows of Python ints
+BATCH_SHAPES = [
+    ("charp(3,0,3)", (1, 2, 3, 4)),
+    ("cyc(3,1,1)", (1, 2, 3)),
+    ("cyc(3,2,1)", (1, 2, 3)),
+    ("cyc(5,1,1)", (1, 2, 3)),
+    ("cyc(3,2,2)", (1, 2, 3)),
+    ("charp(3,0,9)", (1, 2, 3)),
+    ("cyc(5,3,1)", (1, 2, 3)),
+    ("cyc(3,1,40)", (2,)),
+]
+
+
+@pytest.mark.parametrize(
+    "desc,n", [(desc, n) for desc, lengths in BATCH_SHAPES for n in lengths]
+)
+def test_batch_ops_match_the_per_element_ops(desc, n):
+    ring = ring_from_descriptor(desc)
+    p = ring.p
+    raw = raw_witt_ops(ring, p, n)
+    assert (ring._tables is not None) == (ring.cardinality() <= 729)
+    rng = random.Random(f"batch/{desc}/{n}")
+    zero, one = ring.zero().data, ring.one().data
+    us = [(zero,) * n, (one,) * n] + [random_witt(ring, p, n, rng).data for _ in range(30)]
+    vs = [(one,) * n, (zero,) * n] + [random_witt(ring, p, n, rng).data for _ in range(30)]
+    u, v = raw.to_batch(us), raw.to_batch(vs)
+    assert [raw.payload_at(u, k) for k in range(len(us))] == us
+    results = [(raw.add_batch(u, v), raw.add), (raw.mul_batch(u, v), raw.mul)]
+    if n >= 2:
+        results.append((raw.frob_batch(u), lambda a, b: raw.frob(a)))
+    for batch, op in results:
+        assert [raw.payload_at(batch, k) for k in range(len(us))] == list(map(op, us, vs))
+    if n <= 2:  # p*w, as the suite forms it on W_2
+        pw = raw.scalar_mul_batch(p, u)
+        assert [raw.payload_at(pw, k) for k in range(len(us))] == [raw.scalar_mul(p, a) for a in us]
+
+
+@pytest.mark.parametrize("desc,n", [("charp(3,0,2)", 2), ("cyc(3,1,1)", 3), ("cyc(3,1,2)", 1)])
+def test_payload_batch_follows_the_enumeration_order(desc, n):
+    ring = ring_from_descriptor(desc)
+    raw = raw_witt_ops(ring, 3, n)
+    count = min(500, ring.cardinality() ** n)
+    first = list(itertools.islice(raw.enumerate_payloads(), count))
+    batch = raw.payload_batch(np.arange(count, dtype=np.int64))
+    assert [raw.payload_at(batch, k) for k in range(count)] == first
+
+
+def test_payload_batch_above_the_cap_follows_the_enumeration_order():
+    raw = raw_witt_ops(ring_from_descriptor("charp(3,0,9)"), 3, 2)
+    at = np.array([0, 1, 2, 3**9 - 1, 3**9, 3**18 - 1], dtype=np.int64)
+    want = [next(itertools.islice(raw.enumerate_payloads(), k, None)) for k in at[:5].tolist()]
+    want.append(((2,) * 9, (2,) * 9))
+    assert [raw.payload_at(raw.payload_batch(at), k) for k in range(len(at))] == want
+
+
+@pytest.mark.parametrize("desc", ["Z", "prod(cyc(3,1,1),charp(3,0,2))"])
+def test_rings_without_coefficients_have_no_batch_form(desc):
+    raw = raw_witt_ops(ring_from_descriptor(desc), 3, 2)
+    u = raw.unwrap(witt.witt_one(raw.ring, 3, 2))
+    with pytest.raises(TypeError, match="no batch form"):
+        raw.to_batch([u])
+    with pytest.raises(TypeError, match="no batch form"):
+        raw.add_batch(u, u)
+
+
+# --- the first-witness rule --------------------------------------------------
+
+
+def _corrupt(monkeypatch, raw, name, targets):
+    """Give raw's operation `name` a wrong first coordinate at the target
+    inputs, per element and in the batch form alike: that coordinate moves
+    to the next element index (tables) or gets 1 added to its first
+    coefficient (above the cap)."""
+    ring, tables = raw.ring, raw.ring._tables
+    op, batch_op = getattr(raw, name), getattr(raw, f"{name}_batch")
+
+    def bump(c):
+        if tables is not None:
+            return tables.elems[(tables.index[c] + 1) % tables.Q]
+        return ((c[0] + 1) % ring.m,) + c[1:]
+
+    def bad(*args):
+        out = op(*args)
+        return (bump(out[0]),) + out[1:] if args in targets else out
+
+    target_batches = [[raw.to_batch([a]) for a in args] for args in targets]
+
+    def bad_batch(*args):
+        out = batch_op(*args)
+        hit = np.zeros(len(out[0]), dtype=bool)
+        for target in target_batches:
+            hit |= np.logical_and.reduce([raw.equal_batch(a, t) for a, t in zip(args, target)])
+        first = out[0].copy()
+        if tables is not None:
+            first[hit] = (first[hit] + 1) % tables.Q
+        else:
+            first[hit, 0] = (first[hit, 0] + 1) % ring.m
+        return (first,) + tuple(out[1:])
+
+    monkeypatch.setitem(raw.__dict__, name, bad)
+    monkeypatch.setitem(raw.__dict__, f"{name}_batch", bad_batch)
+
+
+def _per_element_witnesses(cfg, draws):
+    """The witnesses of the batched checks, by one loop per element in
+    enumeration or sample order over the samples the suite drew: the form
+    these checks took before they ran as batches."""
+    p = cfg.p
+    V, R, F = witt.verschiebung, witt.restriction, witt.frobenius
+    out = {}
+    charp = ring_from_descriptor(f"charp({p},0,3)")
+    cyc = ring_from_descriptor(f"cyc({p},{min(cfg.N, 2)},{max(cfg.M, 2)})")
+    for ring, mode in ((charp, "exhaustive"), (cyc, "sampled")):
+        desc = ring.descriptor()
+        raw2, raw3 = raw_witt_ops(ring, p, 2), raw_witt_ops(ring, p, 3)
+        zero = ring.zero().data
+        ys = draws[desc, 2]
+        if mode == "exhaustive":
+            out[f"fv-eq-p-{desc}"] = [
+                w
+                for w in raw2.enumerate_payloads()
+                if raw3.frob((zero,) + w) != raw2.scalar_mul(p, w)
+            ][:1]
+            if ring.cardinality() ** 4 <= cfg.budget:
+                pairs = itertools.product(raw2.enumerate_payloads(), repeat=2)
+            else:
+                pairs = ((u.data, v.data) for u, v in zip(ys[:2000:2], ys[1:2000:2]))
+                ys = ys[2000:]
+            bad = (
+                (u, v)
+                for u, v in pairs
+                if raw3.add((zero,) + u, (zero,) + v) != (zero,) + raw2.add(u, v)
+            )
+            out[f"v-additive-{desc}"] = list(itertools.islice(bad, 1))
+        xs = draws[desc, 3]
+        assert len(xs) == len(ys) == (1000 if mode == "sampled" else 200)
+        xv = [("xV(y)", x, y) for x, y in zip(xs, ys) if x * V(y) != V(F(x) * y)]
+        rf = [("RF=FR", x) for x in xs if R(F(x)) != F(R(x))]
+        out[f"xv-identity-{desc}"], out[f"rf-commute-{desc}"] = xv[:1], rf[:1]
+        if mode == "sampled":
+            fvp = [("FV=p", y) for y in ys if F(V(y)) != witt.witt_scalar_mul(p, y)]
+            out[f"fv-eq-p-{desc}"] = fvp[:1]
+    return {key: [str(w) for w in ws] for key, ws in out.items()}
+
+
+def _run_recording_draws(monkeypatch, cfg):
+    """The suite's report, and every Witt vector it drew, by (ring, length)."""
+    draws = {}
+    draw = witt.random_witt
+
+    def recording(ring, p, n, rng):
+        w = draw(ring, p, n, rng)
+        draws.setdefault((ring.descriptor(), n), []).append(w)
+        return w
+
+    monkeypatch.setattr(witt, "random_witt", recording)
+    rep = suite_witt_identities(cfg)
+    monkeypatch.setattr(witt, "random_witt", draw)
+    return rep, draws
+
+
+def test_batched_v_additive_reports_the_first_failing_pair_of_a_later_chunk(monkeypatch):
+    cfg = SuiteConfig(suites=["witt-identities"], seed=7).validate()
+    ring = ring_from_descriptor("charp(3,0,3)")
+    raw2 = raw_witt_ops(ring, 3, 2)
+    size = ring.cardinality() ** 2
+    assert size**2 <= cfg.budget  # the pairs are swept exhaustively
+    payloads = list(raw2.enumerate_payloads())
+    # two bad pairs: one in the second chunk, one in the fourth
+    first, later = CHUNK + 5, 3 * CHUNK + 1
+    targets = [(payloads[k // size], payloads[k % size]) for k in (later, first)]
+    _corrupt(monkeypatch, raw2, "add", targets)
+    rep, draws = _run_recording_draws(monkeypatch, cfg)
+    got = {c.check_id: [str(w) for w in c.witnesses] for c in rep.checks}
+    assert got["v-additive-charp(3,0,3)"] == [str(targets[1])]
+    for check_id, witnesses in _per_element_witnesses(cfg, draws).items():
+        assert got[check_id] == witnesses, check_id
+
+
+def test_batched_samples_report_the_first_failing_sample(monkeypatch):
+    cfg = SuiteConfig(suites=["witt-identities"], seed=7, budget=500000).validate()
+    _, draws = _run_recording_draws(monkeypatch, cfg)
+    charp = ring_from_descriptor("charp(3,0,3)")
+    cyc = ring_from_descriptor("cyc(3,2,2)")
+    c2, c3 = raw_witt_ops(charp, 3, 2), raw_witt_ops(charp, 3, 3)
+    y2, y3 = raw_witt_ops(cyc, 3, 2), raw_witt_ops(cyc, 3, 3)
+    c0, y0 = (charp.zero().data,), (cyc.zero().data,)
+    pairs, cxs = draws["charp(3,0,3)", 2], draws["charp(3,0,3)", 3]
+    ys, xs = draws["cyc(3,2,2)", 2], draws["cyc(3,2,2)", 3]
+    payloads = list(c2.enumerate_payloads())
+    # two bad samples per check, the later one named first; 270 and 300 sit
+    # in the second batch of samples
+    assert SAMPLE_CHUNK < 270 < 300 < 2 * SAMPLE_CHUNK
+    _corrupt(monkeypatch, c3, "frob", [(c0 + payloads[k],) for k in (300, 100)])
+    sampled_pairs = [(pairs[2 * k].data, pairs[2 * k + 1].data) for k in (600, 270)]
+    _corrupt(monkeypatch, c2, "add", sampled_pairs)
+    _corrupt(monkeypatch, c2, "frob", [(cxs[k].data[:-1],) for k in (4, 3)])
+    _corrupt(monkeypatch, y3, "mul", [(xs[k].data, y0 + ys[k].data) for k in (700, 300)])
+    _corrupt(monkeypatch, y2, "frob", [(xs[k].data[:-1],) for k in (5, 2)])
+    _corrupt(monkeypatch, y3, "frob", [(y0 + ys[k].data,) for k in (9, 4)])
+    rep, again = _run_recording_draws(monkeypatch, cfg)
+    assert again.keys() == draws.keys() and all(
+        [w.data for w in again[key]] == [w.data for w in draws[key]] for key in draws
+    )
+    got = {c.check_id: [str(w) for w in c.witnesses] for c in rep.checks}
+    assert got["fv-eq-p-charp(3,0,3)"] == [str(payloads[100])]
+    assert got["v-additive-charp(3,0,3)"] == [str(sampled_pairs[1])]
+    assert got["rf-commute-charp(3,0,3)"] == [str(("RF=FR", cxs[3]))]
+    assert got["xv-identity-cyc(3,2,2)"] == [str(("xV(y)", xs[300], ys[300]))]
+    assert got["rf-commute-cyc(3,2,2)"] == [str(("RF=FR", xs[2]))]
+    assert got["fv-eq-p-cyc(3,2,2)"] == [str(("FV=p", ys[4]))]
+    for check_id, witnesses in _per_element_witnesses(cfg, draws).items():
+        assert got[check_id] == witnesses, check_id

@@ -242,6 +242,20 @@ def test_results_are_owned_by_the_operand_ring():
         assert w.ring is r2
 
 
+def test_product_ring_results_are_owned_by_the_operand_factors():
+    # the factor elements inside a product-ring payload carry the operand's
+    # own factor rings, not those of the equal ring cached first
+    r1 = ring_from_descriptor("prod(cyc(3,1,1),charp(3,0,2))")
+    witt_add(witt_one(r1, 3, 2), witt_one(r1, 3, 2))
+    r2 = ring_from_descriptor("prod(cyc(3,1,1),charp(3,0,2))")
+    assert r2 == r1 and r2.factors[0] is not r1.factors[0]
+    rng = random.Random(8)
+    u, v = random_witt(r2, 3, 2, rng), random_witt(r2, 3, 2, rng)
+    for w in (witt_add(u, v), witt_mul(u, v), frobenius(u)):
+        assert w.data[0][0].ring is r2.factors[0]
+        assert all(e.ring is f for c in w.data for e, f in zip(c, r2.factors))
+
+
 def test_wrapped_arithmetic_builds_no_ring_elements(monkeypatch):
     ring = CyclotomicTruncation(3, 2, 1)
     raw = raw_witt_ops(ring, 3, 2)
