@@ -27,8 +27,9 @@ Nine layers:
 
     python benchmarks/bench_kernels.py [--json PATH]
 
-With --json, the batch figures are also written to PATH as JSON, with the
-machine's processor count and the Python version.
+With --json, the fixed-point solver's seconds and the batch figures are also
+written to PATH as JSON, with the machine's processor count and the Python
+version.
 """
 
 import argparse
@@ -156,6 +157,7 @@ def bench_fixed_point_solver():
     dt = time.perf_counter() - t0
     print(f"  frobenius_equation_solve(charp(3,0,9), 2): {dt:6.2f} s  "
           f"({len(rep['solutions'])} solutions, {len(rep['spurious'])} spurious)")
+    return {"fixed_point_solve_s.W2_charp(3,0,9)": round(dt, 3)}
 
 
 def bench_exactness_sweep():
@@ -286,17 +288,19 @@ def bench_batch_ops():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--json", metavar="PATH", help="also write the batch figures here")
+    ap.add_argument(
+        "--json", metavar="PATH", help="also write the fixed-point and batch figures here"
+    )
     args = ap.parse_args()
     bench_kernel_calls()
     bench_witt_mul()
     bench_raw_ops_above_the_cap()
-    bench_fixed_point_solver()
+    figures = bench_fixed_point_solver()
     bench_exactness_sweep()
     bench_freeness_probe()
     bench_table_builds()
     bench_kaehler()
-    figures = bench_batch_ops()
+    figures.update(bench_batch_ops())
     if args.json:
         record = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version()}
         record.update(figures)

@@ -562,9 +562,9 @@ def frobenius_equation_solve(ring, n, solution_budget=100000):
     if ratio is None:
         raise ArithmeticError("([eps]-1) does not divide ([eps^p]-1) at this precision")
 
+    claimed_forms = [witt_mul(c, mu) for c in enumerate_wn_fp(ring, p, n)]
     inclusion_ok = True
-    for c in enumerate_wn_fp(ring, p, n):
-        y = witt_mul(c, mu)
+    for y in claimed_forms:
         lhs = witt_phi(y)
         if lhs != witt_mul(ratio, y):
             inclusion_ok = False
@@ -588,7 +588,7 @@ def frobenius_equation_solve(ring, n, solution_budget=100000):
         partials = new_partials
     solutions = [WittVector(ring, p, coords) for coords in partials]
 
-    claimed_set = {witt_mul(c, mu) for c in enumerate_wn_fp(ring, p, n)}
+    claimed_set = set(claimed_forms)
     claimed_found, spurious_info = _classify_solutions(ring, n, solutions, claimed_set)
     return {
         "ratio": ratio,
@@ -624,38 +624,52 @@ def _classify_solutions(ring, n, solutions, claimed_set):
     A spurious y's junk is its deviation y - c from the claimed element c
     of highest s-valuation, the first in claimed_set's iteration order on a
     tie.  The junk is the nilpotent truncation artifact, so it is classified
-    by that valuation and by its least annihilating t-power.  The scan runs
-    on raw payloads: the claimed elements are negated once, each candidate
-    junk is one raw Witt addition, and only the chosen junk is wrapped.
+    by that valuation and by its least annihilating t-power.
+
+    The valuations need no Witt arithmetic.  Over A = F_p[s]/(s^d) the
+    reduction W_n(A) -> W_n(A/s^k A) acts coordinate by coordinate, so its
+    kernel is W_n(s^k A), the vectors whose every coordinate lies in s^k A.
+    Hence y - c lies in that kernel iff y_i = c_i mod s^k for every i, and
+    v_s(y - c) = min_i v_s(y_i - c_i): the first coefficient index at which
+    some coordinate of y differs from that of c (d if y = c).  Payload
+    coefficients are reduced mod p, so the best c is read off the raw
+    payloads, and each spurious solution costs one raw Witt subtraction, for
+    its junk.
     """
     raw = raw_witt_ops(ring, ring.p, n)
-    zero = raw.zero_payload
-    claimed_payloads = {raw.unwrap(c) for c in claimed_set}
-    negated = [raw.neg(raw.unwrap(c)) for c in claimed_set]
+    claimed_payloads = [raw.unwrap(c) for c in claimed_set]
+    claimed_lookup = set(claimed_payloads)
     claimed, spurious = [], []
     for y in solutions:
         u = raw.unwrap(y)
-        if u in claimed_payloads:
+        if u in claimed_lookup:
             claimed.append(y)
             continue
-        best_val, best_junk = -1, None
-        for c in negated:
-            junk = raw.add(u, c)
-            # the valuation beats best_val iff every coordinate vanishes
-            # through coefficient best_val
-            head = zero[: best_val + 1]
-            if all(x[: best_val + 1] == head for x in junk):
-                best_val = min(ring.s_valuation(RingElement(ring, x)) for x in junk)
-                best_junk = junk
+        best_val, best = -1, None
+        for c in claimed_payloads:
+            val = min(map(_first_difference, u, c))
+            if val > best_val:
+                best_val, best = val, c
         spurious.append(
             {
                 "element": y,
-                "junk": raw.wrap(best_junk),
+                "junk": raw.wrap(raw.add(u, raw.neg(best))),
                 "junk_s_valuation": best_val,
                 "junk_t_annihilator": _min_annihilating_t_power(ring, best_val),
             }
         )
     return claimed, spurious
+
+
+def _first_difference(a, b):
+    """The first index at which the coefficient tuples a and b differ
+    (their length if they are equal)."""
+    if a == b:
+        return len(a)
+    j = 0
+    while a[j] == b[j]:
+        j += 1
+    return j
 
 
 def _min_annihilating_t_power(ring, v):

@@ -870,15 +870,22 @@ class RawWittOps:
 
 
 def _double_and_add(k, u, add, zero):
-    """k*u for an integer k >= 0, by doubling and adding through add."""
-    acc = zero
-    base = u
-    while k:
-        if k & 1:
-            acc = add(acc, base)
+    """k*u for an integer k >= 0, by doubling and adding through add.
+
+    The accumulator starts at the lowest set bit of k, so k > 0 costs
+    bit_length(k) - 1 doublings and popcount(k) - 1 additions."""
+    if not k:
+        return zero
+    while not k & 1:
+        u = add(u, u)
         k >>= 1
-        if k:
-            base = add(base, base)
+    acc = u
+    k >>= 1
+    while k:
+        u = add(u, u)
+        if k & 1:
+            acc = add(acc, u)
+        k >>= 1
     return acc
 
 

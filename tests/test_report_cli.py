@@ -1,5 +1,6 @@
 """Report schema, determinism, and the CLI exit-code contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -133,6 +134,18 @@ def test_cli_determinism(tmp_path):
             == 0
         )
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of `paper-check --suite all --seed 7 --format json`, report schema
+# 1: a change of the schema, or of any verdict, witness or figure in the
+# report, changes these bytes and must record the new digest here
+ALL_SEED7_JSON_SHA256 = "0168a26a0457af895afde3119ae19b96a3387b889cd8157c65230678dead23d7"
+
+
+def test_cli_all_suites_report_bytes_are_pinned(tmp_path):
+    path = tmp_path / "all.json"
+    assert main(["--suite", "all", "--seed", "7", "--format", "json", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ALL_SEED7_JSON_SHA256
 
 
 def test_env_budget_override(monkeypatch, tmp_path):

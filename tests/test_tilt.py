@@ -9,6 +9,7 @@ import pytest
 from wittkit.rings import CharPQuotient, CyclotomicTruncation, ring_from_descriptor
 from wittkit.tilt import (
     QLogDivisionError,
+    _classify_solutions,
     TiltElement,
     TiltPrecisionError,
     check_ker_F_generators,
@@ -35,7 +36,10 @@ from wittkit.tilt import (
     xi_element,
 )
 from wittkit.witt import (
+    WittVector,
     frobenius,
+    random_witt,
+    raw_witt_ops,
     restriction,
     teichmuller,
     witt_add,
@@ -269,6 +273,8 @@ def _wrapped_scan(ring, solutions, claimed_set):
         ("charp(3,1,2)", 2),
         ("charp(3,0,1)", 1),  # K = 1
         ("charp(3,0,1)", 2),
+        ("charp(3,0,3)", 3),
+        ("charp(5,0,3)", 2),
     ],
 )
 def test_fixed_points_raw_scan_matches_the_wrapped_scan(desc, n):
@@ -283,3 +289,69 @@ def test_fixed_points_raw_scan_matches_the_wrapped_scan(desc, n):
         (s["element"], s["junk"], s["junk_s_valuation"], s["junk_t_annihilator"])
         for s in rep["spurious"]
     ] == spurious
+
+
+def _first_difference_of(y, c):
+    """min over the coordinates of the first coefficient index at which y
+    and c differ (d if they are equal)."""
+    d = y.ring.d
+    return min(
+        next((j for j in range(d) if a[j] != b[j]), d) for a, b in zip(y.data, c.data)
+    )
+
+
+@pytest.mark.parametrize(
+    "desc,n", [("charp(3,0,9)", 2), ("charp(3,1,2)", 2), ("charp(3,0,3)", 3), ("charp(5,0,4)", 2)]
+)
+def test_witt_difference_valuation_is_the_coordinatewise_first_difference(desc, n):
+    """v_s(y - c) = min_i v_s(y_i - c_i): the reduction W_n(A) -> W_n(A/s^k)
+    is coordinatewise, so its kernel is W_n(s^k A).  The classifier of the
+    fixed-point solver reads its valuations off this."""
+    ring = ring_from_descriptor(desc)
+    p, d = ring.p, ring.d
+    rng = random.Random(f"first-difference/{desc}/{n}")
+    pairs = []
+    for k in range(d):
+        for _ in range(6):
+            y = random_witt(ring, p, n, rng)
+            # c agrees with y below coefficient k in every coordinate, and
+            # differs at k in at least one
+            coords = []
+            for a in y.data:
+                tail = [rng.randrange(p) for _ in range(d - k)]
+                coords.append(ring.from_coeffs(list(a[:k]) + tail))
+            i = rng.randrange(n)
+            top = list(coords[i].data)
+            top[k] = (y.data[i][k] + rng.randrange(1, p)) % p
+            coords[i] = ring.from_coeffs(top)
+            c = WittVector(ring, p, tuple(coords))
+            assert _first_difference_of(y, c) == k
+            pairs.append((y, c))
+    for _ in range(20):
+        pairs.append((random_witt(ring, p, n, rng), random_witt(ring, p, n, rng)))
+    y = random_witt(ring, p, n, rng)
+    pairs.append((y, y))
+    for y, c in pairs:
+        junk = witt_add(y, witt_neg(c))
+        assert min(ring.s_valuation(x) for x in junk.coords) == _first_difference_of(y, c)
+
+
+def test_classify_solutions_makes_one_witt_subtraction_per_spurious_solution(monkeypatch):
+    ring = ring_from_descriptor("charp(3,0,6)")
+    p, n = ring.p, 2
+    rep = frobenius_equation_solve(ring, n)
+    mu = witt_add(teichmuller(eps_charp(ring), p, n), witt_neg(witt_one(ring, p, n)))
+    claimed_set = {witt_mul(c, mu) for c in enumerate_wn_fp(ring, p, n)}
+    raw = raw_witt_ops(ring, p, n)
+    calls = []
+    add = raw.add
+
+    def counting_add(u, v):
+        calls.append(None)
+        return add(u, v)
+
+    monkeypatch.setattr(raw, "add", counting_add)
+    claimed, spurious = _classify_solutions(ring, n, rep["solutions"], claimed_set)
+    assert len(spurious) > len(claimed_set)
+    assert len(calls) == len(spurious)
+    assert (claimed, spurious) == (rep["claimed"], rep["spurious"])

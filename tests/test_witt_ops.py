@@ -281,7 +281,7 @@ def test_wrapped_arithmetic_builds_no_ring_elements(monkeypatch):
 @pytest.mark.parametrize(
     "desc,n", [("cyc(3,2,1)", 2), ("Z", 3), ("prod(cyc(3,1,1),charp(3,0,2))", 2)]
 )
-def test_scalar_mul_is_iterated_addition(desc, n):
+def test_scalar_mul_is_iterated_addition(desc, n, monkeypatch):
     ring = ring_from_descriptor(desc)
     u = random_witt(ring, 3, n, random.Random(desc))
     up, down = witt_zero(ring, 3, n), witt_zero(ring, 3, n)
@@ -289,6 +289,21 @@ def test_scalar_mul_is_iterated_addition(desc, n):
         assert witt_scalar_mul(k, u) == up
         assert witt_scalar_mul(-k, u) == down
         up, down = witt_add(up, u), witt_add(down, witt_neg(u))
+    # the doubling chain starts at the lowest set bit of k: bit_length(k) - 1
+    # doublings and popcount(k) - 1 additions, with no zero + u
+    raw = raw_witt_ops(ring, 3, n)
+    calls = []
+    add = raw.add
+
+    def counting_add(a, b):
+        calls.append(None)
+        return add(a, b)
+
+    monkeypatch.setattr(raw, "add", counting_add)
+    for k in range(9):
+        calls.clear()
+        raw.scalar_mul(k, u.data)
+        assert len(calls) == max(0, k.bit_length() - 1 + bin(k).count("1") - 1), k
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)])
