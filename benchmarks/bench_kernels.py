@@ -23,13 +23,19 @@ Nine layers:
     product, per element against batched, on W_2(cyc(3,2,1)) (index
     arrays, at the sweep chunk size) and W_3(cyc(3,2,2)) (coefficient
     arrays, at the sample chunk size), and seconds of the exhaustive
-    V-additivity sweep over the 531,441 pairs of W_2(charp(3,0,3)).
+    V-additivity sweep over the 531,441 pairs of W_2(charp(3,0,3)),
+  * the maps of the exact-rz complex over cyc(3,2,1) (a table ring) at
+    n = 1 and over cyc(3,3,1) (above the cap) at n = 1 and 2: ns per
+    element of R z on W_{n+1} and F^n on W_n, as the W_{n+1} product with
+    its top coordinate dropped against the W_n product of the restrictions
+    (R is a ring map), and as n compiled Frobenius maps against the ghost
+    component w_n.
 
     python benchmarks/bench_kernels.py [--json PATH]
 
-With --json, the fixed-point solver's seconds and the batch figures are also
-written to PATH as JSON, with the machine's processor count and the Python
-version.
+With --json, the fixed-point solver's seconds, the batch figures and the
+exact-rz map figures are also written to PATH as JSON, with the machine's
+processor count and the Python version.
 """
 
 import argparse
@@ -45,7 +51,7 @@ import numpy as np
 from wittkit import _kernel
 from wittkit.kaehler import log_presentation_check, omega1_for_ring
 from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing
-from wittkit.sequences import exactness_report, witt_restriction_complex
+from wittkit.sequences import exact_rz_complex, exactness_report, witt_restriction_complex
 from wittkit.suites import CHUNK, SAMPLE_CHUNK
 from wittkit.tate import freeness_probe
 from wittkit.tilt import frobenius_equation_solve
@@ -286,10 +292,51 @@ def bench_batch_ops():
     return figures
 
 
+def bench_exact_rz_maps():
+    print("== exact-rz maps: ns per element, old form / new form ==")
+    figures = {}
+    rng = random.Random(5)
+    for ring, n, size in [
+        (CyclotomicTruncation(3, 2, 1), 1, 5000),
+        (CyclotomicTruncation(3, 3, 1), 1, 1000),
+        (CyclotomicTruncation(3, 3, 1), 2, 200),
+    ]:
+        p, zero, pk = ring.p, ring.zero().data, min(ring.p**n, ring.m)
+        _, rz, fnbar = exact_rz_complex(ring, n)[0].maps
+        z, raw = z_element(ring, n + 1).data, raw_witt_ops(ring, p, n + 1)
+
+        def rz_by_the_long_product(w):
+            return raw.mul(z, w)[:-1]
+
+        def fnbar_by_frobenius(w):
+            w += (zero,)
+            for k in range(n):
+                w = raw_witt_ops(ring, p, n + 1 - k).frob(w)
+            return tuple(c % pk for c in w[0])
+
+        ws = [random_witt(ring, p, n + 1, rng).data for _ in range(size)]
+        vs = [rz(w) for w in ws]
+        name = f"n{n}_{ring.descriptor()}"
+        row = [f"n = {n}, {ring.descriptor()}:"]
+        for op, old, new, args in [
+            ("rz", rz_by_the_long_product, rz, ws),
+            ("fnbar", fnbar_by_frobenius, fnbar, vs),
+        ]:
+            before = _ns_per_element(lambda: list(map(old, args)), size)
+            after = _ns_per_element(lambda: list(map(new, args)), size)
+            figures[f"{op}_ns.{name}.old"] = round(before, 1)
+            figures[f"{op}_ns.{name}.new"] = round(after, 1)
+            row.append(f"{op} {before:7.0f} / {after:6.0f} ns")
+        print("  " + "   ".join(row))
+    return figures
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument(
-        "--json", metavar="PATH", help="also write the fixed-point and batch figures here"
+        "--json",
+        metavar="PATH",
+        help="also write the fixed-point, batch and exact-rz map figures here",
     )
     args = ap.parse_args()
     bench_kernel_calls()
@@ -301,6 +348,7 @@ def main():
     bench_table_builds()
     bench_kaehler()
     figures.update(bench_batch_ops())
+    figures.update(bench_exact_rz_maps())
     if args.json:
         record = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version()}
         record.update(figures)

@@ -58,9 +58,7 @@ class PresentedModule:
         return all(c == 0 for c in self.normal_form(vec))
 
     def eq(self, a, b):
-        return self.normal_form([x - y for x, y in zip(a, b)]) == self.normal_form(
-            [0] * self.gens
-        )
+        return self.is_zero([x - y for x, y in zip(a, b)])
 
     def order_of(self, vec):
         """Additive order of the class of vec; None when infinite."""
@@ -223,8 +221,8 @@ class Omega1(PresentedModule):
     def d_of(self, a):
         """da for a in A (coefficient vector or RingElement)."""
         vec = self._vec_of(a)
-        out = _poly_derivative(vec) + [0]
-        out = out[: self.gens] + [0] * max(0, self.gens - len(out))
+        out = [i * vec[i] for i in range(1, min(len(vec), self.gens + 1))]
+        out += [0] * (self.gens - len(out))
         if self.modulus:
             out = [c % self.modulus for c in out]
         return out
@@ -275,16 +273,30 @@ def fn_d(w, omega):
     """
     if not isinstance(w, WittVector):
         raise ValueError("fn_d needs a Witt vector")
-    n = w.length - 1
-    p = w.p
+    return fn_d_payload(w.ring, w.p, w.data, omega)[0]
+
+
+def fn_d_payload(ring, p, u, omega):
+    """fn_d on the payload u of a length-(n+1) Witt vector over ring, with
+    the powers it multiplies by: (fn_d as a list, [u_i^(p^(n-i) - 1) for
+    i < n]).  The last term is d u_n itself, its power being u_n^0 = 1.
+
+    Each power is computed once; u_i^(p^(n-i)), which the ghost component
+    w_n(u) = F^n(u)_0 needs, is one more product with u_i.
+    """
+    n = len(u) - 1
+    mult = ring._mul if omega.ring is ring else omega.mult
     acc = [0] * omega.gens
-    for i, a in enumerate(w.coords):
-        e = p ** (n - i) - 1
-        term = omega.mult(a**e, omega.d_of(a))
+    powers = []
+    for i, a in enumerate(u):
+        term = omega.d_of(a)
+        if i < n:
+            powers.append(ring._pow(a, p ** (n - i) - 1))
+            term = mult(powers[-1], tuple(term))
         acc = [x + y for x, y in zip(acc, term)]
     if omega.modulus:
         acc = [c % omega.modulus for c in acc]
-    return acc
+    return acc, powers
 
 
 def conormal_check(f, modulus=None):

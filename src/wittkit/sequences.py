@@ -12,11 +12,12 @@ as truncation artifacts, "truncation-limited".
 
 import itertools
 
-from .kaehler import fn_d, omega1_for_ring
+from .kaehler import fn_d, fn_d_payload, omega1_for_ring
 from .rings import RingElement, random_element
 from .witt import (
     frobenius,
     frobenius_power,
+    ghost_component,
     random_witt,
     raw_witt_ops,
     restriction,
@@ -228,6 +229,22 @@ def witt_restriction_complex(ring, p, n):
     )
 
 
+def _rz_map(ring, p, n):
+    """(z, R z): the payload of z_{n+1} in W_{n+1}(A), and the map
+    W_{n+1}(A) -> W_n(A), w -> R(z w), on payloads.
+
+    R is a ring map, so R(z w) = R(z) R(w): one W_n product, never the
+    W_{n+1} product whose top coordinate R drops.
+    """
+    z = z_element(ring, n + 1).data
+    mul, z_low = raw_witt_ops(ring, p, n).mul, z[:-1]
+
+    def rz(w):
+        return mul(z_low, w[:-1])
+
+    return z, rz
+
+
 def exact_rz_complex(ring, n):
     """0 -> A --V^n--> W_{n+1}(A) --R z_{n+1}--> W_n(A) --F^n--> A/p^n A -> 0.
 
@@ -236,26 +253,20 @@ def exact_rz_complex(ring, n):
     middle slot, the Frobenius defect of A/pA for the surjectivity slot).
     """
     p = ring.p
-    raw_hi = raw_witt_ops(ring, p, n + 1)
     zero = ring.zero().data
-    z = raw_hi.unwrap(z_element(ring, n + 1))
+    z, rz = _rz_map(ring, p, n)
     pk = min(p**n, ring.m)
 
     def vmap(a):
         return (zero,) * n + (a,)
 
-    def rz(w):
-        return raw_hi.mul(z, w)[:-1]
-
     def fnbar(w):
-        lifted = w + (zero,)
-        cur = lifted
-        for k in range(n):
-            cur = raw_witt_ops(ring, p, n + 1 - k).frob(cur)
-        return tuple(c % pk for c in cur[0])
+        # F^n(w, 0)_0 is the ghost component w_n(w, 0); payloads are
+        # already reduced mod m, so only p^n < m needs a reduction
+        g = ghost_component(ring, p, w, n)
+        return g if pk == ring.m else tuple(c % pk for c in g)
 
-    z0 = z[0]
-    z0_elem = RingElement(ring, z0)
+    z0_elem = RingElement(ring, z[0])
 
     def classify_middle(w):
         first = RingElement(ring, w[0])
@@ -304,15 +315,11 @@ def broken_complex(ring, p, n):
     """Negative control: the twisted restriction sequence with V replaced by
     the Teichmuller section a -> (a, 0, ..., 0).  The composite with the
     z-twist is no longer zero, so the checker must fail with a witness."""
-    raw_hi = raw_witt_ops(ring, p, n + 1)
     zero = ring.zero().data
-    z = raw_hi.unwrap(z_element(ring, n + 1))
+    rz = _rz_map(ring, p, n)[1]
 
     def tmap(a):
         return (a,) + (zero,) * n
-
-    def rz(w):
-        return raw_hi.mul(z, w)[:-1]
 
     return FiniteComplex(
         f"broken-rz(n={n}, {ring.descriptor()})",
@@ -334,18 +341,21 @@ class TwistedModule:
         self.omega = omega1_for_ring(ring)
 
     def action(self, y, m):
+        """On payloads: F^n(y)_0 is the ghost component w_n(y), and its
+        powers y_i^(p^(n-i)) are each one product past the powers of fn_d."""
+        ring, u = self.ring, y.data
         if y.length != self.n + 1:
             raise ValueError("shape mismatch: scalar must live in W_{n+1}(A)")
+        if y.ring is not ring and y.ring != ring:
+            raise ValueError("owner mismatch")
         alpha, a = m
-        fny = frobenius_power(y, self.n).coords[0]
-        fnd_y = fn_d(y, self.omega)
-        part1 = [
-            (x - z) % self.ring.m
-            for x, z in zip(
-                self.omega.mult(fny, alpha), self.omega.mult(a, fnd_y)
-            )
-        ]
-        return (tuple(part1), fny * a)
+        fnd_y, powers = fn_d_payload(ring, ring.p, u, self.omega)
+        powers = [*map(ring._mul, powers, u), u[-1]]
+        fny = ghost_component(ring, ring.p, u, self.n, powers)
+        part1 = ring._sub(
+            ring._mul(fny, self.omega._canonical(alpha)), ring._mul(a.data, tuple(fnd_y))
+        )
+        return (part1, RingElement(ring, fny) * a)
 
     def add(self, m1, m2):
         a1, x1 = m1

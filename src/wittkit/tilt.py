@@ -16,6 +16,7 @@ Two complementary models:
   here.
 """
 
+import functools
 import itertools
 
 from .modlin import nullspace_mod_p, solve_mod_p
@@ -517,29 +518,30 @@ def enumerate_wn_fp(ring, p, n):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _power_basis_frobenius(ring):
+    """The payloads of the power basis s^j of the char-p ring, and of their
+    p-th powers (s^j)^p."""
+    basis = [tuple(int(i == j) for i in range(ring.d)) for j in range(ring.d)]
+    return basis, [ring._pow(e, ring.p) for e in basis]
+
+
 def _frobenius_affine_solutions(ring, a, b):
-    """All u in the char-p ring with u^p - a*u = b (F_p-affine in u)."""
-    p, d = ring.p, ring.d
-    cols = []
-    for j in range(d):
-        xj = [0] * d
-        xj[j] = 1
-        basis_elem = ring.from_coeffs(xj)
-        img = basis_elem**p - a * basis_elem
-        cols.append(img.data)
-    rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-    part = solve_mod_p(rows, list(b.data), p)
+    """All u in the char-p ring with u^p - a*u = b (F_p-affine in u), as
+    payloads in increasing order; a and b are payloads."""
+    p = ring.p
+    basis, frob = _power_basis_frobenius(ring)
+    cols = [ring._sub(f, ring._mul(a, e)) for e, f in zip(basis, frob)]
+    rows = [list(row) for row in zip(*cols)]
+    part = solve_mod_p(rows, list(b), p)
     if part is None:
         return []
-    kernel = nullspace_mod_p(rows, p)
-    out = []
-    for coeffs in itertools.product(range(p), repeat=len(kernel)):
-        vec = list(part)
-        for c, basis in zip(coeffs, kernel):
-            for i in range(d):
-                vec[i] += c * basis[i]
-        out.append(ring.from_coeffs([v % p for v in vec]))
-    return sorted(set(out), key=lambda e: e.data)
+    out = [tuple(c % p for c in part)]
+    for kernel_vec in nullspace_mod_p(rows, p):
+        out = [
+            tuple((x + c * y) % p for x, y in zip(u, kernel_vec)) for u in out for c in range(p)
+        ]
+    return sorted(set(out))
 
 
 def frobenius_equation_solve(ring, n, solution_budget=100000):
@@ -586,7 +588,7 @@ def frobenius_equation_solve(ring, n, solution_budget=100000):
                 if len(new_partials) > solution_budget:
                     raise ArithmeticError("solution budget exceeded")
         partials = new_partials
-    solutions = [WittVector(ring, p, coords) for coords in partials]
+    solutions = [WittVector._trusted(ring, p, coords) for coords in partials]
 
     claimed_set = set(claimed_forms)
     claimed_found, spurious_info = _classify_solutions(ring, n, solutions, claimed_set)
@@ -601,19 +603,19 @@ def frobenius_equation_solve(ring, n, solution_budget=100000):
 
 
 def _mul_coord_affine_parts(ratio, prefix, k):
-    """(a, b) with (ratio * y)_k = a*y_k + b given lower coordinates of y."""
+    """(a, b) with (ratio * y)_k = a*y_k + b, as payloads, given the payloads
+    of the lower coordinates of y."""
     ring = ratio.ring
-    p = ratio.p
-    n = ratio.length
+    mul = raw_witt_ops(ring, ratio.p, ratio.length).mul
+    zero = ring.zero().data
+    pad = (zero,) * (ratio.length - k - 1)
 
     def coord_at(u):
-        y = WittVector(ring, p, prefix + (u,) + (ring.zero(),) * (n - k - 1))
-        return witt_mul(ratio, y).coords[k]
+        return mul(ratio.data, prefix + (u,) + pad)[k]
 
-    b = coord_at(ring.zero())
+    b = coord_at(zero)
     # linearity in y_k lets us recover a from one probe with u = 1
-    probe = coord_at(ring.one())
-    a = probe - b
+    a = ring._sub(coord_at(ring.one().data), b)
     return a, b
 
 

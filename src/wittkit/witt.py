@@ -990,15 +990,30 @@ def frobenius_power(u, k):
     return u
 
 
+def ghost_component(ring, p, u, k, powers=None):
+    """The payload of the ghost component w_k(u) = sum_{i<=k} p^i u_i^(p^(k-i))
+    of a payload u over ring; coordinates past the end of u count as zero.
+
+    F shifts the ghost components, so w_k(u) is also coordinate 0 of F^k(u).
+    powers, if given, holds u_i^(p^(k-i)) for each coordinate i <= k of u,
+    for a caller that has computed them already.  Over a quotient ring with
+    coefficient modulus m, the terms with m | p^i vanish and are skipped
+    before their powers are taken, as the compiled polynomials drop them.
+    """
+    m = getattr(ring, "m", None)  # None over Z and product rings
+    acc = None
+    for i, c in enumerate(u[: k + 1]):
+        if m is not None and p**i % m == 0:
+            break
+        x = ring._pow(c, p ** (k - i)) if powers is None else powers[i]
+        acc = x if acc is None else ring._add(acc, ring._scale(x, p**i))
+    return acc
+
+
 def ghost(u):
     """Ghost components (w_0, ..., w_{n-1}) as ring elements."""
-    out = []
-    for i in range(u.length):
-        acc = u.ring.zero()
-        for j in range(i + 1):
-            acc = acc + (u.p**j) * (u.coords[j] ** (u.p ** (i - j)))
-        out.append(acc)
-    return tuple(out)
+    ring = u.ring
+    return tuple(RingElement(ring, ghost_component(ring, u.p, u.data, k)) for k in range(u.length))
 
 
 def witt_is_unit(u):

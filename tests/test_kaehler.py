@@ -28,7 +28,7 @@ from wittkit.kaehler import (
 )
 from wittkit.rings import CyclotomicTruncation, random_element
 from wittkit.snf import smith_with_inverse
-from wittkit.witt import teichmuller, verschiebung, witt_one, z_element
+from wittkit.witt import random_witt, teichmuller, verschiebung, witt_one, z_element
 
 
 def test_omega_phi3_structure():
@@ -160,6 +160,11 @@ def test_fn_d_closed_form():
     # oracle: F(z_2) = 0 in W_1 and dF = pFd force p * fn_d(z_2) = 0
     v = fn_d(z_element(ring, 2), om)
     assert om.is_zero([3 * c for c in v])
+    # a presentation without the ring multiplies by schoolbook products
+    plain = omega1_monogenic(ring.minpoly, ring.m)
+    for n in (1, 2):
+        w = random_witt(ring, 3, n + 1, rng)
+        assert fn_d(w, plain) == fn_d(w, om)
 
 
 def test_p_surjectivity_witnesses():
@@ -222,6 +227,17 @@ def test_normal_form_and_order_read_the_smith_basis():
         y = [sum(vec[i] * v[i][j] for i in range(om.gens)) for j in range(om.gens)]
         assert om.normal_form(vec) == tuple(c % q if q else c for c, q in zip(y, diag))
         assert om.order_of(vec) == lcm(*(q // gcd(q, c % q) for c, q in zip(y, diag)))
+
+
+def test_eq_compares_normal_forms():
+    om = omega1_for_ring(CyclotomicTruncation(3, 2, 2))
+    rng = random.Random(12)
+    for _ in range(50):
+        a = [rng.randrange(-20, 20) for _ in range(om.gens)]
+        b = [rng.randrange(-20, 20) for _ in range(om.gens)]
+        for rhs in (b, [x + y for x, y in zip(a, om.relations[rng.randrange(len(om.relations))])]):
+            assert om.eq(a, rhs) == (om.normal_form(a) == om.normal_form(rhs))
+        assert om.eq(a, a)
 
 
 def test_presented_module_json():

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from wittkit.rings import CharPQuotient, CyclotomicTruncation, ProductRing
+from wittkit.kaehler import fn_d
+from wittkit.rings import CharPQuotient, CyclotomicTruncation, ProductRing, random_element
 from wittkit.sequences import (
     TwistedModule,
     broken_complex,
@@ -21,7 +22,15 @@ from wittkit.sequences import (
     witt_carrier,
     witt_restriction_complex,
 )
-from wittkit.witt import verschiebung, witt_one
+from wittkit.witt import (
+    frobenius_power,
+    random_witt,
+    raw_witt_ops,
+    teichmuller,
+    verschiebung,
+    witt_one,
+    z_element,
+)
 
 
 @pytest.mark.parametrize(
@@ -278,3 +287,131 @@ def test_each_map_is_evaluated_once_per_source_element():
     bounds = [sizes[0], sizes[1] + min(sizes[0], sizes[1])]
     assert bounds == [9, 738]
     assert all(c <= b for c, b in zip(calls, bounds)), (calls, bounds)
+
+
+# per complex at budget 10**4: the SHA-256 of the report's as_dict() list and
+# the calls per map, recorded at commit 78555f8, before R z became a W_n
+# product and F^n the ghost component w_n
+RECORDED_ABOVE_THE_CAP = {
+    (3, 3, 1, 2): (
+        "255f152f68cc297301945ae0f8caa4d091684d59aad145f6ec9f2bd1a4650032",
+        (1000, 2000, 1),
+    ),
+    (3, 2, 2, 1): (
+        "57f4aeaf83fcb594262ad65aee04031c9249ba48c85dcd6326913c60e7999615",
+        (1000, 2000, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(RECORDED_ABOVE_THE_CAP))
+def test_exact_rz_reports_above_the_table_cap_match_the_recorded_reports(shape):
+    p, N, M, n = shape
+    cx, classifiers = exact_rz_complex(CyclotomicTruncation(p, N, M), n)
+    calls = _counted(cx)
+    verdicts = exactness_report(cx, budget=10**4, classifiers=classifiers)
+    body = json.dumps([v.as_dict() for v in verdicts], sort_keys=True).encode()
+    digest, recorded_calls = RECORDED_ABOVE_THE_CAP[shape]
+    assert hashlib.sha256(body).hexdigest() == digest
+    assert all(c <= r for c, r in zip(calls, recorded_calls)), (calls, recorded_calls)
+
+
+# the exact-rz maps and the twisted action as they were computed before R z
+# became a W_n product and F^n the ghost component: the oracles below
+
+
+def _rz_by_the_long_product(ring, n):
+    z = z_element(ring, n + 1).data
+    raw_hi = raw_witt_ops(ring, ring.p, n + 1)
+    return lambda w: raw_hi.mul(z, w)[:-1]
+
+
+def _fnbar_by_frobenius(ring, n):
+    p, zero = ring.p, ring.zero().data
+    pk = min(p**n, ring.m)
+
+    def fnbar(w):
+        cur = w + (zero,)
+        for k in range(n):
+            cur = raw_witt_ops(ring, p, n + 1 - k).frob(cur)
+        return tuple(c % pk for c in cur[0])
+
+    return fnbar
+
+
+def _fn_d_by_ring_elements(w, omega):
+    n = w.length - 1
+    acc = [0] * omega.gens
+    for i, a in enumerate(w.coords):
+        term = omega.mult(a ** (w.p ** (n - i) - 1), omega.d_of(a))
+        acc = [x + y for x, y in zip(acc, term)]
+    return [c % omega.modulus for c in acc]
+
+
+def _action_by_frobenius_power(tm, y, m):
+    alpha, a = m
+    fny = frobenius_power(y, tm.n).coords[0]
+    fnd_y = _fn_d_by_ring_elements(y, tm.omega)
+    part1 = [
+        (x - z) % tm.ring.m
+        for x, z in zip(tm.omega.mult(fny, alpha), tm.omega.mult(a, fnd_y))
+    ]
+    return (tuple(part1), fny * a)
+
+
+def _witt_inputs(ring, n, rng, count):
+    """Payloads of W_n(ring): one, zero, Teichmuller lifts, V-images and
+    V^(n-1)-images (for n > 1), and count seeded random vectors."""
+    p = ring.p
+    a = [random_element(ring, rng) for _ in range(3)]
+    out = [witt_one(ring, p, n).data, (ring.zero().data,) * n]
+    out += [teichmuller(x, p, n).data for x in a]
+    if n > 1:
+        out += [verschiebung(random_witt(ring, p, n - 1, rng)).data for _ in range(3)]
+        out += [(ring.zero().data,) * (n - 1) + (x.data,) for x in a]
+    return out + [random_witt(ring, p, n, rng).data for _ in range(count)]
+
+
+# exact_rz_complex needs z_{n+1}, so N >= n + 1
+MAP_SHAPES = [
+    (CyclotomicTruncation(3, 2, 1), 1),  # table ring
+    (CyclotomicTruncation(3, 3, 1), 1),  # above the table cap
+    (CyclotomicTruncation(3, 3, 1), 2),
+    (CyclotomicTruncation(3, 2, 2), 1),  # p^n < m: F^n reduced mod p^n
+    (CyclotomicTruncation(5, 2, 1), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "ring,n", MAP_SHAPES, ids=[f"{r.descriptor()}-n{n}" for r, n in MAP_SHAPES]
+)
+def test_exact_rz_maps_match_the_long_product_and_the_iterated_frobenius(ring, n):
+    rng = random.Random(12)
+    _, rz, fnbar = exact_rz_complex(ring, n)[0].maps
+    old_rz, old_fnbar = _rz_by_the_long_product(ring, n), _fnbar_by_frobenius(ring, n)
+    ws = _witt_inputs(ring, n + 1, rng, 25)
+    images = [rz(w) for w in ws]
+    assert images == [old_rz(w) for w in ws]
+    ws = images + _witt_inputs(ring, n, rng, 25)
+    assert [fnbar(w) for w in ws] == [old_fnbar(w) for w in ws]
+
+
+ACTION_SHAPES = MAP_SHAPES + [
+    (CyclotomicTruncation(3, 2, 1), 2),
+    (CyclotomicTruncation(3, 4, 1), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "ring,n", ACTION_SHAPES, ids=[f"{r.descriptor()}-n{n}" for r, n in ACTION_SHAPES]
+)
+def test_twisted_action_and_fn_d_match_the_frobenius_power_forms(ring, n):
+    rng = random.Random(12)
+    tm = TwistedModule(ring, n)
+    for u in _witt_inputs(ring, n + 1, rng, 10):
+        y = raw_witt_ops(ring, ring.p, n + 1).wrap(u)
+        assert fn_d(y, tm.omega) == _fn_d_by_ring_elements(y, tm.omega)
+        m = tm.random_element(rng)
+        got, want = tm.action(y, m), _action_by_frobenius_power(tm, y, m)
+        assert got == want
+        assert got[1].data == want[1].data

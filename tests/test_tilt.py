@@ -10,6 +10,7 @@ from wittkit.rings import CharPQuotient, CyclotomicTruncation, ring_from_descrip
 from wittkit.tilt import (
     QLogDivisionError,
     _classify_solutions,
+    _frobenius_affine_solutions,
     TiltElement,
     TiltPrecisionError,
     check_ker_F_generators,
@@ -227,6 +228,21 @@ def test_fixed_points_n2_inclusion():
     # phi is coordinatewise p-th power over char-p rings
     y = rep["claimed"][0]
     assert witt_phi(y).coords == tuple(c**3 for c in y.coords)
+
+
+@pytest.mark.parametrize("desc", ["charp(3,0,3)", "charp(3,1,1)", "charp(5,0,2)"])
+def test_frobenius_affine_solutions_match_a_scan_of_the_ring(desc):
+    # every u with u^p - a*u = b, in increasing payload order, against a scan
+    # of all elements for seeded (a, b), and for b chosen to be solvable
+    ring = ring_from_descriptor(desc)
+    p = ring.p
+    elements = list(ring.enumerate_elements())
+    rng = random.Random(12)
+    for _ in range(6):
+        a, u = rng.choice(elements), rng.choice(elements)
+        for b in (rng.choice(elements), u**p - a * u):
+            want = sorted(x.data for x in elements if x**p - a * x == b)
+            assert _frobenius_affine_solutions(ring, a.data, b.data) == want
 
 
 def test_solution_count_bounds():

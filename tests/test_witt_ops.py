@@ -20,6 +20,7 @@ from wittkit.witt import (
     frobenius_power,
     get_table,
     ghost,
+    ghost_component,
     parse_witt,
     random_witt,
     raw_witt_ops,
@@ -55,6 +56,26 @@ def test_ghost_of_teichmuller_and_v():
     assert all(gv[i + 1] == 3 * gw[i] for i in range(2))
     u = random_witt(r, 3, 2, RNG)
     assert ghost(u)[1] == u.coords[0] ** 3 + 3 * u.coords[1]
+
+
+@pytest.mark.parametrize(
+    "desc,k",
+    [("cyc(3,2,1)", 1), ("cyc(3,2,1)", 2), ("cyc(3,2,2)", 2), ("charp(3,0,3)", 2), ("Z", 3)],
+)
+def test_ghost_component_is_coordinate_zero_of_the_frobenius_power(desc, k):
+    # F shifts ghost components, so F^k(u)_0 = w_k(u); a payload shorter
+    # than k + 1 reads as padded with zeros
+    ring = ring_from_descriptor(desc)
+    rng = random.Random(12)
+    zero = ring.zero().data
+    for _ in range(20):
+        u = random_witt(ring, 3, k + 1, rng)
+        want = frobenius_power(u, k).data[0]
+        assert ghost_component(ring, 3, u.data, k) == want
+        assert ghost_component(ring, 3, u.data[:-1], k) == ghost_component(
+            ring, 3, u.data[:-1] + (zero,), k
+        )
+        assert RingElement(ring, want) == ghost(u)[k]
 
 
 @pytest.mark.parametrize("ring", RINGS)
