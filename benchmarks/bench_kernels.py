@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the arithmetic layers of wittkit.
 
-Nine layers:
+Ten layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
     table cap, next to the kernel's schoolbook loop,
   * end-to-end Witt multiplication throughput on W_2(cyc(3,2,1)), which runs
@@ -19,6 +19,10 @@ Nine layers:
   * the Kahler layer: log_presentation_check on the first tuple of the
     log-presentation suite at p = 7 (a 168 x 210 system over Z/7^3), and
     Omega1.mult per call on cyc(3,2,1) and cyc(3,4,1),
+  * the Smith normal form: ms per smith_with_inverse on the relation
+    matrices of Omega^1 over cyc(5,3,2) (200 x 100) and cyc(3,4,1)
+    (108 x 54), and ms per solve_alpha(cyc(5,3,2)), which builds Omega^1
+    and reads its Smith form,
   * the batch form of the raw Witt operations: ns per element of sum and
     product, per element against batched, on W_2(cyc(3,2,1)) (index
     arrays, at the sweep chunk size) and W_3(cyc(3,2,2)) (coefficient
@@ -33,9 +37,9 @@ Nine layers:
 
     python benchmarks/bench_kernels.py [--json PATH]
 
-With --json, the fixed-point solver's seconds, the batch figures and the
-exact-rz map figures are also written to PATH as JSON, with the machine's
-processor count and the Python version.
+With --json, the fixed-point solver's seconds, the Kahler and Smith form
+figures, the batch figures and the exact-rz map figures are also written to
+PATH as JSON, with the machine's processor count and the Python version.
 """
 
 import argparse
@@ -49,9 +53,10 @@ import tracemalloc
 import numpy as np
 
 from wittkit import _kernel
-from wittkit.kaehler import log_presentation_check, omega1_for_ring
+from wittkit.kaehler import log_presentation_check, omega1_for_ring, solve_alpha
 from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing
 from wittkit.sequences import exact_rz_complex, exactness_report, witt_restriction_complex
+from wittkit.snf import smith_with_inverse
 from wittkit.suites import CHUNK, SAMPLE_CHUNK
 from wittkit.tate import freeness_probe
 from wittkit.tilt import frobenius_equation_solve
@@ -224,6 +229,7 @@ def bench_kaehler():
     ok = log_presentation_check(ring, ring.from_int(p), u, x, y, 1)
     dt = time.perf_counter() - t0
     print(f"  log_presentation_check({ring.descriptor()}, m = {p}) -> {ok}: {dt:6.3f} s")
+    figures = {f"log_presentation_check_s.{ring.descriptor()}": round(dt, 3)}
     rng = random.Random(3)
     row = []
     for ring in [CyclotomicTruncation(3, 2, 1), CyclotomicTruncation(3, 4, 1)]:
@@ -237,8 +243,27 @@ def bench_kaehler():
         for a, b in pairs:
             om.mult(a, b)
         dt = (time.perf_counter() - t0) / len(pairs)
+        figures[f"omega1_mult_us.{ring.descriptor()}"] = round(dt * 1e6, 2)
         row.append(f"{ring.descriptor()} {dt * 1e6:7.2f} us")
     print("  Omega1.mult per call: " + "   ".join(row))
+    return figures
+
+
+def bench_snf():
+    print("== Smith normal form of Omega^1's relation matrix: ms per call ==")
+    figures = {}
+    row = []
+    for ring in [CyclotomicTruncation(5, 3, 2), CyclotomicTruncation(3, 4, 1)]:
+        rel = omega1_for_ring(ring).relations
+        ms = _ns_per_element(lambda: smith_with_inverse(rel), 1, repeat=5) / 1e6
+        figures[f"smith_with_inverse_ms.{ring.descriptor()}"] = round(ms, 2)
+        row.append(f"{ring.descriptor()} ({len(rel)} x {len(rel[0])}) {ms:6.2f} ms")
+    ring = CyclotomicTruncation(5, 3, 2)
+    ms = _ns_per_element(lambda: solve_alpha(ring), 1, repeat=5) / 1e6
+    figures[f"solve_alpha_ms.{ring.descriptor()}"] = round(ms, 2)
+    row.append(f"solve_alpha({ring.descriptor()}) {ms:6.2f} ms")
+    print("  " + "   ".join(row))
+    return figures
 
 
 def _ns_per_element(fn, count, repeat=3):
@@ -336,7 +361,7 @@ def main():
     ap.add_argument(
         "--json",
         metavar="PATH",
-        help="also write the fixed-point, batch and exact-rz map figures here",
+        help="also write the fixed-point, Kahler, Smith form, batch and exact-rz map figures here",
     )
     args = ap.parse_args()
     bench_kernel_calls()
@@ -346,7 +371,8 @@ def main():
     bench_exactness_sweep()
     bench_freeness_probe()
     bench_table_builds()
-    bench_kaehler()
+    figures.update(bench_kaehler())
+    figures.update(bench_snf())
     figures.update(bench_batch_ops())
     figures.update(bench_exact_rz_maps())
     if args.json:

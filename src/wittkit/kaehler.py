@@ -13,11 +13,10 @@ log-differential sub-presentation check dlog m = x dy - u^{-1} du.
 """
 
 from math import gcd, prod
-from operator import mul
 
 from .modlin import solve_mod_pp
 from .rings import IntegerRing, RingElement
-from .snf import smith_normal_form, smith_with_inverse  # noqa: F401 (re-export)
+from .snf import smith_normal_form, smith_sparse, smith_with_inverse  # noqa: F401 (re-export)
 from .witt import WittVector
 
 
@@ -36,18 +35,18 @@ class PresentedModule:
     def _snf_data(self):
         if self._snf is None:
             rel = self.relations if self.relations else [[0] * self.gens]
-            u, d, v, vinv = smith_with_inverse(rel)
-            diag = [
-                d[i][i] if i < len(d) else 0 for i in range(self.gens)
-            ]
-            # V by columns: coordinate j of vec is vec . (column j of V)
-            self._snf = (diag, list(zip(*v)), vinv)
+            diag, v_cols, vinv_rows = smith_sparse(rel)
+            diag += [0] * (self.gens - len(diag))
+            self._snf = (diag, v_cols, vinv_rows)
         return self._snf
 
     def _snf_coords(self, vec):
-        """vec in the Smith basis: the row vector vec * V."""
+        """vec in the Smith basis: the row vector vec * V, whose coordinate j
+        is vec . (column j of V); entries past the end of vec count as zero."""
         _, v_cols, _ = self._snf_data()
-        return [sum(map(mul, vec, col)) for col in v_cols]
+        if len(vec) < self.gens:
+            vec = [*vec, *[0] * (self.gens - len(vec))]
+        return [sum([vec[i] * c for i, c in col.items()]) for col in v_cols]
 
     def normal_form(self, vec):
         diag = self._snf_data()[0]
@@ -103,7 +102,7 @@ class PresentedModule:
             g = gcd(d, q)
             if g == 1:
                 continue
-            gens.append([(d // g) * c for c in vinv[j]])
+            gens.append([(d // g) * vinv[j].get(i, 0) for i in range(self.gens)])
             orders.append(g)
         pres = PresentedModule(
             len(gens),
@@ -219,12 +218,16 @@ class Omega1(PresentedModule):
         return list(a)
 
     def d_of(self, a):
-        """da for a in A (coefficient vector or RingElement)."""
-        vec = self._vec_of(a)
-        out = [i * vec[i] for i in range(1, min(len(vec), self.gens + 1))]
+        """da for a in A (coefficient vector or RingElement): the list of
+        i * a_i for 1 <= i <= deg f, reduced mod the modulus if there is one,
+        with missing coefficients read as zero."""
+        vec = a.data if isinstance(a, RingElement) else a
+        m = self.modulus
+        if m:
+            out = [i * c % m for i, c in enumerate(vec[1 : self.gens + 1], 1)]
+        else:
+            out = [i * c for i, c in enumerate(vec[1 : self.gens + 1], 1)]
         out += [0] * (self.gens - len(out))
-        if self.modulus:
-            out = [c % self.modulus for c in out]
         return out
 
     def _canonical(self, a):

@@ -339,10 +339,14 @@ class TwistedModule:
         self.ring = ring
         self.n = n
         self.omega = omega1_for_ring(ring)
+        # w_n(y) sums p^i y_i^(p^(n-i)) over the i before the first with
+        # m | p^i, where ghost_component stops
+        self._ghost_terms = next((i for i in range(n + 1) if ring.p**i % ring.m == 0), n + 1)
 
     def action(self, y, m):
         """On payloads: F^n(y)_0 is the ghost component w_n(y), and its
-        powers y_i^(p^(n-i)) are each one product past the powers of fn_d."""
+        powers y_i^(p^(n-i)) are each one product past the powers of fn_d;
+        only the powers that w_n(y) reads are formed."""
         ring, u = self.ring, y.data
         if y.length != self.n + 1:
             raise ValueError("shape mismatch: scalar must live in W_{n+1}(A)")
@@ -350,7 +354,8 @@ class TwistedModule:
             raise ValueError("owner mismatch")
         alpha, a = m
         fnd_y, powers = fn_d_payload(ring, ring.p, u, self.omega)
-        powers = [*map(ring._mul, powers, u), u[-1]]
+        t = self._ghost_terms
+        powers = [*map(ring._mul, powers[:t], u), *u[self.n : t]]
         fny = ghost_component(ring, ring.p, u, self.n, powers)
         part1 = ring._sub(
             ring._mul(fny, self.omega._canonical(alpha)), ring._mul(a.data, tuple(fnd_y))

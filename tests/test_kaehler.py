@@ -244,3 +244,24 @@ def test_presented_module_json():
     om = omega1_monogenic([1, 1, 1])
     d = om.to_json_dict()
     assert d["base"] == "Z" and d["gens"] == 2 and len(d["relations"]) == 2
+
+
+def _d_of_oracle(vec, d, m):
+    out = [i * (vec[i] if i < len(vec) else 0) for i in range(1, d + 1)]
+    return [c % m for c in out] if m else out
+
+
+def test_d_of_is_i_times_a_i_mod_the_modulus():
+    rng = random.Random(21)
+    for omega in (omega1_for_ring(CyclotomicTruncation(3, 2, 2)), omega1_monogenic([1, 1, 1])):
+        d, m = omega.gens, omega.modulus
+        for length in (0, 1, 2, d, d + 1, d + 3):
+            for lo, hi in ((0, 8), (-50, -1), (-200, 200)):  # unreduced and negative
+                vec = [rng.randint(lo, hi) for _ in range(length)]
+                assert omega.d_of(vec) == _d_of_oracle(vec, d, m), vec
+                assert omega.d_of(tuple(vec)) == _d_of_oracle(vec, d, m), vec
+    ring = CyclotomicTruncation(3, 2, 1)
+    omega = omega1_for_ring(ring)
+    for _ in range(20):
+        a = random_element(ring, rng)
+        assert omega.d_of(a) == _d_of_oracle(a.data, ring.d, ring.m)

@@ -24,6 +24,7 @@ from wittkit.sequences import (
 )
 from wittkit.witt import (
     frobenius_power,
+    ghost_component,
     random_witt,
     raw_witt_ops,
     teichmuller,
@@ -415,3 +416,26 @@ def test_twisted_action_and_fn_d_match_the_frobenius_power_forms(ring, n):
         got, want = tm.action(y, m), _action_by_frobenius_power(tm, y, m)
         assert got == want
         assert got[1].data == want[1].data
+
+
+@pytest.mark.parametrize("M,read", [(1, 1), (2, 2), (3, 3)])
+def test_twisted_action_forms_only_the_powers_the_ghost_component_reads(monkeypatch, M, read):
+    # at n = 2 over cyc(3,2,M), w_2(y) has the terms p^i y_i^(p^(2-i)) for
+    # p^i not divisible by m = 3^M, that is for i < M
+    import wittkit.sequences as sequences
+
+    ring, n = CyclotomicTruncation(3, 2, M), 2
+    tm = TwistedModule(ring, n)
+    formed = []
+
+    def recording(ring_, p, u, k, powers=None):
+        formed.append(len(powers))
+        return ghost_component(ring_, p, u, k, powers)
+
+    monkeypatch.setattr(sequences, "ghost_component", recording)
+    rng = random.Random(5)
+    for u in _witt_inputs(ring, n + 1, rng, 6):
+        y = raw_witt_ops(ring, ring.p, n + 1).wrap(u)
+        m = tm.random_element(rng)
+        assert tm.action(y, m) == _action_by_frobenius_power(tm, y, m)
+    assert formed and set(formed) == {read}
