@@ -37,9 +37,8 @@ Ten layers:
 
     python benchmarks/bench_kernels.py [--json PATH]
 
-With --json, the fixed-point solver's seconds, the Kahler and Smith form
-figures, the batch figures and the exact-rz map figures are also written to
-PATH as JSON, with the machine's processor count and the Python version.
+With --json, every figure printed is also written to PATH as JSON, with the
+machine's processor count and the Python version.
 """
 
 import argparse
@@ -80,6 +79,7 @@ def _time_per_call(fn, pairs, ctx):
 
 def bench_kernel_calls():
     print("== poly_mulmod on rings above the table cap: packed vs schoolbook ==")
+    figures = {}
     rng = random.Random(0)
     for ring in [
         CyclotomicTruncation(3, 2, 2),
@@ -97,11 +97,16 @@ def bench_kernel_calls():
         ]
         ctx = ring._ctx
         name = "packed" if ctx.slots is not None else "schoolbook"
-        row = [f"{ring.descriptor():<14} d={d:<4} m={m:<3}"]
-        row.append(f"{name}: {_time_per_call(_kernel.poly_mulmod, pairs, ctx) * 1e6:8.2f} us")
+        desc = ring.descriptor()
+        kernel_dt = _time_per_call(_kernel.poly_mulmod, pairs, ctx)
         dt = _time_per_call(_kernel.schoolbook_mulmod, pairs[:200], ctx)
+        figures[f"poly_mulmod_us.{desc}.{name}"] = round(kernel_dt * 1e6, 2)
+        figures[f"schoolbook_mulmod_us.{desc}"] = round(dt * 1e6, 2)
+        row = [f"{desc:<14} d={d:<4} m={m:<3}"]
+        row.append(f"{name}: {kernel_dt * 1e6:8.2f} us")
         row.append(f"schoolbook: {dt * 1e6:8.2f} us")
         print("  " + "   ".join(row))
+    return figures
 
 
 def bench_witt_mul():
@@ -115,6 +120,7 @@ def bench_witt_mul():
     for w in ws:
         raw.mul(z, w)
     dt = (time.perf_counter() - t0) / len(ws)
+    figures = {"z_mul_us.W2_cyc(3,2,1)": round(dt * 1e6, 2)}
     print(f"  W_2(cyc(3,2,1)) mul: {dt * 1e6:8.2f} us  "
           f"(full 531441-element sweep ~ {dt * 531441:6.1f} s)")
     vs = [raw.wrap(w) for w in ws]
@@ -125,6 +131,7 @@ def bench_witt_mul():
             for u, v in zip(args[::2], args[1::2]):
                 fn(u, v)
             dt = (time.perf_counter() - t0) / (len(args) // 2)
+            figures[f"{name}_us.W2_cyc(3,2,1).{label}"] = round(dt * 1e6, 2)
             row.append(f"{label} {name} {dt * 1e6:6.2f} us")
     print("  W_2(cyc(3,2,1)) per call (L1): " + "   ".join(row))
     Z = IntegerRing()
@@ -136,11 +143,14 @@ def bench_witt_mul():
         raw.add(u, v)
         raw.mul(u, v)
     dt = (time.perf_counter() - t0) / (len(ws) // 2)
+    figures["add_mul_us.W4_Z"] = round(dt * 1e6, 2)
     print(f"  W_4(Z) add+mul on plain ints: {dt * 1e6:8.2f} us")
+    return figures
 
 
 def bench_raw_ops_above_the_cap():
     print("== raw Witt ops above the table cap (one function per operation) ==")
+    figures = {}
     rng = random.Random(2)
     for ring, n in [(CyclotomicTruncation(3, 2, 2), 3), (CyclotomicTruncation(3, 3, 1), 4)]:
         table = get_table(3, n)
@@ -150,13 +160,18 @@ def bench_raw_ops_above_the_cap():
         compile_ms = (time.perf_counter() - t0) * 1e3
         ws = [raw.unwrap(random_witt(ring, 3, n, rng)) for _ in range(40 if n < 4 else 10)]
         pairs = list(zip(ws[::2], ws[1::2]))
+        label = f"W{n}_{ring.descriptor()}"
+        figures[f"compile_ms.{label}"] = round(compile_ms, 1)
         row = [f"W_{n}({ring.descriptor()}): compile {compile_ms:6.1f} ms"]
         for name, fn in [("add", raw.add), ("mul", raw.mul), ("frob", lambda u, v: raw.frob(u))]:
             t0 = time.perf_counter()
             for u, v in pairs:
                 fn(u, v)
-            row.append(f"{name} {(time.perf_counter() - t0) / len(pairs) * 1e6:8.1f} us")
+            us = (time.perf_counter() - t0) / len(pairs) * 1e6
+            figures[f"raw_{name}_us.{label}"] = round(us, 1)
+            row.append(f"{name} {us:8.1f} us")
         print("  " + "   ".join(row))
+    return figures
 
 
 def bench_fixed_point_solver():
@@ -168,7 +183,11 @@ def bench_fixed_point_solver():
     dt = time.perf_counter() - t0
     print(f"  frobenius_equation_solve(charp(3,0,9), 2): {dt:6.2f} s  "
           f"({len(rep['solutions'])} solutions, {len(rep['spurious'])} spurious)")
-    return {"fixed_point_solve_s.W2_charp(3,0,9)": round(dt, 3)}
+    return {
+        "fixed_point_solve_s.W2_charp(3,0,9)": round(dt, 3),
+        "fixed_point_solutions.W2_charp(3,0,9)": len(rep["solutions"]),
+        "fixed_point_spurious.W2_charp(3,0,9)": len(rep["spurious"]),
+    }
 
 
 def bench_exactness_sweep():
@@ -188,6 +207,10 @@ def bench_exactness_sweep():
     exactness_report(cx, budget=10**6)
     dt = time.perf_counter() - t0
     print(f"  exactness_report({cx.name}, budget 10^6): {calls[0]} map calls, {dt:6.2f} s")
+    return {
+        "exactness_sweep_map_calls.restriction_n1_cyc(3,2,1)": calls[0],
+        "exactness_sweep_s.restriction_n1_cyc(3,2,1)": round(dt, 3),
+    }
 
 
 def bench_freeness_probe():
@@ -205,17 +228,26 @@ def bench_freeness_probe():
         tracemalloc.stop()
     print(f"  freeness_probe(cyc(3,2,1), 2) -> {ok}: {dt:6.2f} s, "
           f"tracemalloc peak {peak / 2**20:7.2f} MiB")
+    return {
+        "freeness_probe_free.W2_cyc(3,2,1)": ok,
+        "freeness_probe_s.W2_cyc(3,2,1)": round(dt, 3),
+        "freeness_probe_peak_mib.W2_cyc(3,2,1)": round(peak / 2**20, 2),
+    }
 
 
 def bench_table_builds():
     print("== universal table build times (feasibility envelope) ==")
+    figures = {}
     for p, n in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]:
         get_table.cache_clear()
         t0 = time.perf_counter()
         table = get_table(p, n)
         dt = time.perf_counter() - t0
         terms = sum(len(poly) for poly in table.sum_polys + table.prod_polys)
+        figures[f"table_build_ms.p{p}n{n}"] = round(dt * 1e3, 1)
+        figures[f"table_monomials.p{p}n{n}"] = terms
         print(f"  (p={p}, n={n}): {dt * 1e3:8.1f} ms, {terms} monomials")
+    return figures
 
 
 def bench_kaehler():
@@ -229,7 +261,10 @@ def bench_kaehler():
     ok = log_presentation_check(ring, ring.from_int(p), u, x, y, 1)
     dt = time.perf_counter() - t0
     print(f"  log_presentation_check({ring.descriptor()}, m = {p}) -> {ok}: {dt:6.3f} s")
-    figures = {f"log_presentation_check_s.{ring.descriptor()}": round(dt, 3)}
+    figures = {
+        f"log_presentation_check_s.{ring.descriptor()}": round(dt, 3),
+        f"log_presentation_check_holds.{ring.descriptor()}": ok,
+    }
     rng = random.Random(3)
     row = []
     for ring in [CyclotomicTruncation(3, 2, 1), CyclotomicTruncation(3, 4, 1)]:
@@ -312,6 +347,7 @@ def bench_batch_ops():
         holds &= bool(raw3.equal_batch(lhs, zero + raw2.add_batch(u, v)).all())
     dt = time.perf_counter() - t0
     figures["v_additive_s.W2_charp(3,0,3)"] = round(dt, 3)
+    figures["v_additive_holds.W2_charp(3,0,3)"] = holds
     print(f"  V(u + v) = V(u) + V(v) over all {size**2} pairs of W_2({ring.descriptor()}) "
           f"-> {holds}: {dt:6.2f} s")
     return figures
@@ -361,16 +397,16 @@ def main():
     ap.add_argument(
         "--json",
         metavar="PATH",
-        help="also write the fixed-point, Kahler, Smith form, batch and exact-rz map figures here",
+        help="also write every printed figure here",
     )
     args = ap.parse_args()
-    bench_kernel_calls()
-    bench_witt_mul()
-    bench_raw_ops_above_the_cap()
-    figures = bench_fixed_point_solver()
-    bench_exactness_sweep()
-    bench_freeness_probe()
-    bench_table_builds()
+    figures = bench_kernel_calls()
+    figures.update(bench_witt_mul())
+    figures.update(bench_raw_ops_above_the_cap())
+    figures.update(bench_fixed_point_solver())
+    figures.update(bench_exactness_sweep())
+    figures.update(bench_freeness_probe())
+    figures.update(bench_table_builds())
     figures.update(bench_kaehler())
     figures.update(bench_snf())
     figures.update(bench_batch_ops())

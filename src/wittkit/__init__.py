@@ -11,7 +11,6 @@ from .rings import (
     CyclotomicTruncation,
     IntegerRing,
     PrimeContext,
-    ProductRing,
     RingElement,
     make_cyclotomic,
     ring_from_descriptor,
@@ -40,7 +39,6 @@ __all__ = [
     "IntegerRing",
     "CyclotomicTruncation",
     "CharPQuotient",
-    "ProductRing",
     "RingElement",
     "make_cyclotomic",
     "ring_from_descriptor",

@@ -1,6 +1,6 @@
 """Exact arithmetic in the base rings.
 
-Four kinds of ring handle:
+Three kinds of ring handle:
 
 * ``IntegerRing``            -- Z
 * ``CyclotomicTruncation``   -- Z[x]/(Phi_{p^N}(x), p^M), finite, cardinality
@@ -8,7 +8,6 @@ Four kinds of ring handle:
                                 the role of a primitive p^n-th root of unity
 * ``CharPQuotient``          -- F_p[s]/(s^(K*p^e)) with distinguished element
                                 t = s^(p^e), so t has p-power roots to depth e
-* ``ProductRing``            -- finite direct products of the above
 
 Elements are stored in canonical form (coefficient tuples reduced modulo the
 minimal polynomial and modulo p^M, entries in [0, p^M)), so equality is
@@ -808,117 +807,6 @@ class CharPQuotient(_QuotientRing):
         return self._hash
 
 
-class ProductRing(RingHandle):
-    kind = "Product"
-
-    def __init__(self, factors):
-        factors = tuple(factors)
-        if not factors:
-            raise ValueError("empty product")
-        self.factors = factors
-
-    def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def _neg(self, a):
-        return tuple(-x for x in a)
-
-    def _mul(self, a, b):
-        return tuple(x * y for x, y in zip(a, b))
-
-    def _pow(self, a, e):
-        return tuple(x**e for x in a)
-
-    def _scale(self, a, c):
-        return tuple(x * c for x in a)
-
-    def from_int(self, c):
-        return RingElement(self, tuple(f.from_int(c) for f in self.factors))
-
-    def from_components(self, comps):
-        comps = tuple(comps)
-        if len(comps) != len(self.factors):
-            raise ValueError("component count mismatch")
-        for c, f in zip(comps, self.factors):
-            if c.ring != f:
-                raise ValueError("component owner mismatch")
-        return RingElement(self, comps)
-
-    def cardinality(self):
-        total = 1
-        for f in self.factors:
-            c = f.cardinality()
-            if c is None:
-                return None
-            total *= c
-        return total
-
-    def is_unit(self, a):
-        invs = []
-        for comp in a.data:
-            ok, inv = comp.ring.is_unit(comp)
-            if not ok:
-                return False, None
-            invs.append(inv)
-        return True, RingElement(self, tuple(invs))
-
-    def divide_exact(self, a, b):
-        out = []
-        for x, y in zip(a.data, b.data):
-            c = x.ring.divide_exact(x, y)
-            if c is None:
-                return None
-            out.append(c)
-        return RingElement(self, tuple(out))
-
-    def annihilator(self, b, cap=None):
-        per = []
-        total = 1
-        for comp in b.data:
-            ann = comp.ring.annihilator(comp, cap=cap)
-            if ann is None:
-                return None
-            per.append(ann)
-            total *= len(ann)
-            if cap is not None and total > cap:
-                return None
-        return [
-            RingElement(self, tuple(combo)) for combo in itertools.product(*per)
-        ]
-
-    def enumerate_elements(self):
-        for combo in itertools.product(
-            *[list(f.enumerate_elements()) for f in self.factors]
-        ):
-            yield RingElement(self, tuple(combo))
-
-    def descriptor(self):
-        return "prod(" + ",".join(f.descriptor() for f in self.factors) + ")"
-
-    def format_element(self, a):
-        return "(" + "; ".join(c.ring.format_element(c) for c in a.data) + ")"
-
-    def parse_element(self, s):
-        s = s.strip()
-        if not (s.startswith("(") and s.endswith(")")):
-            raise ValueError(f"bad product element {s!r}")
-        parts = split_top_level(s[1:-1], ";")
-        if len(parts) != len(self.factors):
-            raise ValueError("component count mismatch")
-        return self.from_components(
-            f.parse_element(part) for f, part in zip(self.factors, parts)
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, ProductRing) and other.factors == self.factors
-
-    def __hash__(self):
-        return hash(("prod", self.factors))
-
-
 # --- F_p[x] helpers for unit testing via gcd + Hensel ---
 
 
@@ -992,27 +880,7 @@ def ring_from_descriptor(s):
     m = re.fullmatch(r"charp\((\d+),(\d+),(\d+)\)", s)
     if m:
         return CharPQuotient(*(int(g) for g in m.groups()))
-    if s.startswith("prod(") and s.endswith(")"):
-        return ProductRing(ring_from_descriptor(part) for part in split_top_level(s[5:-1], ","))
     raise ValueError(f"bad ring descriptor {s!r}")
-
-
-def split_top_level(s, sep):
-    """Split s at the occurrences of the character sep outside parentheses,
-    so that nested product descriptors and elements stay whole."""
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(s[start:i])
-            start = i + 1
-    parts.append(s[start:])
-    return parts
 
 
 def make_cyclotomic(p, N, M):
@@ -1022,6 +890,4 @@ def make_cyclotomic(p, N, M):
 def random_element(ring, rng):
     if isinstance(ring, IntegerRing):
         return ring.from_int(rng.randint(-9, 9))
-    if isinstance(ring, ProductRing):
-        return ring.from_components(random_element(f, rng) for f in ring.factors)
     return RingElement(ring, tuple(rng.randrange(ring.m) for _ in range(ring.d)))

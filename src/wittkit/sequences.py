@@ -18,6 +18,7 @@ from .witt import (
     frobenius,
     frobenius_power,
     ghost_component,
+    ghost_terms,
     random_witt,
     raw_witt_ops,
     restriction,
@@ -256,6 +257,7 @@ def exact_rz_complex(ring, n):
     zero = ring.zero().data
     z, rz = _rz_map(ring, p, n)
     pk = min(p**n, ring.m)
+    terms = ghost_terms(ring, p, n)
 
     def vmap(a):
         return (zero,) * n + (a,)
@@ -263,7 +265,7 @@ def exact_rz_complex(ring, n):
     def fnbar(w):
         # F^n(w, 0)_0 is the ghost component w_n(w, 0); payloads are
         # already reduced mod m, so only p^n < m needs a reduction
-        g = ghost_component(ring, p, w, n)
+        g = ghost_component(ring, p, w[:terms], n)
         return g if pk == ring.m else tuple(c % pk for c in g)
 
     z0_elem = RingElement(ring, z[0])
@@ -339,9 +341,7 @@ class TwistedModule:
         self.ring = ring
         self.n = n
         self.omega = omega1_for_ring(ring)
-        # w_n(y) sums p^i y_i^(p^(n-i)) over the i before the first with
-        # m | p^i, where ghost_component stops
-        self._ghost_terms = next((i for i in range(n + 1) if ring.p**i % ring.m == 0), n + 1)
+        self._ghost_terms = ghost_terms(ring, ring.p, n)
 
     def action(self, y, m):
         """On payloads: F^n(y)_0 is the ghost component w_n(y), and its
@@ -356,7 +356,7 @@ class TwistedModule:
         fnd_y, powers = fn_d_payload(ring, ring.p, u, self.omega)
         t = self._ghost_terms
         powers = [*map(ring._mul, powers[:t], u), *u[self.n : t]]
-        fny = ghost_component(ring, ring.p, u, self.n, powers)
+        fny = ghost_component(ring, ring.p, u[:t], self.n, powers)
         part1 = ring._sub(
             ring._mul(fny, self.omega._canonical(alpha)), ring._mul(a.data, tuple(fnd_y))
         )

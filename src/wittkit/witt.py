@@ -23,11 +23,10 @@ coordinate as one linear combination reduced mod m; over Z it evaluates the
 unpruned polynomials on the coordinates' Python ints.  Quotient rings also
 have a batch form of sum, product and Frobenius, from two more back ends of
 the same compiler: the table source on numpy arrays of element indices, and
-batched convolutions on (B, d) arrays of coefficients above the cap.
-Product rings run each factor's RawWittOps on their component of every
-coordinate, since W_n(A x B) = W_n(A) x W_n(B).  An interpreted evaluator
-with pluggable scalar operations (eval_poly_ops) covers carriers that are
-not ring payloads (tilt lifts need fused sums) and is the tests' oracle.
+batched convolutions on (B, d) arrays of coefficients above the cap.  An
+interpreted evaluator with pluggable scalar operations (eval_poly_ops)
+covers carriers that are not ring payloads (tilt lifts need fused sums) and
+is the tests' oracle.
 """
 
 import collections
@@ -39,7 +38,7 @@ import re
 import numpy as np
 
 from . import _kernel
-from .rings import IntegerRing, ProductRing, RingElement, require_odd_prime, split_top_level
+from .rings import IntegerRing, RingElement, require_odd_prime
 
 _MAX_PRACTICAL_LEN = {3: 5, 5: 4}
 
@@ -686,8 +685,7 @@ class WittVector:
 
 class RawWittOps:
     """Witt operations on raw coordinate payloads (tuples of ring payloads:
-    coefficient tuples, ints over Z, or tuples of factor RingElements over a
-    product ring).
+    coefficient tuples, or ints over Z).
 
     The payload is what a WittVector stores, so there is one element
     representation: wrap attaches ring and p to a payload and unwrap reads
@@ -696,9 +694,8 @@ class RawWittOps:
     computes every coordinate at once (_compile_polys): over the lookup
     tables of a ring with at most rings.TABLE_CAP elements, through the
     coefficient kernel above the cap, and on plain ints over Z.  Over a
-    product ring each operation runs the factors' RawWittOps (_product_op).
-    Over a quotient ring, add_batch, mul_batch, frob_batch and
-    scalar_mul_batch run the same operations on a batch of many payloads.
+    quotient ring, add_batch, mul_batch, frob_batch and scalar_mul_batch run
+    the same operations on a batch of many payloads.
     """
 
     def __init__(self, ring, p, n):
@@ -709,14 +706,11 @@ class RawWittOps:
         self.zero_payload = ring.zero().data
         self._neg = ring._neg
         self._tables = getattr(ring, "_tables", None)
-        self._compile_batch = None  # Z and product rings have no batch form
+        self._compile_batch = None  # Z has no batch form
         if isinstance(ring, IntegerRing):
             # nothing is pruned over Z, so the polynomials are large and each
             # operation compiles on its first use
             self._compile = table.compiled_ints
-            return
-        if isinstance(ring, ProductRing):
-            self._compile = functools.partial(_product_op, ring, p, n)
             return
         if self._tables is not None:
             self._compile = functools.partial(table.compiled_indexed, tables=self._tables)
@@ -856,12 +850,11 @@ class RawWittOps:
         cut into n coordinates.  A product of per-coordinate products would
         build all m**d coordinates before yielding the first payload, which
         callers that read only a prefix of a large W_n(A) cannot afford.
-        Other rings go through ring.enumerate_elements(), in its order (Z
-        raises ValueError).
+        Z cannot be enumerated and raises ValueError.
         """
         ring, n = self.ring, self.n
-        if isinstance(ring, (IntegerRing, ProductRing)):
-            return itertools.product([e.data for e in ring.enumerate_elements()], repeat=n)
+        if isinstance(ring, IntegerRing):
+            raise ValueError("cannot enumerate Z")
         d = ring.d
         flat = itertools.product(range(ring.m), repeat=d * n)
         if n == 1:
@@ -887,28 +880,6 @@ def _double_and_add(k, u, add, zero):
             acc = add(acc, u)
         k >>= 1
     return acc
-
-
-def _product_op(ring, p, n, which):
-    """sum, prod or frob on raw payloads of W_n(A_1 x ... x A_k).
-
-    W_n(A_1 x ... x A_k) = W_n(A_1) x ... x W_n(A_k) coordinatewise, so the
-    payloads are split into one payload per factor, each factor's raw
-    operation runs on its own, and the results are rejoined into tuples of
-    factor RingElements.  Those are owned by the first operand's own factor
-    rings, not by the factors of the equal ring cached first.  Nested
-    products recurse through raw_witt_ops.
-    """
-    fns = [getattr(raw_witt_ops(f, p, n), f"_{which}") for f in ring.factors]
-
-    def op(*payloads):
-        owners = [c.ring for c in payloads[0][0]]
-        parts = [
-            fn(*(tuple(c[k].data for c in u) for u in payloads)) for k, fn in enumerate(fns)
-        ]
-        return tuple(tuple(map(RingElement, owners, coord)) for coord in zip(*parts))
-
-    return op
 
 
 _raw_cache = {}
@@ -990,21 +961,31 @@ def frobenius_power(u, k):
     return u
 
 
+def ghost_terms(ring, p, k):
+    """The number of leading terms of w_k = sum_{i<=k} p^i u_i^(p^(k-i)) that
+    can be nonzero over ring: over a quotient ring with coefficient modulus m
+    the term i vanishes from the first i with m | p^i on, as the compiled
+    polynomials drop it; over Z all k + 1 terms count."""
+    m = getattr(ring, "m", None)  # None over Z
+    if m is not None:
+        for i in range(k + 1):
+            if p**i % m == 0:
+                return i
+    return k + 1
+
+
 def ghost_component(ring, p, u, k, powers=None):
     """The payload of the ghost component w_k(u) = sum_{i<=k} p^i u_i^(p^(k-i))
     of a payload u over ring; coordinates past the end of u count as zero.
 
     F shifts the ghost components, so w_k(u) is also coordinate 0 of F^k(u).
     powers, if given, holds u_i^(p^(k-i)) for each coordinate i <= k of u,
-    for a caller that has computed them already.  Over a quotient ring with
-    coefficient modulus m, the terms with m | p^i vanish and are skipped
-    before their powers are taken, as the compiled polynomials drop them.
+    for a caller that has computed them already.  Every coordinate of u
+    counts, so callers pass u[:ghost_terms(ring, p, k)] and no power of a
+    vanishing term is taken; a map counts those terms once, not per element.
     """
-    m = getattr(ring, "m", None)  # None over Z and product rings
     acc = None
     for i, c in enumerate(u[: k + 1]):
-        if m is not None and p**i % m == 0:
-            break
         x = ring._pow(c, p ** (k - i)) if powers is None else powers[i]
         acc = x if acc is None else ring._add(acc, ring._scale(x, p**i))
     return acc
@@ -1012,8 +993,10 @@ def ghost_component(ring, p, u, k, powers=None):
 
 def ghost(u):
     """Ghost components (w_0, ..., w_{n-1}) as ring elements."""
-    ring = u.ring
-    return tuple(RingElement(ring, ghost_component(ring, u.p, u.data, k)) for k in range(u.length))
+    ring, p = u.ring, u.p
+    # a term that vanishes in w_{n-1} vanishes in every w_k
+    data = u.data[: ghost_terms(ring, p, u.length - 1)]
+    return tuple(RingElement(ring, ghost_component(ring, p, data, k)) for k in range(u.length))
 
 
 def witt_is_unit(u):
@@ -1121,7 +1104,7 @@ def parse_witt(s, ring):
     if not m:
         raise ValueError(f"bad Witt vector literal {s!r}")
     p, n, rest = int(m.group(1)), int(m.group(2)), m.group(3)
-    parts = split_top_level(rest, ";")
+    parts = rest.split(";")
     if len(parts) != n:
         raise ValueError("coordinate count mismatch")
     return WittVector(ring, p, tuple(ring.parse_element(part) for part in parts))

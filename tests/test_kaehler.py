@@ -65,6 +65,17 @@ def test_omega_phi9_order_is_discriminant():
     assert sorted(tor) == want
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_omega_zeta_p_is_p_minus_two_copies_of_z_mod_p(p):
+    # Omega^1 of Z[zeta_p] is Z[zeta_p]/(zeta_p - 1)^(p-2), and each power
+    # of the prime over p has residue field F_p
+    om = omega1_monogenic([1] * p)
+    assert om.invariant_factors() == ([p] * (p - 2), 0)
+    diag = sympy_snf(Matrix(om.relations))
+    got = sorted(abs(int(diag[i, i])) for i in range(min(diag.shape)))
+    assert [d for d in got if d != 1] == [p] * (p - 2)
+
+
 def test_torsion_layers():
     om = omega1_monogenic([1, 1, 1])
     for q in (3, 9):

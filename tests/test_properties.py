@@ -12,7 +12,6 @@ import contextlib
 import io
 from pathlib import Path
 
-import pytest
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
@@ -21,20 +20,14 @@ from wittkit.rings import (
     CharPQuotient,
     CyclotomicTruncation,
     IntegerRing,
-    ProductRing,
     ring_from_descriptor,
 )
 from wittkit.suites import EXTRA_SUITES, SUITES, SuiteConfig, UsageError
 from wittkit.witt import (
     WittVector,
-    frobenius,
-    get_table,
     parse_witt,
     serialize_witt,
-    witt_add,
     witt_from_json,
-    witt_mul,
-    witt_neg,
     witt_to_json,
 )
 
@@ -97,25 +90,14 @@ def _base_rings(p):
     )
 
 
-def _rings(p):
-    return st.recursive(
-        _base_rings(p),
-        lambda inner: st.lists(inner, min_size=1, max_size=3).map(ProductRing),
-        max_leaves=4,
-    )
-
-
 def _elements(ring):
     if isinstance(ring, IntegerRing):
         return st.integers(-(10**30), 10**30).map(ring.from_int)
-    if isinstance(ring, ProductRing):
-        return st.tuples(*(_elements(f) for f in ring.factors)).map(ring.from_components)
     coeffs = st.lists(st.integers(0, ring.m - 1), min_size=ring.d, max_size=ring.d)
     return coeffs.map(ring.from_coeffs)
 
 
-rings = st.sampled_from([3, 5]).flatmap(lambda p: st.tuples(st.just(p), _rings(p)))
-product_rings = rings.filter(lambda p_ring: isinstance(p_ring[1], ProductRing))
+rings = st.sampled_from([3, 5]).flatmap(lambda p: st.tuples(st.just(p), _base_rings(p)))
 
 
 @DETERMINISTIC
@@ -126,9 +108,6 @@ def test_ring_and_element_round_trips(p_ring, data):
     x = data.draw(_elements(ring))
     text = ring.format_element(x)
     assert ring.parse_element(text) == x
-    if isinstance(ring, ProductRing):
-        with pytest.raises(ValueError, match="component count mismatch"):
-            ring.parse_element(text[:-1] + "; 0)")
 
 
 @DETERMINISTIC
@@ -139,18 +118,3 @@ def test_witt_vector_round_trips(p_ring, n, data):
     assert parse_witt(serialize_witt(u), ring) == u
     assert witt_from_json(witt_to_json(u), ring) == u
 
-
-@DETERMINISTIC
-@given(product_rings, st.integers(1, 3), st.data())
-def test_product_ring_witt_ops_match_the_polynomials_on_ring_elements(eval_polys, p_ring, n, data):
-    # product rings run each factor's raw operations; the oracle evaluates
-    # the universal polynomials on the product's own RingElements
-    p, ring = p_ring
-    u, v = (WittVector(ring, p, tuple(data.draw(_elements(ring)) for _ in range(n))) for _ in "uv")
-    table = get_table(p, n)
-    args = u.coords + v.coords
-    assert witt_add(u, v).coords == eval_polys(table.sum_polys, args)
-    assert witt_mul(u, v).coords == eval_polys(table.prod_polys, args)
-    assert witt_neg(u).coords == eval_polys(table.neg_polys, u.coords)
-    if n >= 2:
-        assert frobenius(u).coords == eval_polys(table.frob_polys, u.coords)

@@ -52,6 +52,17 @@ def test_every_suite_passes_quickly(name):
     assert all(c.verdict in ("pass", "truncation-limited") for c in checks)
 
 
+def test_kaehler_torsion_passes_beyond_p_3():
+    # Omega^1(Z[zeta_5]) has invariants [5, 5, 5]: the suite checks those,
+    # not the cyclic module of order p that only p = 3 gives
+    agg = run_suites(SuiteConfig(p=5, suites=["kaehler-torsion"]).validate())
+    checks = agg.reports[0].checks
+    assert not [c.check_id for c in checks if c.verdict == "fail"], agg.to_text()
+    assert agg.exit_code == 0
+    omega = [c for c in checks if c.check_id == "omega-zeta-p"][0]
+    assert omega.precision == {"invariants": [5, 5, 5]}
+
+
 def test_fixed_points_report_lists_solutions():
     cfg = SuiteConfig(suites=["fixed-points"], budget=20000).validate()
     agg = run_suites(cfg)

@@ -21,6 +21,7 @@ from wittkit.witt import (
     get_table,
     ghost,
     ghost_component,
+    ghost_terms,
     parse_witt,
     random_witt,
     raw_witt_ops,
@@ -76,6 +77,19 @@ def test_ghost_component_is_coordinate_zero_of_the_frobenius_power(desc, k):
             ring, 3, u.data[:-1] + (zero,), k
         )
         assert RingElement(ring, want) == ghost(u)[k]
+
+
+@pytest.mark.parametrize(
+    "desc,M",
+    [("cyc(3,1,1)", 1), ("cyc(3,1,2)", 2), ("cyc(3,1,3)", 3), ("Z", None)],
+    ids=["m=3", "m=9", "m=27", "Z"],
+)
+def test_ghost_terms_stop_at_the_first_multiple_of_the_modulus(desc, M):
+    # p^i u_i^(p^(k-i)) vanishes once m = p^M divides p^i, so w_k keeps
+    # min(M, k + 1) of its terms; over Z it keeps all k + 1
+    ring = ring_from_descriptor(desc)
+    for k in range(5):
+        assert ghost_terms(ring, 3, k) == (k + 1 if M is None else min(M, k + 1))
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -212,18 +226,6 @@ def test_teichmuller_divide_budget_exhaustion():
     assert teichmuller_divide(x, r.zero(), 2) is None  # p^N x != 0 for N < M
 
 
-def test_product_ring_units():
-    from wittkit.rings import CharPQuotient, ProductRing
-
-    prod = ProductRing([CharPQuotient(3, 0, 2), CharPQuotient(3, 0, 2)])
-    t = prod.factors[0].t_element()
-    u = prod.from_components([prod.factors[0].one() + t, prod.factors[1].one()])
-    ok, inv = prod.is_unit(u)
-    assert ok and u * inv == prod.one()
-    v = prod.from_components([t, prod.factors[1].one()])
-    assert prod.is_unit(v) == (False, None)
-
-
 def test_shape_mismatch():
     r = CyclotomicTruncation(3, 2, 2)
     u = random_witt(r, 3, 2, RNG)
@@ -263,20 +265,6 @@ def test_results_are_owned_by_the_operand_ring():
         assert w.ring is r2
 
 
-def test_product_ring_results_are_owned_by_the_operand_factors():
-    # the factor elements inside a product-ring payload carry the operand's
-    # own factor rings, not those of the equal ring cached first
-    r1 = ring_from_descriptor("prod(cyc(3,1,1),charp(3,0,2))")
-    witt_add(witt_one(r1, 3, 2), witt_one(r1, 3, 2))
-    r2 = ring_from_descriptor("prod(cyc(3,1,1),charp(3,0,2))")
-    assert r2 == r1 and r2.factors[0] is not r1.factors[0]
-    rng = random.Random(8)
-    u, v = random_witt(r2, 3, 2, rng), random_witt(r2, 3, 2, rng)
-    for w in (witt_add(u, v), witt_mul(u, v), frobenius(u)):
-        assert w.data[0][0].ring is r2.factors[0]
-        assert all(e.ring is f for c in w.data for e, f in zip(c, r2.factors))
-
-
 def test_wrapped_arithmetic_builds_no_ring_elements(monkeypatch):
     ring = CyclotomicTruncation(3, 2, 1)
     raw = raw_witt_ops(ring, 3, 2)
@@ -299,9 +287,7 @@ def test_wrapped_arithmetic_builds_no_ring_elements(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize(
-    "desc,n", [("cyc(3,2,1)", 2), ("Z", 3), ("prod(cyc(3,1,1),charp(3,0,2))", 2)]
-)
+@pytest.mark.parametrize("desc,n", [("cyc(3,2,1)", 2), ("Z", 3)])
 def test_scalar_mul_is_iterated_addition(desc, n, monkeypatch):
     ring = ring_from_descriptor(desc)
     u = random_witt(ring, 3, n, random.Random(desc))
@@ -416,12 +402,6 @@ def test_enumerate_payloads_keeps_the_flat_product_order(n):
 
 
 def test_enumerate_payloads_of_rings_without_coefficients():
-    # a product ring enumerates through its elements, in their order; Z
-    # cannot be enumerated
-    prod = ring_from_descriptor("prod(cyc(3,1,1),charp(3,0,2))")
-    got = list(raw_witt_ops(prod, 3, 2).enumerate_payloads())
-    assert len(got) == len(set(got)) == 6561
-    assert got == list(itertools.product([e.data for e in prod.enumerate_elements()], repeat=2))
     with pytest.raises(ValueError):
         list(raw_witt_ops(IntegerRing(), 3, 2).enumerate_payloads())
 
