@@ -17,8 +17,11 @@ Ten layers:
     its tracemalloc peak in a second run,
   * universal-table build times (the feasibility envelope per prime),
   * the Kahler layer: log_presentation_check on the first tuple of the
-    log-presentation suite at p = 7 (a 168 x 210 system over Z/7^3), and
-    Omega1.mult per call on cyc(3,2,1) and cyc(3,4,1),
+    log-presentation suite at p = 7 (an 84 x 126 system over Z/7^3, once
+    the unit blocks are eliminated), torsion_is_free_rank_one(cyc(5,3,3), 1)
+    (every torsion generator solved in one elimination), Omega1.mult per
+    call on cyc(3,2,1) and cyc(3,4,1), and divide_exact by a non-unit, one
+    solve_mod_pp each, on cyc(3,2,3) and cyc(3,4,1),
   * the Smith normal form: ms per smith_with_inverse on the relation
     matrices of Omega^1 over cyc(5,3,2) (200 x 100) and cyc(3,4,1)
     (108 x 54), and ms per solve_alpha(cyc(5,3,2)), which builds Omega^1
@@ -52,8 +55,13 @@ import tracemalloc
 import numpy as np
 
 from wittkit import _kernel
-from wittkit.kaehler import log_presentation_check, omega1_for_ring, solve_alpha
-from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing
+from wittkit.kaehler import (
+    log_presentation_check,
+    omega1_for_ring,
+    solve_alpha,
+    torsion_is_free_rank_one,
+)
+from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing, random_element
 from wittkit.sequences import exact_rz_complex, exactness_report, witt_restriction_complex
 from wittkit.snf import smith_with_inverse
 from wittkit.suites import CHUNK, SAMPLE_CHUNK
@@ -265,7 +273,24 @@ def bench_kaehler():
         f"log_presentation_check_s.{ring.descriptor()}": round(dt, 3),
         f"log_presentation_check_holds.{ring.descriptor()}": ok,
     }
+    ring = CyclotomicTruncation(5, 3, 3)
+    ms = _ns_per_element(lambda: torsion_is_free_rank_one(ring, 1), 1) / 1e6
+    print(f"  torsion_is_free_rank_one({ring.descriptor()}, 1): {ms:8.1f} ms")
+    figures[f"torsion_is_free_rank_one_ms.{ring.descriptor()}"] = round(ms, 1)
     rng = random.Random(3)
+    row = []
+    for ring in [CyclotomicTruncation(3, 2, 3), CyclotomicTruncation(3, 4, 1)]:
+        # b a multiple of zeta_3 - 1, so never a unit: every call solves
+        pairs = []
+        for _ in range(200):
+            b = (ring.zeta(1) - ring.one()) * random_element(ring, rng)
+            pairs.append((b * random_element(ring, rng), b))
+        us = _ns_per_element(
+            lambda: [ring.divide_exact(a, b) for a, b in pairs], len(pairs)
+        ) / 1e3
+        figures[f"divide_exact_us.{ring.descriptor()}"] = round(us, 1)
+        row.append(f"{ring.descriptor()} {us:7.1f} us")
+    print("  divide_exact by a non-unit per call: " + "   ".join(row))
     row = []
     for ring in [CyclotomicTruncation(3, 2, 1), CyclotomicTruncation(3, 4, 1)]:
         om = omega1_for_ring(ring)

@@ -14,7 +14,7 @@ log-differential sub-presentation check dlog m = x dy - u^{-1} du.
 
 from math import gcd, prod
 
-from .modlin import solve_mod_pp
+from .modlin import solve_mod_pp, solve_mod_pp_many
 from .rings import IntegerRing, RingElement
 from .snf import smith_normal_form, smith_sparse, smith_with_inverse  # noqa: F401 (re-export)
 from .witt import WittVector
@@ -378,13 +378,14 @@ def torsion_is_free_rank_one(ring, r):
     pres, gens = omega.torsion(q)
     card_torsion = prod(d for d, _ in zip_diag(pres)) if gens else 1
     card_target = q**ring.d
-    if omega.order_of(alpha) not in (None, 0) and omega.order_of(alpha) > q:
-        return False, {"reason": f"alpha has order {omega.order_of(alpha)} > {q}"}
-    surj = True
-    for t in gens:
-        if _solve_scalar_multiple(omega, alpha, t, ring) is None:
-            surj = False
-            break
+    order = omega.order_of(alpha)
+    if order not in (None, 0) and order > q:
+        return False, {"reason": f"alpha has order {order} > {q}"}
+    # a * alpha = t for a in A: columns x^j alpha, beside the relations
+    mul_rows = ring._mul_matrix(ring.from_coeffs(alpha))
+    rows = [mul_rows[i] + [rel[i] for rel in omega.relations] for i in range(ring.d)]
+    sols = solve_mod_pp_many(rows, gens, p, ring.M)
+    surj = None not in sols
     verdict = surj and card_torsion == card_target
     return verdict, {
         "torsion_cardinality": card_torsion,
@@ -395,25 +396,6 @@ def torsion_is_free_rank_one(ring, r):
 
 def zip_diag(pres):
     return [(pres.relations[i][i], i) for i in range(pres.gens)]
-
-
-def _solve_scalar_multiple(omega, alpha, target, ring):
-    """Find a in A with a*alpha = target in omega, or None (modulus only)."""
-    if not omega.modulus:
-        raise ValueError("scalar-multiple solving needs a modulus presentation")
-    d = omega.gens
-    cols = []
-    for j in range(d):
-        xj = [0] * d
-        xj[j] = 1
-        cols.append(omega.mult(xj, alpha))
-    rows = []
-    for i in range(d):
-        rows.append([cols[j][i] for j in range(d)] + [rel[i] for rel in omega.relations])
-    sol = solve_mod_pp(rows, [t % omega.modulus for t in target], ring.p, ring.M)
-    if sol is None:
-        return None
-    return tuple(c % omega.modulus for c in sol[:d])
 
 
 # --- division by p -----------------------------------------------------------
@@ -436,10 +418,10 @@ def check_p_surjectivity(ring, samples):
         xj[j] = 1
         frob_cols.append(_poly_mul_mod_f_pow(xj, p, ring.minpoly, p))
     frob_rows = [[frob_cols[j][i] for j in range(d)] for i in range(d)]
+    sols = solve_mod_pp_many(frob_rows, [a.data for a in samples], p, 1)
     out = []
-    for a in samples:
+    for a, sol in zip(samples, sols):
         da = omega.d_of(a)
-        sol = solve_mod_pp(frob_rows, [c % p for c in a.data], p, 1)
         if sol is None:
             out.append((a, "truncation-limited", None))
             continue
@@ -483,9 +465,10 @@ def log_presentation_check(ring, m, u, x, y, bigN):
     Requires y^(p^N) = u m and y x = p^N in A.  The sub-presentation is
     (Omega^1_A + A^3) / J with J generated by the A-multiples of
     (d m, -m e_m), (d y, -y e_y), (d u, -u e_u) and of the group relation
-    p^N e_y - e_u - e_m.
+    p^N e_y - e_u - e_m.  Membership is solved on the reduced system of
+    ``_log_presentation_system``.
     """
-    p, pm = ring.p, ring.m
+    p = ring.p
     if y ** (p**bigN) != u * m:
         raise ValueError("tuple constraint violation: y^(p^N) != u*m")
     if y * x != ring.from_int(p**bigN):
@@ -493,62 +476,44 @@ def log_presentation_check(ring, m, u, x, y, bigN):
     ok, u_inv = ring.is_unit(u)
     if not ok:
         raise ValueError("tuple constraint violation: u is not a unit")
+    rows, rhs = _log_presentation_system(ring, m, u, u_inv, x, y, bigN)
+    return solve_mod_pp(rows, rhs, p, ring.M) is not None
+
+
+def _log_presentation_system(ring, m, u, u_inv, x, y, bigN):
+    """The linear system over Z/p^M whose solvability is the membership of
+    (x dy - u^{-1} du, -e_m) in J; no constraint on the tuple is checked.
+
+    An element of J is
+        c f' dx + a_m (dm, -m e_m) + a_y (dy, -y e_y) + a_u (du, -u e_u)
+               + b (-e_m + p^N e_y - e_u)
+    with c, a_m, a_y, a_u, b in A (the p^M x^j dx relations of Omega^1
+    vanish over Z/p^M).  Matching the target slot by slot: the
+    m-slot gives -a_m m - b = -1, so b = 1 - a_m m; the u-slot gives
+    -a_u u - b = 0, so a_u = -b u^{-1} since u is a unit.  With these, the
+    y-slot reads a_y y + p^N m a_m = p^N, and the Omega part
+        c f' dx + a_m (dm + m u^{-1} du) + a_y dy = x dy
+    once -u^{-1} du is cancelled from both sides.  So the target lies in J
+    iff some (c, a_m, a_y) solves these two equations: 2d equations in 3d
+    unknowns, the y-slot rows first (they are the sparser ones).  Each
+    block is a multiplication matrix, whose column j is x^j times a vector.
+
+    Returns (rows, rhs).
+    """
     omega = omega1_for_ring(ring)
     d = ring.d
-    gens = d + 3 * d  # Omega part, then tensor parts for m, y, u
-    rows = []
-
-    def wide(omega_part=None, mpart=None, ypart=None, upart=None):
-        row = [0] * gens
-        for off, part in (
-            (0, omega_part),
-            (d, mpart),
-            (2 * d, ypart),
-            (3 * d, upart),
-        ):
-            if part is not None:
-                for i, c in enumerate(part):
-                    row[off + i] = c
-        return row
-
-    # only the f' x^j dx relations of omega: its p^M x^j dx relations, like
-    # p^M times any generator, vanish over Z/p^M
-    for rel in omega.relations[:d]:
-        rows.append(wide(omega_part=rel))
-    for w, slot in ((m, "m"), (y, "y"), (u, "u")):
-        dw = omega.d_of(w)
-        for j in range(d):
-            xj = [0] * d
-            xj[j] = 1
-            opart = omega.mult(xj, dw)
-            tpart = [-c % pm for c in omega.mult(xj, w.data)]
-            rows.append(
-                wide(
-                    omega_part=opart,
-                    mpart=tpart if slot == "m" else None,
-                    ypart=tpart if slot == "y" else None,
-                    upart=tpart if slot == "u" else None,
-                )
-            )
-    pN = p**bigN
-    for j in range(d):
-        xj = [0] * d
-        xj[j] = 1
-        rows.append(
-            wide(
-                mpart=[-c % pm for c in xj],
-                ypart=[pN * c % pm for c in xj],
-                upart=[-c % pm for c in xj],
-            )
-        )
-    # target: (x dy - u^{-1} du, 0) - (0, 1 tensor m) must lie in the row span
-    lhs_omega = [
-        (a - b) % pm
-        for a, b in zip(omega.mult(x, omega.d_of(y)), omega.dlog(u, u_inv))
+    p_n = ring.from_int(ring.p**bigN)
+    dlog_term = omega.mult(m, omega.dlog(u, u_inv))
+    v_m = [a + b for a, b in zip(omega.d_of(m), dlog_term)]
+    zero = [[0] * d for _ in range(d)]
+    blocks = [
+        (zero, ring._mul_matrix(p_n * m), ring._mul_matrix(y)),
+        (
+            ring._mul_matrix(ring.from_coeffs(omega.relations[0])),
+            ring._mul_matrix(ring.from_coeffs(v_m)),
+            ring._mul_matrix(ring.from_coeffs(omega.d_of(y))),
+        ),
     ]
-    target = wide(omega_part=lhs_omega)
-    target[d] = (target[d] - 1) % pm
-    # membership: target in the row span over Z/p^M
-    sys_rows = [[rows[k][i] for k in range(len(rows))] for i in range(gens)]
-    sol = solve_mod_pp(sys_rows, [c % pm for c in target], p, ring.M)
-    return sol is not None
+    rows = [c_row + m_row + y_row for block in blocks for c_row, m_row, y_row in zip(*block)]
+    rhs = list(p_n.data) + omega.mult(x, omega.d_of(y))
+    return rows, rhs

@@ -14,9 +14,10 @@ and only the pivot row's entries.
 The pivot is the first entry of minimal p-valuation in row-major order over
 the remaining rows, in their current order, and the current column
 positions.  The rule is fixed: any other choice can return a different
-solution, and callers (``divide_exact``, ``check_p_surjectivity``,
-``_solve_scalar_multiple``) report the solution as a witness, so the report
-bytes depend on it.
+solution, and callers (``divide_exact``, ``check_p_surjectivity``) report
+the solution as a witness, so the report bytes depend on it.  The rule reads
+only the matrix, so ``solve_mod_pp_many`` solves several right-hand sides in
+one elimination and returns for each what ``solve_mod_pp`` would.
 """
 
 from math import gcd
@@ -40,17 +41,27 @@ def solve_mod_pp(rows, rhs, p, M):
     ``rows`` is the matrix as a list of rows.  Any solution is returned;
     callers treat it as a witness.
     """
+    return solve_mod_pp_many(rows, [rhs], p, M)[0]
+
+
+def solve_mod_pp_many(rows, rhss, p, M):
+    """For each right-hand side in ``rhss``, the solution that
+    ``solve_mod_pp(rows, rhs, p, M)`` returns, or None: one elimination
+    carries them all, since the pivot rule reads only the matrix.
+    """
     pm = p**M
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     a = [{j: r for j, r in enumerate([c % pm for c in row]) if r} for row in rows]
-    b = [c % pm for c in rhs]
+    bs = [[c % pm for c in rhs] for rhs in rhss]
     col_at = list(range(nc))  # position -> column
     pos = list(range(nc))  # column -> position
-    val_of = {p**v: v for v in range(M)}  # gcd(p^M, row) = p^(min valuation)
-    pivots = []  # (row index k, valuation v); pivot entry is exactly p^v
+    pw = [p**v for v in range(M + 1)]
+    val_of = {pw[v]: v for v in range(M)}  # gcd(p^M, row) = p^(min valuation)
+    pivots = []  # pivots[k] = p^v: row k's pivot entry, at position k
     k = 0
-    while k < min(nr, nc):
+    kmax = min(nr, nc)
+    while k < kmax:
         best = None
         for i in range(k, nr):
             row = a[i]
@@ -64,24 +75,32 @@ def solve_mod_pp(rows, rhs, p, M):
             break
         v, bi = best
         # the first position in row bi holding an entry of valuation v
-        q = p ** (v + 1)
+        q = pw[v + 1]
         bj = min(pos[col] for col, c in a[bi].items() if c % q)
         a[k], a[bi] = a[bi], a[k]
-        b[k], b[bi] = b[bi], b[k]
+        for b in bs:
+            b[k], b[bi] = b[bi], b[k]
         ck, col = col_at[k], col_at[bj]
         col_at[k], col_at[bj] = col, ck
         pos[col], pos[ck] = k, bj
         piv = a[k]
-        pv = p**v
-        inv_unit = pow(piv[col] // pv, -1, pm)
+        pv = pw[v]
+        # the pivot entry is p^v once normalized; it is dropped, so the
+        # elimination below and the back substitution skip it
+        inv_unit = pow(piv.pop(col) // pv, -1, pm)
         for j in piv:
             piv[j] = piv[j] * inv_unit % pm
-        bk = b[k] = b[k] * inv_unit % pm
+        live = []  # the right-hand sides, with their pivot-row entry, that change
+        for b in bs:
+            bk = b[k] = b[k] * inv_unit % pm
+            if bk:
+                live.append((b, bk))
         # forward elimination only: below the pivot every entry of the pivot
-        # column has valuation >= v (the pivot was minimal over the submatrix)
+        # column has valuation >= v (the pivot was minimal over the submatrix),
+        # so w * p^v cancels it exactly
         for i in range(k + 1, nr):
             row = a[i]
-            c = row.get(col)
+            c = row.pop(col, 0)
             if c:
                 w = c // pv
                 for j, cj in piv.items():
@@ -90,18 +109,23 @@ def solve_mod_pp(rows, rhs, p, M):
                         row[j] = r
                     else:
                         row.pop(j, None)
-                b[i] = (b[i] - w * bk) % pm
-        pivots.append((k, v))
+                for b, bk in live:
+                    b[i] = (b[i] - w * bk) % pm
+        pivots.append(pv)
         k += 1
+    return [_back_substitute(a, b, pivots, col_at, nc, pm) for b in bs]
+
+
+def _back_substitute(a, b, pivots, col_at, nc, pm):
+    """The solution of the eliminated system for one right-hand side b."""
     # rows below the pivot block are empty, so b must vanish there
-    if any(b[k:]):
+    if any(b[len(pivots) :]):
         return None
     x = [0] * nc
-    for i, v in reversed(pivots):
-        # row i holds its pivot, whose x is still 0, and entries of later
-        # positions only
-        c = (b[i] - sum(e * x[j] for j, e in a[i].items())) % pm
-        pv = p**v
+    for i in range(len(pivots) - 1, -1, -1):
+        # past its dropped pivot, row i holds entries of later positions only
+        c = (b[i] - sum([e * x[j] for j, e in a[i].items()])) % pm
+        pv = pivots[i]
         if c % pv:
             return None
         x[col_at[i]] = c // pv

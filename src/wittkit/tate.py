@@ -72,6 +72,7 @@ class TateTower:
         self.ring = ring
         self.height = height
         self.layers = [TateLayer(ring, n) for n in range(1, height + 1)]
+        self._rz = {}  # n -> R(z_{n+1}) in W_n(A), filled on first use
 
     def layer(self, n):
         return self.layers[n - 1]
@@ -92,10 +93,16 @@ class TateTower:
     def f_transition(self, scalar_np1):
         return frobenius(scalar_np1)
 
+    def _restricted_z(self, n):
+        """R(z_{n+1}) in W_n(A), computed once per tower."""
+        rz = self._rz.get(n)
+        if rz is None:
+            rz = self._rz[n] = restriction(z_element(self.ring, n + 1))
+        return rz
+
     def r_transition(self, scalar_np1, n):
         """R(x alpha_{n+1}) = R(x) R(z_{n+1}) alpha_n."""
-        rz = restriction(z_element(self.ring, n + 1))
-        return witt_mul(restriction(scalar_np1), rz)
+        return witt_mul(restriction(scalar_np1), self._restricted_z(n))
 
     def tower_restrict(self, elem, check=True):
         """R on tower elements: height drops by one."""
@@ -139,7 +146,7 @@ class TateTower:
         one = witt_one(self.ring, p, n)
         lhs = witt_mul(
             witt_add(teichmuller(self.ring.zeta(n + 1), p, n), witt_neg(one)),
-            restriction(z_element(self.ring, n + 1)),
+            self._restricted_z(n),
         )
         rhs = witt_add(teichmuller(self.ring.zeta(n), p, n), witt_neg(one))
         return lhs == rhs

@@ -15,6 +15,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from wittkit.kaehler import (
     ModuleMap,
     PresentedModule,
+    _log_presentation_system,
     _poly_mul_mod_f,
     alpha_order_report,
     check_p_surjectivity,
@@ -26,6 +27,7 @@ from wittkit.kaehler import (
     solve_alpha,
     torsion_is_free_rank_one,
 )
+from wittkit.modlin import solve_mod_pp
 from wittkit.rings import CyclotomicTruncation, random_element
 from wittkit.snf import smith_with_inverse
 from wittkit.witt import random_witt, teichmuller, verschiebung, witt_one, z_element
@@ -202,6 +204,88 @@ def test_log_presentation_cases():
     )
     with pytest.raises(ValueError):
         log_presentation_check(ring, ring.from_int(3), u, x, y, 2)
+
+
+def _full_log_presentation_system(ring, m, u, u_inv, x, y, bigN):
+    """The unreduced membership system, kept as the oracle: generators
+    Omega^1 + A e_m + A e_y + A e_u (4d), one column per Z/p^M generator of
+    J (5d), target (x dy - u^{-1} du, -e_m)."""
+    p, pm, d = ring.p, ring.m, ring.d
+    omega = omega1_for_ring(ring)
+
+    def wide(parts):
+        row = [0] * 4 * d
+        for slot, part in parts.items():
+            row[slot * d : (slot + 1) * d] = part
+        return row
+
+    def xj(j):
+        return [1 if i == j else 0 for i in range(d)]
+
+    cols = [wide({0: rel}) for rel in omega.relations[:d]]
+    for slot, w in ((1, m), (2, y), (3, u)):
+        dw = omega.d_of(w)
+        for j in range(d):
+            tpart = [-c % pm for c in omega.mult(xj(j), w.data)]
+            cols.append(wide({0: omega.mult(xj(j), dw), slot: tpart}))
+    for j in range(d):
+        neg = [-c % pm for c in xj(j)]
+        cols.append(wide({1: neg, 2: [p**bigN * c for c in xj(j)], 3: neg}))
+    dlog_u = omega.dlog(u, u_inv)
+    target = wide({0: [a - b for a, b in zip(omega.mult(x, omega.d_of(y)), dlog_u)]})
+    target[d] -= 1
+    rows = [[col[i] for col in cols] for i in range(4 * d)]
+    return rows, target
+
+
+def _suite_log_tuples(p):
+    ring = CyclotomicTruncation(p, 2, 3)
+    y = (ring.zeta(2) - ring.one()) ** (ring.d // p)
+    x = ring.divide_exact(ring.from_int(p), y)
+    u = ring.divide_exact(y**p, ring.from_int(p))
+    u0 = ring.zeta(2)
+    u0_inv = ring.is_unit(u0)[1]
+    one = ring.one()
+    # (m, u, u^{-1}, x, y, N) of dlog-unit-p, dlog-unit-degenerate, dlog-one
+    return ring, [
+        (ring.from_int(p), u, ring.is_unit(u)[1], x, y, 1),
+        (one, u0, u0_inv, u0_inv, u0, 0),
+        (one, one, one, one, one, 0),
+    ]
+
+
+def _random_log_tuples(p, rng, count):
+    ring = CyclotomicTruncation(p, 2, 3)
+    tuples = []
+    while len(tuples) < count:
+        u = random_element(ring, rng)
+        ok, u_inv = ring.is_unit(u)
+        if ok:
+            m, x, y = (random_element(ring, rng) for _ in range(3))
+            tuples.append((m, u, u_inv, x, y, rng.randrange(3)))
+    return ring, tuples
+
+
+def test_reduced_log_presentation_system_matches_the_full_one():
+    # the reduced system eliminates the unit blocks by hand; the full
+    # 4d x 5d system is the oracle for solvability, on the suite's tuples,
+    # where the identity holds, and on random tuples outside the
+    # constraints, where membership holds for some and fails for others
+    random_outcomes = []
+    cases = [_suite_log_tuples(p) for p in (3, 5, 7)]
+    cases += [_random_log_tuples(p, random.Random(p), 12) for p in (3, 5)]
+    for k, (ring, tuples) in enumerate(cases):
+        for t in tuples:
+            rows, rhs = _log_presentation_system(ring, *t)
+            assert len(rows) == 2 * ring.d and len(rows[0]) == 3 * ring.d
+            got = solve_mod_pp(rows, rhs, ring.p, ring.M) is not None
+            want = solve_mod_pp(*_full_log_presentation_system(ring, *t), ring.p, ring.M)
+            assert got == (want is not None), (ring.descriptor(), t)
+            if k < 3:
+                assert got, (ring.descriptor(), t)
+            else:
+                random_outcomes.append(got)
+    assert True in random_outcomes and False in random_outcomes
 
 
 @pytest.mark.parametrize(

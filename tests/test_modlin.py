@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from wittkit.modlin import nullspace_mod_p, pval, solve_mod_pp
+from wittkit.modlin import nullspace_mod_p, pval, solve_mod_pp, solve_mod_pp_many
 
 
 def test_pval():
@@ -149,6 +149,43 @@ def test_sparse_solver_matches_dense_oracle(p, M):
                     for row, b in zip(rows, rhs)
                 )
     assert solved and unsolvable
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_many_rhs_solver_matches_dense_oracle_per_rhs(p, M):
+    # one elimination for several right-hand sides, solvable and unsolvable
+    # mixed in one call, returns what the dense solver returns for each
+    rng = random.Random(300 * p + M)
+    pm = p**M
+    mixed = 0
+    for nr, nc in SHAPES:
+        for density in (0.05, 0.2, 0.5, 1.0):
+            for scale in (1, p) if M > 1 else (1,):
+                rows, _ = _random_system(rng, p, M, nr, nc, density, scale)
+                rhss = []
+                for _ in range(4):
+                    x = [rng.randrange(pm) for _ in range(nc)]
+                    rhss.append([sum(c * xi for c, xi in zip(row, x)) for row in rows])
+                    rhss.append([rng.randrange(-pm, 2 * pm) for _ in range(nr)])
+                got = solve_mod_pp_many(rows, rhss, p, M)
+                want = [_dense_solve_mod_pp(rows, rhs, p, M) for rhs in rhss]
+                assert got == want, (rows, rhss)
+                assert all(sol is not None for sol in got[::2])
+                mixed += None in got
+    assert mixed
+
+
+def test_many_rhs_solver_degenerate_inputs():
+    p, M = 3, 2
+    assert solve_mod_pp_many([], [[], []], p, M) == [[], []]
+    assert solve_mod_pp_many([[0, 0], [0, 0]], [[0, 0], [0, 3], [9, 0]], p, M) == [
+        [0, 0],
+        None,
+        [0, 0],
+    ]
+    assert solve_mod_pp_many([[3]], [[1], [6]], p, M) == [None, [2]]
+    assert solve_mod_pp_many([[3]], [], p, M) == []
 
 
 def test_sparse_solver_unreduced_and_degenerate_inputs():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wittkit import witt
+from wittkit import tate, witt
 from wittkit.cli import main
 from wittkit.rings import CyclotomicTruncation
 from wittkit.suites import SUITES, SuiteConfig, run_suites
@@ -52,15 +52,16 @@ def test_every_suite_passes_quickly(name):
     assert all(c.verdict in ("pass", "truncation-limited") for c in checks)
 
 
-def test_kaehler_torsion_passes_beyond_p_3():
-    # Omega^1(Z[zeta_5]) has invariants [5, 5, 5]: the suite checks those,
-    # not the cyclic module of order p that only p = 3 gives
-    agg = run_suites(SuiteConfig(p=5, suites=["kaehler-torsion"]).validate())
+@pytest.mark.parametrize("p", [5, 7])
+def test_kaehler_torsion_passes_beyond_p_3(p):
+    # Omega^1(Z[zeta_p]) has invariants [p] * (p - 2): the suite checks
+    # those, not the cyclic module of order p that only p = 3 gives
+    agg = run_suites(SuiteConfig(p=p, suites=["kaehler-torsion"]).validate())
     checks = agg.reports[0].checks
     assert not [c.check_id for c in checks if c.verdict == "fail"], agg.to_text()
     assert agg.exit_code == 0
     omega = [c for c in checks if c.check_id == "omega-zeta-p"][0]
-    assert omega.precision == {"invariants": [5, 5, 5]}
+    assert omega.precision == {"invariants": [p] * (p - 2)}
 
 
 def test_fixed_points_report_lists_solutions():
@@ -80,6 +81,25 @@ def test_tate_tower_samples_freeness_over_budget():
     freeness = [c for c in agg.reports[0].checks if c.check_id == "freeness"][0]
     assert freeness.verdict == "pass"
     assert freeness.precision == {"mode": "sampled", "samples": 1000}
+
+
+def test_tate_tower_restricts_each_z_once(monkeypatch):
+    # R(z_{n+1}) is kept on the tower: the ratio identities, the twist laws
+    # and every other R transition of one run build each z_{n+1} once
+    calls = []
+
+    def counting_z_element(ring, n):
+        calls.append(n)
+        return witt.z_element(ring, n)
+
+    monkeypatch.setattr(tate, "z_element", counting_z_element)
+    agg = run_suites(SuiteConfig(suites=["tate-tower"], seed=3).validate())
+    assert agg.exit_code == 0, agg.to_text()
+    checks = {c.check_id: c for c in agg.reports[0].checks}
+    height = checks["ratio-identity"].precision["heights"]
+    assert checks["twist-law"].verdict == "pass"
+    assert calls and len(calls) <= height
+    assert len(set(calls)) == len(calls)
 
 
 def test_each_failing_identity_carries_its_own_witness(monkeypatch):
