@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the arithmetic layers of wittkit.
 
-Ten layers:
+Twelve layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
     table cap, next to the kernel's schoolbook loop,
   * end-to-end Witt multiplication throughput on W_2(cyc(3,2,1)), which runs
@@ -36,7 +36,12 @@ Ten layers:
     element of R z on W_{n+1} and F^n on W_n, as the W_{n+1} product with
     its top coordinate dropped against the W_n product of the restrictions
     (R is a ring map), and as n compiled Frobenius maps against the ghost
-    component w_n.
+    component w_n,
+  * the Witt operations of the tilt, on the mod-p, zero-free support of
+    their polynomials: us per tilt_witt_add and tilt_witt_mul over the 9
+    Teichmuller pairs [eps^i], [eps^j] (i, j in 1..3) at W_3(cyc(3,4,1)),
+    depth 3, and W_2(cyc(7,2,1)), depth 2, and us per theta_r at r = 3 on
+    the three [eps^i] over cyc(3,4,1).
 
     python benchmarks/bench_kernels.py [--json PATH]
 
@@ -66,7 +71,14 @@ from wittkit.sequences import exact_rz_complex, exactness_report, witt_restricti
 from wittkit.snf import smith_with_inverse
 from wittkit.suites import CHUNK, SAMPLE_CHUNK
 from wittkit.tate import freeness_probe
-from wittkit.tilt import frobenius_equation_solve
+from wittkit.tilt import (
+    epsilon,
+    frobenius_equation_solve,
+    theta_r,
+    tilt_teichmuller,
+    tilt_witt_add,
+    tilt_witt_mul,
+)
 from wittkit.witt import (
     RawWittOps,
     get_table,
@@ -417,6 +429,39 @@ def bench_exact_rz_maps():
     return figures
 
 
+def bench_tilt_ops(repeat=5):
+    print("== tilt Witt ops on Teichmuller pairs (mod-p, zero-free support) ==")
+    figures = {}
+    for ring, n in [(CyclotomicTruncation(3, 4, 1), 3), (CyclotomicTruncation(7, 2, 1), 2)]:
+        eps = epsilon(ring, n)
+        ws = [tilt_teichmuller(eps**i, n) for i in (1, 2, 3)]
+        pairs = [(u, v) for u in ws for v in ws]
+        label = f"W{n}_{ring.descriptor()}"
+        row = [f"W_{n}({ring.descriptor()}):"]
+        for name, fn in [("add", tilt_witt_add), ("mul", tilt_witt_mul)]:
+            fn(*pairs[0])  # build the polynomials outside the timing
+            t0 = time.perf_counter()
+            for _ in range(repeat):
+                for u, v in pairs:
+                    fn(u, v)
+            us = (time.perf_counter() - t0) / (repeat * len(pairs)) * 1e6
+            figures[f"tilt_witt_{name}_us.{label}"] = round(us, 1)
+            row.append(f"{name} {us:8.1f} us")
+        print("  " + "   ".join(row))
+    ring = CyclotomicTruncation(3, 4, 1)
+    eps = epsilon(ring, 3)
+    ws = [tilt_teichmuller(eps**i, 3) for i in (1, 2, 3)]
+    theta_r(ws[0], 3)  # compile any Witt operation it uses outside the timing
+    t0 = time.perf_counter()
+    for _ in range(repeat * 3):
+        for w in ws:
+            theta_r(w, 3)
+    us = (time.perf_counter() - t0) / (repeat * 3 * len(ws)) * 1e6
+    figures["theta_r_us.r3_cyc(3,4,1)"] = round(us, 1)
+    print(f"  theta_r(., 3) on [eps^i] over cyc(3,4,1): {us:8.1f} us")
+    return figures
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument(
@@ -436,6 +481,7 @@ def main():
     figures.update(bench_snf())
     figures.update(bench_batch_ops())
     figures.update(bench_exact_rz_maps())
+    figures.update(bench_tilt_ops())
     if args.json:
         record = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version()}
         record.update(figures)

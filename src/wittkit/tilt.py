@@ -242,10 +242,10 @@ class _TiltOps(ScalarOps):
         return a * b
 
     def scale_int(self, a, c):
-        c %= self.base.p  # the tilt has characteristic p
-        if c == 0:
-            return tilt_zero(self.base, min(a.depth, self.depth))
-        return tilt_const(self.base, c, a.depth) * a
+        # the tilt has characteristic p: c acts as tilt_const(c mod p), whose
+        # every lift is the integer omega(c mod p) = omega(c)
+        w = _omega_teichmuller(c, self.base.m, self.base.p)
+        return TiltElement(self.base, tuple(w * x for x in a.lifts), check=False)
 
     def sum(self, items):
         items = [x for x in items if not x.is_zero()]
@@ -293,27 +293,71 @@ def tilt_teichmuller(t, n):
     return TiltWittVector(t.base, (t,) + (zero,) * (n - 1))
 
 
-def _tilt_eval(polys, values, base, delta):
+@functools.lru_cache(maxsize=None)
+def _tilt_polys(p, n, op):
+    """The polynomials of one Witt operation on length-n tilt vectors,
+    reduced mod p: op is "sum", "prod", "frob", or the number k of the
+    summands of a k-fold sum.
+
+    The tilt has characteristic p, so _TiltOps.scale_int reads a
+    coefficient only mod p, and a monomial whose coefficient p divides is
+    zero.  The coefficients become c mod p, the zero terms are dropped, and
+    a coefficient that becomes 1 costs no scaling.
+    """
+    if isinstance(op, int):
+        polys = multi_sum_polys(p, n, op)
+    else:
+        polys = getattr(get_table(p, n), f"{op}_polys")
+    return tuple({mono: c % p for mono, c in poly.items() if c % p} for poly in polys)
+
+
+@functools.lru_cache(maxsize=None)
+def _tilt_support(p, n, op, zeros):
+    """_tilt_polys without the monomials that read a variable in zeros.
+
+    The cache holds one entry per zero pattern met, at most 2^(number of
+    variables) per operation; the Witt lengths in use keep that small.
+    """
+    polys = _tilt_polys(p, n, op)
+    if not zeros:
+        return polys
+    return tuple(
+        {mono: c for mono, c in poly.items() if not any(mono[i] for i in zeros)}
+        for poly in polys
+    )
+
+
+def _tilt_eval(op, n, values, base, delta):
+    """The coordinates of one Witt operation on tilts, evaluated on the
+    monomials that can be nonzero.
+
+    A monomial reading a zero coordinate is zero, like one whose coefficient
+    p divides, and _TiltOps.sum drops zero terms.  So the terms that survive
+    the pruning reach tilt_sum exactly as in the full evaluation, in the
+    same order, and the result is the same at a fraction of the products.
+    The coordinates share one cache of powers.
+    """
     depth = min(v.depth for v in values)
     ops = _TiltOps(base, depth, delta)
-    return [eval_poly_ops(poly, values, ops) for poly in polys]
+    zeros = tuple(i for i, v in enumerate(values) if v.is_zero())
+    powers = {}
+    return [
+        eval_poly_ops(poly, values, ops, powers)
+        for poly in _tilt_support(base.p, n, op, zeros)
+    ]
 
 
 def tilt_witt_add(u, v, delta=None):
     base = u.base
     if delta is None:
         delta = default_delta(base)
-    table = get_table(base.p, u.length)
-    coords = _tilt_eval(table.sum_polys, list(u.coords) + list(v.coords), base, delta)
+    coords = _tilt_eval("sum", u.length, u.coords + v.coords, base, delta)
     return TiltWittVector(base, coords)
 
 
 def tilt_witt_mul(u, v):
     base = u.base
-    table = get_table(base.p, u.length)
-    coords = _tilt_eval(
-        table.prod_polys, list(u.coords) + list(v.coords), base, default_delta(base)
-    )
+    coords = _tilt_eval("prod", u.length, u.coords + v.coords, base, default_delta(base))
     return TiltWittVector(base, coords)
 
 
@@ -322,10 +366,10 @@ def tilt_witt_sum_many(vectors, delta=None):
     base = vectors[0].base
     if delta is None:
         delta = default_delta(base)
-    n = vectors[0].length
-    polys = multi_sum_polys(base.p, n, len(vectors))
     values = [c for vec in vectors for c in vec.coords]
-    return TiltWittVector(base, _tilt_eval(polys, values, base, delta))
+    return TiltWittVector(
+        base, _tilt_eval(len(vectors), vectors[0].length, values, base, delta)
+    )
 
 
 def tilt_witt_phi_inv(u):
@@ -337,8 +381,7 @@ def tilt_witt_frobenius(u, delta=None):
     base = u.base
     if delta is None:
         delta = default_delta(base)
-    table = get_table(base.p, u.length)
-    coords = _tilt_eval(table.frob_polys, list(u.coords), base, delta)
+    coords = _tilt_eval("frob", u.length, u.coords, base, delta)
     return TiltWittVector(base, coords)
 
 
@@ -360,18 +403,24 @@ def theta_r(w, r):
 
     Computed through the Teichmuller expansion w = sum_i V^i([t_i]):
     theta_r(w) = sum_{i < min(len, r)} V^i([t_i^(r)]), each coordinate
-    evaluated at its r-th lift.  (Equivalently, via the p-adic digits
-    sum p^i [t_i^(1/p^i)], using that the lifts are p-power compatible.)
+    evaluated at its r-th lift; a zero digit adds nothing and is skipped.
+    At M = 1 this equals the p-adic digit form sum_i p^i [t_i^(r+i)]:
+    there V^i[t^(r)] = p^i [t^(r+i)], and p^i vanishes in W_r(A) for
+    i >= r.  At M >= 2 it does not: the terms p^i [t_i^(r+i)] with i >= r
+    are nonzero mod p^M and missing here (ROADMAP item 1, open).
     """
     base = w.base
     p = base.p
-    acc = witt_zero(base, p, r)
+    acc = None
     for i, t in enumerate(w.coords[: min(w.length, r)]):
-        term = teichmuller(t.lift(r), p, r - i)
+        digit = t.lift(r)
+        if digit.is_zero():
+            continue
+        term = teichmuller(digit, p, r - i)
         for _ in range(i):
             term = verschiebung(term)
-        acc = witt_add(acc, term)
-    return acc
+        acc = term if acc is None else witt_add(acc, term)
+    return witt_zero(base, p, r) if acc is None else acc
 
 
 def theta(w):

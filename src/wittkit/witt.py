@@ -25,8 +25,9 @@ have a batch form of sum, product and Frobenius, from two more back ends of
 the same compiler: the table source on numpy arrays of element indices, and
 batched convolutions on (B, d) arrays of coefficients above the cap.  An
 interpreted evaluator with pluggable scalar operations (eval_poly_ops)
-covers carriers that are not ring payloads (tilt lifts need fused sums) and
-is the tests' oracle.
+covers carriers that are not ring payloads (tilt lifts need fused sums, and
+the tilt prunes the polynomials to their mod-p support first) and is the
+tests' oracle.
 """
 
 import collections
@@ -1150,7 +1151,7 @@ class ScalarOps:
         raise NotImplementedError
 
 
-def eval_poly_ops(poly, values, ops):
+def eval_poly_ops(poly, values, ops, powers=None):
     """Evaluate a sparse polynomial with the given scalar operations.
 
     The final accumulation goes through ops.sum in one call, which lets
@@ -1158,9 +1159,12 @@ def eval_poly_ops(poly, values, ops):
     cost per polynomial instead of one per monomial; a _compile_polys back
     end would have to keep that fused sum.  Nothing is pruned and nothing is
     compiled, so with the operations of a ring's RingElements this is also
-    the tests' oracle for the compiled Witt operations.
+    the tests' oracle for the compiled Witt operations.  ``powers`` caches
+    the powers of the values by (variable, exponent); several polynomials
+    evaluated on the same values may share one dict.
     """
-    powers = {}
+    if powers is None:
+        powers = {}
 
     def power(vi, e):
         key = (vi, e)

@@ -11,9 +11,12 @@ from wittkit.tilt import (
     QLogDivisionError,
     _classify_solutions,
     _frobenius_affine_solutions,
+    _TiltOps,
     TiltElement,
     TiltPrecisionError,
+    TiltWittVector,
     check_ker_F_generators,
+    default_delta,
     enumerate_wn_fp,
     eps_charp,
     epsilon,
@@ -38,15 +41,20 @@ from wittkit.tilt import (
 )
 from wittkit.witt import (
     WittVector,
+    eval_poly_ops,
     frobenius,
+    get_table,
+    multi_sum_polys,
     random_witt,
     raw_witt_ops,
     restriction,
     teichmuller,
+    verschiebung,
     witt_add,
     witt_mul,
     witt_neg,
     witt_one,
+    witt_zero,
 )
 
 
@@ -148,6 +156,130 @@ def test_ker_theta_generators():
     ]
     gen = tilt_witt_sum_many(terms3)
     assert theta_r(fxi, 1) == theta_r(gen, 1)
+
+
+class _ConstProductTiltOps(_TiltOps):
+    """_TiltOps with integer scaling as a product with tilt_const."""
+
+    def scale_int(self, a, c):
+        c %= self.base.p
+        if c == 0:
+            return tilt_zero(self.base, min(a.depth, self.depth))
+        return tilt_const(self.base, c, a.depth) * a
+
+
+def _full_tilt_eval(polys, values):
+    """The unpruned evaluation: every monomial of the integer polynomials,
+    a fresh power cache per polynomial, coefficients as tilt_const products."""
+    base = values[0].base
+    ops = _ConstProductTiltOps(base, min(v.depth for v in values), default_delta(base))
+    return [eval_poly_ops(poly, values, ops) for poly in polys]
+
+
+def _outcome(compute):
+    """The lifts of each coordinate (so also its depth), or the error class."""
+    try:
+        return [c.lifts for c in compute()]
+    except TiltPrecisionError:
+        return TiltPrecisionError
+
+
+def _tilt_inputs(ring, T, n=3):
+    eps = epsilon(ring, T)
+    zero = tilt_zero(ring, T)
+    return [
+        TiltWittVector(ring, (eps, eps**2, eps**4)),
+        TiltWittVector(ring, (eps.root(1), eps**5, eps**3)),
+        tilt_teichmuller(eps**2, n),
+        tilt_teichmuller(tilt_const(ring, 2, T), n),
+        TiltWittVector(ring, (eps**2, zero, eps**7)),
+        TiltWittVector(ring, (zero,) * n),
+    ]
+
+
+@pytest.mark.parametrize(
+    "desc,T,k_len", [("cyc(3,4,1)", 3, 3), ("cyc(5,2,1)", 2, 2), ("cyc(3,3,2)", 3, 3)]
+)
+def test_pruned_tilt_ops_match_the_full_evaluation(desc, T, k_len):
+    # the mod-p, zero-free support gives the same lifts, depths and
+    # TiltPrecisionErrors as evaluating every monomial of the polynomials;
+    # the p-fold sum runs at length k_len (at p = 5 and length 3 its
+    # polynomials have 175,772 monomials)
+    ring = ring_from_descriptor(desc)
+    p, n = ring.p, 3
+    table = get_table(p, n)
+    inputs = _tilt_inputs(ring, T, n)
+    outcomes = []
+    for u in inputs:
+        for v in inputs:
+            pair = u.coords + v.coords
+            for polys, op in ((table.sum_polys, tilt_witt_add), (table.prod_polys, tilt_witt_mul)):
+                got = _outcome(lambda: op(u, v).coords)
+                assert got == _outcome(lambda: _full_tilt_eval(polys, pair))
+                outcomes.append(got)
+        got = _outcome(lambda: tilt_witt_frobenius(u).coords)
+        assert got == _outcome(lambda: _full_tilt_eval(table.frob_polys, u.coords))
+        outcomes.append(got)
+        vectors = [TiltWittVector(ring, w.coords[:k_len]) for w in [u] + inputs[: p - 1]]
+        values = [c for w in vectors for c in w.coords]
+        got = _outcome(lambda: tilt_witt_sum_many(vectors).coords)
+        assert got == _outcome(lambda: _full_tilt_eval(multi_sum_polys(p, k_len, p), values))
+        outcomes.append(got)
+    assert any(o is not TiltPrecisionError for o in outcomes)
+
+
+def test_tilt_scale_int_is_the_tilt_const_product():
+    for desc in ("cyc(3,3,2)", "cyc(5,2,1)"):
+        ring = ring_from_descriptor(desc)
+        eps = epsilon(ring, 2)
+        ops, oracle = _TiltOps(ring, 2, 1), _ConstProductTiltOps(ring, 2, 1)
+        for c in range(-ring.p, 2 * ring.p + 1):
+            for a in (eps, eps.root(1) ** 2, tilt_zero(ring, 2)):
+                assert ops.scale_int(a, c) == oracle.scale_int(a, c)
+
+
+def test_theta_r_skips_zero_digits():
+    # against the sum of every digit's V^i[t_i^(r)], started from zero
+    for desc, T in (("cyc(3,4,1)", 3), ("cyc(3,3,2)", 3)):
+        ring = ring_from_descriptor(desc)
+        p = ring.p
+        for w in _tilt_inputs(ring, T):
+            for r in range(1, w.depth + 1):
+                acc = witt_zero(ring, p, r)
+                for i, t in enumerate(w.coords[:r]):
+                    term = teichmuller(t.lift(r), p, r - i)
+                    for _ in range(i):
+                        term = verschiebung(term)
+                    acc = witt_add(acc, term)
+                assert theta_r(w, r) == acc
+
+
+def test_tilt_witt_ops_on_teichmuller_pairs_make_few_products(monkeypatch):
+    # 9 pairs [eps^i], [eps^j] at W_3 over cyc(3,4,1), depth 3.  Evaluating
+    # every monomial took 720 TiltElement products for the sums and 486 for
+    # the products; the mod-p, zero-free support with scale_int as a
+    # tilt_const product took 306 and 9.  Nine is the floor for the
+    # products: each pair needs its coordinate-0 product x_0 y_0.
+    ring = CyclotomicTruncation(3, 4, 1)
+    eps = epsilon(ring, 3)
+    ws = [tilt_teichmuller(eps**i, 3) for i in (1, 2, 3)]
+    calls = []
+    mul = TiltElement.__mul__
+
+    def counting_mul(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(TiltElement, "__mul__", counting_mul)
+    for u in ws:
+        for v in ws:
+            tilt_witt_add(u, v)
+    adds = len(calls)
+    del calls[:]
+    for u in ws:
+        for v in ws:
+            tilt_witt_mul(u, v)
+    assert adds <= 234 and len(calls) <= 9
 
 
 def test_ker_f_generator_report():
