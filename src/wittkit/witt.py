@@ -1,9 +1,10 @@
 """Truncated p-typical Witt vectors over any RingHandle.
 
 The ring structure is computed through universal integer polynomials (sum,
-product, Frobenius), built once per (p, n) by ghost recursion with exact
-division by p.  Integrality of those divisions is a theorem; a failed division
-means the builder is broken and raises WittTableError immediately.
+product, Frobenius, and the carries eta of [x] + [y]), built once per (p, n)
+by ghost recursion with exact division by p.  Integrality of those divisions
+is a theorem; a failed division means the builder is broken and raises
+WittTableError immediately.
 
 Universal polynomials are sparse dicts {exponent tuple: int coefficient}.
 Evaluation happens through Python functions compiled from the dicts; for
@@ -13,8 +14,14 @@ exhaustive checks).  There is one element representation: a WittVector
 stores the payload tuple that RawWittOps computes on, and its ``coords`` are
 a view built on demand.  RawWittOps runs each of sum, product and Frobenius
 as one function that computes every coordinate at once.  One compiler
-(_compile_polys) builds them: it shares every power and partial product
-between the coordinates, and an expression back end renders the arithmetic.
+(_compile_polys) builds them from programs of polynomial blocks: the product
+and the Frobenius are one block each, and the sum is a carry program,
+a + b = [a_0 + b_0] + V((eta'(a_0, b_0) + a') + b'): a block of the carries
+eta, as polynomials in a_0 + b_0 and a_0 b_0, and two shorter sums
+(_carry_program).  The compiler shares every power and
+partial product between the coordinates and blocks, and an expression back
+end renders the arithmetic.  The expanded sum polynomials are data for the
+interpreted evaluator and the symbolic checks, built on first read.
 For rings with lookup tables (rings.SmallRingTables, at most
 rings.TABLE_CAP elements) the back end works over element indices,
 converting coordinate tuples only on entry and exit; above the cap it calls
@@ -33,6 +40,7 @@ tests' oracle.
 import collections
 import functools
 import itertools
+import math
 import operator
 import re
 
@@ -131,6 +139,49 @@ def _ghost_poly(p, i, var_indices, nvars):
     return out
 
 
+def _ghost_of(polys, p, i, nvars):
+    """sum_j p^j polys[j]^(p^(i-j)) over the given polynomials: the ghost
+    component w_i of a vector with these first coordinates."""
+    acc = {}
+    for j, poly in enumerate(polys):
+        acc = _padd(acc, _pscale(_ppow(poly, p ** (i - j), nvars), p**j))
+    return acc
+
+
+def _ghost_recursion(p, count, target, nvars):
+    """The polynomials f_0..f_{count-1} in nvars variables whose ghost
+    components are the targets, w_i(f) = target(i): each f_i is solved for
+    by exact division by p^i."""
+    polys = []
+    for i in range(count):
+        acc = _ghost_of(polys, p, i, nvars)
+        polys.append(_pdiv_exact(_padd(target(i), _pscale(acc, -1)), p**i))
+    return polys
+
+
+def _symmetric_form(poly):
+    """H with poly(x, y) = H(x + y, xy), for a polynomial poly in two
+    variables that is symmetric and homogeneous: each step takes the term
+    c x^i y^j (i >= j) of highest degree in x and subtracts c (x + y)^(i-j)
+    (xy)^j, whose term of highest degree in x it is."""
+    rest, out = dict(poly), {}
+    while rest:
+        i, j = max(rest)
+        c = rest[i, j]
+        if i < j:
+            raise WittTableError("not a symmetric polynomial")
+        out[i - j, j] = c
+        a = i - j
+        rest = _padd(rest, {(t + j, a - t + j): -c * math.comb(a, t) for t in range(a + 1)})
+    return out
+
+
+def _teichmuller_ghost(p, i):
+    """x^(p^i) + y^(p^i) in the two variables x, y: the ghost component w_i
+    of [x] + [y]."""
+    return _padd(_ppow(_var(0, 2), p**i, 2), _ppow(_var(1, 2), p**i, 2))
+
+
 # --- universal tables -------------------------------------------------------
 
 
@@ -140,7 +191,15 @@ class WittUniversalTable:
     ``sum_polys[i]`` and ``prod_polys[i]`` live in 2n variables
     (x_0..x_{n-1}, y_0..y_{n-1}); ``frob_polys[i]`` (i < n-1) live in the n
     variables x_0..x_{n-1} and compute F: W_n -> W_{n-1}.  Negation is
-    coordinatewise because p is odd.
+    coordinatewise because p is odd.  ``eta_polys[k]`` lives in the two
+    variables x, y and is coordinate k of [x] + [y]: eta_0 = x + y, and
+    eta_k is homogeneous of degree p^k and symmetric, so it is a polynomial
+    ``eta_sym_polys[k]`` in s = x + y and q = xy, with at most half its
+    monomials.  The compiled sum is the carry program of _carry_program over
+    those.  The expanded ``sum_polys`` are data for eval_poly_ops,
+    multi_sum_polys and verify_ghost_symbolic, built on the first read (they
+    cost far more than the rest of the table) and kept, so a caller may
+    change them in place.
     """
 
     def __init__(self, p, n):
@@ -152,36 +211,26 @@ class WittUniversalTable:
         nv2 = 2 * n
         xs = list(range(n))
         ys = list(range(n, 2 * n))
-        self.sum_polys = []
-        self.prod_polys = []
-        for i in range(n):
-            wx = _ghost_poly(p, i, xs, nv2)
-            wy = _ghost_poly(p, i, ys, nv2)
-            target_s = _padd(wx, wy)
-            target_p = _pmul(wx, wy)
-            acc_s, acc_p = {}, {}
-            for j in range(i):
-                acc_s = _padd(
-                    acc_s, _pscale(_ppow(self.sum_polys[j], p ** (i - j), nv2), p**j)
-                )
-                acc_p = _padd(
-                    acc_p, _pscale(_ppow(self.prod_polys[j], p ** (i - j), nv2), p**j)
-                )
-            self.sum_polys.append(_pdiv_exact(_padd(target_s, _pscale(acc_s, -1)), p**i))
-            self.prod_polys.append(_pdiv_exact(_padd(target_p, _pscale(acc_p, -1)), p**i))
-        self.frob_polys = []
-        for i in range(n - 1):
-            target = _ghost_poly(p, i + 1, xs, n)
-            acc = {}
-            for j in range(i):
-                acc = _padd(
-                    acc, _pscale(_ppow(self.frob_polys[j], p ** (i - j), n), p**j)
-                )
-            self.frob_polys.append(_pdiv_exact(_padd(target, _pscale(acc, -1)), p**i))
+        self.prod_polys = _ghost_recursion(
+            p, n, lambda i: _pmul(_ghost_poly(p, i, xs, nv2), _ghost_poly(p, i, ys, nv2)), nv2
+        )
+        self.frob_polys = _ghost_recursion(p, n - 1, lambda i: _ghost_poly(p, i + 1, xs, n), n)
+        self.eta_polys = _ghost_recursion(p, n, functools.partial(_teichmuller_ghost, p), 2)
+        self.eta_sym_polys = [_symmetric_form(poly) for poly in self.eta_polys]
         # negation is coordinatewise because p is odd (all ghost exponents
         # are odd); stored for the interface, verified symbolically below
         self.neg_polys = [_pscale(_var(i, n), -1) for i in range(n)]
         self._compiled = {}
+
+    @functools.cached_property
+    def sum_polys(self):
+        p, n = self.p, self.n
+        nv2 = 2 * n
+        xs = list(range(n))
+        ys = list(range(n, 2 * n))
+        return _ghost_recursion(
+            p, n, lambda i: _padd(_ghost_poly(p, i, xs, nv2), _ghost_poly(p, i, ys, nv2)), nv2
+        )
 
     def compiled_indexed(self, which, tables, batch=False):
         """All coordinates of sum/prod/frob in one function on raw payloads,
@@ -206,32 +255,92 @@ class WittUniversalTable:
         key = (which,) + key
         fn = self._compiled.get(key)
         if fn is None:
-            polys = getattr(self, f"{which}_polys")
-            fn = _compile_polys(polys, 1 if which == "frob" else 2, self.n, make_exprs())
+            operands = 1 if which == "frob" else 2
+            fn = _compile_polys(self._program(which), operands, self.n, make_exprs())
             self._compiled[key] = fn
         return fn
 
+    def _program(self, which):
+        """The program of _compile_polys for sum, prod or frob."""
+        if which == "sum":
+            return _carry_program(self.eta_sym_polys, self.n)
+        polys = self.prod_polys if which == "prod" else self.frob_polys
+        nin = (2 if which == "prod" else 1) * self.n
+        return [(polys, tuple(range(nin)))], range(nin, nin + len(polys))
 
-def _compile_polys(polys, operands, n, exprs):
-    """Compile polynomials in operands*n variables to one function
-    f(payload, ...) -> payload that computes every coordinate at once.
 
-    Monomials are pruned modulo exprs.m (None prunes nothing).  Powers,
-    partial products and scaled terms are named temporaries, computed once
-    and reused by all coordinates; powers come from exprs.pow_expr or, when it
-    gives none, from memoised square-and-multiply.  The expression back end
-    (_TableExprs, _KernelExprs or _IntExprs, or the batch forms
-    _TableBatchExprs and _KernelBatchExprs) renders products, powers, the
-    terms c*monomial and the final combination of each coordinate, and
+_SUM = {(1, 0): 1, (0, 1): 1}  # x + y
+
+
+def _carry_program(eta_sym_polys, n):
+    """The Witt sum of length n as a program of _compile_polys on the
+    coordinates a_0..a_{n-1}, b_0..b_{n-1} (values 0..2n-1).
+
+    Every a in W_n is [a_0] + V(a'), and [x] + [y] = [x + y] + V(eta'(x, y))
+    with eta' = (eta_1, ..., eta_{n-1}), so
+
+        a + b = [a_0 + b_0] + V((eta'(a_0, b_0) + a') + b').
+
+    A length-n sum is then one block of s = a_0 + b_0 and q = a_0 b_0, one
+    of the carries eta_k = eta_sym_polys[k](s, q), and two sums of length
+    n - 1, in place of expanded sum polynomials that read all 2n
+    coordinates at once (Finotti, Computations with Witt vectors and the
+    Greenberg transform, IJNT 2014).
+    """
+    steps = []
+    size = 2 * n  # the number of values so far
+
+    def block(polys, args):
+        nonlocal size
+        steps.append((polys, args))
+        size += len(polys)
+        return list(range(size - len(polys), size))
+
+    def add(xs, ys):
+        k = len(xs)
+        if k == 1:
+            return block((_SUM,), (xs[0], ys[0]))
+        s, q = block((_SUM, {(1, 1): 1}), (xs[0], ys[0]))
+        carries = block(eta_sym_polys[1:k], (s, q))
+        return [s] + add(add(carries, xs[1:]), ys[1:])
+
+    return steps, add(range(n), range(n, 2 * n))
+
+
+def _compile_polys(program, operands, n, exprs):
+    """Compile a program of polynomial blocks on operands payloads of
+    length n to one function f(payload, ...) -> payload.
+
+    A program is (steps, outs).  Values 0..operands*n-1 are the payloads'
+    coordinates; each step (polys, args) evaluates every polynomial of polys
+    on the values args, polynomial variable j reading value args[j], and
+    appends the results as new values; outs are the values returned.  A
+    product or a Frobenius is one block on all the coordinates, a sum the
+    carry program of _carry_program.
+
+    Monomials are pruned modulo exprs.m (None prunes nothing).  Each value
+    is held as a linear combination {atom: c} of named atoms (coordinates,
+    products, reduced values; None is the constant 1), so linear steps fuse
+    into one combination; a value is reduced to a name (exprs.reduce) only
+    where a power or a product reads it, and each output is one combination
+    (exprs.combine).  Powers, partial products, scaled terms and reduced
+    values are named temporaries, computed once and reused by every block;
+    powers come from exprs.pow_expr or, when it gives none, from memoised
+    square-and-multiply.  The expression back end (_TableExprs, _KernelExprs
+    or _IntExprs, or the batch forms _TableBatchExprs and _KernelBatchExprs)
+    renders products, powers, the terms c*atom and the combinations, and
     names them through temp() where they are worth sharing.  Back ends with
     inline_once set then get every temporary read only once substituted
     into its reader.
     """
+    steps, outs = program
     m = exprs.m
     ns = dict(exprs.namespace)
     body = []
     used = set()
     memo = {}
+    nin = operands * n
+    values = []  # the linear combinations of values nin, nin + 1, ...
 
     def temp(key, expr):
         name = memo.get(key)
@@ -243,36 +352,79 @@ def _compile_polys(polys, operands, n, exprs):
     def mul(a, b):
         return exprs.product(a, b, temp)
 
-    def power(i, e):
-        used.add(i)
+    def power(v, e):
         if e == 1:
-            return exprs.var(i)
-        key = ("pow", i, e)
+            return v
+        key = ("pow", v, e)
         name = memo.get(key)
         if name is None:
-            expr = exprs.pow_expr(exprs.var(i), e, ns)
+            expr = exprs.pow_expr(v, e, ns)
             if expr is not None:
                 return temp(key, expr)
-            half = power(i, e // 2)
+            half = power(v, e // 2)
             name = mul(half, half)
             if e & 1:
-                name = mul(name, exprs.var(i))
+                name = mul(name, v)
             memo[key] = name
         return name
 
-    outs = []
-    for poly in polys:
-        terms = []
-        for mono in sorted(poly):
-            c = poly[mono] if m is None else poly[mono] % m
-            if c == 0:
-                continue
-            factors = [power(i, e) for i, e in enumerate(mono) if e]
-            val = factors[0] if factors else None  # None: the constant 1
-            for f in factors[1:]:
-                val = mul(val, f)
-            terms.append(exprs.term(c, val, temp, ns))
-        outs.append(exprs.combine(terms, temp))
+    def combination(vi):
+        if vi < nin:
+            used.add(vi)
+            return {exprs.var(vi): 1}
+        return values[vi - nin]
+
+    def terms(comb):
+        return [exprs.term(c, atom, temp, ns) for atom, c in comb.items()]
+
+    def named(vi):
+        comb = combination(vi)
+        if len(comb) == 1:
+            ((atom, c),) = comb.items()
+            if c == 1 and atom is not None:
+                return atom
+        expr = exprs.reduce(terms(comb), temp)
+        name = expr if expr.isidentifier() else temp(("reduce", vi), expr)
+        values[vi - nin] = {name: 1}  # later steps read the reduced value
+        return name
+
+    def accumulate(comb, atom, c):
+        c += comb.get(atom, 0)
+        if m is not None:
+            c %= m
+        if c:
+            comb[atom] = c
+        else:
+            comb.pop(atom, None)
+
+    for polys, args in steps:
+        # reduce the values that powers and products read first, so that the
+        # block's linear steps read them reduced too
+        nonlinear = set()
+        for poly in polys:
+            for mono, c in poly.items():
+                if sum(mono) > 1 and (m is None or c % m):
+                    nonlinear.update(j for j, e in enumerate(mono) if e)
+        for j in sorted(nonlinear):
+            named(args[j])
+        for poly in polys:
+            comb = {}
+            for mono in sorted(poly):
+                c = poly[mono] if m is None else poly[mono] % m
+                if c == 0:
+                    continue
+                if sum(mono) == 1:  # c times one value: a linear step
+                    for atom, k in combination(args[mono.index(1)]).items():
+                        accumulate(comb, atom, c * k)
+                    continue
+                val = None  # None: the constant 1
+                for j, e in enumerate(mono):
+                    if e:
+                        f = power(named(args[j]), e)
+                        val = f if val is None else mul(val, f)
+                accumulate(comb, val, c)
+            values.append(comb)
+    outs = [exprs.combine(terms(combination(vi)), temp) for vi in outs]
     if exprs.inline_once:
         body, outs = _inline_single_uses(body, outs)
     args = [f"u{k}" for k in range(operands)]
@@ -291,10 +443,16 @@ def _compile_polys(polys, operands, n, exprs):
 # the names _compile_polys gives its temporaries
 _TEMP = re.compile(r"\bt\d+\b")
 
+# the most substitutions _inline_single_uses nests into one expression: each
+# adds a level or two of calls or operators, and CPython's compiler recurses
+# once per level, so a few thousand exhaust it
+_MAX_INLINE_DEPTH = 32
+
 
 def _inline_single_uses(body, outs):
     """(body, outs) with every temporary that is read once substituted into
-    the expression that reads it.
+    the expression that reads it, unless that would nest more than
+    _MAX_INLINE_DEPTH substitutions: such a temporary keeps its name.
 
     Only sound for side-effect-free expressions that evaluate each operand
     once.  A function with a thousand single-use temporaries compiles into
@@ -302,20 +460,30 @@ def _inline_single_uses(body, outs):
     and run no slower.
     """
     uses = collections.Counter(_TEMP.findall("\n".join(body + outs)))
-    inlined = {}
+    inlined = {}  # name -> (expression, substitutions nested in it)
 
     def substitute(text):
-        return _TEMP.sub(lambda mt: inlined.get(mt.group(), mt.group()), text)
+        depth = 0
+
+        def expand(mt):
+            nonlocal depth
+            got = inlined.get(mt.group())
+            if got is None:
+                return mt.group()
+            depth = max(depth, got[1])
+            return got[0]
+
+        return _TEMP.sub(expand, text), depth + 1
 
     kept = []
     for line in body:
         name, expr = line.strip().split(" = ", 1)
-        expr = substitute(expr)
-        if uses[name] == 2:  # its definition and one read
-            inlined[name] = expr
+        expr, depth = substitute(expr)
+        if uses[name] == 2 and depth <= _MAX_INLINE_DEPTH:  # its definition and one read
+            inlined[name] = expr, depth
         else:
             kept.append(f"    {name} = {expr}")
-    return kept, [substitute(out) for out in outs]
+    return kept, [substitute(out)[0] for out in outs]
 
 
 def _signed_groups(terms, m):
@@ -329,19 +497,31 @@ def _signed_groups(terms, m):
     return groups
 
 
+# the most operands one chain a + b + ... of generated source holds:
+# CPython's compiler recurses once per operator, and the unpruned W_5
+# product over Z sums tens of thousands of terms
+_MAX_CHAIN = 32
+
+
+def _sum_expr(items):
+    """Source of the sum of the source items: a chain for a few, and a sum()
+    of a tuple, whose nesting does not grow with their number, for many."""
+    if len(items) <= _MAX_CHAIN:
+        return " + ".join(items)
+    return f"sum(({', '.join(items)}))"
+
+
 def _linear_expr(groups):
     """Source of sum_c c * (sum of names) for groups {c: [names]}."""
-    parts = []
+    signed = []  # (sign, source of |c| * (sum of names))
     for c, names in groups.items():
-        inner = " + ".join(names)
-        if c == 1:
-            parts.append(f"+ {inner}")
-        elif c == -1:
-            parts.append(f"- {inner}" if len(names) == 1 else f"- ({inner})")
-        else:
-            inner = inner if len(names) == 1 else f"({inner})"
-            parts.append(f"- {-c}*{inner}" if c < 0 else f"+ {c}*{inner}")
-    expr = " ".join(parts)
+        inner = _sum_expr(names)
+        if c != 1 and len(names) > 1:
+            inner = f"({inner})"
+        signed.append(("-" if c < 0 else "+", inner if abs(c) == 1 else f"{abs(c)}*{inner}"))
+    if len(signed) > _MAX_CHAIN:
+        return _sum_expr([f"-{term}" if sign == "-" else term for sign, term in signed])
+    expr = " ".join(f"{sign} {term}" for sign, term in signed)
     return expr[2:] if expr.startswith("+ ") else expr
 
 
@@ -380,6 +560,9 @@ class _TableExprs:
             ns[f"_S{c}"] = self._table(self.tables.scale_table(c))
             val = temp(("scale", val, c), f"_S{c}[{val}]")
         return val
+
+    def reduce(self, terms, temp):
+        return self._sum(terms, temp)
 
     def combine(self, terms, temp):
         return f"_E[{self._sum(terms, temp)}]"
@@ -439,6 +622,9 @@ class _IntExprs:
             return "0"
         return f"({_linear_expr(_signed_groups(((c, v or '1') for c, v in terms), None))})"
 
+    def reduce(self, terms, temp):
+        return self.combine(terms, temp)  # every value is canonical
+
 
 class _KernelExprs(_IntExprs):
     """Back end over coefficient tuples of a quotient ring above the table
@@ -496,7 +682,9 @@ class _KernelBatchExprs(_IntExprs):
     def combine(self, terms, temp):
         # every coordinate of a Witt sum, product or Frobenius keeps a
         # monomial in the variables (x_i + y_i, x_i y_0^(p^i), x_i^p mod p),
-        # so terms is never empty and never all constants
+        # and so does every carry that a block reads (eta_k has x^(p^k - 1) y
+        # with coefficient -1), so terms is never empty and never all
+        # constants
         if len(terms) == 1 and terms[0][0] == 1:
             return terms[0][1]  # a product or an input, already reduced
         groups = _signed_groups(((c, v or "_one") for c, v in terms), self.m)
@@ -565,8 +753,11 @@ def get_table(p, n):
 def verify_ghost_symbolic(table):
     """Exact polynomial identity check of the ghost-homomorphism property.
 
-    Returns None when every sum/product polynomial satisfies its ghost
-    identity, else a witness string naming the first failure.
+    Returns None when every sum/product/Frobenius polynomial satisfies its
+    ghost identity, the negation polynomials cancel in the sum, and the
+    carries eta satisfy theirs, w_i(eta) = x^(p^i) + y^(p^i), in the form
+    in x + y and xy that the compiled sum reads too; else a witness string
+    naming the first failure.
     """
     p, n = table.p, table.n
     nv2 = 2 * n
@@ -579,23 +770,23 @@ def verify_ghost_symbolic(table):
             ("sum", table.sum_polys, _padd(wx, wy)),
             ("prod", table.prod_polys, _pmul(wx, wy)),
         ):
-            acc = {}
-            for j in range(i + 1):
-                acc = _padd(acc, _pscale(_ppow(polys[j], p ** (i - j), nv2), p**j))
-            if _padd(acc, _pscale(target, -1)):
+            if _padd(_ghost_of(polys[: i + 1], p, i, nv2), _pscale(target, -1)):
                 return f"{which} polynomial violates ghost identity at i={i} (p={p}, n={n})"
     for i in range(n - 1):
         target = _ghost_poly(p, i + 1, xs, n)
-        acc = {}
-        for j in range(i + 1):
-            acc = _padd(acc, _pscale(_ppow(table.frob_polys[j], p ** (i - j), n), p**j))
-        if _padd(acc, _pscale(target, -1)):
+        if _padd(_ghost_of(table.frob_polys[: i + 1], p, i, n), _pscale(target, -1)):
             return f"frob polynomial violates ghost identity at i={i} (p={p}, n={n})"
     # x + neg(x) = 0: substitute the negation polynomials into the sum ones
     subs = [_var(i, n) for i in range(n)] + list(table.neg_polys)
     for i in range(n):
         if _psubst(table.sum_polys[i], subs, n):
             return f"negation polynomial fails S_{i}(x, -x) = 0 (p={p}, n={n})"
+    sq = [_padd(_var(0, 2), _var(1, 2)), {(1, 1): 1}]
+    for i in range(n):
+        if _padd(_ghost_of(table.eta_polys[: i + 1], p, i, 2), _pscale(_teichmuller_ghost(p, i), -1)):
+            return f"eta polynomial violates ghost identity at i={i} (p={p}, n={n})"
+        if _padd(_psubst(table.eta_sym_polys[i], sq, 2), _pscale(table.eta_polys[i], -1)):
+            return f"eta polynomial in x + y, xy differs from eta at i={i} (p={p}, n={n})"
     return None
 
 
@@ -692,7 +883,8 @@ class RawWittOps:
     representation: wrap attaches ring and p to a payload and unwrap reads
     it back, neither building a RingElement.  Obtain via raw_witt_ops(ring,
     p, n).  Sum, product and Frobenius are each one compiled function that
-    computes every coordinate at once (_compile_polys): over the lookup
+    computes every coordinate at once (_compile_polys; the sum from the carry
+    program of _carry_program): over the lookup
     tables of a ring with at most rings.TABLE_CAP elements, through the
     coefficient kernel above the cap, and on plain ints over Z.  Over a
     quotient ring, add_batch, mul_batch, frob_batch and scalar_mul_batch run

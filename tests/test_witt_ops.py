@@ -15,6 +15,7 @@ from wittkit.rings import (
     ring_from_descriptor,
 )
 from wittkit.witt import (
+    _MAX_PRACTICAL_LEN,
     WittVector,
     frobenius,
     frobenius_power,
@@ -382,6 +383,74 @@ def test_raw_witt_ops_above_the_cap_match_the_operator_form(desc, n, eval_polys)
         assert raw.add(u, v) == tuple(c.data for c in eval_polys(table.sum_polys, args))
         assert raw.mul(u, v) == tuple(c.data for c in eval_polys(table.prod_polys, args))
         assert raw.frob(u) == tuple(c.data for c in eval_polys(table.frob_polys, x.coords))
+
+
+def _ghost_of_ints(u, p):
+    return [sum(p**j * u[j] ** p ** (k - j) for j in range(k + 1)) for k in range(len(u))]
+
+
+def _from_ghost(w, p):
+    """The Witt vector over Z with ghost components w: the ghost map of Z is
+    injective, each coordinate solved for by exact division by p^k."""
+    u = []
+    for k, wk in enumerate(w):
+        rest = wk - sum(p**j * u[j] ** (p ** (k - j)) for j in range(k))
+        assert rest % p**k == 0
+        u.append(rest // p**k)
+    return tuple(u)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_raw_witt_ops_compile_and_run_across_the_envelope(p, eval_polys):
+    # every Witt length the suites admit, on a ring with lookup tables, a
+    # packed ring above the table cap and Z; the expanded polynomials are the
+    # oracle below the top length, where they are cheap to build
+    top = _MAX_PRACTICAL_LEN[p]
+    rings = [ring_from_descriptor(f"cyc({p},1,1)"), ring_from_descriptor(
+        "cyc(3,2,2)" if p == 3 else "cyc(5,2,1)"), IntegerRing()]
+    assert rings[0]._tables is not None and rings[1]._tables is None
+    rng = random.Random(f"envelope/{p}")
+    for n in range(1, top + 1):
+        for ring in rings:
+            raw = raw_witt_ops(ring, p, n)
+            for _ in range(3):
+                x, y = random_witt(ring, p, n, rng), random_witt(ring, p, n, rng)
+                u, v = x.data, y.data
+                s, m = raw.add(u, v), raw.mul(u, v)
+                f = raw.frob(u) if n > 1 else None
+                if n < top:
+                    table = get_table(p, n)
+                    args = x.coords + y.coords
+                    assert s == tuple(c.data for c in eval_polys(table.sum_polys, args))
+                    assert m == tuple(c.data for c in eval_polys(table.prod_polys, args))
+                    if n > 1:
+                        assert f == tuple(c.data for c in eval_polys(table.frob_polys, x.coords))
+                    continue
+                gx, gy = ghost(x), ghost(y)
+                assert ghost(raw.wrap(s)) == tuple(a + b for a, b in zip(gx, gy))
+                assert ghost(raw.wrap(m)) == tuple(a * b for a, b in zip(gx, gy))
+                assert ghost(raw.wrap(f)) == gx[1:]
+                if isinstance(ring, IntegerRing):
+                    # the ghost map of Z is injective: these are the results
+                    assert s == _from_ghost([a.data + b.data for a, b in zip(gx, gy)], p)
+                    assert m == _from_ghost([a.data * b.data for a, b in zip(gx, gy)], p)
+                    assert f == _from_ghost([a.data for a in gx[1:]], p)
+                    continue
+                # R is a ring map onto the length verified one step before,
+                # and V is additive
+                short = raw_witt_ops(ring, p, n - 1)
+                assert s[:-1] == short.add(u[:-1], v[:-1])
+                assert m[:-1] == short.mul(u[:-1], v[:-1])
+                assert f[:-1] == short.frob(u[:-1])
+                zero = (ring.zero().data,)
+                assert raw.add(zero + u[1:], zero + v[1:]) == zero + short.add(u[1:], v[1:])
+                # the top coordinate on vectors of integers: their sum over
+                # Z, from its ghost components, mapped to the ring
+                a, b = [[rng.randint(-40, 40) for _ in range(n)] for _ in range(2)]
+                ghosts = zip(_ghost_of_ints(a, p), _ghost_of_ints(b, p))
+                over_z = _from_ghost([g + h for g, h in ghosts], p)
+                image = [tuple(ring.from_int(k).data for k in w) for w in (a, b, over_z)]
+                assert raw.add(image[0], image[1]) == image[2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -12,9 +12,11 @@ import pytest
 
 from wittkit.rings import IntegerRing
 from wittkit.witt import (
+    _MAX_INLINE_DEPTH,
     WittTableError,
     WittUniversalTable,
     WittVector,
+    _inline_single_uses,
     _pdiv_exact,
     get_table,
     ghost,
@@ -114,3 +116,64 @@ def test_corrupted_table_detected():
     table = WittUniversalTable(3, 2)
     table.sum_polys[1][(0, 1, 0, 0)] += 1
     assert verify_ghost_symbolic(table) is not None
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
+def test_eta_polys_are_the_sum_of_two_teichmuller_vectors(p, n):
+    # eta_k(x, y) is coordinate k of [x] + [y]: the sum polynomial S_k with
+    # every coordinate but x_0 and y_0 set to zero
+    table = WittUniversalTable(p, n)
+    for k in range(n):
+        restricted = {
+            (mono[0], mono[n]): c
+            for mono, c in table.sum_polys[k].items()
+            if not any(mono[i] for i in range(2 * n) if i not in (0, n))
+        }
+        assert table.eta_polys[k] == restricted
+        assert all(sum(mono) == p**k for mono in table.eta_polys[k])
+
+
+def test_sum_polys_are_built_on_first_read_and_kept():
+    table = WittUniversalTable(3, 3)
+    assert "sum_polys" not in vars(table)
+    polys = table.sum_polys
+    assert table.sum_polys is polys
+    polys[1][(0, 1, 0, 0, 0, 0)] += 1  # perturbed in place, as negative-controls does
+    assert verify_ghost_symbolic(table).startswith("sum polynomial")
+
+
+def test_corrupted_eta_polynomial_is_named():
+    table = WittUniversalTable(3, 3)
+    table.eta_polys[2][(4, 5)] += 3
+    assert verify_ghost_symbolic(table) == "eta polynomial violates ghost identity at i=2 (p=3, n=3)"
+    # the form in x + y and xy that the compiled sum reads
+    table = WittUniversalTable(3, 3)
+    table.eta_sym_polys[2][(1, 4)] += 1
+    assert verify_ghost_symbolic(table) == (
+        "eta polynomial in x + y, xy differs from eta at i=2 (p=3, n=3)"
+    )
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (7, 3)])
+def test_eta_polys_are_polynomials_in_the_sum_and_the_product(p, n):
+    # eta_k(x, y) = H_k(x + y, xy), H_k of weighted degree p^k, with at
+    # most half the monomials of eta_k (verify_ghost_symbolic checks that
+    # they agree)
+    table = WittUniversalTable(p, n)
+    assert table.eta_sym_polys[0] == {(1, 0): 1}
+    for k in range(1, n):
+        sym = table.eta_sym_polys[k]
+        assert all(a + 2 * b == p**k for a, b in sym)
+        assert 2 * len(sym) <= len(table.eta_polys[k]) + 1
+    assert verify_ghost_symbolic(table) is None
+
+
+def test_inlining_keeps_long_chains_compilable():
+    # each temporary is read once, by the next: substituted all the way, the
+    # chain would nest 2,000 calls deep, past what CPython compiles
+    body = ["    t0 = f(a0)"] + [f"    t{k} = f(t{k - 1})" for k in range(1, 2000)]
+    body, outs = _inline_single_uses(body, ["t1999"])
+    assert 2000 // (_MAX_INLINE_DEPTH + 1) <= len(body) < 2000
+    ns = {"f": lambda x: x + 1}
+    exec("\n".join(["def g(a0):", *body, f"    return {outs[0]}"]), ns)  # noqa: S102
+    assert ns["g"](5) == 2005
