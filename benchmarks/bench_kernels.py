@@ -40,11 +40,13 @@ Twelve layers:
     its top coordinate dropped against the W_n product of the restrictions
     (R is a ring map), and as n compiled Frobenius maps against the ghost
     component w_n,
-  * the Witt operations of the tilt, on the mod-p, zero-free support of
-    their polynomials: us per tilt_witt_add and tilt_witt_mul over the 9
-    Teichmuller pairs [eps^i], [eps^j] (i, j in 1..3) at W_3(cyc(3,4,1)),
-    depth 3, and W_2(cyc(7,2,1)), depth 2, and us per theta_r at r = 3 on
-    the three [eps^i] over cyc(3,4,1).
+  * the Witt operations of the tilt, through the compiled W_n(A)
+    operations on each lift level: us per tilt_witt_add and tilt_witt_mul
+    over the 9 Teichmuller pairs [eps^i], [eps^j] (i, j in 1..3) at
+    W_3(cyc(3,4,1)), depth 3, and W_2(cyc(7,2,1)), depth 2, us per
+    xi_element (a p-fold sum) at the same lengths from eps of the same
+    depth, and us per theta_r at r = 3 on the three [eps^i] over
+    cyc(3,4,1).
 
     python benchmarks/bench_kernels.py [--json PATH]
 
@@ -81,6 +83,7 @@ from wittkit.tilt import (
     tilt_teichmuller,
     tilt_witt_add,
     tilt_witt_mul,
+    xi_element,
 )
 from wittkit.witt import (
     RawWittOps,
@@ -445,7 +448,7 @@ def bench_exact_rz_maps():
 
 
 def bench_tilt_ops(repeat=5):
-    print("== tilt Witt ops on Teichmuller pairs (mod-p, zero-free support) ==")
+    print("== tilt Witt ops on Teichmuller pairs, and xi ==")
     figures = {}
     for ring, n in [(CyclotomicTruncation(3, 4, 1), 3), (CyclotomicTruncation(7, 2, 1), 2)]:
         eps = epsilon(ring, n)
@@ -454,7 +457,7 @@ def bench_tilt_ops(repeat=5):
         label = f"W{n}_{ring.descriptor()}"
         row = [f"W_{n}({ring.descriptor()}):"]
         for name, fn in [("add", tilt_witt_add), ("mul", tilt_witt_mul)]:
-            fn(*pairs[0])  # build the polynomials outside the timing
+            fn(*pairs[0])  # compile the Witt operations outside the timing
             t0 = time.perf_counter()
             for _ in range(repeat):
                 for u, v in pairs:
@@ -462,6 +465,13 @@ def bench_tilt_ops(repeat=5):
             us = (time.perf_counter() - t0) / (repeat * len(pairs)) * 1e6
             figures[f"tilt_witt_{name}_us.{label}"] = round(us, 1)
             row.append(f"{name} {us:8.1f} us")
+        xi_element(ring, n, n)  # compile and build outside the timing
+        t0 = time.perf_counter()
+        for _ in range(repeat):
+            xi_element(ring, n, n)
+        us = (time.perf_counter() - t0) / repeat * 1e6
+        figures[f"xi_element_us.{label}"] = round(us, 1)
+        row.append(f"xi {us:8.1f} us")
         print("  " + "   ".join(row))
     ring = CyclotomicTruncation(3, 4, 1)
     eps = epsilon(ring, 3)

@@ -68,6 +68,13 @@ class SuiteConfig:
         # stabilized sum loses default_delta = min(M, 3) lifts
         if "tilt-theta" in names and self.T <= tilt.default_delta(self):
             raise UsageError(f"suite tilt-theta needs T > min(M, 3), got T={self.T}, M={self.M}")
+        # tate-tower reads theta_r up to lift h of a tilt sum of depth h + 1,
+        # h the tower height, so it needs min(M, 3) <= 1
+        if "tate-tower" in names and tilt.default_delta(self) > 1:
+            raise UsageError(
+                "suite tate-tower needs M = 1: it reads lift h of a stabilized "
+                f"tilt sum of depth h + 1, which loses min(M, 3) lifts; got M={self.M}"
+            )
         return self
 
     def to_dict(self):

@@ -6,8 +6,17 @@ Two complementary models:
   lifts (t^(0), ..., t^(T)) in A with (t^(i+1))^p = t^(i) mod pA.
   Multiplication is exact and coordinatewise; addition is the stabilized
   limit (s+t)^(i) = (s^(i+k) + t^(i+k))^(p^k) truncated at k = delta, losing
-  delta lifts.  theta_r sends a truncated Witt vector of tilts to W_r(A);
-  theta (= theta_1 after Frobenius) sends it to A.
+  delta lifts, delta = min(M, 3).  Witt vectors of tilts compute through
+  the compiled W_n(A) operations (raw_witt_ops): a sum, product or k-fold
+  sum runs on the payloads of the operands' lifts j, exactly in W_n(A), and
+  each coordinate is then stabilized once like a sum, losing delta lifts.
+  Any integral lift of the mod-p Witt polynomials stabilizes to the same
+  tilt value (Bhatt-Morrow-Scholze, Integral p-adic Hodge theory, sec. 3).
+  Three cases are exact at full depth: adding zero, F (the coordinatewise
+  p-th power, the tilt having characteristic p), and a product with a
+  Teichmuller factor, [a] x = (a^(p^i) x_i).  theta_r sends a truncated
+  Witt vector of tilts to W_r(A); theta (= theta_1 after Frobenius) sends
+  it to A.
 
 * Characteristic-p model.  The tilt of the standard cyclotomic tower is
   approximated by F_p[s]/(s^(K p^e)) with eps = 1 + t, t = s^(p^e).  This is
@@ -22,12 +31,8 @@ import itertools
 from .modlin import nullspace_mod_p, solve_mod_p
 from .rings import CharPQuotient, RingElement
 from .witt import (
-    ScalarOps,
     WittVector,
-    eval_poly_ops,
     frobenius,
-    get_table,
-    multi_sum_polys,
     raw_witt_ops,
     teichmuller,
     verschiebung,
@@ -164,12 +169,43 @@ def tilt_one(base, depth):
     return tilt_const(base, 1, depth)
 
 
-def tilt_sum(elems, delta=None, check_stability=True):
+def _stabilize(base, depth, delta, level):
+    """The stabilized limit of values computed lift by lift.
+
+    level(j) is a tuple of payloads in A, each computed from lift j of the
+    operands, for j <= depth.  The result holds one TiltElement per entry,
+    whose lift i is that entry of level(i + delta) raised to p^delta, so
+    depth drops by delta.  The check compares the delta and delta-1
+    approximants mod p^min(M, delta) and raises on disagreement.
+    """
+    if delta > depth:
+        raise TiltPrecisionError(
+            f"depth shortfall: delta={delta} exceeds common depth {depth}"
+        )
+    p = base.p
+    levels = {j: level(j) for j in range(max(delta - 1, 0), depth + 1)}
+    agree_mod = p ** min(getattr(base, "M", 1), delta)
+    coords = []
+    for k in range(len(levels[depth])):
+        lifts = []
+        for j in range(delta, depth + 1):
+            val = base._pow(levels[j][k], p**delta)
+            if delta:
+                prev = base._pow(levels[j - 1][k], p ** (delta - 1))
+                if any((a - b) % agree_mod for a, b in zip(val, prev)):
+                    raise TiltPrecisionError(
+                        f"tilt sum did not stabilize at delta={delta}"
+                    )
+            lifts.append(RingElement(base, val))
+        coords.append(TiltElement(base, lifts, check=False))
+    return coords
+
+
+def tilt_sum(elems, delta=None):
     """Stabilized sum: result lift i is (sum of lifts at i+delta)^(p^delta).
 
-    Depth drops by delta.  The stabilization check compares the delta and
-    delta-1 approximants mod p^min(M, delta) and raises on disagreement.
-    Zero addends are dropped first, so adding zero is exact at full depth.
+    Depth drops by delta.  Zero addends are dropped first, so adding zero is
+    exact at full depth.
     """
     elems = [e for e in elems if not e.is_zero()]
     if not elems:
@@ -177,32 +213,14 @@ def tilt_sum(elems, delta=None, check_stability=True):
     base = elems[0].base
     if len(elems) == 1:
         return elems[0]
-    p = base.p
     if delta is None:
         delta = default_delta(base)
-    depth = min(e.depth for e in elems)
-    if delta > depth:
-        raise TiltPrecisionError(
-            f"depth shortfall: delta={delta} exceeds common depth {depth}"
-        )
-    new_lifts = []
-    for i in range(depth - delta + 1):
-        acc = base.zero()
-        for e in elems:
-            acc = acc + e.lift(i + delta)
-        val = acc ** (p**delta)
-        if check_stability and delta >= 1:
-            prev = base.zero()
-            for e in elems:
-                prev = prev + e.lift(i + delta - 1)
-            prev_val = prev ** (p ** (delta - 1))
-            agree_mod = p ** min(getattr(base, "M", 1), delta)
-            if any((a - b) % agree_mod for a, b in zip(val.data, prev_val.data)):
-                raise TiltPrecisionError(
-                    f"tilt addition did not stabilize at delta={delta}"
-                )
-        new_lifts.append(val)
-    return TiltElement(base, new_lifts, check=False)
+
+    def level(j):
+        return (functools.reduce(base._add, [e.lifts[j].data for e in elems]),)
+
+    (total,) = _stabilize(base, min(e.depth for e in elems), delta, level)
+    return total
 
 
 def tilt_add(s, t, delta=None):
@@ -224,36 +242,6 @@ def epsilon(ring, T):
 
 
 # --- Witt vectors of tilts ----------------------------------------------------
-
-
-class _TiltOps(ScalarOps):
-    def __init__(self, base, depth, delta):
-        self.base = base
-        self.depth = depth
-        self.delta = delta
-
-    def zero(self):
-        return tilt_zero(self.base, self.depth)
-
-    def one(self):
-        return tilt_one(self.base, self.depth)
-
-    def mul(self, a, b):
-        return a * b
-
-    def scale_int(self, a, c):
-        # the tilt has characteristic p: c acts as tilt_const(c mod p), whose
-        # every lift is the integer omega(c mod p) = omega(c)
-        w = _omega_teichmuller(c, self.base.m, self.base.p)
-        return TiltElement(self.base, tuple(w * x for x in a.lifts), check=False)
-
-    def sum(self, items):
-        items = [x for x in items if not x.is_zero()]
-        if not items:
-            return self.zero()
-        if len(items) == 1:
-            return items[0]
-        return tilt_sum(items, delta=self.delta)
 
 
 class TiltWittVector:
@@ -293,83 +281,62 @@ def tilt_teichmuller(t, n):
     return TiltWittVector(t.base, (t,) + (zero,) * (n - 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _tilt_polys(p, n, op):
-    """The polynomials of one Witt operation on length-n tilt vectors,
-    reduced mod p: op is "sum", "prod", "frob", or the number k of the
-    summands of a k-fold sum.
+def _is_teichmuller(u):
+    return all(c.is_zero() for c in u.coords[1:])
 
-    The tilt has characteristic p, so _TiltOps.scale_int reads a
-    coefficient only mod p, and a monomial whose coefficient p divides is
-    zero.  The coefficients become c mod p, the zero terms are dropped, and
-    a coefficient that becomes 1 costs no scaling.
+
+def _tilt_witt_op(op, vectors, delta):
+    """The operation op ("add" or "mul") of raw_witt_ops(A, p, n), folded
+    over the vectors at each lift level, then stabilized once per
+    coordinate: depth drops by delta.
+
+    Level j is exact in W_n(A): the integer Witt polynomials on the lifts j
+    of the operands, an integral lift of the mod-p ones.
     """
-    if isinstance(op, int):
-        polys = multi_sum_polys(p, n, op)
-    else:
-        polys = getattr(get_table(p, n), f"{op}_polys")
-    return tuple({mono: c % p for mono, c in poly.items() if c % p} for poly in polys)
+    base, n = vectors[0].base, vectors[0].length
+    fn = getattr(raw_witt_ops(base, base.p, n), op)
 
+    def level(j):
+        return functools.reduce(fn, [tuple(c.lifts[j].data for c in v.coords) for v in vectors])
 
-@functools.lru_cache(maxsize=None)
-def _tilt_support(p, n, op, zeros):
-    """_tilt_polys without the monomials that read a variable in zeros.
-
-    The cache holds one entry per zero pattern met, at most 2^(number of
-    variables) per operation; the Witt lengths in use keep that small.
-    """
-    polys = _tilt_polys(p, n, op)
-    if not zeros:
-        return polys
-    return tuple(
-        {mono: c for mono, c in poly.items() if not any(mono[i] for i in zeros)}
-        for poly in polys
-    )
-
-
-def _tilt_eval(op, n, values, base, delta):
-    """The coordinates of one Witt operation on tilts, evaluated on the
-    monomials that can be nonzero.
-
-    A monomial reading a zero coordinate is zero, like one whose coefficient
-    p divides, and _TiltOps.sum drops zero terms.  So the terms that survive
-    the pruning reach tilt_sum exactly as in the full evaluation, in the
-    same order, and the result is the same at a fraction of the products.
-    The coordinates share one cache of powers.
-    """
-    depth = min(v.depth for v in values)
-    ops = _TiltOps(base, depth, delta)
-    zeros = tuple(i for i, v in enumerate(values) if v.is_zero())
-    powers = {}
-    return [
-        eval_poly_ops(poly, values, ops, powers)
-        for poly in _tilt_support(base.p, n, op, zeros)
-    ]
+    depth = min(v.depth for v in vectors)
+    return TiltWittVector(base, _stabilize(base, depth, delta, level))
 
 
 def tilt_witt_add(u, v, delta=None):
-    base = u.base
-    if delta is None:
-        delta = default_delta(base)
-    coords = _tilt_eval("sum", u.length, u.coords + v.coords, base, delta)
-    return TiltWittVector(base, coords)
+    return tilt_witt_sum_many([u, v], delta=delta)
 
 
 def tilt_witt_mul(u, v):
-    base = u.base
-    coords = _tilt_eval("prod", u.length, u.coords + v.coords, base, default_delta(base))
-    return TiltWittVector(base, coords)
+    """The Witt product.  With a Teichmuller factor it is exact at the
+    common depth, [a] x = (a^(p^i) x_i), and zero coordinates stay zero;
+    otherwise it loses min(M, 3) lifts."""
+    if not _is_teichmuller(u):
+        if not _is_teichmuller(v):
+            return _tilt_witt_op("mul", [u, v], default_delta(u.base))
+        u, v = v, u
+    depth = min(u.depth, v.depth)
+    a, zero = u.coords[0].truncated(depth), tilt_zero(u.base, depth)
+    return TiltWittVector(
+        u.base, [zero if c.is_zero() else a ** (u.p**i) * c for i, c in enumerate(v.coords)]
+    )
 
 
 def tilt_witt_sum_many(vectors, delta=None):
-    """k-fold Witt sum with a single stabilization cost per coordinate."""
-    base = vectors[0].base
+    """k-fold Witt sum with a single stabilization cost per coordinate.
+
+    Zero vectors are dropped first, so adding zero is exact at full depth;
+    any other sum loses delta = min(M, 3) lifts.
+    """
+    base, n = vectors[0].base, vectors[0].length
+    nonzero = [v for v in vectors if not all(c.is_zero() for c in v.coords)]
+    if not nonzero:
+        return TiltWittVector(base, (tilt_zero(base, min(v.depth for v in vectors)),) * n)
+    if len(nonzero) == 1:
+        return nonzero[0]
     if delta is None:
         delta = default_delta(base)
-    values = [c for vec in vectors for c in vec.coords]
-    return TiltWittVector(
-        base, _tilt_eval(len(vectors), vectors[0].length, values, base, delta)
-    )
+    return _tilt_witt_op("add", nonzero, delta)
 
 
 def tilt_witt_phi_inv(u):
@@ -377,12 +344,10 @@ def tilt_witt_phi_inv(u):
     return TiltWittVector(u.base, tuple(c.root(1) for c in u.coords))
 
 
-def tilt_witt_frobenius(u, delta=None):
-    base = u.base
-    if delta is None:
-        delta = default_delta(base)
-    coords = _tilt_eval("frob", u.length, u.coords, base, delta)
-    return TiltWittVector(base, coords)
+def tilt_witt_frobenius(u):
+    """F: W_n -> W_{n-1}, as witt.frobenius.  The tilt has characteristic
+    p, so F is the coordinatewise p-th power, exact at full depth."""
+    return TiltWittVector(u.base, [c.frobenius() for c in u.coords[:-1]])
 
 
 def xi_element(ring, T, length, delta=None):

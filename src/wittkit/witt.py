@@ -30,11 +30,10 @@ coordinate as one linear combination reduced mod m; over Z it evaluates the
 unpruned polynomials on the coordinates' Python ints.  Quotient rings also
 have a batch form of sum, product and Frobenius, from two more back ends of
 the same compiler: the table source on numpy arrays of element indices, and
-batched convolutions on (B, d) arrays of coefficients above the cap.  An
-interpreted evaluator with pluggable scalar operations (eval_poly_ops)
-covers carriers that are not ring payloads (tilt lifts need fused sums, and
-the tilt prunes the polynomials to their mod-p support first) and is the
-tests' oracle.
+batched convolutions on (B, d) arrays of coefficients above the cap.  The
+tilt's Witt arithmetic runs these same operations on the payloads of its
+lifts, one lift level at a time.  An interpreted evaluator with pluggable
+scalar operations (eval_poly_ops) is the tests' oracle.
 """
 
 import collections
@@ -196,10 +195,11 @@ class WittUniversalTable:
     eta_k is homogeneous of degree p^k and symmetric, so it is a polynomial
     ``eta_sym_polys[k]`` in s = x + y and q = xy, with at most half its
     monomials.  The compiled sum is the carry program of _carry_program over
-    those.  The expanded ``sum_polys`` are data for eval_poly_ops,
-    multi_sum_polys and verify_ghost_symbolic, built on the first read (they
-    cost far more than the rest of the table) and kept, so a caller may
-    change them in place.
+    those.  The expanded ``sum_polys`` are data for verify_ghost_symbolic
+    and the tests' oracle (eval_poly_ops); nothing compiled and no tilt
+    operation reads them.  They are built on the first read (they cost far
+    more than the rest of the table) and kept, so a caller may change them
+    in place.
     """
 
     def __init__(self, p, n):
@@ -720,24 +720,6 @@ def _batch_mulmod(ring):
         return out
 
     return mul
-
-
-@functools.lru_cache(maxsize=None)
-def multi_sum_polys(p, n, k):
-    """Universal polynomials for the k-fold Witt sum at length n.
-
-    Returned polynomials live in k*n variables (operand 0 coords, operand 1
-    coords, ...).  Needed by carriers whose addition loses precision: a k-fold
-    sum evaluated through these costs one stabilization instead of k-1.
-    """
-    table = get_table(p, n)
-    nvars = k * n
-    acc = [_var(i, nvars) for i in range(n)]
-    for j in range(1, k):
-        operand = [_var(j * n + i, nvars) for i in range(n)]
-        subs = acc + operand
-        acc = [_psubst(table.sum_polys[i], subs, nvars) for i in range(n)]
-    return tuple(acc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1321,42 +1303,18 @@ def witt_from_json(d, ring):
     )
 
 
-# --- generic-ops evaluation (tilt lifts and other non-RingElement scalars) ---
+# --- the interpreted evaluator (the tests' oracle) ------------------------
 
 
-class ScalarOps:
-    """Interface for evaluating universal polynomials over foreign scalars."""
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def scale_int(self, a, c):
-        raise NotImplementedError
-
-    def sum(self, items):
-        raise NotImplementedError
-
-
-def eval_poly_ops(poly, values, ops, powers=None):
+def eval_poly_ops(poly, values, ops):
     """Evaluate a sparse polynomial with the given scalar operations.
 
-    The final accumulation goes through ops.sum in one call, which lets
-    precision-losing carriers (tilt addition) pay a single stabilization
-    cost per polynomial instead of one per monomial; a _compile_polys back
-    end would have to keep that fused sum.  Nothing is pruned and nothing is
-    compiled, so with the operations of a ring's RingElements this is also
-    the tests' oracle for the compiled Witt operations.  ``powers`` caches
-    the powers of the values by (variable, exponent); several polynomials
-    evaluated on the same values may share one dict.
+    ops has zero(), one(), mul(a, b), scale_int(a, c) and sum(items).
+    Nothing is pruned and nothing is compiled, so with the operations of a
+    ring's RingElements this is the tests' oracle for the compiled Witt
+    operations.
     """
-    if powers is None:
-        powers = {}
+    powers = {}
 
     def power(vi, e):
         key = (vi, e)

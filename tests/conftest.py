@@ -2,10 +2,10 @@
 
 import pytest
 
-from wittkit.witt import ScalarOps, eval_poly_ops
+from wittkit.witt import eval_poly_ops
 
 
-class RingOps(ScalarOps):
+class RingOps:
     """The scalar operations of one ring, on its RingElements."""
 
     def __init__(self, ring):

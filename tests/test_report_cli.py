@@ -148,6 +148,38 @@ def test_cli_all_suites_report_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ALL_SEED7_JSON_SHA256
 
 
+LIGHT = ["--suite", "tilt-theta", "--suite", "kaehler-torsion", "--suite", "qlog", "--suite", "log-presentation"]
+
+# SHA-256 of the JSON report on stdout, and the exit code, of more configs
+# at --seed 1, under the same rule as ALL_SEED7_JSON_SHA256
+PINNED_STDOUT = [
+    (LIGHT + ["-N", "4", "-T", "3"], "801c15097566cb5bfa726056be1563e05a6bc937ff201e5fc557b6e2c7d39e6d", 0),
+    (
+        ["--suite", "tilt-theta", "--suite", "qlog", "--suite", "log-presentation", "-p", "7", "-N", "2"],
+        "f644f2adada2267229901b3d4989e8b48a645c8fb16dbdc3045ee0a719a2db66",
+        0,
+    ),
+    (["--suite", "tate-tower", "-p", "5", "-N", "3"], "620963372260c7958c43ad5197e04d18208921a81f4f976cfb6aaf289f705aae", 0),
+    (LIGHT, "c8a3c68907c7a565377a3c804ccd46c753db186ce8210901ea85e0726804ef53", 0),
+    (
+        ["--suite", "witt-identities", "--budget", "500000"],
+        "6370d206d6187c81a3c7da5457bee5ca6d2ed74d3bb979226399ad18d31b0f64",
+        0,
+    ),
+    (["--suite", "fixed-points", "-K", "6"], "814e94453e454e9977d0d1d0f2b2ad908a7fc6cf3e1184bb21af70fa8a98b86e", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest,code",
+    PINNED_STDOUT,
+    ids=["light-N4-T3", "tilt-qlog-logpres-p7-N2", "tate-tower-p5-N3", "light", "witt-identities", "fixed-points-K6"],
+)
+def test_cli_report_bytes_on_stdout_are_pinned(argv, digest, code, capsys):
+    assert main(argv + ["--seed", "1", "--format", "json"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_env_budget_override(monkeypatch, tmp_path):
     out = tmp_path / "r.json"
     monkeypatch.setenv("PAPERCHECK_BUDGET", "12345")
@@ -196,3 +228,23 @@ def test_out_of_envelope_tilt_depth_is_a_usage_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("paper-check: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-M", "2"],
+        ["-M", "2", "-N", "5"],
+        ["-M", "3", "-N", "3"],
+        ["-M", "4", "-N", "3"],
+        ["-p", "5", "-M", "2", "-N", "3"],
+    ],
+    ids=["M2", "M2-N5", "M3-N3", "M4-N3", "p5-M2-N3"],
+)
+def test_tate_tower_above_m1_is_a_usage_error(argv, capsys):
+    # each used to end in a TiltPrecisionError traceback: the suite reads
+    # theta_r up to lift h of a tilt sum of depth h + 1, and a stabilized
+    # sum loses min(M, 3) lifts
+    assert main(["--suite", "tate-tower"] + argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("paper-check: suite tate-tower needs M = 1")

@@ -11,7 +11,6 @@ from wittkit.tilt import (
     QLogDivisionError,
     _classify_solutions,
     _frobenius_affine_solutions,
-    _TiltOps,
     TiltElement,
     TiltPrecisionError,
     TiltWittVector,
@@ -39,12 +38,12 @@ from wittkit.tilt import (
     witt_phi,
     xi_element,
 )
+from wittkit import witt
+from wittkit.suites import SuiteConfig, run_suites
 from wittkit.witt import (
     WittVector,
-    eval_poly_ops,
     frobenius,
     get_table,
-    multi_sum_polys,
     random_witt,
     raw_witt_ops,
     restriction,
@@ -158,30 +157,17 @@ def test_ker_theta_generators():
     assert theta_r(fxi, 1) == theta_r(gen, 1)
 
 
-class _ConstProductTiltOps(_TiltOps):
-    """_TiltOps with integer scaling as a product with tilt_const."""
-
-    def scale_int(self, a, c):
-        c %= self.base.p
-        if c == 0:
-            return tilt_zero(self.base, min(a.depth, self.depth))
-        return tilt_const(self.base, c, a.depth) * a
-
-
-def _full_tilt_eval(polys, values):
-    """The unpruned evaluation: every monomial of the integer polynomials,
-    a fresh power cache per polynomial, coefficients as tilt_const products."""
-    base = values[0].base
-    ops = _ConstProductTiltOps(base, min(v.depth for v in values), default_delta(base))
-    return [eval_poly_ops(poly, values, ops) for poly in polys]
-
-
 def _outcome(compute):
-    """The lifts of each coordinate (so also its depth), or the error class."""
+    """compute(), or the error class on a TiltPrecisionError."""
     try:
-        return [c.lifts for c in compute()]
+        return compute()
     except TiltPrecisionError:
         return TiltPrecisionError
+
+
+def _lifts(w):
+    """The lifts of each coordinate, so also its depth."""
+    return [c.lifts for c in w.coords]
 
 
 def _tilt_inputs(ring, T, n=3):
@@ -197,14 +183,62 @@ def _tilt_inputs(ring, T, n=3):
     ]
 
 
+def _is_zero(w):
+    return all(c.is_zero() for c in w.coords)
+
+
+def _per_level(vectors, step, delta):
+    """The oracle of a Witt operation on tilts: step maps the lifts j of
+    the operands' coordinates to the n coordinates of level j, evaluated
+    on RingElements; lift i of coordinate k is then level i + delta's
+    coordinate k raised to p^delta.  Depth drops by delta from the common
+    depth of the operands."""
+    depth = min(w.depth for w in vectors)
+    if delta > depth:
+        raise TiltPrecisionError(f"delta={delta} exceeds depth {depth}")
+    levels = [step([[c.lifts[j] for c in w.coords] for w in vectors]) for j in range(depth + 1)]
+    power = vectors[0].p ** delta
+    return [
+        tuple(levels[i + delta][k] ** power for i in range(depth - delta + 1))
+        for k in range(vectors[0].length)
+    ]
+
+
+def _oracle_sum(vectors, sum_polys, eval_polys):
+    """Zero vectors are dropped; a lone operand is the sum at its depth;
+    otherwise the iterated unpruned sum polynomials, stabilized by
+    min(M, 3)."""
+    nonzero = [w for w in vectors if not _is_zero(w)]
+    if not nonzero:
+        zero = tilt_zero(vectors[0].base, min(w.depth for w in vectors))
+        return [zero.lifts] * vectors[0].length
+    if len(nonzero) == 1:
+        return [c.lifts for c in nonzero[0].coords]
+
+    def step(coords):
+        acc = coords[0]
+        for other in coords[1:]:
+            acc = eval_polys(sum_polys, list(acc) + other)
+        return acc
+
+    return _per_level(nonzero, step, default_delta(vectors[0].base))
+
+
+def _oracle_mul(u, v, prod_polys, eval_polys):
+    """The unpruned product polynomials, level by level; a Teichmuller
+    factor needs no stabilization, [a] x = (a^(p^i) x_i) at every level."""
+    teich = any(all(c.is_zero() for c in w.coords[1:]) for w in (u, v))
+    delta = 0 if teich else default_delta(u.base)
+    return _per_level([u, v], lambda coords: eval_polys(prod_polys, coords[0] + coords[1]), delta)
+
+
 @pytest.mark.parametrize(
-    "desc,T,k_len", [("cyc(3,4,1)", 3, 3), ("cyc(5,2,1)", 2, 2), ("cyc(3,3,2)", 3, 3)]
+    "desc,T", [("cyc(3,4,1)", 3), ("cyc(5,2,1)", 2), ("cyc(3,3,2)", 3), ("cyc(3,3,3)", 3)]
 )
-def test_pruned_tilt_ops_match_the_full_evaluation(desc, T, k_len):
-    # the mod-p, zero-free support gives the same lifts, depths and
-    # TiltPrecisionErrors as evaluating every monomial of the polynomials;
-    # the p-fold sum runs at length k_len (at p = 5 and length 3 its
-    # polynomials have 175,772 monomials)
+def test_tilt_witt_ops_match_the_per_level_oracle(desc, T, eval_polys):
+    # lifts, depths and TiltPrecisionErrors of sums, products, F and the
+    # p-fold sum at length 3 against the unpruned polynomials on each lift
+    # level, stabilized once per coordinate
     ring = ring_from_descriptor(desc)
     p, n = ring.p, 3
     table = get_table(p, n)
@@ -212,30 +246,25 @@ def test_pruned_tilt_ops_match_the_full_evaluation(desc, T, k_len):
     outcomes = []
     for u in inputs:
         for v in inputs:
-            pair = u.coords + v.coords
-            for polys, op in ((table.sum_polys, tilt_witt_add), (table.prod_polys, tilt_witt_mul)):
-                got = _outcome(lambda: op(u, v).coords)
-                assert got == _outcome(lambda: _full_tilt_eval(polys, pair))
-                outcomes.append(got)
-        got = _outcome(lambda: tilt_witt_frobenius(u).coords)
-        assert got == _outcome(lambda: _full_tilt_eval(table.frob_polys, u.coords))
-        outcomes.append(got)
-        vectors = [TiltWittVector(ring, w.coords[:k_len]) for w in [u] + inputs[: p - 1]]
-        values = [c for w in vectors for c in w.coords]
-        got = _outcome(lambda: tilt_witt_sum_many(vectors).coords)
-        assert got == _outcome(lambda: _full_tilt_eval(multi_sum_polys(p, k_len, p), values))
+            got = _outcome(lambda: _lifts(tilt_witt_add(u, v)))
+            assert got == _outcome(lambda: _oracle_sum([u, v], table.sum_polys, eval_polys))
+            outcomes.append(got)
+            got = _outcome(lambda: _lifts(tilt_witt_mul(u, v)))
+            assert got == _outcome(lambda: _oracle_mul(u, v, table.prod_polys, eval_polys))
+            outcomes.append(got)
+        # F is the coordinatewise p-th power at full depth, and the integer
+        # Frobenius polynomials agree with it mod p on every lift level
+        f = tilt_witt_frobenius(u)
+        assert f.coords == tuple(c.frobenius() for c in u.coords[: n - 1])
+        for j in range(u.depth + 1):
+            level = eval_polys(table.frob_polys, [c.lifts[j] for c in u.coords])
+            for got_c, want in zip(level, f.coords):
+                assert not any((a - b) % p for a, b in zip(got_c.data, want.lifts[j].data))
+        vectors = [u] + inputs[: p - 1]
+        got = _outcome(lambda: _lifts(tilt_witt_sum_many(vectors)))
+        assert got == _outcome(lambda: _oracle_sum(vectors, table.sum_polys, eval_polys))
         outcomes.append(got)
     assert any(o is not TiltPrecisionError for o in outcomes)
-
-
-def test_tilt_scale_int_is_the_tilt_const_product():
-    for desc in ("cyc(3,3,2)", "cyc(5,2,1)"):
-        ring = ring_from_descriptor(desc)
-        eps = epsilon(ring, 2)
-        ops, oracle = _TiltOps(ring, 2, 1), _ConstProductTiltOps(ring, 2, 1)
-        for c in range(-ring.p, 2 * ring.p + 1):
-            for a in (eps, eps.root(1) ** 2, tilt_zero(ring, 2)):
-                assert ops.scale_int(a, c) == oracle.scale_int(a, c)
 
 
 def test_theta_r_skips_zero_digits():
@@ -254,32 +283,34 @@ def test_theta_r_skips_zero_digits():
                 assert theta_r(w, r) == acc
 
 
-def test_tilt_witt_ops_on_teichmuller_pairs_make_few_products(monkeypatch):
-    # 9 pairs [eps^i], [eps^j] at W_3 over cyc(3,4,1), depth 3.  Evaluating
-    # every monomial took 720 TiltElement products for the sums and 486 for
-    # the products; the mod-p, zero-free support with scale_int as a
-    # tilt_const product took 306 and 9.  Nine is the floor for the
-    # products: each pair needs its coordinate-0 product x_0 y_0.
+def test_tilt_witt_ops_on_teichmuller_pairs_keep_their_depth():
+    # 9 pairs [eps^i], [eps^j] at W_3 over cyc(3,4,1), depth 3: a product
+    # with a Teichmuller factor is exact, [eps^i] [eps^j] = [eps^(i+j)] at
+    # full depth, and a sum of two nonzero vectors loses min(M, 3) = 1 lift
     ring = CyclotomicTruncation(3, 4, 1)
     eps = epsilon(ring, 3)
-    ws = [tilt_teichmuller(eps**i, 3) for i in (1, 2, 3)]
-    calls = []
-    mul = TiltElement.__mul__
+    ws = {i: tilt_teichmuller(eps**i, 3) for i in (1, 2, 3)}
+    for i, u in ws.items():
+        for j, v in ws.items():
+            assert tilt_witt_mul(u, v) == tilt_teichmuller(eps ** (i + j), 3)
+            assert tilt_witt_add(u, v).depth == 2
 
-    def counting_mul(a, b):
-        calls.append(None)
-        return mul(a, b)
 
-    monkeypatch.setattr(TiltElement, "__mul__", counting_mul)
-    for u in ws:
-        for v in ws:
-            tilt_witt_add(u, v)
-    adds = len(calls)
-    del calls[:]
-    for u in ws:
-        for v in ws:
-            tilt_witt_mul(u, v)
-    assert adds <= 234 and len(calls) <= 9
+def test_a_tilt_theta_run_leaves_the_expanded_sums_unbuilt(monkeypatch):
+    # the tilt computes through the compiled W_n(A) operations, so no
+    # fresh table it builds has its expanded sum polynomials read
+    tables = {}
+
+    def fresh_table(p, n):
+        if (p, n) not in tables:
+            tables[p, n] = witt.WittUniversalTable(p, n)
+        return tables[p, n]
+
+    monkeypatch.setattr(witt, "get_table", fresh_table)
+    monkeypatch.setattr(witt, "_raw_cache", {})
+    agg = run_suites(SuiteConfig(N=4, T=3, suites=["tilt-theta"]).validate())
+    assert agg.exit_code == 0
+    assert tables and all("sum_polys" not in vars(t) for t in tables.values())
 
 
 def test_ker_f_generator_report():

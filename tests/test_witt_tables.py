@@ -20,7 +20,6 @@ from wittkit.witt import (
     _pdiv_exact,
     get_table,
     ghost,
-    multi_sum_polys,
     verify_ghost_symbolic,
     witt_add,
     witt_mul,
@@ -86,20 +85,6 @@ def test_ghost_homomorphism_numeric():
             ]
             # negation is coordinatewise for odd p: ghost flips sign
             assert [c.data for c in ghost(witt_neg(u))] == [-a.data for a in gu]
-
-
-def test_multi_sum_polys_match_iterated_addition(eval_polys):
-    Z = IntegerRing()
-    rng = random.Random(8)
-    polys = multi_sum_polys(3, 2, 3)
-    for _ in range(25):
-        vecs = [
-            WittVector(Z, 3, (Z.from_int(rng.randint(-4, 4)), Z.from_int(rng.randint(-4, 4))))
-            for _ in range(3)
-        ]
-        want = witt_add(witt_add(vecs[0], vecs[1]), vecs[2])
-        values = [c for v in vecs for c in v.coords]
-        assert eval_polys(polys, values) == want.coords
 
 
 def test_exact_division_fails_loudly():
