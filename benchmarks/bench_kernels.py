@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Time the arithmetic layers of wittkit.
 
-Twelve layers:
+Thirteen layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
     table cap, next to the kernel's schoolbook loop,
+  * the unit test of the quotient rings: us per is_unit on 200 seeded
+    elements of cyc(3,2,1), cyc(3,3,3), cyc(5,3,2), cyc(7,2,2) and
+    charp(3,0,9),
   * end-to-end Witt multiplication throughput on W_2(cyc(3,2,1)), which runs
     on the small-ring lookup tables, and on W_4(Z), which runs on plain ints,
     and (L1) wrapped against raw add/mul per call on W_2(cyc(3,2,1)),
@@ -132,6 +135,24 @@ def bench_kernel_calls():
         row.append(f"{name}: {kernel_dt * 1e6:8.2f} us")
         row.append(f"schoolbook: {dt * 1e6:8.2f} us")
         print("  " + "   ".join(row))
+    return figures
+
+
+def bench_units():
+    print("== is_unit per call, on 200 seeded elements ==")
+    figures = {}
+    rng = random.Random(19)
+    for ring in [
+        CyclotomicTruncation(3, 2, 1),
+        CyclotomicTruncation(3, 3, 3),
+        CyclotomicTruncation(5, 3, 2),
+        CyclotomicTruncation(7, 2, 2),
+        CharPQuotient(3, 0, 9),
+    ]:
+        elements = [random_element(ring, rng) for _ in range(200)]
+        us = _ns_per_element(lambda: [ring.is_unit(a) for a in elements], len(elements)) / 1e3
+        figures[f"is_unit_us.{ring.descriptor()}"] = round(us, 1)
+        print(f"  {ring.descriptor():<14} {us:8.1f} us")
     return figures
 
 
@@ -496,6 +517,7 @@ def main():
     )
     args = ap.parse_args()
     figures = bench_kernel_calls()
+    figures.update(bench_units())
     figures.update(bench_witt_mul())
     figures.update(bench_raw_ops_above_the_cap())
     figures.update(bench_fixed_point_solver())

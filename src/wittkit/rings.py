@@ -475,8 +475,9 @@ class IntegerRing(RingHandle):
 class _QuotientRing(RingHandle):
     """Shared machinery: Z/m[x]/(modpoly) with canonical coefficient tuples.
 
-    Subclasses fix m, the degree d, the reduction rows for x^(d+j), and the
-    printing variable.
+    Subclasses fix m, the degree d, the reduction rows for x^(d+j), the
+    residue map to F_p, and the printing variable.  Both rings are local:
+    the maximal ideal is (x - 1) for cyc and (s) for charp.
     """
 
     # set by subclass __init__: p, m (coefficient modulus), d (degree),
@@ -543,10 +544,34 @@ class _QuotientRing(RingHandle):
             cur = self._mul(cur, (0, 1) + (0,) * (self.d - 2)) if self.d > 1 else cur
         return [[cols[j][i] for j in range(self.d)] for i in range(self.d)]
 
+    def _residue(self, a):
+        """The image of the payload a in the residue field F_p, as an int."""
+        raise NotImplementedError
+
+    def is_unit(self, a):
+        """(True, inverse) or (False, None).
+
+        The ring is local with residue field F_p, so a is a unit iff its
+        residue is nonzero.  Newton's iteration b <- b(2 - ab), started at the
+        inverse of the residue, squares the error 1 - ab, which lies in the
+        maximal ideal; the (d*M)-th power of that ideal is zero.
+        """
+        r = self._residue(a.data) % self.p
+        if r == 0:
+            return False, None
+        two = self.from_int(2).data
+        b = self.from_int(pow(r, -1, self.p)).data
+        for _ in range((self.d * self._M_for_solve() - 1).bit_length()):
+            b = self._mul(b, self._sub(two, self._mul(a.data, b)))
+        assert self._mul(a.data, b) == self.one().data
+        return True, RingElement(self, b)
+
     def divide_exact(self, a, b):
         ok, inv = self.is_unit(b)
         if ok:
             return a * inv
+        if self._residue(a.data) % self.p:
+            return None  # b*c lies in the maximal ideal and a does not
         sol = solve_mod_pp(self._mul_matrix(b), list(a.data), self.p, self._M_for_solve())
         if sol is None:
             return None
@@ -664,10 +689,13 @@ class CyclotomicTruncation(_QuotientRing):
         d = len(self.minpoly) - 1
         m = p**M
         self._init_quotient(p, m, d, _reduction_rows(self.minpoly, m), "z")
-        self._fp_inverse_cache = {}
 
     def _M_for_solve(self):
         return self.M
+
+    def _residue(self, a):
+        # z -> 1; the residue is well defined since Phi_{p^N}(1) = p
+        return sum(a)
 
     def zeta(self, n):
         """Primitive p^n-th root of unity, 1 <= n <= N."""
@@ -677,12 +705,6 @@ class CyclotomicTruncation(_QuotientRing):
         vec = [0] * self.d
         vec[idx] = 1
         return RingElement(self, tuple(vec))
-
-    def is_unit(self, a):
-        inv = _invert_via_fp_and_lift(self, a)
-        if inv is None:
-            return False, None
-        return True, inv
 
     def descriptor(self):
         return f"cyc({self.p},{self.N},{self.M})"
@@ -727,6 +749,10 @@ class CharPQuotient(_QuotientRing):
     def _M_for_solve(self):
         return 1
 
+    def _residue(self, a):
+        # s -> 0
+        return a[0]
+
     def t_element(self):
         return self.t_root(0)
 
@@ -747,18 +773,6 @@ class CharPQuotient(_QuotientRing):
             if c:
                 return i
         return self.d
-
-    def is_unit(self, a):
-        if a.data[0] % self.p == 0:
-            return False, None
-        # Newton iteration b <- b(2 - ab), doubling s-adic precision
-        b = self.from_int(pow(a.data[0], -1, self.p))
-        steps = max(1, (self.d - 1).bit_length())
-        for _ in range(steps):
-            b = b * (self.from_int(2) - a * b)
-        if a * b == self.one():
-            return True, b
-        return False, None
 
     def descriptor(self):
         return f"charp({self.p},{self.e},{self.K})"
@@ -805,66 +819,6 @@ class CharPQuotient(_QuotientRing):
 
     def __hash__(self):
         return self._hash
-
-
-# --- F_p[x] helpers for unit testing via gcd + Hensel ---
-
-
-def _fp_poly_divmod(a, b, p):
-    a = list(a)
-    db, bl = len(b) - 1, b[-1]
-    inv = pow(bl, -1, p)
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            f = c * inv % p
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-    r = [c % p for c in a[:db]]
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def _fp_poly_invmod(a, f, p):
-    """Inverse of a modulo f over F_p, or None if gcd(a, f) != 1."""
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    if not a:
-        return None
-    r0, r1 = list(f), a
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _fp_poly_divmod(r0, r1, p)
-        # s = s0 - q*s1
-        prod = [0] * (len(q) + len(s1))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    prod[i + j] = (prod[i + j] + qc * sc) % p
-        s = [(x - y) % p for x, y in itertools.zip_longest(s0, prod, fillvalue=0)]
-        while s and s[-1] == 0:
-            s.pop()
-        r0, r1, s0, s1 = r1, r, s1, s
-    if len(r0) != 1:
-        return None
-    inv_lead = pow(r0[0], -1, p)
-    return [c * inv_lead % p for c in s0]
-
-
-def _invert_via_fp_and_lift(ring, a):
-    """Unit inverse in Z/p^M[x]/(f) via F_p gcd + Hensel, or None."""
-    inv_p = _fp_poly_invmod(list(a.data), ring.minpoly, ring.p)
-    if inv_p is None:
-        return None
-    b = ring.from_coeffs(inv_p)
-    two = ring.from_int(2)
-    for _ in range(max(1, (ring.M - 1).bit_length() + 1)):
-        b = b * (two - a * b)
-    return b if (a * b) == ring.one() else None
 
 
 # --- descriptors and sampling ---

@@ -665,13 +665,22 @@ def suite_tilt_theta(cfg):
 # --- suite: fixed-points --------------------------------------------------------
 
 
+def _fixed_points_report(ring, n):
+    """tate.fixed_points_report, with a solution count past the solver's
+    budget a usage error."""
+    try:
+        return tate.fixed_points_report(ring, n)
+    except tilt.SolutionBudgetError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def suite_fixed_points(cfg):
     rep = CheckReport("fixed-points")
     p = cfg.p
     ring = CharPQuotient(p, cfg.e, cfg.K)
     r1 = None  # the n = 1 report, reused by the shrink check below
     for n in (1, min(2, cfg.n + 1)):
-        r = tate.fixed_points_report(ring, n)
+        r = _fixed_points_report(ring, n)
         if r1 is None:
             r1 = r
         rep.add(
@@ -715,7 +724,7 @@ def suite_fixed_points(cfg):
             )
     # strict shrink under precision growth K -> pK
     big = CharPQuotient(p, cfg.e, cfg.K * p)
-    r2 = tate.fixed_points_report(big, 1)
+    r2 = _fixed_points_report(big, 1)
     eps_small = tilt.eps_charp(ring)
     mu_small = witt.witt_add(
         witt.teichmuller(eps_small, p, 1), witt.witt_neg(witt.witt_one(ring, p, 1))

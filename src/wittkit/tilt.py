@@ -540,9 +540,10 @@ def _power_basis_frobenius(ring):
     return basis, [ring._pow(e, ring.p) for e in basis]
 
 
-def _frobenius_affine_solutions(ring, a, b):
+def _frobenius_affine_solutions(ring, a, b, cap=None):
     """All u in the char-p ring with u^p - a*u = b (F_p-affine in u), as
-    payloads in increasing order; a and b are payloads."""
+    payloads in increasing order, or None if there are more than cap; a and
+    b are payloads."""
     p = ring.p
     basis, frob = _power_basis_frobenius(ring)
     cols = [ring._sub(f, ring._mul(a, e)) for e, f in zip(basis, frob)]
@@ -550,12 +551,26 @@ def _frobenius_affine_solutions(ring, a, b):
     part = solve_mod_p(rows, list(b), p)
     if part is None:
         return []
+    kernel = nullspace_mod_p(rows, p)
+    if cap is not None and p ** len(kernel) > cap:
+        return None
     out = [tuple(c % p for c in part)]
-    for kernel_vec in nullspace_mod_p(rows, p):
+    for kernel_vec in kernel:
         out = [
             tuple((x + c * y) % p for x, y in zip(u, kernel_vec)) for u in out for c in range(p)
         ]
     return sorted(set(out))
+
+
+class SolutionBudgetError(ArithmeticError):
+    """The fixed-point equation has more solutions at some Witt length than
+    the solver's budget."""
+
+    def __init__(self, ring, n, level, budget):
+        super().__init__(
+            f"fixed-point solver over W_{n}({ring.descriptor()}): more than "
+            f"{budget} solutions at Witt length {level}, the solver's budget"
+        )
 
 
 def frobenius_equation_solve(ring, n, solution_budget=100000):
@@ -597,10 +612,12 @@ def frobenius_equation_solve(ring, n, solution_budget=100000):
         new_partials = []
         for prefix in partials:
             a_coeff, b_const = _mul_coord_affine_parts(ratio, prefix, k)
-            for u in _frobenius_affine_solutions(ring, a_coeff, b_const):
-                new_partials.append(prefix + (u,))
-                if len(new_partials) > solution_budget:
-                    raise ArithmeticError("solution budget exceeded")
+            level = _frobenius_affine_solutions(
+                ring, a_coeff, b_const, solution_budget - len(new_partials)
+            )
+            if level is None:
+                raise SolutionBudgetError(ring, n, k + 1, solution_budget)
+            new_partials.extend(prefix + (u,) for u in level)
         partials = new_partials
     solutions = [WittVector._trusted(ring, p, coords) for coords in partials]
 

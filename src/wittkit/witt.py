@@ -1176,45 +1176,31 @@ def ghost(u):
 
 def witt_is_unit(u):
     """(True, inverse) iff the first coordinate is a unit in A."""
-    ok, _ = u.ring.is_unit(u.coords[0])
-    if not ok:
-        return False, None
-    inv = _witt_invert(u)
-    return True, inv
-
-
-def _witt_invert(u):
-    ok, a0_inv = u.ring.is_unit(u.coords[0])
-    if not ok:
-        raise ValueError("first Witt coordinate is not a unit")
-    if u.length == 1:
-        return teichmuller(a0_inv, u.p, 1)
-    # peel: v = [a0^-1] + V(w); solve F(u) w = unV(1 - u*[a0^-1])
-    t = teichmuller(a0_inv, u.p, u.length)
-    rem = witt_add(witt_one(u.ring, u.p, u.length), witt_neg(witt_mul(u, t)))
-    assert rem.data[0] == u.ring.zero().data
-    w = _witt_invert(frobenius(u))  # F(u) is a unit too: (a0^p) is a unit
-    # solve F(u) * y = unV(rem) exactly: y = F(u)^{-1} * unV(rem)
-    y = witt_mul(w, WittVector._trusted(u.ring, u.p, rem.data[1:]))
-    return witt_add(t, verschiebung(y))
+    inv = witt_divide_exact(witt_one(u.ring, u.p, u.length), u)
+    return (False, None) if inv is None else (True, inv)
 
 
 def witt_divide_exact(x, u, ann_cap=256):
     """Some q with u*q = x in W_n(A), or None.
 
-    First-coordinate peeling; when a coordinate-level witness does not
-    extend, other witnesses in the same annihilator coset are tried, up to
-    ann_cap of them.  Witnesses beyond the cap are not searched, so None
-    means "no witness found", not a proof of indivisibility, unless n = 1.
+    First-coordinate peeling.  For a unit first coordinate u_0 the
+    coordinate-level witness is x_0 * u_0^-1, and u is a unit of W_n(A), so
+    q is exact: it is the quotient.  Otherwise, when a coordinate-level
+    witness does not extend, other witnesses in the same annihilator coset
+    are tried, up to ann_cap of them.  Witnesses beyond the cap are not
+    searched, so None means "no witness found", not a proof of
+    indivisibility, unless n = 1 or u_0 is a unit.
     """
     ring, p, n = x.ring, x.p, x.length
-    q0 = ring.divide_exact(x.coords[0], u.coords[0])
+    ok, u0_inv = ring.is_unit(u.coords[0])
+    q0 = x.coords[0] * u0_inv if ok else ring.divide_exact(x.coords[0], u.coords[0])
     if q0 is None:
         return None
     if n == 1:
         return teichmuller(q0, p, 1)
     candidates = [q0]
-    ann = ring.annihilator(u.coords[0], cap=ann_cap)
+    # a unit's annihilator is {0}
+    ann = None if ok else ring.annihilator(u.coords[0], cap=ann_cap)
     if ann:
         candidates = [q0 + delta for delta in ann]
     for cand in candidates:

@@ -248,3 +248,19 @@ def test_tate_tower_above_m1_is_a_usage_error(argv, capsys):
     assert main(["--suite", "tate-tower"] + argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("paper-check: suite tate-tower needs M = 1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-p", "5"], ["-p", "7", "-K", "1"], ["-p", "3", "-e", "1", "-K", "9"]],
+    ids=["p5", "p7-K1", "p3-e1-K9"],
+)
+def test_fixed_points_past_the_solution_budget_is_a_usage_error(argv, capsys):
+    # the first used to end in an ArithmeticError traceback, in the n loop;
+    # the second fails on the K*p shrink ring; the third built all of its
+    # affine solutions before counting them, and grew until it was killed
+    assert main(["--suite", "fixed-points"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("paper-check: fixed-point solver over W_")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wittkit.modlin import solve_mod_pp
 from wittkit.rings import (
     CharPQuotient,
     CyclotomicTruncation,
@@ -107,22 +108,61 @@ def test_charp_frobenius():
     assert (f.one() + t) ** 3 == f.one() + t**3
 
 
-def test_is_unit_with_exhaustive_oracle():
-    r = CyclotomicTruncation(3, 1, 2)  # 81 elements
-    z = r.zeta(1)
-    ok, w = r.is_unit(z)
-    assert ok and z * w == r.one() and w == z**2
-    ok, w = r.is_unit(r.one())
-    assert ok and w == r.one()
-    # oracle: exhaustive inverse search over all 81 elements
-    target = z - r.one()
-    found = [b for b in r.enumerate_elements() if target * b == r.one()]
-    assert found == []
-    assert r.is_unit(target) == (False, None)
-    # all unit verdicts agree with the exhaustive oracle
+@pytest.mark.parametrize(
+    "desc",
+    [
+        "cyc(3,1,2)",
+        "cyc(3,2,1)",
+        "cyc(3,1,3)",
+        "cyc(5,1,1)",
+        "charp(3,0,6)",
+        "charp(3,1,2)",
+        "charp(5,0,4)",
+    ],
+)
+def test_is_unit_with_exhaustive_oracle(desc):
+    # oracle: a is a unit iff a*x = 1 is solvable, as a linear system over
+    # Z/p^M in the power basis
+    r = ring_from_descriptor(desc)
+    one = r.one()
+    M = r.M if isinstance(r, CyclotomicTruncation) else 1
+    units = 0
     for a in r.enumerate_elements():
-        has_inv = any(a * b == r.one() for b in r.enumerate_elements())
-        assert r.is_unit(a)[0] == has_inv
+        solvable = solve_mod_pp(r._mul_matrix(a), list(one.data), r.p, M) is not None
+        ok, b = r.is_unit(a)
+        assert ok == solvable, a
+        assert (a * b == one) if ok else b is None
+        units += ok
+    # the units are the elements off the maximal ideal, of index p
+    assert units == r.cardinality() // r.p * (r.p - 1)
+
+
+def _newton_inverse(a, steps):
+    """b <- b(2 - ab) from b = 1, for an a with residue 1."""
+    b = a.ring.one()
+    for _ in range(steps):
+        b = b * (2 - a * b)
+    return b
+
+
+@pytest.mark.parametrize(
+    "desc", ["cyc(5,3,2)", "cyc(3,3,3)", "cyc(7,2,2)", "cyc(3,1,40)", "charp(3,0,27)"]
+)
+def test_is_unit_runs_every_newton_step(desc):
+    # zeta_{p^N} - 1 and s generate the maximal ideal, so zeta_{p^N} and 1 + s
+    # are the slowest to converge: their error 1 - ab is a generator, and one
+    # step fewer than (d*M - 1).bit_length() leaves it nonzero
+    r = ring_from_descriptor(desc)
+    if isinstance(r, CyclotomicTruncation):
+        a, M = r.zeta(r.N), r.M
+        assert r.is_unit(a) == (True, a ** (r.p**r.N - 1))
+    else:
+        a, M = r.one() + r.t_element(), 1
+        ok, b = r.is_unit(a)
+        assert ok and a * b == r.one()
+    steps = (r.d * M - 1).bit_length()
+    assert a * _newton_inverse(a, steps) == r.one()
+    assert a * _newton_inverse(a, steps - 1) != r.one()
 
 
 def test_divide_exact():
@@ -137,6 +177,19 @@ def test_divide_exact():
     assert c is not None and t * c == t * t
     # witnesses in non-domains: any witness is fine, the contract is b*c = a
     assert f.divide_exact(f.one(), f.zero()) is None
+
+
+@pytest.mark.parametrize("desc", ["cyc(3,1,2)", "charp(3,1,1)"])
+def test_divide_exact_with_exhaustive_oracle(desc):
+    # a witness exists iff a lies in b * R, for every pair (a, b)
+    r = ring_from_descriptor(desc)
+    elements = list(r.enumerate_elements())
+    for b in elements:
+        multiples = {b * c for c in elements}
+        for a in elements:
+            c = r.divide_exact(a, b)
+            assert (c is not None) == (a in multiples), (a, b)
+            assert c is None or b * c == a
 
 
 def test_enumeration_counts():

@@ -10,6 +10,7 @@ from wittkit.rings import CharPQuotient, CyclotomicTruncation, ring_from_descrip
 from wittkit.tilt import (
     QLogDivisionError,
     _classify_solutions,
+    SolutionBudgetError,
     _frobenius_affine_solutions,
     TiltElement,
     TiltPrecisionError,
@@ -406,6 +407,29 @@ def test_frobenius_affine_solutions_match_a_scan_of_the_ring(desc):
         for b in (rng.choice(elements), u**p - a * u):
             want = sorted(x.data for x in elements if x**p - a * x == b)
             assert _frobenius_affine_solutions(ring, a.data, b.data) == want
+
+
+@pytest.mark.parametrize("desc", ["charp(3,0,9)", "charp(3,1,1)", "charp(5,0,3)"])
+def test_frobenius_affine_solutions_stop_past_their_cap(desc):
+    # the count is read off the kernel before any solution is built: cap at
+    # the count returns them all, one below returns None
+    ring = ring_from_descriptor(desc)
+    rng = random.Random(5)
+    elements = list(ring.enumerate_elements())
+    for _ in range(6):
+        a, u = rng.choice(elements), rng.choice(elements)
+        b = u**ring.p - a * u
+        full = _frobenius_affine_solutions(ring, a.data, b.data)
+        assert _frobenius_affine_solutions(ring, a.data, b.data, len(full)) == full
+        assert _frobenius_affine_solutions(ring, a.data, b.data, len(full) - 1) is None
+
+
+def test_frobenius_equation_solve_raises_past_its_budget():
+    # W_2(charp(3,0,9)) has 19,683 solutions
+    ring = CharPQuotient(3, 0, 9)
+    assert len(frobenius_equation_solve(ring, 2, 19683)["solutions"]) == 19683
+    with pytest.raises(SolutionBudgetError, match=r"W_2\(charp\(3,0,9\)\)"):
+        frobenius_equation_solve(ring, 2, 19682)
 
 
 def test_solution_count_bounds():

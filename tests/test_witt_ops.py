@@ -151,8 +151,9 @@ def test_kernel_of_restriction_is_v_exhaustive():
     assert set(kernel) == image
 
 
-def test_units_lemma_exhaustive():
-    ring = CyclotomicTruncation(3, 1, 1)
+@pytest.mark.parametrize("desc", ["cyc(3,1,1)", "cyc(3,1,2)", "charp(3,0,3)"])
+def test_units_lemma_exhaustive(desc):
+    ring = ring_from_descriptor(desc)
     raw = raw_witt_ops(ring, 3, 2)
     for payload in raw.enumerate_payloads():
         w = raw.wrap(payload)
@@ -160,6 +161,8 @@ def test_units_lemma_exhaustive():
         assert ok == ring.is_unit(w.coords[0])[0]
         if ok:
             assert witt_mul(w, inv) == witt_one(ring, 3, 2)
+        else:
+            assert inv is None
 
 
 def test_z_element_facts():
