@@ -28,7 +28,7 @@ Thirteen layers:
     (every torsion generator solved in one elimination), Omega1.mult per
     call on cyc(3,2,1) and cyc(3,4,1), and divide_exact by a non-unit, one
     solve_mod_pp each, on cyc(3,2,3) and cyc(3,4,1),
-  * the Smith normal form: ms per smith_with_inverse on the relation
+  * the Smith normal form: ms per smith_sparse on the relation
     matrices of Omega^1 over cyc(5,3,2) (200 x 100) and cyc(3,4,1)
     (108 x 54), and ms per solve_alpha(cyc(5,3,2)), which builds Omega^1
     and reads its Smith form,
@@ -48,8 +48,9 @@ Thirteen layers:
     over the 9 Teichmuller pairs [eps^i], [eps^j] (i, j in 1..3) at
     W_3(cyc(3,4,1)), depth 3, and W_2(cyc(7,2,1)), depth 2, us per
     xi_element (a p-fold sum) at the same lengths from eps of the same
-    depth, and us per theta_r at r = 3 on the three [eps^i] over
-    cyc(3,4,1).
+    depth, us per tilt_witt_add on the pairs at W_3(cyc(3,4,2)), where
+    M = 2 and each sum stabilizes over two lifts, and us per theta_r at
+    r = 3 on the three [eps^i] over cyc(3,4,1).
 
     python benchmarks/bench_kernels.py [--json PATH]
 
@@ -76,7 +77,7 @@ from wittkit.kaehler import (
 )
 from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing, random_element
 from wittkit.sequences import exact_rz_complex, exactness_report, witt_restriction_complex
-from wittkit.snf import smith_with_inverse
+from wittkit.snf import smith_sparse
 from wittkit.suites import CHUNK, SAMPLE_CHUNK
 from wittkit.tate import freeness_probe
 from wittkit.tilt import (
@@ -366,8 +367,8 @@ def bench_snf():
     row = []
     for ring in [CyclotomicTruncation(5, 3, 2), CyclotomicTruncation(3, 4, 1)]:
         rel = omega1_for_ring(ring).relations
-        ms = _ns_per_element(lambda: smith_with_inverse(rel), 1, repeat=5) / 1e6
-        figures[f"smith_with_inverse_ms.{ring.descriptor()}"] = round(ms, 2)
+        ms = _ns_per_element(lambda: smith_sparse(rel), 1, repeat=5) / 1e6
+        figures[f"smith_sparse_ms.{ring.descriptor()}"] = round(ms, 2)
         row.append(f"{ring.descriptor()} ({len(rel)} x {len(rel[0])}) {ms:6.2f} ms")
     ring = CyclotomicTruncation(5, 3, 2)
     ms = _ns_per_element(lambda: solve_alpha(ring), 1, repeat=5) / 1e6
@@ -468,22 +469,31 @@ def bench_exact_rz_maps():
     return figures
 
 
+def _tilt_pairs(ring, n):
+    """The 9 Teichmuller pairs [eps^i], [eps^j] (i, j in 1..3) at W_n, depth n."""
+    eps = epsilon(ring, n)
+    ws = [tilt_teichmuller(eps**i, n) for i in (1, 2, 3)]
+    return [(u, v) for u in ws for v in ws]
+
+
+def _us_per_pair(fn, pairs, repeat):
+    fn(*pairs[0])  # compile the Witt operations outside the timing
+    t0 = time.perf_counter()
+    for _ in range(repeat):
+        for u, v in pairs:
+            fn(u, v)
+    return (time.perf_counter() - t0) / (repeat * len(pairs)) * 1e6
+
+
 def bench_tilt_ops(repeat=5):
     print("== tilt Witt ops on Teichmuller pairs, and xi ==")
     figures = {}
     for ring, n in [(CyclotomicTruncation(3, 4, 1), 3), (CyclotomicTruncation(7, 2, 1), 2)]:
-        eps = epsilon(ring, n)
-        ws = [tilt_teichmuller(eps**i, n) for i in (1, 2, 3)]
-        pairs = [(u, v) for u in ws for v in ws]
+        pairs = _tilt_pairs(ring, n)
         label = f"W{n}_{ring.descriptor()}"
         row = [f"W_{n}({ring.descriptor()}):"]
         for name, fn in [("add", tilt_witt_add), ("mul", tilt_witt_mul)]:
-            fn(*pairs[0])  # compile the Witt operations outside the timing
-            t0 = time.perf_counter()
-            for _ in range(repeat):
-                for u, v in pairs:
-                    fn(u, v)
-            us = (time.perf_counter() - t0) / (repeat * len(pairs)) * 1e6
+            us = _us_per_pair(fn, pairs, repeat)
             figures[f"tilt_witt_{name}_us.{label}"] = round(us, 1)
             row.append(f"{name} {us:8.1f} us")
         xi_element(ring, n, n)  # compile and build outside the timing
@@ -494,6 +504,10 @@ def bench_tilt_ops(repeat=5):
         figures[f"xi_element_us.{label}"] = round(us, 1)
         row.append(f"xi {us:8.1f} us")
         print("  " + "   ".join(row))
+    ring = CyclotomicTruncation(3, 4, 2)  # M = 2: each sum stabilizes over two lifts
+    us = _us_per_pair(tilt_witt_add, _tilt_pairs(ring, 3), repeat)
+    figures[f"tilt_witt_add_us.W3_{ring.descriptor()}"] = round(us, 1)
+    print(f"  W_3({ring.descriptor()}):   add {us:8.1f} us")
     ring = CyclotomicTruncation(3, 4, 1)
     eps = epsilon(ring, 3)
     ws = [tilt_teichmuller(eps**i, 3) for i in (1, 2, 3)]

@@ -16,7 +16,7 @@ from math import gcd, prod
 
 from .modlin import solve_mod_pp, solve_mod_pp_many
 from .rings import IntegerRing, RingElement
-from .snf import smith_normal_form, smith_sparse, smith_with_inverse  # noqa: F401 (re-export)
+from .snf import smith_sparse
 from .witt import WittVector
 
 
@@ -119,35 +119,6 @@ class PresentedModule:
             "gens": self.gens,
             "relations": self.relations,
         }
-
-
-class ModuleMap:
-    """Map of presented modules given by an integer matrix on generators."""
-
-    def __init__(self, source, target, matrix):
-        self.source = source
-        self.target = target
-        self.matrix = [list(map(int, row)) for row in matrix]
-        if len(self.matrix) != source.gens:
-            raise ValueError("matrix height mismatch")
-        for row in self.matrix:
-            if len(row) != target.gens:
-                raise ValueError("matrix width mismatch")
-        bad = self._relation_defect()
-        if bad is not None:
-            raise ValueError(f"map does not send relation {bad} into relations")
-
-    def _relation_defect(self):
-        for idx, rel in enumerate(self.source.relations):
-            if not self.target.is_zero(self.apply(rel)):
-                return idx
-        return None
-
-    def apply(self, vec):
-        return [
-            sum(vec[i] * self.matrix[i][j] for i in range(self.source.gens))
-            for j in range(self.target.gens)
-        ]
 
 
 # --- integer polynomial utilities mod a monic f ------------------------------

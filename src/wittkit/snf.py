@@ -1,19 +1,21 @@
-"""Smith normal form over the integers, with transform matrices.
+"""Smith normal form over the integers: the diagonal, V and V^{-1}.
 
-smith_normal_form(M) returns (U, D, V) with U*M*V = D, D diagonal with
-d_i | d_{i+1}, and U, V unimodular.  Pivoting picks the smallest nonzero
-absolute value and reduces by gcd steps, which keeps entries from blowing up
-on the cyclotomic relation matrices this package feeds it.
+smith_sparse(M) eliminates M by row and column operations to a diagonal D
+with d_i | d_{i+1} and d_i >= 0, and returns that diagonal together with
+the unimodular V and its inverse, both tracked through the column
+operations (V^{-1} is not recomputed).  Some unimodular U has U*M*V = D;
+it is not formed.  Pivoting picks the smallest nonzero absolute value and
+reduces by gcd steps, which keeps entries from blowing up on the
+cyclotomic relation matrices this package feeds it.
 
 The elimination runs on sparse rows, as ``modlin.solve_mod_pp`` does: each
 row of D is a ``{column: value}`` dict of its nonzero entries, keyed by
 original column, and a column swap only updates the two permutation lists
 (position -> column and column -> position).  V is kept by columns and
 V^{-1} by rows, both sparse and keyed by original column, so a column swap
-moves neither; U is tracked only when the caller asks for it.  The relation
-matrices of Omega^1 are almost diagonal (cyc(5,3,2): 200 x 100 with 100
-nonzeros), so a step costs the entries it touches, not a scan of the
-submatrix.
+moves neither.  The relation matrices of Omega^1 are almost diagonal
+(cyc(5,3,2): 200 x 100 with 100 nonzeros), so a step costs the entries it
+touches, not a scan of the submatrix.
 
 The step rule is fixed.  The pivot is the entry of smallest absolute value,
 first in row-major order over the remaining rows (in their current order)
@@ -25,7 +27,7 @@ V and V^{-1}: ``PresentedModule.normal_form`` reads coordinates in the
 basis V and ``PresentedModule.torsion`` reports its generators from the rows
 of V^{-1}, so the report bytes depend on it.
 
-All matrices are lists of lists of Python ints (exact).
+Matrix entries are Python ints (exact).
 """
 
 from itertools import compress, count
@@ -53,7 +55,7 @@ def _sparse(row):
 class _Worker:
     """One elimination run; see the module docstring for the step rule."""
 
-    def __init__(self, mat, track_u=False):
+    def __init__(self, mat):
         self.nr = len(mat)
         self.nc = len(mat[0]) if self.nr else 0
         self.rows = [_sparse(map(int, row)) for row in mat]
@@ -63,14 +65,7 @@ class _Worker:
         # that sit at position pos[c]
         self.v_cols = [{j: 1} for j in range(self.nc)]
         self.vinv_rows = [{j: 1} for j in range(self.nc)]
-        self.u = [{i: 1} for i in range(self.nr)] if track_u else None
         self.rank = self._run()
-
-    def _swap_rows(self, i, k):
-        rows, u = self.rows, self.u
-        rows[i], rows[k] = rows[k], rows[i]
-        if u is not None:
-            u[i], u[k] = u[k], u[i]
 
     def _swap_positions(self, j, k):
         col_at, pos = self.col_at, self.pos
@@ -79,7 +74,7 @@ class _Worker:
         pos[cj], pos[ck] = k, j
 
     def _run(self):
-        rows, u, nr = self.rows, self.u, self.nr
+        rows, nr = self.rows, self.nr
         col_at, pos = self.col_at, self.pos
         # rows at or below k that may be nonempty: a row that is empty when
         # a pivot has been placed stays empty through the steps for it
@@ -100,7 +95,7 @@ class _Worker:
             a, pi = best
             pj = min(pos[c] for c, x in rows[pi].items() if abs(x) == a)
             if pi != k:
-                self._swap_rows(k, pi)
+                rows[k], rows[pi] = rows[pi], rows[k]
             if pj != k:
                 self._swap_positions(k, pj)
             below = [i for i in live if i > k and rows[i]]
@@ -112,10 +107,8 @@ class _Worker:
                     while ck in rows[i]:
                         q = rows[i][ck] // rows[k][ck]
                         _addmul(rows[i], rows[k], -q)
-                        if u is not None:
-                            _addmul(u[i], u[k], -q)
                         if ck in rows[i]:
-                            self._swap_rows(i, k)
+                            rows[i], rows[k] = rows[k], rows[i]
                             dirty = True
                 # clear row k; an operation on positions j and k leaves row k
                 # unchanged at every other position
@@ -157,74 +150,20 @@ class _Worker:
                 if offender is None:
                     break
                 _addmul(rows[k], rows[offender], 1)
-                if u is not None:
-                    _addmul(u[k], u[offender], 1)
             ck = col_at[k]
             if rows[k][ck] < 0:
                 rows[k][ck] = -rows[k][ck]  # row k is the pivot alone by now
-                if u is not None:
-                    u[k] = {j: -x for j, x in u[k].items()}
             live = below
             k += 1
         return k  # rank of the diagonal part
 
 
-def smith_normal_form(mat):
-    """(U, D, V) with U*mat*V = D, D diagonal, d_i | d_{i+1}, U, V unimodular."""
-    return smith_with_inverse(mat)[:3]
-
-
-def smith_with_inverse(mat):
-    """As smith_normal_form, plus V^{-1} (tracked, not recomputed)."""
-    w = _Worker(mat, track_u=True)
-    nr, nc, col_at = w.nr, w.nc, w.col_at
-    v_cols = [w.v_cols[c] for c in col_at]
-    return (
-        [[row.get(i, 0) for i in range(nr)] for row in w.u],
-        [[row.get(c, 0) for c in col_at] for row in w.rows],
-        [[col.get(r, 0) for col in v_cols] for r in range(nc)],
-        [[w.vinv_rows[c].get(j, 0) for j in range(nc)] for c in col_at],
-    )
-
-
 def smith_sparse(mat):
     """The diagonal of D (length min(rows, columns)), the columns of V and
-    the rows of V^{-1}, in order, each a sparse ``{index: value}`` dict.
-
-    The same elimination as smith_with_inverse, without U or a dense D.
-    """
+    the rows of V^{-1}, in order, each a sparse ``{index: value}`` dict."""
     w = _Worker(mat)
     return (
         [w.rows[i][c] if i < w.rank else 0 for i, c in enumerate(w.col_at[: w.nr])],
         [w.v_cols[c] for c in w.col_at],
         [w.vinv_rows[c] for c in w.col_at],
     )
-
-
-def det(mat):
-    """Exact determinant (fraction-free Bareiss), for unimodularity checks."""
-    n = len(mat)
-    a = [list(map(int, row)) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
-
-
-def matmul(a, b):
-    nb = len(b[0])
-    return [
-        [sum(ra[t] * b[t][j] for t in range(len(b))) for j in range(nb)] for ra in a
-    ]

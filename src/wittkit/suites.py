@@ -871,7 +871,7 @@ def suite_tate_tower(cfg):
     rep.add(
         "bott-image",
         "the Bott class maps to ([zeta_{p^n}] - 1) alpha_n at every layer",
-        all(tower.bott_image(n) == tower.layer(n).dlog_element() for n in range(1, height + 1)),
+        all(tower.bott_image(n) == tower.dlog(n) for n in range(1, height + 1)),
     )
     rep.add(
         "bott-limit",

@@ -1,10 +1,11 @@
 """The explicit rank-one model of the p-adic Tate module of the degree-one
 de Rham-Witt layers.
 
-Layer n is the free W_n(A)-module on a formal generator alpha_n; the element
-([zeta_{p^n}] - 1) * alpha_n plays the role of dlog of the compatible root
-tower.  Transition laws are part of the structure and re-verified, not
-derived:
+Layer n is the free W_n(A)-module on a formal generator alpha_n, so an
+element x * alpha_n is its scalar x in W_n(A) and is held as that Witt
+vector.  The element ([zeta_{p^n}] - 1) * alpha_n plays the role of dlog of
+the compatible root tower.  Transition laws are part of the structure and
+re-verified, not derived:
 
     F(x * alpha_{n+1}) = F(x) * alpha_n
     R(x * alpha_{n+1}) = R(x) R(z_{n+1}) * alpha_n
@@ -36,33 +37,6 @@ from .witt import (
 )
 
 
-class TateLayer:
-    """Free rank-one W_n(A)-module on the generator alpha_n; elements are
-    their scalars."""
-
-    def __init__(self, ring, n):
-        if ring.kind != "CyclotomicTruncation" or ring.N < n:
-            raise ValueError("depth shortfall: layer n needs N >= n")
-        self.ring = ring
-        self.n = n
-
-    def element(self, scalar):
-        if scalar.length != self.n:
-            raise ValueError("scalar length mismatch")
-        return scalar
-
-    def generator(self):
-        return witt_one(self.ring, self.ring.p, self.n)
-
-    def dlog_element(self):
-        """([zeta_{p^n}] - 1) * alpha_n."""
-        p = self.ring.p
-        return witt_add(
-            teichmuller(self.ring.zeta(self.n), p, self.n),
-            witt_neg(witt_one(self.ring, p, self.n)),
-        )
-
-
 class TateTower:
     """Layers 1..height with the F- and R-transition laws."""
 
@@ -71,27 +45,28 @@ class TateTower:
             raise ValueError("depth shortfall: tower height h needs N >= h + 1")
         self.ring = ring
         self.height = height
-        self.layers = [TateLayer(ring, n) for n in range(1, height + 1)]
         self._rz = {}  # n -> R(z_{n+1}) in W_n(A), filled on first use
-
-    def layer(self, n):
-        return self.layers[n - 1]
 
     def alpha_tower(self):
         """The canonical generator: scalar 1 at every layer."""
-        return [layer.generator() for layer in self.layers]
+        return [witt_one(self.ring, self.ring.p, n) for n in range(1, self.height + 1)]
+
+    def dlog(self, n):
+        """([zeta_{p^n}] - 1) * alpha_n."""
+        p = self.ring.p
+        return witt_add(
+            teichmuller(self.ring.zeta(n), p, n),
+            witt_neg(witt_one(self.ring, p, n)),
+        )
 
     def dlog_tower(self):
-        return [layer.dlog_element() for layer in self.layers]
+        return [self.dlog(n) for n in range(1, self.height + 1)]
 
     def is_f_compatible(self, elem):
         for n in range(1, self.height):
             if frobenius(elem[n]) != elem[n - 1]:
                 return False
         return True
-
-    def f_transition(self, scalar_np1):
-        return frobenius(scalar_np1)
 
     def _restricted_z(self, n):
         """R(z_{n+1}) in W_n(A), computed once per tower."""
@@ -104,11 +79,11 @@ class TateTower:
         """R(x alpha_{n+1}) = R(x) R(z_{n+1}) alpha_n."""
         return witt_mul(restriction(scalar_np1), self._restricted_z(n))
 
-    def tower_restrict(self, elem, check=True):
+    def tower_restrict(self, elem):
         """R on tower elements: height drops by one."""
         if len(elem) != self.height:
             raise ValueError("height mismatch")
-        if check and not self.is_f_compatible(elem):
+        if not self.is_f_compatible(elem):
             raise ValueError("compatibility violation: F(x_{n+1}) != x_n")
         return [self.r_transition(elem[n], n) for n in range(1, self.height)]
 
@@ -155,20 +130,13 @@ class TateTower:
         """F and R both carry dlog_{n+1} to dlog_n."""
         out = []
         for n in range(1, self.height):
-            dn1 = self.layer(n + 1).dlog_element()
-            dn = self.layer(n).dlog_element()
-            out.append(
-                (
-                    n,
-                    self.f_transition(dn1) == dn,
-                    self.r_transition(dn1, n) == dn,
-                )
-            )
+            dn1, dn = self.dlog(n + 1), self.dlog(n)
+            out.append((n, frobenius(dn1) == dn, self.r_transition(dn1, n) == dn))
         return out
 
     def bott_image(self, n):
-        """The trace image of the Bott class at layer n: dlog_element(n)."""
-        return self.layer(n).dlog_element()
+        """The trace image of the Bott class at layer n: dlog(n)."""
+        return self.dlog(n)
 
 
 def r_of_alpha_tower_is_xi_tower(tower, xi):
@@ -186,14 +154,16 @@ def freeness_probe(ring, n, budget=None, rng=None):
     """Distinct scalars give distinct elements, exhaustively over W_n(A).
 
     The model is free by construction; this guards the element representation
-    (no accidental identification through normalization or hashing).  Each
-    payload must come back from its layer element unchanged: a left inverse
-    of scalar -> element makes that map injective.  When W_n(A) has more than
-    ``budget`` elements, FREENESS_SAMPLES payloads drawn from ``rng`` are
-    checked instead, or None is returned without an rng.
+    (no accidental identification through normalization or hashing).  An
+    element of layer n is its scalar, so each payload must come back from
+    wrap and unwrap unchanged: a left inverse of payload -> element makes
+    that map injective.  When W_n(A) has more than ``budget`` elements,
+    FREENESS_SAMPLES payloads drawn from ``rng`` are checked instead, or
+    None is returned without an rng.
     """
+    if ring.kind != "CyclotomicTruncation" or ring.N < n:
+        raise ValueError("depth shortfall: layer n needs N >= n")
     raw = raw_witt_ops(ring, ring.p, n)
-    layer = TateLayer(ring, n)
     if budget is not None and ring.cardinality() ** n > budget:
         if rng is None:
             return None
@@ -203,7 +173,7 @@ def freeness_probe(ring, n, budget=None, rng=None):
         }
     else:
         payloads = raw.enumerate_payloads()
-    return all(raw.unwrap(layer.element(raw.wrap(u))) == u for u in payloads)
+    return all(raw.unwrap(raw.wrap(u)) == u for u in payloads)
 
 
 def fixed_points_report(charp_ring, n, solution_budget=100000):

@@ -35,7 +35,6 @@ from .witt import (
     frobenius,
     raw_witt_ops,
     teichmuller,
-    verschiebung,
     witt_add,
     witt_divide_exact,
     witt_is_unit,
@@ -176,28 +175,33 @@ def _stabilize(base, depth, delta, level):
     operands, for j <= depth.  The result holds one TiltElement per entry,
     whose lift i is that entry of level(i + delta) raised to p^delta, so
     depth drops by delta.  The check compares the delta and delta-1
-    approximants mod p^min(M, delta) and raises on disagreement.
+    approximants mod p^min(M, delta) and raises on disagreement.  Each
+    level is raised once, to p^(delta-1), and the delta approximant is the
+    p-th power of that.
     """
     if delta > depth:
         raise TiltPrecisionError(
             f"depth shortfall: delta={delta} exceeds common depth {depth}"
         )
     p = base.p
-    levels = {j: level(j) for j in range(max(delta - 1, 0), depth + 1)}
+    levels = [level(j) for j in range(max(delta - 1, 0), depth + 1)]
     agree_mod = p ** min(getattr(base, "M", 1), delta)
     coords = []
-    for k in range(len(levels[depth])):
-        lifts = []
-        for j in range(delta, depth + 1):
-            val = base._pow(levels[j][k], p**delta)
-            if delta:
-                prev = base._pow(levels[j - 1][k], p ** (delta - 1))
+    for k in range(len(levels[-1])):
+        if not delta:
+            lifts = [lv[k] for lv in levels]
+        else:
+            # roots[j] is level(j + delta - 1) raised to p^(delta-1)
+            roots = [lv[k] if delta == 1 else base._pow(lv[k], p ** (delta - 1)) for lv in levels]
+            lifts = []
+            for prev, root in zip(roots, roots[1:]):
+                val = base._pow(root, p)
                 if any((a - b) % agree_mod for a, b in zip(val, prev)):
                     raise TiltPrecisionError(
                         f"tilt sum did not stabilize at delta={delta}"
                     )
-            lifts.append(RingElement(base, val))
-        coords.append(TiltElement(base, lifts, check=False))
+                lifts.append(val)
+        coords.append(TiltElement(base, [RingElement(base, v) for v in lifts], check=False))
     return coords
 
 
@@ -221,14 +225,6 @@ def tilt_sum(elems, delta=None):
 
     (total,) = _stabilize(base, min(e.depth for e in elems), delta, level)
     return total
-
-
-def tilt_add(s, t, delta=None):
-    if s.is_zero():
-        return t
-    if t.is_zero():
-        return s
-    return tilt_sum([s, t], delta=delta)
 
 
 def epsilon(ring, T):
@@ -303,8 +299,8 @@ def _tilt_witt_op(op, vectors, delta):
     return TiltWittVector(base, _stabilize(base, depth, delta, level))
 
 
-def tilt_witt_add(u, v, delta=None):
-    return tilt_witt_sum_many([u, v], delta=delta)
+def tilt_witt_add(u, v):
+    return tilt_witt_sum_many([u, v])
 
 
 def tilt_witt_mul(u, v):
@@ -322,7 +318,7 @@ def tilt_witt_mul(u, v):
     )
 
 
-def tilt_witt_sum_many(vectors, delta=None):
+def tilt_witt_sum_many(vectors):
     """k-fold Witt sum with a single stabilization cost per coordinate.
 
     Zero vectors are dropped first, so adding zero is exact at full depth;
@@ -334,9 +330,7 @@ def tilt_witt_sum_many(vectors, delta=None):
         return TiltWittVector(base, (tilt_zero(base, min(v.depth for v in vectors)),) * n)
     if len(nonzero) == 1:
         return nonzero[0]
-    if delta is None:
-        delta = default_delta(base)
-    return _tilt_witt_op("add", nonzero, delta)
+    return _tilt_witt_op("add", nonzero, default_delta(base))
 
 
 def tilt_witt_phi_inv(u):
@@ -350,14 +344,14 @@ def tilt_witt_frobenius(u):
     return TiltWittVector(u.base, [c.frobenius() for c in u.coords[:-1]])
 
 
-def xi_element(ring, T, length, delta=None):
+def xi_element(ring, T, length):
     """xi = 1 + [eps^(1/p)] + ... + [eps^(1/p)]^(p-1), the ker-theta generator."""
     p = ring.p
     root = epsilon(ring, T).root(1)
     terms = [tilt_teichmuller(tilt_one(ring, root.depth), length)]
     for i in range(1, p):
         terms.append(tilt_teichmuller(root**i, length))
-    return tilt_witt_sum_many(terms, delta=delta)
+    return tilt_witt_sum_many(terms)
 
 
 # --- theta maps ---------------------------------------------------------------
@@ -368,24 +362,17 @@ def theta_r(w, r):
 
     Computed through the Teichmuller expansion w = sum_i V^i([t_i]):
     theta_r(w) = sum_{i < min(len, r)} V^i([t_i^(r)]), each coordinate
-    evaluated at its r-th lift; a zero digit adds nothing and is skipped.
-    At M = 1 this equals the p-adic digit form sum_i p^i [t_i^(r+i)]:
-    there V^i[t^(r)] = p^i [t^(r+i)], and p^i vanishes in W_r(A) for
-    i >= r.  At M >= 2 it does not: the terms p^i [t_i^(r+i)] with i >= r
-    are nonzero mod p^M and missing here (ROADMAP item 1, open).
+    evaluated at its r-th lift.  Every Witt vector is sum_i V^i([a_i]), so
+    that sum is the vector (t_0^(r), ..., t_{k-1}^(r), 0, ..., 0) with
+    k = min(len, r).  At M = 1 this equals the p-adic digit form
+    sum_i p^i [t_i^(r+i)]: there V^i[t^(r)] = p^i [t^(r+i)], and p^i
+    vanishes in W_r(A) for i >= r.  At M >= 2 it does not: the terms
+    p^i [t_i^(r+i)] with i >= r are nonzero mod p^M and missing here
+    (ROADMAP item 1, open).
     """
     base = w.base
-    p = base.p
-    acc = None
-    for i, t in enumerate(w.coords[: min(w.length, r)]):
-        digit = t.lift(r)
-        if digit.is_zero():
-            continue
-        term = teichmuller(digit, p, r - i)
-        for _ in range(i):
-            term = verschiebung(term)
-        acc = term if acc is None else witt_add(acc, term)
-    return witt_zero(base, p, r) if acc is None else acc
+    digits = [t.lift(r) for t in w.coords[:r]]
+    return WittVector(base, base.p, digits + [base.zero()] * (r - len(digits)))
 
 
 def theta(w):

@@ -1180,14 +1180,18 @@ def witt_is_unit(u):
     return (False, None) if inv is None else (True, inv)
 
 
-def witt_divide_exact(x, u, ann_cap=256):
+# the most annihilator-coset witnesses witt_divide_exact tries per coordinate
+_MAX_WITNESSES = 256
+
+
+def witt_divide_exact(x, u):
     """Some q with u*q = x in W_n(A), or None.
 
     First-coordinate peeling.  For a unit first coordinate u_0 the
     coordinate-level witness is x_0 * u_0^-1, and u is a unit of W_n(A), so
     q is exact: it is the quotient.  Otherwise, when a coordinate-level
     witness does not extend, other witnesses in the same annihilator coset
-    are tried, up to ann_cap of them.  Witnesses beyond the cap are not
+    are tried, up to _MAX_WITNESSES of them.  Witnesses beyond the cap are not
     searched, so None means "no witness found", not a proof of
     indivisibility, unless n = 1 or u_0 is a unit.
     """
@@ -1200,7 +1204,7 @@ def witt_divide_exact(x, u, ann_cap=256):
         return teichmuller(q0, p, 1)
     candidates = [q0]
     # a unit's annihilator is {0}
-    ann = None if ok else ring.annihilator(u.coords[0], cap=ann_cap)
+    ann = None if ok else ring.annihilator(u.coords[0], cap=_MAX_WITNESSES)
     if ann:
         candidates = [q0 + delta for delta in ann]
     for cand in candidates:
@@ -1208,7 +1212,7 @@ def witt_divide_exact(x, u, ann_cap=256):
         rem = witt_add(x, witt_neg(witt_mul(u, t)))
         if rem.data[0] != ring.zero().data:
             continue
-        sub = witt_divide_exact(WittVector._trusted(ring, p, rem.data[1:]), frobenius(u), ann_cap)
+        sub = witt_divide_exact(WittVector._trusted(ring, p, rem.data[1:]), frobenius(u))
         if sub is not None:
             q = witt_add(t, verschiebung(sub))
             if witt_mul(u, q) == x:

@@ -13,7 +13,6 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from wittkit.kaehler import (
-    ModuleMap,
     PresentedModule,
     _log_presentation_system,
     _poly_mul_mod_f,
@@ -29,7 +28,7 @@ from wittkit.kaehler import (
 )
 from wittkit.modlin import solve_mod_pp
 from wittkit.rings import CyclotomicTruncation, random_element
-from wittkit.snf import smith_with_inverse
+from wittkit.snf import smith_sparse
 from wittkit.witt import random_witt, teichmuller, verschiebung, witt_one, z_element
 
 
@@ -90,14 +89,6 @@ def test_torsion_layers():
     free = PresentedModule(2, [])
     pres, gens = free.torsion(3)
     assert gens == []
-
-
-def test_module_map_well_defined():
-    src = PresentedModule(1, [[3]])
-    tgt = PresentedModule(1, [[9]])
-    ModuleMap(src, tgt, [[3]])  # 3 * 3 = 9 = 0 in the target
-    with pytest.raises(ValueError):
-        ModuleMap(src, tgt, [[1]])  # 3 * 1 != 0 in Z/9
 
 
 def test_conormal_sequence():
@@ -314,12 +305,11 @@ def test_ring_backed_mult_matches_schoolbook(pnm):
 
 def test_normal_form_and_order_read_the_smith_basis():
     om = omega1_for_ring(CyclotomicTruncation(3, 2, 2))
-    _, d, v, _ = smith_with_inverse(om.relations)
-    diag = [d[i][i] for i in range(om.gens)]
+    diag, v_cols, _ = smith_sparse(om.relations)
     rng = random.Random(3)
     for _ in range(20):
         vec = [rng.randrange(-20, 20) for _ in range(om.gens)]
-        y = [sum(vec[i] * v[i][j] for i in range(om.gens)) for j in range(om.gens)]
+        y = [sum(vec[i] * col.get(i, 0) for i in range(om.gens)) for col in v_cols]
         assert om.normal_form(vec) == tuple(c % q if q else c for c, q in zip(y, diag))
         assert om.order_of(vec) == lcm(*(q // gcd(q, c % q) for c, q in zip(y, diag)))
 

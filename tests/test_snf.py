@@ -1,16 +1,63 @@
 """Smith normal form: transform identities, divisibility chain, unimodularity,
-and agreement with an independent implementation (sympy)."""
+and agreement with an independent implementation (sympy).
+
+The transform identities are checked on the dense elimination kept here as
+the oracle, which also forms U; ``smith_sparse`` must return its diagonal,
+V and V^{-1} exactly.
+"""
 
 import random
 
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from wittkit.snf import det, matmul, smith_normal_form, smith_sparse, smith_with_inverse
+from wittkit.snf import smith_sparse
+
+
+def det(mat):
+    """Exact determinant (fraction-free Bareiss), for unimodularity checks."""
+    n = len(mat)
+    a = [list(map(int, row)) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def matmul(a, b):
+    nb = len(b[0])
+    return [
+        [sum(ra[t] * b[t][j] for t in range(len(b))) for j in range(nb)] for ra in a
+    ]
+
+
+def _dense_v_and_vinv(mat):
+    """V and V^{-1} of smith_sparse(mat) as dense matrices."""
+    nc = len(mat[0])
+    _, v_cols, vinv_rows = smith_sparse(mat)
+    v = [[col.get(r, 0) for col in v_cols] for r in range(nc)]
+    vinv = [[row.get(j, 0) for j in range(nc)] for row in vinv_rows]
+    return v, vinv
 
 
 def _check_snf(mat):
-    u, d, v = smith_normal_form(mat)
+    """The oracle's U*M*V = D, |det U| = |det V| = 1 and divisibility chain;
+    returns smith_sparse's diagonal, which must be the oracle's."""
+    w = _DenseWorker(mat)
+    w.run()
+    u, d, v = w.u, w.d, w.v
     assert matmul(matmul(u, mat), v) == d
     nr, nc = len(mat), len(mat[0])
     assert abs(det(u)) == 1 and abs(det(v)) == 1
@@ -25,6 +72,7 @@ def _check_snf(mat):
         else:
             assert b == 0
     assert all(x >= 0 for x in diag)
+    assert smith_sparse(mat)[0] == diag
     return diag
 
 
@@ -60,7 +108,7 @@ def test_vinv_tracks_inverse():
     for _ in range(20):
         n = rng.randint(1, 4)
         mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        u, d, v, vinv = smith_with_inverse(mat)
+        v, vinv = _dense_v_and_vinv(mat)
         ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         assert matmul(v, vinv) == ident
         assert matmul(vinv, v) == ident
@@ -75,7 +123,7 @@ def _identity(n):
 
 class _DenseWorker:
     """The dense elimination the sparse worker replaced, kept as its oracle:
-    every step on full lists, U always tracked."""
+    every step on full lists, with U formed."""
 
     def __init__(self, mat):
         self.d = [list(map(int, row)) for row in mat]
@@ -178,11 +226,9 @@ class _DenseWorker:
 def _assert_same_as_dense(mat):
     w = _DenseWorker(mat)
     w.run()
-    assert smith_with_inverse(mat) == (w.u, w.d, w.v, w.vinv), mat
-    assert smith_normal_form(mat) == (w.u, w.d, w.v), mat
     diag, v_cols, vinv_rows = smith_sparse(mat)
     nc = w.nc
-    assert diag == [w.d[i][i] for i in range(min(w.nr, nc))]
+    assert diag == [w.d[i][i] for i in range(min(w.nr, nc))], mat
     assert [[col.get(r, 0) for r in range(nc)] for col in v_cols] == [list(c) for c in zip(*w.v)]
     assert [[row.get(j, 0) for j in range(nc)] for row in vinv_rows] == w.vinv
     for sparse in (*v_cols, *vinv_rows):

@@ -8,7 +8,6 @@ import pytest
 
 from wittkit.rings import CharPQuotient, CyclotomicTruncation
 from wittkit.tate import (
-    TateLayer,
     TateTower,
     bott_limit_cross_check,
     fixed_points_report,
@@ -16,7 +15,7 @@ from wittkit.tate import (
     r_of_alpha_tower_is_xi_tower,
 )
 from wittkit.tilt import epsilon, tilt_teichmuller, tilt_witt_add, xi_element
-from wittkit.witt import WittVector, teichmuller, witt_add, witt_neg, witt_one
+from wittkit.witt import RawWittOps, frobenius, teichmuller, witt_add, witt_neg, witt_one
 
 
 def _tower():
@@ -25,13 +24,12 @@ def _tower():
 
 def test_layer_dlog():
     ring = CyclotomicTruncation(3, 2, 1)
-    layer = TateLayer(ring, 1)
     want = witt_add(
         teichmuller(ring.zeta(1), 3, 1), witt_neg(witt_one(ring, 3, 1))
     )
-    assert layer.dlog_element() == want
-    with pytest.raises(ValueError):
-        TateLayer(ring, 3)
+    assert TateTower(ring, 1).dlog(1) == want
+    with pytest.raises(ValueError):  # height 2 needs N >= 3
+        TateTower(ring, 2)
 
 
 def test_ratio_identity_all_levels():
@@ -45,7 +43,7 @@ def test_dlog_tower_compatibilities():
     assert tw.is_f_compatible(tw.alpha_tower())
     assert tw.is_f_compatible(tw.dlog_tower())
     # F on the alpha tower is the generator tower one level down
-    assert tw.f_transition(tw.alpha_tower()[2]) == tw.alpha_tower()[1]
+    assert frobenius(tw.alpha_tower()[2]) == tw.alpha_tower()[1]
 
 
 def test_twist_law():
@@ -81,6 +79,8 @@ def test_freeness_probe():
     assert freeness_probe(CyclotomicTruncation(3, 1, 1), 1, budget=10**4)
     assert freeness_probe(CyclotomicTruncation(3, 2, 1), 1, budget=10**4)
     assert freeness_probe(CyclotomicTruncation(3, 1, 1), 1, budget=1) is None
+    with pytest.raises(ValueError):  # layer 2 needs N >= 2
+        freeness_probe(CyclotomicTruncation(3, 1, 1), 2, budget=10**4)
     # all 3^12 elements of W_2(cyc(3,2,1)), without holding them
     tracemalloc.start()
     try:
@@ -97,10 +97,10 @@ def test_freeness_probe_samples_over_budget():
 
 
 def test_freeness_probe_catches_a_collapsing_layer(monkeypatch):
-    def collapse(self, scalar):  # forgets the last coordinate
-        return WittVector(scalar.ring, scalar.p, scalar.coords[:-1] + (scalar.ring.zero(),))
+    def collapse(self, w):  # forgets the last coordinate
+        return w.data[:-1] + (w.ring.zero().data,)
 
-    monkeypatch.setattr(TateLayer, "element", collapse)
+    monkeypatch.setattr(RawWittOps, "unwrap", collapse)
     assert freeness_probe(CyclotomicTruncation(3, 2, 1), 2, budget=10**6) is False
     ring = CyclotomicTruncation(5, 2, 1)
     assert freeness_probe(ring, 2, budget=10**6, rng=random.Random(0)) is False
@@ -116,7 +116,7 @@ def test_fixed_points_alpha_labels():
 def test_bott_images():
     tw = _tower()
     for n in (1, 2, 3):
-        assert tw.bott_image(n) == tw.layer(n).dlog_element()
+        assert tw.bott_image(n) == tw.dlog(n)
         if n < 3:
-            assert tw.f_transition(tw.bott_image(n + 1)) == tw.bott_image(n)
+            assert frobenius(tw.bott_image(n + 1)) == tw.bott_image(n)
     assert bott_limit_cross_check(CharPQuotient(3, 1, 3), 2)

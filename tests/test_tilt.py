@@ -25,7 +25,6 @@ from wittkit.tilt import (
     q_log,
     theta,
     theta_r,
-    tilt_add,
     tilt_const,
     tilt_one,
     tilt_sum,
@@ -89,7 +88,7 @@ def test_mul_and_roots():
 def test_add_zero_full_depth_and_stabilized_value():
     r = CyclotomicTruncation(3, 2, 1)
     eps = epsilon(r, 2)
-    assert tilt_add(eps, tilt_zero(r, 2)) == eps
+    assert tilt_sum([eps, tilt_zero(r, 2)]) == eps
     s = tilt_sum([eps, -tilt_one(r, 2)], delta=2)
     assert s.lift(0) == (r.zeta(2) - r.one()) ** 9
     with pytest.raises(TiltPrecisionError):
@@ -268,20 +267,34 @@ def test_tilt_witt_ops_match_the_per_level_oracle(desc, T, eval_polys):
     assert any(o is not TiltPrecisionError for o in outcomes)
 
 
-def test_theta_r_skips_zero_digits():
-    # against the sum of every digit's V^i[t_i^(r)], started from zero
-    for desc, T in (("cyc(3,4,1)", 3), ("cyc(3,3,2)", 3)):
-        ring = ring_from_descriptor(desc)
-        p = ring.p
-        for w in _tilt_inputs(ring, T):
-            for r in range(1, w.depth + 1):
-                acc = witt_zero(ring, p, r)
-                for i, t in enumerate(w.coords[:r]):
-                    term = teichmuller(t.lift(r), p, r - i)
-                    for _ in range(i):
-                        term = verschiebung(term)
-                    acc = witt_add(acc, term)
-                assert theta_r(w, r) == acc
+def _digit_sum(w, r):
+    """sum_{i < min(len, r)} V^i[t_i^(r)] in W_r(A), by Witt additions
+    started from zero."""
+    ring, p = w.base, w.p
+    acc = witt_zero(ring, p, r)
+    for i, t in enumerate(w.coords[:r]):
+        term = teichmuller(t.lift(r), p, r - i)
+        for _ in range(i):
+            term = verschiebung(term)
+        acc = witt_add(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("desc", ["cyc(3,4,1)", "cyc(3,3,2)", "cyc(3,4,2)"])
+def test_theta_r_is_the_sum_of_its_teichmuller_digits(desc):
+    # inputs: mixed coordinates (zero digits, the zero vector), Teichmuller
+    # vectors, stabilized sums (depth N - min(M, 3)) and xi; r runs past the
+    # Witt length 3 up to the depth, and one lift further is a precision error
+    ring = ring_from_descriptor(desc)
+    eps = epsilon(ring, ring.N)
+    teich = [tilt_teichmuller(eps**i, 3) for i in (1, 2, 5)]
+    sums = [tilt_witt_add(u, v) for u in teich for v in teich[1:]]
+    sums.append(tilt_witt_sum_many(teich))
+    for w in [*_tilt_inputs(ring, 3), *teich, *sums, xi_element(ring, ring.N, 3)]:
+        for r in range(1, w.depth + 1):
+            assert theta_r(w, r) == _digit_sum(w, r)
+        with pytest.raises(TiltPrecisionError):
+            theta_r(w, w.depth + 1)
 
 
 def test_tilt_witt_ops_on_teichmuller_pairs_keep_their_depth():
