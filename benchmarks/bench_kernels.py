@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the arithmetic layers of wittkit.
 
-Thirteen layers:
+Fourteen layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
     table cap, next to the kernel's schoolbook loop,
   * the unit test of the quotient rings: us per is_unit on 200 seeded
@@ -50,7 +50,15 @@ Thirteen layers:
     xi_element (a p-fold sum) at the same lengths from eps of the same
     depth, us per tilt_witt_add on the pairs at W_3(cyc(3,4,2)), where
     M = 2 and each sum stabilizes over two lifts, and us per theta_r at
-    r = 3 on the three [eps^i] over cyc(3,4,1).
+    r = 3 on the three [eps^i] over cyc(3,4,1),
+  * the sampled checks of the sequences suite: ms per call of the module
+    law (cyc(3,2,1) at n = 1 and 2 with 100 triples, cyc(3,4,1) at n = 1
+    with 20), the F^n d Leibniz rule (n = 1, 50 samples), x V(y) = V(F(x) y)
+    (n = 1, 100 samples) and V^n as a module map (n = 2, 60 samples) over
+    cyc(3,2,1), each as the per-element loop it ran as before and as run
+    on batches now, from the same draws; and us per 1000 payload draws
+    over cyc(3,2,1) and cyc(3,2,3), one randrange per coefficient against
+    random_payload.
 
     python benchmarks/bench_kernels.py [--json PATH]
 
@@ -59,6 +67,7 @@ machine's processor count and the Python version.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -70,15 +79,33 @@ import numpy as np
 
 from wittkit import _kernel
 from wittkit.kaehler import (
+    fn_d,
     log_presentation_check,
     omega1_for_ring,
     solve_alpha,
     torsion_is_free_rank_one,
 )
-from wittkit.rings import CharPQuotient, CyclotomicTruncation, IntegerRing, random_element
-from wittkit.sequences import exact_rz_complex, exactness_report, witt_restriction_complex
+from wittkit.rings import (
+    CharPQuotient,
+    CyclotomicTruncation,
+    IntegerRing,
+    RingElement,
+    random_element,
+    random_payload,
+)
+from wittkit.sequences import (
+    SAMPLE_CHUNK,
+    TwistedModule,
+    check_fnd_leibniz,
+    check_module_axioms,
+    check_vn_module_hom,
+    check_xv_identity,
+    exact_rz_complex,
+    exactness_report,
+    witt_restriction_complex,
+)
 from wittkit.snf import smith_sparse
-from wittkit.suites import CHUNK, SAMPLE_CHUNK
+from wittkit.suites import CHUNK
 from wittkit.tate import freeness_probe
 from wittkit.tilt import (
     epsilon,
@@ -91,11 +118,18 @@ from wittkit.tilt import (
 )
 from wittkit.witt import (
     RawWittOps,
+    frobenius,
+    frobenius_power,
     get_table,
+    ghost_component,
+    ghost_terms,
     random_witt,
     raw_witt_ops,
+    teichmuller,
+    verschiebung,
     witt_add,
     witt_mul,
+    witt_one,
     z_element,
 )
 
@@ -522,6 +556,140 @@ def bench_tilt_ops(repeat=5):
     return figures
 
 
+# --- the sampled checks of the sequences suite, per element and batched ----
+
+
+def _action_per_element(tm, y, m):
+    """The twisted action on one element, on payloads: the form the module
+    law was checked in before it ran on batches."""
+    ring, n, omega = tm.ring, tm.n, tm.omega
+    p, u, alpha, a = ring.p, y.data, m[0], m[1]
+    powers = [ring._pow(c, p ** (n - i) - 1) for i, c in enumerate(u[:n])]
+    fnd = list(omega.d_of(u[n]))
+    for x, c in zip(powers, u):
+        fnd = [s + t for s, t in zip(fnd, ring._mul(x, tuple(omega.d_of(c))))]
+    t = ghost_terms(ring, p, n)
+    fny = ghost_component(ring, p, u[:t], n, [*map(ring._mul, powers[:t], u), *u[n:t]])
+    fnd = tuple(c % ring.m for c in fnd)
+    part1 = ring._sub(ring._mul(fny, omega._canonical(alpha)), ring._mul(a.data, fnd))
+    return part1, RingElement(ring, fny) * a
+
+
+def _module_axioms_per_element(tm, rng, triples):
+    ring, n = tm.ring, tm.n
+    p = ring.p
+    act = functools.partial(_action_per_element, tm)
+    failures = []
+    for _ in range(triples):
+        y, z = random_witt(ring, p, n + 1, rng), random_witt(ring, p, n + 1, rng)
+        m = tm.random_element(rng)
+        if not tm.eq(act(witt_mul(y, z), m), act(y, act(z, m))):
+            failures.append(("associativity", y, z, m))
+            continue
+        ym, zm = act(y, m), act(z, m)
+        total = tuple((s + t) % ring.m for s, t in zip(ym[0], zm[0])), ym[1] + zm[1]
+        if not tm.eq(act(witt_add(y, z), m), total):
+            failures.append(("distributivity", y, z, m))
+    one = witt_one(ring, p, n + 1)
+    m = tm.random_element(rng)
+    if not tm.eq(act(one, m), m):
+        failures.append(("identity", one, None, m))
+    return failures
+
+
+def _fnd_leibniz_per_element(ring, n, rng, samples):
+    omega, p, bad = omega1_for_ring(ring), ring.p, []
+    for _ in range(samples):
+        x, w = random_witt(ring, p, n + 1, rng), random_witt(ring, p, n + 1, rng)
+        fx, fw = frobenius_power(x, n).coords[0], frobenius_power(w, n).coords[0]
+        rhs = [
+            (a + b) % ring.m
+            for a, b in zip(omega.mult(fw, fn_d(x, omega)), omega.mult(fx, fn_d(w, omega)))
+        ]
+        if not omega.eq(fn_d(witt_mul(x, w), omega), rhs):
+            bad.append((x, w))
+    return bad
+
+
+def _xv_identity_per_element(ring, p, n, rng, samples):
+    bad = []
+    for _ in range(samples):
+        x, y = random_witt(ring, p, n + 1, rng), random_witt(ring, p, n, rng)
+        if witt_mul(x, verschiebung(y)) != verschiebung(witt_mul(frobenius(x), y)):
+            bad.append((x, y))
+    return bad
+
+
+def _vn_module_hom_per_element(ring, p, n, rng, samples):
+    bad = []
+    for _ in range(samples):
+        x, a = random_witt(ring, p, n + 1, rng), random_element(ring, rng)
+        lhs, rhs = teichmuller(a, p, 1), teichmuller(frobenius_power(x, n).coords[0] * a, p, 1)
+        for _ in range(n):
+            lhs, rhs = verschiebung(lhs), verschiebung(rhs)
+        if witt_mul(x, lhs) != rhs:
+            bad.append((x, a))
+    return bad
+
+
+def _ms_per_call(fn, repeat):
+    """The best of repeat timings of fn(), in ms, after one untimed call."""
+    fn()
+    best = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best * 1e3
+
+
+def bench_sampled_checks(repeat=5):
+    print("== sampled checks of the sequences suite: ms per call, per element / batched ==")
+    figures = {}
+    cyc321, cyc341 = CyclotomicTruncation(3, 2, 1), CyclotomicTruncation(3, 4, 1)
+    tms = {(r, n): TwistedModule(r, n) for r, n in [(cyc321, 1), (cyc321, 2), (cyc341, 1)]}
+    module_law = (check_module_axioms, _module_axioms_per_element)
+    leibniz = (check_fnd_leibniz, _fnd_leibniz_per_element)
+    xv = (check_xv_identity, _xv_identity_per_element)
+    vn = (check_vn_module_hom, _vn_module_hom_per_element)
+    c321, c341 = cyc321.descriptor(), cyc341.descriptor()
+    cases = [
+        (f"module_law.n1_100_{c321}", *module_law, (tms[cyc321, 1],), 100),
+        (f"module_law.n2_100_{c321}", *module_law, (tms[cyc321, 2],), 100),
+        (f"module_law.n1_20_{c341}", *module_law, (tms[cyc341, 1],), 20),
+        (f"fnd_leibniz.n1_50_{c321}", *leibniz, (cyc321, 1), 50),
+        (f"xv_identity.n1_100_{c321}", *xv, (cyc321, 3, 1), 100),
+        (f"vn_module_hom.n2_60_{c321}", *vn, (cyc321, 3, 2), 60),
+    ]
+    for name, batched, per_element, args, count in cases:
+        times, states = [], []
+        for fn in (per_element, batched):
+
+            def call(fn=fn):
+                rng = random.Random(6)
+                assert fn(*args, rng, count) == []
+                states.append(rng.getstate())
+
+            times.append(_ms_per_call(call, repeat))
+        assert all(state == states[0] for state in states)  # both forms draw alike
+        figures[f"{name}_ms.per_element"] = round(times[0], 2)
+        figures[f"{name}_ms.batched"] = round(times[1], 2)
+        print(f"  {name:<32} {times[0]:7.2f} / {times[1]:6.2f} ms")
+    # payload draws: one randrange per coefficient, against random_payload
+    for ring in (cyc321, CyclotomicTruncation(3, 2, 3)):
+        m, d = ring.m, ring.d
+        rng = random.Random(7)
+        for label, draw in [
+            ("randrange", lambda: tuple(rng.randrange(m) for _ in range(d))),
+            ("random_payload", lambda: random_payload(ring, rng)),
+        ]:
+            us = _ms_per_call(lambda: [draw() for _ in range(1000)], repeat) * 1e3
+            figures[f"payload_draws_us_per_1000.{ring.descriptor()}.{label}"] = round(us, 1)
+            print(f"  1000 payload draws over {ring.descriptor()}, {label:<14} {us:8.1f} us")
+    return figures
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument(
@@ -543,6 +711,7 @@ def main():
     figures.update(bench_batch_ops())
     figures.update(bench_exact_rz_maps())
     figures.update(bench_tilt_ops())
+    figures.update(bench_sampled_checks())
     if args.json:
         record = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version()}
         record.update(figures)

@@ -243,34 +243,23 @@ def omega1_for_ring(ring):
 def fn_d(w, omega):
     """F^n d of a length-(n+1) Witt vector, landing in Omega^1 of A.
 
-    Closed form: sum_i a_i^(p^(n-i) - 1) d a_i.
+    Closed form: sum_i a_i^(p^(n-i) - 1) d a_i; the last term is d a_n
+    itself, its power being a_n^0 = 1.
     """
     if not isinstance(w, WittVector):
         raise ValueError("fn_d needs a Witt vector")
-    return fn_d_payload(w.ring, w.p, w.data, omega)[0]
-
-
-def fn_d_payload(ring, p, u, omega):
-    """fn_d on the payload u of a length-(n+1) Witt vector over ring, with
-    the powers it multiplies by: (fn_d as a list, [u_i^(p^(n-i) - 1) for
-    i < n]).  The last term is d u_n itself, its power being u_n^0 = 1.
-
-    Each power is computed once; u_i^(p^(n-i)), which the ghost component
-    w_n(u) = F^n(u)_0 needs, is one more product with u_i.
-    """
+    ring, p, u = w.ring, w.p, w.data
     n = len(u) - 1
     mult = ring._mul if omega.ring is ring else omega.mult
     acc = [0] * omega.gens
-    powers = []
     for i, a in enumerate(u):
         term = omega.d_of(a)
         if i < n:
-            powers.append(ring._pow(a, p ** (n - i) - 1))
-            term = mult(powers[-1], tuple(term))
+            term = mult(ring._pow(a, p ** (n - i) - 1), tuple(term))
         acc = [x + y for x, y in zip(acc, term)]
     if omega.modulus:
         acc = [c % omega.modulus for c in acc]
-    return acc, powers
+    return acc
 
 
 def conormal_check(f, modulus=None):

@@ -841,7 +841,27 @@ def make_cyclotomic(p, N, M):
     return CyclotomicTruncation(p, N, M)
 
 
-def random_element(ring, rng):
+def random_payload(ring, rng):
+    """A seeded random payload of ring: over Z, rng.randint(-9, 9); over a
+    quotient ring, d coefficients, each drawn as rng.randrange(m) draws it.
+
+    randrange(m) draws k = m.bit_length() bits and redraws while they read m
+    or more; this loop does the same, so the coefficients, and rng's state
+    after them, are randrange's, without its argument handling per
+    coefficient."""
     if isinstance(ring, IntegerRing):
-        return ring.from_int(rng.randint(-9, 9))
-    return RingElement(ring, tuple(rng.randrange(ring.m) for _ in range(ring.d)))
+        return rng.randint(-9, 9)
+    m = ring.m
+    k = m.bit_length()
+    draw = rng.getrandbits
+    out = []
+    for _ in range(ring.d):
+        r = draw(k)
+        while r >= m:
+            r = draw(k)
+        out.append(r)
+    return tuple(out)
+
+
+def random_element(ring, rng):
+    return RingElement(ring, random_payload(ring, rng))

@@ -12,18 +12,20 @@ as truncation artifacts, "truncation-limited".
 
 import itertools
 
-from .kaehler import fn_d, fn_d_payload, omega1_for_ring
-from .rings import RingElement, random_element
+import numpy as np
+
+from .kaehler import omega1_for_ring
+from .rings import RingElement, random_element, random_payload
 from .witt import (
-    frobenius,
-    frobenius_power,
+    _batch_mulmod,
+    _coeff_batch_dtype,
     ghost_component,
     ghost_terms,
     random_witt,
     raw_witt_ops,
     restriction,
     teichmuller,
-    verschiebung,
+    verschiebung_batch,
     witt_add,
     witt_divide_exact,
     witt_mul,
@@ -332,70 +334,182 @@ def broken_complex(ring, p, n):
 
 # --- the twisted module on Omega^1 (+) A ---------------------------------------
 
+# The sampled checks below draw and evaluate their samples SAMPLE_CHUNK at a
+# time, as numpy batches: a chunk's arrays stay within a fraction of a MB.
+SAMPLE_CHUNK = 256
+
+
+def sample_chunks(count, draw, batch):
+    """The chunks of count samples, each drawn by draw() in order, as
+    (batch(samples), samples.__getitem__): a chunk's batches, and its
+    samples by position."""
+    for start in range(0, count, SAMPLE_CHUNK):
+        samples = [draw() for _ in range(min(SAMPLE_CHUNK, count - start))]
+        yield batch(samples), samples.__getitem__
+
+
+def _failures(holds, at):
+    """at(k) for every k, in order, at which the mask holds is False."""
+    return [at(int(k)) for k in np.flatnonzero(~holds)]
+
+
+def _stack(*batches):
+    """One batch of the elements of several, in order."""
+    return tuple(np.concatenate(cs) for cs in zip(*batches))
+
+
+def _split(batch, k):
+    """A batch cut into k batches of equal size: the inverse of _stack."""
+    return list(zip(*(np.split(c, k) for c in batch)))
+
+
+def _frobenius_power_batch(ring, p, xs, k):
+    """F^k on a batch of W_n(A), through the compiled Frobenius."""
+    for _ in range(k):
+        xs = raw_witt_ops(ring, p, len(xs)).frob_batch(xs)
+    return xs
+
+
+def _ghost_rows(p, m, powers):
+    """w_k as coefficient rows from the rows of its terms' powers
+    u_i^(p^(k-i)), i < len(powers): sum_i p^i powers[i] mod m."""
+    acc = powers[0]
+    for i, x in enumerate(powers[1:], 1):
+        acc = acc + p**i * x
+    return acc % m
+
 
 class TwistedModule:
     """Omega^1_A (+) A as a W_{n+1}(A)-module:
-    y . (alpha, a) = (F^n(y) alpha - a * fnd(y), F^n(y) a)."""
+    y . (alpha, a) = (F^n(y) alpha - a * fnd(y), F^n(y) a).
+
+    An element is a pair (alpha, a): alpha a coefficient tuple in the
+    generators x^j dx of Omega^1, a a RingElement.  The action runs on
+    batches of coefficient rows ((B, d) arrays, multiplied by
+    witt._batch_mulmod), with the scalars as a batch of raw_witt_ops(ring, p,
+    n + 1); action(y, m) is the batch of one.  F^n(y)_0 is the ghost
+    component w_n(y), and its powers y_i^(p^(n-i)) are each one product past
+    the powers of fnd; only the powers that w_n(y) reads are formed.
+    Equality in Omega^1 reads the Smith basis of its relations: an element
+    is zero iff its coordinates vec * V there are divisible by the invariant
+    factors.  Every invariant factor divides m (m dx^j is a relation), so V
+    is kept reduced mod m.
+    """
 
     def __init__(self, ring, n):
         self.ring = ring
         self.n = n
         self.omega = omega1_for_ring(ring)
         self._ghost_terms = ghost_terms(ring, ring.p, n)
+        self._raw = raw_witt_ops(ring, ring.p, n + 1)
+        self._mul = _batch_mulmod(ring)
+        self._dtype = dtype = _coeff_batch_dtype(ring)
+        m, d = ring.m, ring.d
+        # d(sum_i a_i x^i) = sum_i i a_i x^(i-1) dx
+        self._d_scale = np.arange(1, d, dtype=dtype)
+        diag, v_cols, _ = self.omega._snf_data()
+        v = np.zeros((d, d), dtype=dtype)
+        for j, col in enumerate(v_cols):
+            for i, c in col.items():
+                v[i, j] = c % m
+        self._smith_v, self._smith_diag = v, np.array(diag, dtype=dtype)
+
+    def _module_rows(self, ms):
+        """A list of module elements as a batch (alpha rows, a rows)."""
+        alphas, elems = zip(*ms)
+        dtype = self._dtype
+        return np.array(alphas, dtype=dtype), np.array([a.data for a in elems], dtype=dtype)
+
+    def _d(self, a):
+        out = np.zeros_like(a)
+        out[:, :-1] = a[:, 1:] * self._d_scale % self.ring.m
+        return out
+
+    def _fn_d_rows(self, u):
+        """fnd(y) = sum_i y_i^(p^(n-i) - 1) d y_i on the coefficient rows u
+        of y's coordinates, with the powers y_i^(p^(n-i) - 1), i < n."""
+        p, n, mul = self.ring.p, self.n, self._mul
+        powers = []
+        for i, c in enumerate(u[:n]):
+            e, acc = p ** (n - i) - 1, None
+            while e:
+                if e & 1:
+                    acc = c if acc is None else mul(acc, c)
+                e >>= 1
+                if e:
+                    c = mul(c, c)
+            powers.append(acc)
+        acc = self._d(u[n])
+        for x, c in zip(powers, u):
+            acc = acc + mul(x, self._d(c))
+        return acc % self.ring.m, powers
+
+    def _scalars(self, ys):
+        """(F^n(y)_0, fnd(y)) as coefficient rows, for a batch ys of
+        W_{n+1}(A)."""
+        u = [self._raw.coefficient_rows(c) for c in ys]
+        fnd, powers = self._fn_d_rows(u)
+        t = self._ghost_terms
+        powers = [*map(self._mul, powers[:t], u), *u[self.n : t]]
+        return _ghost_rows(self.ring.p, self.ring.m, powers), fnd
+
+    def _act(self, scalars, ms):
+        (fny, fnd), (alpha, a), mul = scalars, ms, self._mul
+        return (mul(fny, alpha) - mul(a, fnd)) % self.ring.m, mul(fny, a)
+
+    def _add(self, m1, m2):
+        return tuple((x + y) % self.ring.m for x, y in zip(m1, m2))
+
+    def _omega_eq(self, alpha1, alpha2):
+        y = (alpha1 - alpha2) % self.ring.m @ self._smith_v
+        return (y % self._smith_diag == 0).all(axis=1)
+
+    def _eq(self, m1, m2):
+        return self._omega_eq(m1[0], m2[0]) & (m1[1] == m2[1]).all(axis=1)
 
     def action(self, y, m):
-        """On payloads: F^n(y)_0 is the ghost component w_n(y), and its
-        powers y_i^(p^(n-i)) are each one product past the powers of fn_d;
-        only the powers that w_n(y) reads are formed."""
-        ring, u = self.ring, y.data
+        ring = self.ring
         if y.length != self.n + 1:
             raise ValueError("shape mismatch: scalar must live in W_{n+1}(A)")
         if y.ring is not ring and y.ring != ring:
             raise ValueError("owner mismatch")
         alpha, a = m
-        fnd_y, powers = fn_d_payload(ring, ring.p, u, self.omega)
-        t = self._ghost_terms
-        powers = [*map(ring._mul, powers[:t], u), *u[self.n : t]]
-        fny = ghost_component(ring, ring.p, u[:t], self.n, powers)
-        part1 = ring._sub(
-            ring._mul(fny, self.omega._canonical(alpha)), ring._mul(a.data, tuple(fnd_y))
-        )
-        return (part1, RingElement(ring, fny) * a)
-
-    def add(self, m1, m2):
-        a1, x1 = m1
-        a2, x2 = m2
-        return (
-            tuple((u + v) % self.ring.m for u, v in zip(a1, a2)),
-            x1 + x2,
-        )
+        ms = self._module_rows([(self.omega._canonical(alpha), a)])
+        part1, part2 = self._act(self._scalars(self._raw.to_batch([y.data])), ms)
+        return tuple(part1[0].tolist()), RingElement(ring, tuple(part2[0].tolist()))
 
     def eq(self, m1, m2):
         return self.omega.eq(list(m1[0]), list(m2[0])) and m1[1] == m2[1]
 
     def random_element(self, rng):
-        vec = tuple(rng.randrange(self.ring.m) for _ in range(self.omega.gens))
-        return (vec, random_element(self.ring, rng))
+        return (random_payload(self.ring, rng), random_element(self.ring, rng))
 
 
 def check_module_axioms(tm, rng, triples=100):
-    """(y z) . m = y . (z . m) and (y + z) . m = y.m + z.m on random triples."""
-    ring, n = tm.ring, tm.n
+    """(y z) . m = y . (z . m) and (y + z) . m = y.m + z.m on random triples
+    (y, z, m), drawn in that order; then 1 . m = m on one more m.  A triple
+    that fails associativity is not checked for distributivity."""
+    ring, n, raw = tm.ring, tm.n, tm._raw
     p = ring.p
+
+    def draw():
+        y, z = random_witt(ring, p, n + 1, rng), random_witt(ring, p, n + 1, rng)
+        return y, z, tm.random_element(rng)
+
+    def batch(drawn):
+        ys, zs, ms = zip(*drawn)
+        scalars = (raw.to_batch([w.data for w in ws]) for ws in (ys, zs))
+        return *scalars, tm._module_rows(ms)
+
     failures = []
-    for k in range(triples):
-        y = random_witt(ring, p, n + 1, rng)
-        z = random_witt(ring, p, n + 1, rng)
-        m = tm.random_element(rng)
-        assoc_l = tm.action(witt_mul(y, z), m)
-        assoc_r = tm.action(y, tm.action(z, m))
-        if not tm.eq(assoc_l, assoc_r):
-            failures.append(("associativity", y, z, m))
-            continue
-        dist_l = tm.action(witt_add(y, z), m)
-        dist_r = tm.add(tm.action(y, m), tm.action(z, m))
-        if not tm.eq(dist_l, dist_r):
-            failures.append(("distributivity", y, z, m))
+    for (ys, zs, ms), at in sample_chunks(triples, draw, batch):
+        # the scalars y, z, y z and y + z, each on m, as one batch; then y on z.m
+        scalars = tm._scalars(_stack(ys, zs, raw.mul_batch(ys, zs), raw.add_batch(ys, zs)))
+        y_m, z_m, yz_m, sum_m = _split(tm._act(scalars, _stack(ms, ms, ms, ms)), 4)
+        assoc = tm._eq(yz_m, tm._act(_split(scalars, 4)[0], z_m))
+        dist = tm._eq(sum_m, tm._add(y_m, z_m))
+        for k in np.flatnonzero(~(assoc & dist)):
+            failures.append(("associativity" if not assoc[k] else "distributivity", *at(int(k))))
     one = witt_one(ring, p, n + 1)
     m = tm.random_element(rng)
     if not tm.eq(tm.action(one, m), m):
@@ -404,55 +518,70 @@ def check_module_axioms(tm, rng, triples=100):
 
 
 def check_fnd_leibniz(ring, n, rng, samples=50):
-    """fnd(x w) = F^n(x) fnd(w) + F^n(w) fnd(x), exact on samples."""
-    omega = omega1_for_ring(ring)
-    p = ring.p
+    """fnd(x w) = F^n(x) fnd(w) + F^n(w) fnd(x), exact on samples (x, w),
+    with F^n(x)_0 from the compiled Frobenius."""
+    tm = TwistedModule(ring, n)
+    p, raw, mul = ring.p, tm._raw, tm._mul
+
+    def draw():
+        return random_witt(ring, p, n + 1, rng), random_witt(ring, p, n + 1, rng)
+
+    def batch(drawn):
+        return tuple(raw.to_batch([w.data for w in ws]) for ws in zip(*drawn))
+
+    def fnd(ws):
+        return tm._fn_d_rows([raw.coefficient_rows(c) for c in ws])[0]
+
+    def fn0(ws):
+        return raw.coefficient_rows(_frobenius_power_batch(ring, p, ws, n)[0])
+
     bad = []
-    for _ in range(samples):
-        x = random_witt(ring, p, n + 1, rng)
-        w = random_witt(ring, p, n + 1, rng)
-        lhs = fn_d(witt_mul(x, w), omega)
-        fx = frobenius_power(x, n).coords[0]
-        fw = frobenius_power(w, n).coords[0]
-        rhs = [
-            (a + b) % ring.m
-            for a, b in zip(omega.mult(fw, fn_d(x, omega)), omega.mult(fx, fn_d(w, omega)))
-        ]
-        if not omega.eq(lhs, rhs):
-            bad.append((x, w))
+    for (xs, ws), at in sample_chunks(samples, draw, batch):
+        lhs, fnd_x, fnd_w = np.split(fnd(_stack(raw.mul_batch(xs, ws), xs, ws)), 3)
+        fx, fw = np.split(fn0(_stack(xs, ws)), 2)
+        rhs = (mul(fw, fnd_x) + mul(fx, fnd_w)) % ring.m
+        bad += _failures(tm._omega_eq(lhs, rhs), at)
     return bad
 
 
 def check_xv_identity(ring, p, n, rng, samples=100):
-    """x V(y) = V(F(x) y) on samples (the formula behind the module law)."""
+    """x V(y) = V(F(x) y) on samples (x, y) over a quotient ring (the formula
+    behind the module law)."""
+    raw, low = raw_witt_ops(ring, p, n + 1), raw_witt_ops(ring, p, n)
+
+    def draw():
+        return random_witt(ring, p, n + 1, rng), random_witt(ring, p, n, rng)
+
+    def batch(drawn):
+        xs, ys = zip(*drawn)
+        return raw.to_batch([x.data for x in xs]), low.to_batch([y.data for y in ys])
+
     bad = []
-    for _ in range(samples):
-        x = random_witt(ring, p, n + 1, rng)
-        y = random_witt(ring, p, n, rng)
-        lhs = witt_mul(x, verschiebung(y))
-        rhs = verschiebung(witt_mul(frobenius(x), y))
-        if lhs != rhs:
-            bad.append((x, y))
+    for (xs, ys), at in sample_chunks(samples, draw, batch):
+        lhs = raw.mul_batch(xs, verschiebung_batch(ys))
+        rhs = verschiebung_batch(low.mul_batch(raw.frob_batch(xs), ys))
+        bad += _failures(raw.equal_batch(lhs, rhs), at)
     return bad
 
 
 def check_vn_module_hom(ring, p, n, rng, samples=100):
     """V^n: A -> W_{n+1}(A) is a module map for the F^n-structure:
-    x V^n(a) = V^n(F^n(x) a)."""
+    x V^n(a) = V^n(F^n(x) a), on samples (x, a) over a quotient ring, with
+    F^n(x)_0 from the compiled Frobenius."""
+    raw, raw1 = raw_witt_ops(ring, p, n + 1), raw_witt_ops(ring, p, 1)
+
+    def draw():
+        return random_witt(ring, p, n + 1, rng), random_element(ring, rng)
+
+    def batch(drawn):
+        xs, elems = zip(*drawn)
+        return raw.to_batch([x.data for x in xs]), raw1.to_batch([(a.data,) for a in elems])
+
     bad = []
-    for _ in range(samples):
-        x = random_witt(ring, p, n + 1, rng)
-        a = random_element(ring, rng)
-        va = teichmuller(a, p, 1)
-        for _ in range(n):
-            va = verschiebung(va)
-        lhs = witt_mul(x, va)
-        fa = frobenius_power(x, n).coords[0] * a
-        rhs = teichmuller(fa, p, 1)
-        for _ in range(n):
-            rhs = verschiebung(rhs)
-        if lhs != rhs:
-            bad.append((x, a))
+    for (xs, a), at in sample_chunks(samples, draw, batch):
+        zeros = (np.zeros_like(a[0]),) * n
+        fa = raw1.mul_batch(_frobenius_power_batch(ring, p, xs, n)[:1], a)
+        bad += _failures(raw.equal_batch(raw.mul_batch(xs, zeros + a), zeros + fa), at)
     return bad
 
 

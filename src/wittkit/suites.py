@@ -21,6 +21,8 @@ from .rings import (
     is_odd_prime,
     random_element,
 )
+from .sequences import sample_chunks
+from .witt import verschiebung_batch as _V
 
 
 class UsageError(ValueError):
@@ -97,10 +99,9 @@ class SuiteConfig:
 # --- suite: witt-identities -----------------------------------------------------
 
 # Batched checks evaluate an exhaustive sweep CHUNK elements at a time, and
-# draw and evaluate samples SAMPLE_CHUNK at a time: their arrays then stay
-# within a few MB, and sampled checks within a fraction of one.
+# draw and evaluate samples sequences.SAMPLE_CHUNK at a time: their arrays
+# then stay within a few MB, and sampled checks within a fraction of one.
 CHUNK = 8192
-SAMPLE_CHUNK = 256
 
 
 def _swept(count, batch, at):
@@ -110,14 +111,6 @@ def _swept(count, batch, at):
     for start in range(0, count, CHUNK):
         positions = np.arange(start, min(start + CHUNK, count), dtype=np.int64)
         yield batch(positions), lambda i, start=start: at(start + i)
-
-
-def _drawn(count, draw, batch):
-    """The chunks of count samples, each drawn by draw() in order:
-    batch(samples) gives a chunk's batches."""
-    for start in range(0, count, SAMPLE_CHUNK):
-        samples = [draw() for _ in range(min(SAMPLE_CHUNK, count - start))]
-        yield batch(samples), samples.__getitem__
 
 
 def _first_failures(chunks, checks):
@@ -137,11 +130,6 @@ def _first_failures(chunks, checks):
                 if not mask.all():
                     found[c] = at(int(np.argmin(mask)))
     return found
-
-
-def _V(w):
-    """V on a batch: zero (index 0, or the zero row) shifted in front."""
-    return (np.zeros_like(w[0]),) + tuple(w)
 
 
 def _R(raw, w):
@@ -233,7 +221,7 @@ def suite_witt_identities(cfg):
                 pair_mode = "exhaustive pairs"
             else:
                 pair_count = 1000
-                pairs = _drawn(
+                pairs = sample_chunks(
                     pair_count,
                     lambda: (
                         raw2.unwrap(witt.random_witt(ring, p, 2, rng)),
@@ -295,7 +283,7 @@ def suite_witt_identities(cfg):
             checks.append(
                 ("fv-eq-p", "F(V(w)) = p w", lambda x, y, fx: fv_eq_p(y), lambda x, y: ("FV=p", y))
             )
-        found = _first_failures(_drawn(samples, draw, batch), [check[2] for check in checks])
+        found = _first_failures(sample_chunks(samples, draw, batch), [check[2] for check in checks])
         for (name, anchor, _, explain), witness in zip(checks, found):
             rep.add(
                 f"{name}-{ring.descriptor()}",

@@ -16,6 +16,7 @@ Fixed points of R delegate to the characteristic-p solver and are reported in
 the alpha coordinates.
 """
 
+from .rings import random_payload
 from .tilt import (
     eps_charp,
     frobenius_equation_solve,
@@ -41,6 +42,8 @@ class TateTower:
     """Layers 1..height with the F- and R-transition laws."""
 
     def __init__(self, ring, height):
+        if ring.kind != "CyclotomicTruncation":
+            raise ValueError("the Tate tower model needs a cyclotomic truncation")
         if ring.N < height + 1:
             raise ValueError("depth shortfall: tower height h needs N >= h + 1")
         self.ring = ring
@@ -168,8 +171,7 @@ def freeness_probe(ring, n, budget=None, rng=None):
         if rng is None:
             return None
         payloads = {
-            tuple(tuple(rng.randrange(ring.m) for _ in range(ring.d)) for _ in range(n))
-            for _ in range(FREENESS_SAMPLES)
+            tuple(random_payload(ring, rng) for _ in range(n)) for _ in range(FREENESS_SAMPLES)
         }
     else:
         payloads = raw.enumerate_payloads()

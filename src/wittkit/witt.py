@@ -46,7 +46,7 @@ import re
 import numpy as np
 
 from . import _kernel
-from .rings import IntegerRing, RingElement, require_odd_prime
+from .rings import IntegerRing, RingElement, _digits, random_payload, require_odd_prime
 
 _MAX_PRACTICAL_LEN = {3: 5, 5: 4}
 
@@ -1003,6 +1003,12 @@ class RawWittOps:
         digits = positions[:, None] // place % ring.m
         return tuple(digits[:, i * ring.d : (i + 1) * ring.d] for i in range(n))
 
+    def coefficient_rows(self, c):
+        """The (B, d) coefficient rows of one coordinate c of a batch."""
+        if self._tables is not None:
+            return _digits(c, self.ring.m, self.ring.d)
+        return c
+
     @staticmethod
     def equal_batch(u, v):
         """The mask of the elements at which two batches agree."""
@@ -1113,6 +1119,11 @@ def witt_scalar_mul(k, u):
 def verschiebung(u):
     """V: W_n -> W_{n+1}, (a_0..a_{n-1}) -> (0, a_0..a_{n-1})."""
     return WittVector._trusted(u.ring, u.p, (u.ring.zero().data,) + u.data)
+
+
+def verschiebung_batch(w):
+    """V on a batch: zero (index 0, or the zero row) shifted in front."""
+    return (np.zeros_like(w[0]),) + tuple(w)
 
 
 def restriction(u):
@@ -1339,6 +1350,4 @@ def eval_poly_ops(poly, values, ops):
 
 
 def random_witt(ring, p, n, rng):
-    from .rings import random_element
-
-    return WittVector(ring, p, tuple(random_element(ring, rng) for _ in range(n)))
+    return WittVector._trusted(ring, p, tuple(random_payload(ring, rng) for _ in range(n)))

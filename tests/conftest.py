@@ -1,5 +1,7 @@
-"""The tests' oracle for Witt arithmetic: eval_poly_ops on RingElements."""
+"""The tests' oracle for Witt arithmetic: eval_poly_ops on RingElements;
+and a fixture that corrupts one raw Witt operation at chosen inputs."""
 
+import numpy as np
 import pytest
 
 from wittkit.witt import eval_poly_ops
@@ -38,3 +40,43 @@ def eval_polys():
     nonempty list of RingElements of one ring, independently of the compiled
     Witt operations; the oracle for raw_witt_ops and the wrapped API."""
     return _eval_polys
+
+
+@pytest.fixture
+def corrupt(monkeypatch):
+    """corrupt(raw, name, targets): give raw's operation `name` a wrong first
+    coordinate at the target inputs, per element and in the batch form
+    alike: that coordinate moves to the next element index (tables) or gets
+    1 added to its first coefficient (above the cap)."""
+
+    def apply(raw, name, targets):
+        ring, tables = raw.ring, raw.ring._tables
+        op, batch_op = getattr(raw, name), getattr(raw, f"{name}_batch")
+
+        def bump(c):
+            if tables is not None:
+                return tables.elems[(tables.index[c] + 1) % tables.Q]
+            return ((c[0] + 1) % ring.m,) + c[1:]
+
+        def bad(*args):
+            out = op(*args)
+            return (bump(out[0]),) + out[1:] if args in targets else out
+
+        target_batches = [[raw.to_batch([a]) for a in args] for args in targets]
+
+        def bad_batch(*args):
+            out = batch_op(*args)
+            hit = np.zeros(len(out[0]), dtype=bool)
+            for target in target_batches:
+                hit |= np.logical_and.reduce([raw.equal_batch(a, t) for a, t in zip(args, target)])
+            first = out[0].copy()
+            if tables is not None:
+                first[hit] = (first[hit] + 1) % tables.Q
+            else:
+                first[hit, 0] = (first[hit, 0] + 1) % ring.m
+            return (first,) + tuple(out[1:])
+
+        monkeypatch.setitem(raw.__dict__, name, bad)
+        monkeypatch.setitem(raw.__dict__, f"{name}_batch", bad_batch)
+
+    return apply

@@ -11,9 +11,12 @@ from wittkit.rings import (
     CyclotomicTruncation,
     IntegerRing,
     PrimeContext,
+    RingElement,
     random_element,
+    random_payload,
     ring_from_descriptor,
 )
+from wittkit.witt import WittVector, random_witt
 
 RINGS_SMALL = [
     CyclotomicTruncation(3, 1, 1),  # 9 elements
@@ -232,3 +235,41 @@ def test_canonical_form_is_reduced():
         a = random_element(r, random.Random(5))
         assert all(0 <= c < r.m for c in a.data)
         assert len(a.data) == r.d
+
+
+class _Shape:
+    """A stand-in with the two attributes random_payload reads."""
+
+    def __init__(self, m, d):
+        self.m, self.d = m, d
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 25, 27])
+def test_random_payload_draws_as_randrange(m):
+    # a change in random.randrange would move every sampled report; this
+    # fails first
+    for seed in range(6):
+        rng, want_rng = random.Random(seed), random.Random(seed)
+        for d in (1, 2, 6, 20):
+            got = random_payload(_Shape(m, d), rng)
+            assert got == tuple(want_rng.randrange(m) for _ in range(d))
+        assert rng.getstate() == want_rng.getstate()
+
+
+def test_random_witt_and_random_element_draw_as_before():
+    Z = IntegerRing()
+    rings = [CyclotomicTruncation(3, 2, 1), CyclotomicTruncation(5, 2, 2), CharPQuotient(3, 0, 9), Z]
+    for ring in rings:
+
+        def old_element(rng):
+            if ring is Z:
+                return ring.from_int(rng.randint(-9, 9))
+            return RingElement(ring, tuple(rng.randrange(ring.m) for _ in range(ring.d)))
+
+        rng, want_rng = random.Random(4), random.Random(4)
+        for n in (1, 2, 3):
+            assert random_element(ring, rng) == old_element(want_rng)
+            p = 3 if ring is Z else ring.p
+            want = WittVector(ring, p, [old_element(want_rng) for _ in range(n)])
+            assert random_witt(ring, p, n, rng) == want
+        assert rng.getstate() == want_rng.getstate()

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from wittkit.kaehler import fn_d
-from wittkit.rings import CharPQuotient, CyclotomicTruncation, random_element
+from wittkit.kaehler import fn_d, omega1_for_ring
+from wittkit.rings import CharPQuotient, CyclotomicTruncation, random_element, ring_from_descriptor
 from wittkit.sequences import (
     TwistedModule,
     broken_complex,
@@ -23,8 +23,8 @@ from wittkit.sequences import (
     witt_restriction_complex,
 )
 from wittkit.witt import (
+    frobenius,
     frobenius_power,
-    ghost_component,
     random_witt,
     raw_witt_ops,
     teichmuller,
@@ -419,15 +419,138 @@ def test_twisted_action_forms_only_the_powers_the_ghost_component_reads(monkeypa
     ring, n = CyclotomicTruncation(3, 2, M), 2
     tm = TwistedModule(ring, n)
     formed = []
+    ghost_rows = sequences._ghost_rows
 
-    def recording(ring_, p, u, k, powers=None):
+    def recording(p, m, powers):
         formed.append(len(powers))
-        return ghost_component(ring_, p, u, k, powers)
+        return ghost_rows(p, m, powers)
 
-    monkeypatch.setattr(sequences, "ghost_component", recording)
+    monkeypatch.setattr(sequences, "_ghost_rows", recording)
     rng = random.Random(5)
     for u in _witt_inputs(ring, n + 1, rng, 6):
         y = raw_witt_ops(ring, ring.p, n + 1).wrap(u)
         m = tm.random_element(rng)
         assert tm.action(y, m) == _action_by_frobenius_power(tm, y, m)
+    assert check_module_axioms(tm, rng, triples=20) == []
     assert formed and set(formed) == {read}
+
+
+# --- negative controls of the batched sampled checks ------------------------
+
+
+class _DyTwistedModule(TwistedModule):
+    """The twisted module with F^n d(y) replaced by d(y_0): not a module,
+    since d(y_0 z_0) = y_0 dz_0 + z_0 dy_0 differs from
+    F^n(y) d(z_0) + F^n(z) d(y_0)."""
+
+    def _scalars(self, ys):
+        fny, _ = super()._scalars(ys)
+        return fny, self._d(self._raw.coefficient_rows(ys[0]))
+
+
+def _dy_action(tm, y, m):
+    alpha, a = m
+    fny = frobenius_power(y, tm.n).coords[0]
+    dy0 = tm.omega.d_of(y.coords[0])
+    part1 = [(x - z) % tm.ring.m for x, z in zip(tm.omega.mult(fny, alpha), tm.omega.mult(a, dy0))]
+    return (tuple(part1), fny * a)
+
+
+def _module_law_failures(tm, act, rng, triples):
+    """check_module_axioms as one loop per triple, with the action act."""
+    ring, p, n, m_ = tm.ring, tm.ring.p, tm.n, tm.ring.m
+
+    def add(m1, m2):
+        return tuple((u + v) % m_ for u, v in zip(m1[0], m2[0])), m1[1] + m2[1]
+
+    failures = []
+    for _ in range(triples):
+        y, z = random_witt(ring, p, n + 1, rng), random_witt(ring, p, n + 1, rng)
+        m = tm.random_element(rng)
+        if not tm.eq(act(tm, y * z, m), act(tm, y, act(tm, z, m))):
+            failures.append(("associativity", y, z, m))
+        elif not tm.eq(act(tm, y + z, m), add(act(tm, y, m), act(tm, z, m))):
+            failures.append(("distributivity", y, z, m))
+    one = witt_one(ring, p, n + 1)
+    m = tm.random_element(rng)
+    if not tm.eq(act(tm, one, m), m):
+        failures.append(("identity", one, None, m))
+    return failures
+
+
+@pytest.mark.parametrize("desc,n,triples", [("cyc(3,2,1)", 1, 300), ("cyc(3,3,1)", 2, 20)])
+def test_module_law_negative_control_fails_as_the_per_element_loop(desc, n, triples):
+    ring = ring_from_descriptor(desc)
+    tm = _DyTwistedModule(ring, n)
+    rng, oracle_rng = random.Random(3), random.Random(3)
+    got = check_module_axioms(tm, rng, triples=triples)
+    want = _module_law_failures(tm, _dy_action, oracle_rng, triples)
+    assert [f[0] for f in got].count("associativity") > triples // 2
+    assert got == want
+    assert rng.getstate() == oracle_rng.getstate()
+    # the unperturbed action passes on the same draws
+    assert _module_law_failures(tm, _action_by_frobenius_power, random.Random(3), triples) == []
+
+
+def _draws(seed, count, *draw):
+    rng = random.Random(seed)
+    return [tuple(f(rng) for f in draw) for _ in range(count)]
+
+
+# 300 samples make two chunks of sample_chunks; the perturbed samples sit in
+# both, two in the first, and are named out of order
+TARGETS = (270, 100, 40)
+
+
+def test_leibniz_negative_control_reports_the_perturbed_samples_in_order(corrupt):
+    ring, n, p = CyclotomicTruncation(3, 2, 1), 1, 3
+    samples = _draws(1, 300, *[lambda r: random_witt(ring, p, n + 1, r)] * 2)
+    raw = raw_witt_ops(ring, p, n + 1)
+    corrupt(raw, "frob", [(samples[k][0].data,) for k in TARGETS])
+    omega = omega1_for_ring(ring)
+
+    def holds(x, w):
+        fx, fw = frobenius_power(x, n).coords[0], frobenius_power(w, n).coords[0]
+        rhs = [
+            (a + b) % ring.m
+            for a, b in zip(omega.mult(fw, fn_d(x, omega)), omega.mult(fx, fn_d(w, omega)))
+        ]
+        return omega.eq(fn_d(x * w, omega), rhs)
+
+    want = [s for s in samples if not holds(*s)]
+    assert want == [samples[k] for k in sorted(TARGETS)]
+    assert check_fnd_leibniz(ring, n, random.Random(1), samples=300) == want
+
+
+def test_xv_negative_control_reports_the_perturbed_samples_in_order(corrupt):
+    ring, n, p = CyclotomicTruncation(3, 3, 1), 1, 3
+    samples = _draws(
+        2, 300, lambda r: random_witt(ring, p, n + 1, r), lambda r: random_witt(ring, p, n, r)
+    )
+    raw = raw_witt_ops(ring, p, n + 1)
+    corrupt(raw, "mul", [(x.data, verschiebung(y).data) for x, y in (samples[k] for k in TARGETS)])
+    want = [(x, y) for x, y in samples if x * verschiebung(y) != verschiebung(frobenius(x) * y)]
+    assert want == [samples[k] for k in sorted(TARGETS)]
+    assert check_xv_identity(ring, p, n, random.Random(2), samples=300) == want
+
+
+@pytest.mark.parametrize("desc,n", [("cyc(3,2,1)", 2), ("cyc(3,3,1)", 1)])
+def test_vn_negative_control_reports_the_perturbed_samples_in_order(corrupt, desc, n):
+    ring = ring_from_descriptor(desc)
+    p = ring.p
+    samples = _draws(
+        3, 300, lambda r: random_witt(ring, p, n + 1, r), lambda r: random_element(ring, r)
+    )
+    raw = raw_witt_ops(ring, p, n + 1)
+
+    def vn(a):
+        return (ring.zero().data,) * n + (a.data,)
+
+    corrupt(raw, "mul", [(x.data, vn(a)) for x, a in (samples[k] for k in TARGETS)])
+    want = [
+        (x, a)
+        for x, a in samples
+        if (x * raw.wrap(vn(a))).data != vn(frobenius_power(x, n).coords[0] * a)
+    ]
+    assert want == [samples[k] for k in sorted(TARGETS)]
+    assert check_vn_module_hom(ring, p, n, random.Random(3), samples=300) == want

@@ -30,6 +30,9 @@ def test_layer_dlog():
     assert TateTower(ring, 1).dlog(1) == want
     with pytest.raises(ValueError):  # height 2 needs N >= 3
         TateTower(ring, 2)
+    # the model has no tower over a ring without roots of unity
+    with pytest.raises(ValueError, match="cyclotomic truncation"):
+        TateTower(CharPQuotient(3, 0, 9), 1)
 
 
 def test_ratio_identity_all_levels():

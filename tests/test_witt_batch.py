@@ -9,7 +9,8 @@ import pytest
 
 from wittkit import witt
 from wittkit.rings import ring_from_descriptor
-from wittkit.suites import CHUNK, SAMPLE_CHUNK, SuiteConfig, suite_witt_identities
+from wittkit.sequences import SAMPLE_CHUNK
+from wittkit.suites import CHUNK, SuiteConfig, suite_witt_identities
 from wittkit.witt import random_witt, raw_witt_ops
 
 # (ring, Witt lengths): four shapes with lookup tables, three above the cap
@@ -81,41 +82,6 @@ def test_rings_without_coefficients_have_no_batch_form(desc):
 # --- the first-witness rule --------------------------------------------------
 
 
-def _corrupt(monkeypatch, raw, name, targets):
-    """Give raw's operation `name` a wrong first coordinate at the target
-    inputs, per element and in the batch form alike: that coordinate moves
-    to the next element index (tables) or gets 1 added to its first
-    coefficient (above the cap)."""
-    ring, tables = raw.ring, raw.ring._tables
-    op, batch_op = getattr(raw, name), getattr(raw, f"{name}_batch")
-
-    def bump(c):
-        if tables is not None:
-            return tables.elems[(tables.index[c] + 1) % tables.Q]
-        return ((c[0] + 1) % ring.m,) + c[1:]
-
-    def bad(*args):
-        out = op(*args)
-        return (bump(out[0]),) + out[1:] if args in targets else out
-
-    target_batches = [[raw.to_batch([a]) for a in args] for args in targets]
-
-    def bad_batch(*args):
-        out = batch_op(*args)
-        hit = np.zeros(len(out[0]), dtype=bool)
-        for target in target_batches:
-            hit |= np.logical_and.reduce([raw.equal_batch(a, t) for a, t in zip(args, target)])
-        first = out[0].copy()
-        if tables is not None:
-            first[hit] = (first[hit] + 1) % tables.Q
-        else:
-            first[hit, 0] = (first[hit, 0] + 1) % ring.m
-        return (first,) + tuple(out[1:])
-
-    monkeypatch.setitem(raw.__dict__, name, bad)
-    monkeypatch.setitem(raw.__dict__, f"{name}_batch", bad_batch)
-
-
 def _per_element_witnesses(cfg, draws):
     """The witnesses of the batched checks, by one loop per element in
     enumeration or sample order over the samples the suite drew: the form
@@ -174,7 +140,7 @@ def _run_recording_draws(monkeypatch, cfg):
     return rep, draws
 
 
-def test_batched_v_additive_reports_the_first_failing_pair_of_a_later_chunk(monkeypatch):
+def test_batched_v_additive_reports_the_first_failing_pair_of_a_later_chunk(monkeypatch, corrupt):
     cfg = SuiteConfig(suites=["witt-identities"], seed=7).validate()
     ring = ring_from_descriptor("charp(3,0,3)")
     raw2 = raw_witt_ops(ring, 3, 2)
@@ -184,7 +150,7 @@ def test_batched_v_additive_reports_the_first_failing_pair_of_a_later_chunk(monk
     # two bad pairs: one in the second chunk, one in the fourth
     first, later = CHUNK + 5, 3 * CHUNK + 1
     targets = [(payloads[k // size], payloads[k % size]) for k in (later, first)]
-    _corrupt(monkeypatch, raw2, "add", targets)
+    corrupt(raw2, "add", targets)
     rep, draws = _run_recording_draws(monkeypatch, cfg)
     got = {c.check_id: [str(w) for w in c.witnesses] for c in rep.checks}
     assert got["v-additive-charp(3,0,3)"] == [str(targets[1])]
@@ -192,7 +158,7 @@ def test_batched_v_additive_reports_the_first_failing_pair_of_a_later_chunk(monk
         assert got[check_id] == witnesses, check_id
 
 
-def test_batched_samples_report_the_first_failing_sample(monkeypatch):
+def test_batched_samples_report_the_first_failing_sample(monkeypatch, corrupt):
     cfg = SuiteConfig(suites=["witt-identities"], seed=7, budget=500000).validate()
     _, draws = _run_recording_draws(monkeypatch, cfg)
     charp = ring_from_descriptor("charp(3,0,3)")
@@ -206,13 +172,13 @@ def test_batched_samples_report_the_first_failing_sample(monkeypatch):
     # two bad samples per check, the later one named first; 270 and 300 sit
     # in the second batch of samples
     assert SAMPLE_CHUNK < 270 < 300 < 2 * SAMPLE_CHUNK
-    _corrupt(monkeypatch, c3, "frob", [(c0 + payloads[k],) for k in (300, 100)])
+    corrupt(c3, "frob", [(c0 + payloads[k],) for k in (300, 100)])
     sampled_pairs = [(pairs[2 * k].data, pairs[2 * k + 1].data) for k in (600, 270)]
-    _corrupt(monkeypatch, c2, "add", sampled_pairs)
-    _corrupt(monkeypatch, c2, "frob", [(cxs[k].data[:-1],) for k in (4, 3)])
-    _corrupt(monkeypatch, y3, "mul", [(xs[k].data, y0 + ys[k].data) for k in (700, 300)])
-    _corrupt(monkeypatch, y2, "frob", [(xs[k].data[:-1],) for k in (5, 2)])
-    _corrupt(monkeypatch, y3, "frob", [(y0 + ys[k].data,) for k in (9, 4)])
+    corrupt(c2, "add", sampled_pairs)
+    corrupt(c2, "frob", [(cxs[k].data[:-1],) for k in (4, 3)])
+    corrupt(y3, "mul", [(xs[k].data, y0 + ys[k].data) for k in (700, 300)])
+    corrupt(y2, "frob", [(xs[k].data[:-1],) for k in (5, 2)])
+    corrupt(y3, "frob", [(y0 + ys[k].data,) for k in (9, 4)])
     rep, again = _run_recording_draws(monkeypatch, cfg)
     assert again.keys() == draws.keys() and all(
         [w.data for w in again[key]] == [w.data for w in draws[key]] for key in draws
