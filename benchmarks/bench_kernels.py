@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the arithmetic layers of wittkit.
 
-Fourteen layers:
+Fifteen layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
     table cap, next to the kernel's schoolbook loop,
   * the unit test of the quotient rings: us per is_unit on 200 seeded
@@ -14,7 +14,9 @@ Fourteen layers:
     W_4(cyc(3,3,1)) and W_3(cyc(5,3,1))), each operation one compiled
     function over the kernel, with the time to compile the three, and the
     same on the table ring W_4(cyc(3,1,1)) and on W_4(Z),
-  * the fixed-point solver on W_2(charp(3,0,9)),
+  * the fixed-point solver on W_2(charp(3,0,9)), and its claimed-form
+    inclusion alone (claimed_inclusion), which is all the fixed-points
+    suite runs at n = 2,
   * one exhaustive exactness sweep (L2): map calls and seconds of
     exactness_report on the Witt restriction complex over cyc(3,2,1), n = 1,
   * the exhaustive freeness probe over W_2(cyc(3,2,1)) (L2): seconds, and
@@ -22,6 +24,10 @@ Fourteen layers:
   * universal-table build times (the feasibility envelope per prime), in
     full and for the expanded sum polynomials alone, which are built on
     first read,
+  * the symbolic ghost check: ms per verify_ghost_symbolic on the tables
+    of (p, n) = (3, 4), (5, 3) and (7, 3), and ms to build the tables at
+    the top of the envelope, (3, 5) and (5, 4), without their expanded sum
+    polynomials,
   * the Kahler layer: log_presentation_check on the first tuple of the
     log-presentation suite at p = 7 (an 84 x 126 system over Z/7^3, once
     the unit blocks are eliminated), torsion_is_free_rank_one(cyc(5,3,3), 1)
@@ -72,6 +78,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import time
 import tracemalloc
 
@@ -108,6 +115,7 @@ from wittkit.snf import smith_sparse
 from wittkit.suites import CHUNK
 from wittkit.tate import freeness_probe
 from wittkit.tilt import (
+    claimed_inclusion,
     epsilon,
     frobenius_equation_solve,
     theta_r,
@@ -118,6 +126,7 @@ from wittkit.tilt import (
 )
 from wittkit.witt import (
     RawWittOps,
+    WittUniversalTable,
     frobenius,
     frobenius_power,
     get_table,
@@ -126,6 +135,7 @@ from wittkit.witt import (
     random_witt,
     raw_witt_ops,
     teichmuller,
+    verify_ghost_symbolic,
     verschiebung,
     witt_add,
     witt_mul,
@@ -273,10 +283,18 @@ def bench_fixed_point_solver():
     dt = time.perf_counter() - t0
     print(f"  frobenius_equation_solve(charp(3,0,9), 2): {dt:6.2f} s  "
           f"({len(rep['solutions'])} solutions, {len(rep['spurious'])} spurious)")
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        inclusion = claimed_inclusion(ring, 2)
+        times.append(time.perf_counter() - t0)
+    us = statistics.median(times) * 1e6
+    print(f"  claimed_inclusion(charp(3,0,9), 2) -> {inclusion['inclusion_exact']}: {us:8.0f} us")
     return {
         "fixed_point_solve_s.W2_charp(3,0,9)": round(dt, 3),
         "fixed_point_solutions.W2_charp(3,0,9)": len(rep["solutions"]),
         "fixed_point_spurious.W2_charp(3,0,9)": len(rep["spurious"]),
+        "fixed_inclusion_us.n2_charp(3,0,9)": round(us, 1),
     }
 
 
@@ -341,6 +359,29 @@ def bench_table_builds():
         figures[f"table_monomials.p{p}n{n}"] = terms
         print(f"  (p={p}, n={n}): {(t2 - t0) * 1e3:8.1f} ms, {terms} monomials; "
               f"the expanded sums alone {(t2 - t1) * 1e3:8.1f} ms")
+    return figures
+
+
+def bench_ghost_checks():
+    print("== symbolic ghost checks, and tables at the top of the envelope ==")
+    figures = {}
+    for p, n in [(3, 4), (5, 3), (7, 3)]:
+        table = get_table(p, n)
+        table.sum_polys  # built on first read, outside the timing
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            witness = verify_ghost_symbolic(table)
+            times.append(time.perf_counter() - t0)
+        ms = statistics.median(times) * 1e3
+        figures[f"verify_ghost_symbolic_ms.p{p}n{n}"] = round(ms, 2)
+        print(f"  verify_ghost_symbolic(get_table({p}, {n})) -> {witness}: {ms:7.2f} ms")
+    for p, n in [(3, 5), (5, 4)]:
+        t0 = time.perf_counter()
+        WittUniversalTable(p, n)
+        ms = (time.perf_counter() - t0) * 1e3
+        figures[f"table_prod_ms.p{p}n{n}"] = round(ms, 1)
+        print(f"  WittUniversalTable({p}, {n}), without sum_polys: {ms:8.1f} ms")
     return figures
 
 
@@ -706,6 +747,7 @@ def main():
     figures.update(bench_exactness_sweep())
     figures.update(bench_freeness_probe())
     figures.update(bench_table_builds())
+    figures.update(bench_ghost_checks())
     figures.update(bench_kaehler())
     figures.update(bench_snf())
     figures.update(bench_batch_ops())

@@ -560,14 +560,13 @@ class SolutionBudgetError(ArithmeticError):
         )
 
 
-def frobenius_equation_solve(ring, n, solution_budget=100000):
-    """Solutions of phi(y) = (([eps^p]-1)/([eps]-1)) y in W_n of the char-p
-    model, with the claimed-form inclusion checked exactly.
+def claimed_inclusion(ring, n):
+    """The claimed-form inclusion in W_n of the char-p model, checked exactly:
+    every y = c([eps]-1), c in W_n(F_p), solves phi(y) = ratio * y, where
+    ratio = ([eps^p]-1)/([eps]-1), and phi(y)([eps]-1) = ([eps^p]-1) y.
 
-    Returns a report dict with the ratio witness, the full solution list
-    (level-by-level affine-linear solving; exact), the claimed-form subset
-    c*([eps]-1) for c in W_n(F_p), and the spurious remainder classified by
-    minimal annihilating t-power.
+    Returns a dict with the ratio, the claimed forms, inclusion_exact and
+    precision.
     """
     if not isinstance(ring, CharPQuotient):
         raise ValueError("the fixed-point solver runs on the char-p model")
@@ -590,6 +589,26 @@ def frobenius_equation_solve(ring, n, solution_budget=100000):
         if witt_mul(lhs, mu) != witt_mul(mu_p, y):
             inclusion_ok = False
             break
+    return {
+        "ratio": ratio,
+        "claimed_forms": claimed_forms,
+        "inclusion_exact": inclusion_ok,
+        "precision": {"ring": ring.descriptor(), "witt_length": n},
+    }
+
+
+def frobenius_equation_solve(ring, n, solution_budget=100000):
+    """Solutions of phi(y) = (([eps^p]-1)/([eps]-1)) y in W_n of the char-p
+    model, with the claimed-form inclusion checked exactly
+    (claimed_inclusion).
+
+    Returns the dict of claimed_inclusion with the full solution list
+    (level-by-level affine-linear solving; exact), the claimed forms found
+    among them, and the spurious remainder classified by minimal
+    annihilating t-power.
+    """
+    inclusion = claimed_inclusion(ring, n)
+    ratio = inclusion["ratio"]
 
     # level-by-level enumeration: coordinate k of phi(y) = ratio * y is
     # y_k^p - (linear in y_k) = (known), since the product polynomial is
@@ -606,17 +625,15 @@ def frobenius_equation_solve(ring, n, solution_budget=100000):
                 raise SolutionBudgetError(ring, n, k + 1, solution_budget)
             new_partials.extend(prefix + (u,) for u in level)
         partials = new_partials
-    solutions = [WittVector._trusted(ring, p, coords) for coords in partials]
+    solutions = [WittVector._trusted(ring, ring.p, coords) for coords in partials]
 
-    claimed_set = set(claimed_forms)
+    claimed_set = set(inclusion["claimed_forms"])
     claimed_found, spurious_info = _classify_solutions(ring, n, solutions, claimed_set)
     return {
-        "ratio": ratio,
-        "inclusion_exact": inclusion_ok,
+        **inclusion,
         "solutions": solutions,
         "claimed": claimed_found,
         "spurious": spurious_info,
-        "precision": {"ring": ring.descriptor(), "witt_length": n},
     }
 
 

@@ -6,7 +6,8 @@ by ghost recursion with exact division by p.  Integrality of those divisions
 is a theorem; a failed division means the builder is broken and raises
 WittTableError immediately.
 
-Universal polynomials are sparse dicts {exponent tuple: int coefficient}.
+Universal polynomials are sparse dicts {exponent tuple: int coefficient},
+built and checked on packed monomials (one int per monomial, _Packing).
 Evaluation happens through Python functions compiled from the dicts; for
 truncations with p^M = 0 the compiled form drops monomials whose coefficient
 vanishes mod p^M (sound in the target ring, and the bulk of the speedup for
@@ -32,8 +33,7 @@ have a batch form of sum, product and Frobenius, from two more back ends of
 the same compiler: the table source on numpy arrays of element indices, and
 batched convolutions on (B, d) arrays of coefficients above the cap.  The
 tilt's Witt arithmetic runs these same operations on the payloads of its
-lifts, one lift level at a time.  An interpreted evaluator with pluggable
-scalar operations (eval_poly_ops) is the tests' oracle.
+lifts, one lift level at a time.
 """
 
 import collections
@@ -56,48 +56,94 @@ class WittTableError(RuntimeError):
 
 
 # --- sparse integer polynomials -------------------------------------------
+#
+# A polynomial is a dict {monomial: nonzero int coefficient}.  The tables
+# store monomials as exponent tuples.  The arithmetic of this block runs on
+# packed monomials instead: one int per monomial, each exponent in a field
+# of fixed width, variable 0 in the most significant field (_Packing).  The
+# product of two monomials is then the sum of their ints, the monomial 1 is
+# 0, and int order is the lex order of exponent tuples (Monagan and Pearce,
+# Polynomial division using dynamic arrays, heaps, and packed exponent
+# vectors, CASC 2007).
+#
+# A field that outgrew its width would carry into its neighbour without a
+# trace.  So the width is fixed from the data before any arithmetic, wide
+# enough for every exponent the computation can form, and packing an
+# exponent that does not fit raises WittTableError.  The bound: ghost
+# components are weighted-homogeneous (x_k of weight p^k), so every
+# exponent of a table built for (p, n) is at most p^(n-1), and so is every
+# exponent that its ghost recursion forms.  verify_ghost_symbolic reads
+# tables that a caller may have changed, so it takes its width from their
+# exponents (_verify_bound).
 
 
-def _padd(a, b):
-    out = dict(a)
-    for mono, c in b.items():
-        nc = out.get(mono, 0) + c
-        if nc:
-            out[mono] = nc
-        else:
-            out.pop(mono, None)
-    return out
+class _Packing:
+    """Monomials in nvars variables as ints, each exponent in a field of
+    width bits, wide enough to hold 0..bound."""
+
+    def __init__(self, nvars, bound):
+        self.nvars = nvars
+        self.width = max(bound, 1).bit_length()
+        self.top = (1 << self.width) - 1
+        self.shifts = [self.width * (nvars - 1 - i) for i in range(nvars)]
+        self.vars = [1 << s for s in self.shifts]
+
+    def pack(self, mono):
+        if len(mono) != self.nvars or min(mono) < 0 or max(mono) > self.top:
+            raise WittTableError(
+                f"monomial {mono} does not fit {self.nvars} exponent fields of {self.width} bits"
+            )
+        packed = 0
+        for e in mono:
+            packed = packed << self.width | e
+        return packed
+
+    def unpack(self, packed):
+        top = self.top
+        return tuple(packed >> s & top for s in self.shifts)
+
+    def pack_poly(self, poly):
+        return {self.pack(mono): c for mono, c in poly.items()}
+
+    def unpack_poly(self, poly):
+        return {self.unpack(mono): c for mono, c in poly.items()}
 
 
-def _pscale(a, k):
-    if k == 0:
-        return {}
-    return {mono: c * k for mono, c in a.items()}
+def _combine(terms):
+    """sum k * poly over the pairs (k, poly) of terms, in monomials of any
+    one form."""
+    out = {}
+    get = out.get
+    for k, poly in terms:
+        for mono, c in poly.items():
+            out[mono] = get(mono, 0) + k * c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _padd(a, b, k=1):
+    """a + k b."""
+    return _combine(((1, a), (k, b)))
 
 
 def _pmul(a, b):
     out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            mono = tuple(x + y for x, y in zip(ma, mb))
-            nc = out.get(mono, 0) + ca * cb
-            if nc:
-                out[mono] = nc
-            else:
-                out.pop(mono, None)
-    return out
+    get = out.get
+    for mb, cb in b.items():
+        for ma, ca in a.items():
+            mono = ma + mb
+            out[mono] = get(mono, 0) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
 
 
-def _ppow(a, e, nvars):
-    result = {(0,) * nvars: 1}
-    base = a
-    while e:
+def _ppow(a, e):
+    result = None
+    while True:
         if e & 1:
-            result = _pmul(result, base)
+            result = a if result is None else _pmul(result, a)
         e >>= 1
-        if e:
-            base = _pmul(base, base)
-    return result
+        if not e:
+            return {0: 1} if result is None else result
+        a = _pmul(a, a)
 
 
 def _pdiv_exact(a, k):
@@ -111,51 +157,69 @@ def _pdiv_exact(a, k):
     return out
 
 
-def _var(i, nvars):
-    mono = [0] * nvars
-    mono[i] = 1
-    return {tuple(mono): 1}
-
-
-def _psubst(poly, subs, nvars_out):
-    """Substitute polynomials (in nvars_out variables) for the variables."""
+def _psubst(poly, subs):
+    """A polynomial in exponent tuples with the packed polynomials subs
+    substituted for its variables.  A substitute of one monomial only
+    shifts and scales each term."""
+    powers = {}
     out = {}
+    get = out.get
     for mono, c in poly.items():
-        term = {(0,) * nvars_out: c}
+        if min(mono) < 0:
+            raise WittTableError(f"negative exponent in {mono}")
+        shift, term = 0, None
         for vi, e in enumerate(mono):
             if e:
-                term = _pmul(term, _ppow(subs[vi], e, nvars_out))
-        out = _padd(out, term)
-    return out
+                sub = subs[vi]
+                if len(sub) == 1:
+                    ((m, k),) = sub.items()
+                    shift += m * e
+                    c *= k**e
+                    continue
+                power = powers.get((vi, e))
+                if power is None:
+                    power = powers[vi, e] = _ppow(sub, e)
+                term = power if term is None else _pmul(term, power)
+        for m, k in (term or {0: 1}).items():
+            m += shift
+            out[m] = get(m, 0) + c * k
+    return {mono: c for mono, c in out.items() if c}
 
 
-def _ghost_poly(p, i, var_indices, nvars):
-    """w_i over the given variables: sum_j p^j X_j^(p^(i-j))."""
-    out = {}
-    for j in range(i + 1):
-        term = _pscale(_ppow(_var(var_indices[j], nvars), p ** (i - j), nvars), p**j)
-        out = _padd(out, term)
-    return out
+def _ghost_poly(p, i, xs):
+    """w_i over the packed variables xs: sum_j p^j X_j^(p^(i-j))."""
+    return {x * p ** (i - j): p**j for j, x in enumerate(xs[: i + 1])}
 
 
-def _ghost_of(polys, p, i, nvars):
-    """sum_j p^j polys[j]^(p^(i-j)) over the given polynomials: the ghost
-    component w_i of a vector with these first coordinates."""
-    acc = {}
-    for j, poly in enumerate(polys):
-        acc = _padd(acc, _pscale(_ppow(poly, p ** (i - j), nvars), p**j))
-    return acc
+def _ghost_partials(p, polys):
+    """For i = 0, 1, ...: sum_{j<i} p^j polys[j]^(p^(i-j)), the ghost
+    component w_i of a vector whose first i coordinates are polys[:i] and
+    whose others vanish.  Each power is the p-th power of the one before.
+    Step i reads polys[i - 1] only then, so the caller may append it after
+    step i - 1, as the recursion does."""
+    powers = []
+    for i in itertools.count():
+        if i:
+            powers.append(polys[i - 1])
+        powers = [_ppow(f, p) for f in powers]
+        yield _combine((p**j, f) for j, f in enumerate(powers))
 
 
-def _ghost_recursion(p, count, target, nvars):
-    """The polynomials f_0..f_{count-1} in nvars variables whose ghost
-    components are the targets, w_i(f) = target(i): each f_i is solved for
-    by exact division by p^i."""
+def _ghost_recursion(p, count, target):
+    """The polynomials f_0..f_{count-1} whose ghost components are the
+    targets, w_i(f) = target(i): each f_i is solved for by exact division
+    by p^i."""
     polys = []
+    partials = _ghost_partials(p, polys)
     for i in range(count):
-        acc = _ghost_of(polys, p, i, nvars)
-        polys.append(_pdiv_exact(_padd(target(i), _pscale(acc, -1)), p**i))
+        polys.append(_pdiv_exact(_padd(target(i), next(partials), -1), p**i))
     return polys
+
+
+def _ghost_components(p, polys):
+    """w_0, w_1, ... of the vector of polynomials polys."""
+    for i, (partial, f) in enumerate(zip(_ghost_partials(p, polys), polys)):
+        yield _padd(partial, f, p**i)
 
 
 def _symmetric_form(poly):
@@ -171,14 +235,14 @@ def _symmetric_form(poly):
             raise WittTableError("not a symmetric polynomial")
         out[i - j, j] = c
         a = i - j
-        rest = _padd(rest, {(t + j, a - t + j): -c * math.comb(a, t) for t in range(a + 1)})
+        rest = _padd(rest, {(t + j, a - t + j): math.comb(a, t) for t in range(a + 1)}, -c)
     return out
 
 
-def _teichmuller_ghost(p, i):
-    """x^(p^i) + y^(p^i) in the two variables x, y: the ghost component w_i
-    of [x] + [y]."""
-    return _padd(_ppow(_var(0, 2), p**i, 2), _ppow(_var(1, 2), p**i, 2))
+def _teichmuller_ghost(p, i, x, y):
+    """x^(p^i) + y^(p^i) in the packed variables x, y: the ghost component
+    w_i of [x] + [y]."""
+    return {x * p**i: 1, y * p**i: 1}
 
 
 # --- universal tables -------------------------------------------------------
@@ -196,7 +260,7 @@ class WittUniversalTable:
     ``eta_sym_polys[k]`` in s = x + y and q = xy, with at most half its
     monomials.  The compiled sum is the carry program of _carry_program over
     those.  The expanded ``sum_polys`` are data for verify_ghost_symbolic
-    and the tests' oracle (eval_poly_ops); nothing compiled and no tilt
+    and the tests' oracle; nothing compiled and no tilt
     operation reads them.  They are built on the first read (they cost far
     more than the rest of the table) and kept, so a caller may change them
     in place.
@@ -208,29 +272,44 @@ class WittUniversalTable:
             raise ValueError("length must be >= 1")
         self.p = p
         self.n = n
-        nv2 = 2 * n
-        xs = list(range(n))
-        ys = list(range(n, 2 * n))
-        self.prod_polys = _ghost_recursion(
-            p, n, lambda i: _pmul(_ghost_poly(p, i, xs, nv2), _ghost_poly(p, i, ys, nv2)), nv2
-        )
-        self.frob_polys = _ghost_recursion(p, n - 1, lambda i: _ghost_poly(p, i + 1, xs, n), n)
-        self.eta_polys = _ghost_recursion(p, n, functools.partial(_teichmuller_ghost, p), 2)
+        pk = self._packing(2 * n)
+        xs, ys = pk.vars[:n], pk.vars[n:]
+        self.prod_polys = [
+            pk.unpack_poly(f)
+            for f in _ghost_recursion(
+                p, n, lambda i: _pmul(_ghost_poly(p, i, xs), _ghost_poly(p, i, ys))
+            )
+        ]
+        pk = self._packing(n)
+        self.frob_polys = [
+            pk.unpack_poly(f)
+            for f in _ghost_recursion(p, n - 1, lambda i: _ghost_poly(p, i + 1, pk.vars))
+        ]
+        pk = self._packing(2)
+        self.eta_polys = [
+            pk.unpack_poly(f)
+            for f in _ghost_recursion(p, n, lambda i: _teichmuller_ghost(p, i, *pk.vars))
+        ]
         self.eta_sym_polys = [_symmetric_form(poly) for poly in self.eta_polys]
         # negation is coordinatewise because p is odd (all ghost exponents
         # are odd); stored for the interface, verified symbolically below
-        self.neg_polys = [_pscale(_var(i, n), -1) for i in range(n)]
+        self.neg_polys = [{tuple(int(j == i) for j in range(n)): -1} for i in range(n)]
         self._compiled = {}
+
+    def _packing(self, nvars):
+        """Packed monomials in nvars variables for the build: every exponent
+        of the table is at most p^(n-1)."""
+        return _Packing(nvars, self.p ** (self.n - 1))
 
     @functools.cached_property
     def sum_polys(self):
         p, n = self.p, self.n
-        nv2 = 2 * n
-        xs = list(range(n))
-        ys = list(range(n, 2 * n))
-        return _ghost_recursion(
-            p, n, lambda i: _padd(_ghost_poly(p, i, xs, nv2), _ghost_poly(p, i, ys, nv2)), nv2
+        pk = self._packing(2 * n)
+        xs, ys = pk.vars[:n], pk.vars[n:]
+        polys = _ghost_recursion(
+            p, n, lambda i: _padd(_ghost_poly(p, i, xs), _ghost_poly(p, i, ys))
         )
+        return [pk.unpack_poly(f) for f in polys]
 
     def compiled_indexed(self, which, tables, batch=False):
         """All coordinates of sum/prod/frob in one function on raw payloads,
@@ -739,37 +818,78 @@ def verify_ghost_symbolic(table):
     ghost identity, the negation polynomials cancel in the sum, and the
     carries eta satisfy theirs, w_i(eta) = x^(p^i) + y^(p^i), in the form
     in x + y and xy that the compiled sum reads too; else a witness string
-    naming the first failure.
+    naming the first failure.  The table's polynomials are packed on every
+    call, so what is checked is what the compiler reads, changes included.
     """
     p, n = table.p, table.n
-    nv2 = 2 * n
-    xs = list(range(n))
-    ys = list(range(n, 2 * n))
+    bound = _verify_bound(table)
+    pk = _Packing(2 * n, bound)
+    xs, ys = pk.vars[:n], pk.vars[n:]
+    sums = _ghost_components(p, [pk.pack_poly(f) for f in table.sum_polys])
+    prods = _ghost_components(p, [pk.pack_poly(f) for f in table.prod_polys])
     for i in range(n):
-        wx = _ghost_poly(p, i, xs, nv2)
-        wy = _ghost_poly(p, i, ys, nv2)
-        for which, polys, target in (
-            ("sum", table.sum_polys, _padd(wx, wy)),
-            ("prod", table.prod_polys, _pmul(wx, wy)),
+        wx = _ghost_poly(p, i, xs)
+        wy = _ghost_poly(p, i, ys)
+        for which, ghosts, target in (
+            ("sum", sums, _padd(wx, wy)),
+            ("prod", prods, _pmul(wx, wy)),
         ):
-            if _padd(_ghost_of(polys[: i + 1], p, i, nv2), _pscale(target, -1)):
+            if _padd(next(ghosts), target, -1):
                 return f"{which} polynomial violates ghost identity at i={i} (p={p}, n={n})"
+    pk = _Packing(n, bound)
+    frobs = _ghost_components(p, [pk.pack_poly(f) for f in table.frob_polys])
     for i in range(n - 1):
-        target = _ghost_poly(p, i + 1, xs, n)
-        if _padd(_ghost_of(table.frob_polys[: i + 1], p, i, n), _pscale(target, -1)):
+        if _padd(next(frobs), _ghost_poly(p, i + 1, pk.vars), -1):
             return f"frob polynomial violates ghost identity at i={i} (p={p}, n={n})"
     # x + neg(x) = 0: substitute the negation polynomials into the sum ones
-    subs = [_var(i, n) for i in range(n)] + list(table.neg_polys)
+    subs = [{x: 1} for x in pk.vars] + [pk.pack_poly(f) for f in table.neg_polys]
     for i in range(n):
-        if _psubst(table.sum_polys[i], subs, n):
+        if _psubst(table.sum_polys[i], subs):
             return f"negation polynomial fails S_{i}(x, -x) = 0 (p={p}, n={n})"
-    sq = [_padd(_var(0, 2), _var(1, 2)), {(1, 1): 1}]
+    pk = _Packing(2, bound)
+    x, y = pk.vars
+    etas = [pk.pack_poly(f) for f in table.eta_polys]
+    ghosts = _ghost_components(p, etas)
     for i in range(n):
-        if _padd(_ghost_of(table.eta_polys[: i + 1], p, i, 2), _pscale(_teichmuller_ghost(p, i), -1)):
+        if _padd(next(ghosts), _teichmuller_ghost(p, i, x, y), -1):
             return f"eta polynomial violates ghost identity at i={i} (p={p}, n={n})"
-        if _padd(_psubst(table.eta_sym_polys[i], sq, 2), _pscale(table.eta_polys[i], -1)):
+        if _padd(_psubst(table.eta_sym_polys[i], [{x: 1, y: 1}, {x + y: 1}]), etas[i], -1):
             return f"eta polynomial in x + y, xy differs from eta at i={i} (p={p}, n={n})"
     return None
+
+
+def _verify_bound(table):
+    """The largest exponent that verify_ghost_symbolic can form on table.
+
+    Its ghost components are at most p^(n-1) in each exponent; the ghost
+    components w_0..w_{k-1} of k polynomials raise polynomial j to powers
+    of at most p^(k-1-j).  It substitutes the negation polynomials into the
+    sum ones, and x + y and xy into the carries in that form: a monomial of
+    total degree D becomes one of exponents at most D times the largest
+    exponent substituted.  On a table as built the bound is p^(n-1).
+    """
+    p, n = table.p, table.n
+    neg = _max_exponent(table.neg_polys)
+    powered = (table.sum_polys, table.prod_polys, table.frob_polys, table.eta_polys)
+    return max(
+        p ** (n - 1),
+        neg,
+        *(
+            _max_exponent([f]) * p ** (len(polys) - 1 - j)
+            for polys in powered
+            for j, f in enumerate(polys)
+        ),
+        _max_degree(table.sum_polys) * max(1, neg),
+        _max_degree(table.eta_sym_polys),
+    )
+
+
+def _max_exponent(polys):
+    return max((max(map(max, poly), default=0) for poly in polys), default=0)
+
+
+def _max_degree(polys):
+    return max((max(map(sum, poly), default=0) for poly in polys), default=0)
 
 
 # --- Witt vectors ------------------------------------------------------------
@@ -1302,51 +1422,6 @@ def witt_from_json(d, ring):
     return WittVector(
         ring, d["p"], tuple(ring.parse_element(s) for s in d["coords"])
     )
-
-
-# --- the interpreted evaluator (the tests' oracle) ------------------------
-
-
-def eval_poly_ops(poly, values, ops):
-    """Evaluate a sparse polynomial with the given scalar operations.
-
-    ops has zero(), one(), mul(a, b), scale_int(a, c) and sum(items).
-    Nothing is pruned and nothing is compiled, so with the operations of a
-    ring's RingElements this is the tests' oracle for the compiled Witt
-    operations.
-    """
-    powers = {}
-
-    def power(vi, e):
-        key = (vi, e)
-        got = powers.get(key)
-        if got is None:
-            if e == 1:
-                got = values[vi]
-            else:
-                half = power(vi, e // 2)
-                got = ops.mul(half, half)
-                if e & 1:
-                    got = ops.mul(got, values[vi])
-            powers[key] = got
-        return got
-
-    terms = []
-    for mono in sorted(poly):
-        c = poly[mono]
-        val = None
-        for vi, e in enumerate(mono):
-            if e:
-                v = power(vi, e)
-                val = v if val is None else ops.mul(val, v)
-        if val is None:
-            val = ops.one()
-        if c != 1:
-            val = ops.scale_int(val, c)
-        terms.append(val)
-    if not terms:
-        return ops.zero()
-    return ops.sum(terms)
 
 
 def random_witt(ring, p, n, rng):

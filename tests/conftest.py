@@ -1,37 +1,51 @@
-"""The tests' oracle for Witt arithmetic: eval_poly_ops on RingElements;
-and a fixture that corrupts one raw Witt operation at chosen inputs."""
+"""The tests' oracle for Witt arithmetic: sparse polynomials evaluated
+on RingElements; and a fixture that corrupts one raw Witt operation at
+chosen inputs."""
 
 import numpy as np
 import pytest
 
-from wittkit.witt import eval_poly_ops
 
+def eval_poly(poly, values):
+    """A sparse polynomial {exponent tuple: int} evaluated on a nonempty
+    list of RingElements of one ring.  Nothing is pruned and nothing is
+    compiled: each power is built by squaring and multiplying, once per
+    variable and exponent."""
+    ring = values[0].ring
+    powers = {}
 
-class RingOps:
-    """The scalar operations of one ring, on its RingElements."""
+    def power(vi, e):
+        key = (vi, e)
+        got = powers.get(key)
+        if got is None:
+            if e == 1:
+                got = values[vi]
+            else:
+                half = power(vi, e // 2)
+                got = half * half
+                if e & 1:
+                    got = got * values[vi]
+            powers[key] = got
+        return got
 
-    def __init__(self, ring):
-        self.ring = ring
-
-    def zero(self):
-        return self.ring.zero()
-
-    def one(self):
-        return self.ring.one()
-
-    def mul(self, a, b):
-        return a * b
-
-    def scale_int(self, a, c):
-        return a * c
-
-    def sum(self, items):
-        return sum(items, self.ring.zero())
+    terms = []
+    for mono in sorted(poly):
+        c = poly[mono]
+        val = None
+        for vi, e in enumerate(mono):
+            if e:
+                v = power(vi, e)
+                val = v if val is None else val * v
+        if val is None:
+            val = ring.one()
+        if c != 1:
+            val = val * c
+        terms.append(val)
+    return sum(terms, ring.zero())
 
 
 def _eval_polys(polys, values):
-    ops = RingOps(values[0].ring)
-    return tuple(eval_poly_ops(poly, values, ops) for poly in polys)
+    return tuple(eval_poly(poly, values) for poly in polys)
 
 
 @pytest.fixture(scope="session")

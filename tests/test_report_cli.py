@@ -252,15 +252,31 @@ def test_tate_tower_above_m1_is_a_usage_error(argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["-p", "5"], ["-p", "7", "-K", "1"], ["-p", "3", "-e", "1", "-K", "9"]],
-    ids=["p5", "p7-K1", "p3-e1-K9"],
+    [["-p", "7", "-K", "1"], ["-p", "7"]],
+    ids=["p7-K1", "p7"],
 )
 def test_fixed_points_past_the_solution_budget_is_a_usage_error(argv, capsys):
-    # the first used to end in an ArithmeticError traceback, in the n loop;
-    # the second fails on the K*p shrink ring; the third built all of its
-    # affine solutions before counting them, and grew until it was killed
+    # both reach the budget at n = 1: the first on the K*p shrink ring
+    # charp(7,0,7), the second on charp(7,0,9) itself
     assert main(["--suite", "fixed-points"] + argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     err = err.splitlines()
-    assert len(err) == 1 and err[0].startswith("paper-check: fixed-point solver over W_")
+    assert len(err) == 1 and err[0].startswith("paper-check: fixed-point solver over W_1(")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-p", "5"], ["-p", "3", "-e", "1", "-K", "9"]],
+    ids=["p5", "p3-e1-K9"],
+)
+def test_fixed_points_past_the_old_n2_budget_pass(argv, capsys):
+    # these reached the solution budget only in the n = 2 enumeration,
+    # which the report never read; at n = 2 the suite now checks only the
+    # claimed-form inclusion, so they run to the end
+    assert main(["--suite", "fixed-points", "--format", "json"] + argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    checks = json.loads(out)["suites"][0]["checks"]
+    assert [c["verdict"] for c in checks] == ["pass"] * 5
+    assert checks[3]["id"] == "fixed-inclusion-n2"

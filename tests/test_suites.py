@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wittkit import tate, witt
+from wittkit import tate, tilt, witt
 from wittkit.cli import main
 from wittkit.rings import CyclotomicTruncation
 from wittkit.suites import SUITES, SuiteConfig, run_suites
@@ -72,6 +72,29 @@ def test_fixed_points_report_lists_solutions():
     ][0]
     assert len(enum.precision["solutions"]) == 27
     assert all("junk_s_valuation" in s for s in enum.precision["spurious"])
+
+
+def test_fixed_points_suite_enumerates_solutions_only_at_n1(monkeypatch):
+    # at n = 2 the report reads only the claimed-form inclusion: the suite
+    # checks it without enumerating the 19,683 solutions over
+    # W_2(charp(3,0,9))
+    solved, included = [], []
+    solve, include = tate.frobenius_equation_solve, tilt.claimed_inclusion
+
+    def recording_solve(ring, n, *args):
+        solved.append(n)
+        return solve(ring, n, *args)
+
+    def recording_include(ring, n):
+        included.append(n)
+        return include(ring, n)
+
+    monkeypatch.setattr(tate, "frobenius_equation_solve", recording_solve)
+    monkeypatch.setattr(tilt, "claimed_inclusion", recording_include)
+    agg = run_suites(SuiteConfig(suites=["fixed-points"]).validate())
+    assert agg.exit_code == 0, agg.to_text()
+    assert solved == [1, 1]  # charp(3,0,9) and the K*p shrink ring
+    assert included == [1, 2, 1]
 
 
 def test_tate_tower_samples_freeness_over_budget():

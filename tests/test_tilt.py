@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from wittkit import tilt
 from wittkit.rings import CharPQuotient, CyclotomicTruncation, ring_from_descriptor
 from wittkit.tilt import (
     QLogDivisionError,
@@ -16,6 +17,7 @@ from wittkit.tilt import (
     TiltPrecisionError,
     TiltWittVector,
     check_ker_F_generators,
+    claimed_inclusion,
     default_delta,
     enumerate_wn_fp,
     eps_charp,
@@ -405,6 +407,18 @@ def test_fixed_points_n2_inclusion():
     # phi is coordinatewise p-th power over char-p rings
     y = rep["claimed"][0]
     assert witt_phi(y).coords == tuple(c**3 for c in y.coords)
+    # the inclusion alone, as the fixed-points suite reads it at n = 2
+    inclusion = claimed_inclusion(ring, 2)
+    assert inclusion["inclusion_exact"]
+    assert inclusion["precision"] == rep["precision"] == {"ring": "charp(3,0,9)", "witt_length": 2}
+    assert inclusion["ratio"] == rep["ratio"]
+    assert set(inclusion["claimed_forms"]) == set(rep["claimed"])
+
+
+def test_claimed_inclusion_fails_for_a_wrong_frobenius(monkeypatch):
+    # with phi the identity, phi(y) = ratio * y fails at y = [eps] - 1
+    monkeypatch.setattr(tilt, "witt_phi", lambda w: w)
+    assert not claimed_inclusion(CharPQuotient(3, 0, 9), 2)["inclusion_exact"]
 
 
 @pytest.mark.parametrize("desc", ["charp(3,0,3)", "charp(3,1,1)", "charp(5,0,2)"])
