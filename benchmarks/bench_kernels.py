@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the arithmetic layers of wittkit.
 
-Fifteen layers:
+Sixteen layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
     table cap, next to the kernel's schoolbook loop,
   * the unit test of the quotient rings: us per is_unit on 200 seeded
@@ -34,10 +34,16 @@ Fifteen layers:
     (every torsion generator solved in one elimination), Omega1.mult per
     call on cyc(3,2,1) and cyc(3,4,1), and divide_exact by a non-unit, one
     solve_mod_pp each, on cyc(3,2,3) and cyc(3,4,1),
+  * the per-process caches of a ring's linear algebra: ms per
+    witt_divide_exact by z_2 over cyc(3,4,1) and cyc(7,2,1), as
+    check_ker_F_generators divides, on the first call for the divisor (its
+    elimination and annihilator built) and on repeat calls (replayed), and
+    ms per omega1_for_ring with its Smith form read (invariant_factors) on
+    cyc(5,3,2) and cyc(3,4,1), cold and cached,
   * the Smith normal form: ms per smith_sparse on the relation
     matrices of Omega^1 over cyc(5,3,2) (200 x 100) and cyc(3,4,1)
-    (108 x 54), and ms per solve_alpha(cyc(5,3,2)), which builds Omega^1
-    and reads its Smith form,
+    (108 x 54), and ms per solve_alpha(cyc(5,3,2)), which reads Omega^1
+    and its Smith form (the best of five calls, so the cached ones),
   * the batch form of the raw Witt operations: ns per element of sum and
     product, per element against batched, on W_2(cyc(3,2,1)) (index
     arrays, at the sweep chunk size) and W_3(cyc(3,2,2)) (coefficient
@@ -84,7 +90,7 @@ import tracemalloc
 
 import numpy as np
 
-from wittkit import _kernel
+from wittkit import _kernel, kaehler, rings
 from wittkit.kaehler import (
     fn_d,
     log_presentation_check,
@@ -139,6 +145,7 @@ from wittkit.witt import (
     verschiebung,
     witt_add,
     witt_mul,
+    witt_divide_exact,
     witt_one,
     z_element,
 )
@@ -433,6 +440,40 @@ def bench_kaehler():
         figures[f"omega1_mult_us.{ring.descriptor()}"] = round(dt * 1e6, 2)
         row.append(f"{ring.descriptor()} {dt * 1e6:7.2f} us")
     print("  Omega1.mult per call: " + "   ".join(row))
+    return figures
+
+
+def bench_cached_linear_algebra(repeat=5):
+    print("== a ring's linear algebra, built once per process: ms per call ==")
+    figures = {}
+    rng = random.Random(6)
+    for ring in [CyclotomicTruncation(3, 4, 1), CyclotomicTruncation(7, 2, 1)]:
+        z = z_element(ring, 2)
+        members = [witt_mul(z, random_witt(ring, ring.p, 2, rng)) for _ in range(repeat + 1)]
+        rings._divisors.clear()  # the first division by z_2 in this process
+        t0 = time.perf_counter()
+        assert witt_divide_exact(members[0], z) is not None
+        first = (time.perf_counter() - t0) * 1e3
+        again = []
+        for w in members[1:]:
+            t0 = time.perf_counter()
+            assert witt_divide_exact(w, z) is not None
+            again.append((time.perf_counter() - t0) * 1e3)
+        again = statistics.median(again)
+        desc = ring.descriptor()
+        figures[f"witt_divide_exact_ms.z2_{desc}.first"] = round(first, 2)
+        figures[f"witt_divide_exact_ms.z2_{desc}.repeat"] = round(again, 2)
+        print(f"  witt_divide_exact by z_2 over {desc}: first {first:7.2f} ms, repeat {again:6.2f} ms")
+    for ring in [CyclotomicTruncation(5, 3, 2), CyclotomicTruncation(3, 4, 1)]:
+        kaehler._omega1s.clear()
+        t0 = time.perf_counter()
+        omega1_for_ring(ring).invariant_factors()
+        cold = (time.perf_counter() - t0) * 1e3
+        cached = _ns_per_element(lambda: omega1_for_ring(ring).invariant_factors(), 1) / 1e6
+        desc = ring.descriptor()
+        figures[f"omega1_for_ring_ms.{desc}.cold"] = round(cold, 2)
+        figures[f"omega1_for_ring_ms.{desc}.cached"] = round(cached, 4)
+        print(f"  omega1_for_ring({desc}) with its Smith form: cold {cold:7.2f} ms, cached {cached:7.4f} ms")
     return figures
 
 
@@ -749,6 +790,7 @@ def main():
     figures.update(bench_table_builds())
     figures.update(bench_ghost_checks())
     figures.update(bench_kaehler())
+    figures.update(bench_cached_linear_algebra())
     figures.update(bench_snf())
     figures.update(bench_batch_ops())
     figures.update(bench_exact_rz_maps())

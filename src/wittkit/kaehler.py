@@ -204,7 +204,7 @@ class Omega1(PresentedModule):
     def _canonical(self, a):
         """The ring payload of a: entries reduced mod the modulus, padded
         with zeros to the degree."""
-        if isinstance(a, RingElement) and a.ring is self.ring:
+        if isinstance(a, RingElement) and (a.ring is self.ring or a.ring == self.ring):
             return a.data
         vec = [c % self.modulus for c in self._vec_of(a)]
         if len(vec) > self.gens:
@@ -229,15 +229,23 @@ def omega1_monogenic(f, modulus=None):
     return Omega1(f, modulus)
 
 
+_omega1s = {}
+
+
 def omega1_for_ring(ring):
     """Omega^1 of a cyclotomic truncation, in its own power basis.
 
     Its ``mult`` is the ring's multiplication (tables or packed kernel
-    products) on canonical tuples.
+    products) on canonical tuples.  One Omega1 is built per ring (equal
+    rings share it) and kept with its Smith form once that is read, so
+    callers must not modify it.
     """
     if ring.kind != "CyclotomicTruncation":
         raise ValueError("omega1_for_ring needs a cyclotomic truncation")
-    return Omega1(ring.minpoly, ring.m, ring)
+    omega = _omega1s.get(ring)
+    if omega is None:
+        omega = _omega1s.setdefault(ring, Omega1(ring.minpoly, ring.m, ring))
+    return omega
 
 
 def fn_d(w, omega):
@@ -250,7 +258,7 @@ def fn_d(w, omega):
         raise ValueError("fn_d needs a Witt vector")
     ring, p, u = w.ring, w.p, w.data
     n = len(u) - 1
-    mult = ring._mul if omega.ring is ring else omega.mult
+    mult = ring._mul if omega.ring is ring or omega.ring == ring else omega.mult
     acc = [0] * omega.gens
     for i, a in enumerate(u):
         term = omega.d_of(a)

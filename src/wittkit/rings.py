@@ -24,13 +24,14 @@ p = 2 is rejected everywhere.
 
 import itertools
 import re
+import threading
 from array import array
 from fractions import Fraction
 
 import numpy as np
 
 from . import _kernel as kernel
-from .modlin import solve_mod_pp
+from .modlin import Elimination, nullspace_mod_p
 
 # Quotient rings with m**d <= TABLE_CAP elements get lookup tables.  At the
 # cap the two multiplication tables take 2 * 729 * 27 entries of 2 bytes.
@@ -217,18 +218,29 @@ def _half_add_table(m, k, scale):
     return array("H", out.tobytes())
 
 
-_tables_cache = {}
+_shapes = {}
 
 
-def small_ring_tables(m, d, red_rows):
-    """The shared SmallRingTables for a ring shape, or None above TABLE_CAP."""
-    if m**d > TABLE_CAP:
-        return None
-    key = (m, d, red_rows)
-    tables = _tables_cache.get(key)
-    if tables is None:
-        tables = _tables_cache.setdefault(key, SmallRingTables(m, d, red_rows))
-    return tables
+def _quotient_shape(kind, m, d, make_red_rows):
+    """The reduction rows, kernel context and SmallRingTables (None above
+    TABLE_CAP) of the quotient rings of one kind, modulus and degree, built
+    once per process and shared by every ring handle of that shape;
+    make_red_rows gives the rows."""
+    key = (kind, m, d)
+    shape = _shapes.get(key)
+    if shape is None:
+        red_rows = tuple(tuple(r) for r in make_red_rows())
+        tables = SmallRingTables(m, d, red_rows) if m**d <= TABLE_CAP else None
+        shape = _shapes.setdefault(key, (red_rows, kernel.make_ctx(red_rows, m, d), tables))
+    return shape
+
+
+# The most divisors whose linear algebra _QuotientRing keeps, over all rings.
+DIVISOR_CACHE_SIZE = 32
+
+# (ring, divisor payload) -> {"elim": Elimination, "ann": tuple of elements}
+_divisors = {}
+_divisors_lock = threading.Lock()  # held to add an entry, and to evict one
 
 
 def is_odd_prime(p):
@@ -484,13 +496,11 @@ class _QuotientRing(RingHandle):
     # _ctx (kernel context), _tables (SmallRingTables or None), _var (print
     # name)
 
-    def _init_quotient(self, p, m, d, red_rows, var):
+    def _init_quotient(self, p, m, d, make_red_rows, var):
         self.p = p
         self.m = m
         self.d = d
-        self._red_rows = tuple(tuple(r) for r in red_rows)
-        self._ctx = kernel.make_ctx(self._red_rows, m, d)
-        self._tables = small_ring_tables(m, d, self._red_rows)
+        self._red_rows, self._ctx, self._tables = _quotient_shape(self.kind, m, d, make_red_rows)
         self._var = var
 
     def _add(self, a, b):
@@ -572,7 +582,7 @@ class _QuotientRing(RingHandle):
             return a * inv
         if self._residue(a.data) % self.p:
             return None  # b*c lies in the maximal ideal and a does not
-        sol = solve_mod_pp(self._mul_matrix(b), list(a.data), self.p, self._M_for_solve())
+        sol = self._elimination(b).solve(a.data)
         if sol is None:
             return None
         c = RingElement(self, tuple(x % self.m for x in sol))
@@ -580,27 +590,54 @@ class _QuotientRing(RingHandle):
         return c
 
     def annihilator(self, b, cap=None):
-        from .modlin import nullspace_mod_p
-
         if self.m == self.p:
-            basis = nullspace_mod_p(self._mul_matrix(b), self.p)
-            if cap is not None and self.p ** len(basis) > cap:
+            dim = self.d - self._elimination(b).rank
+            if cap is not None and self.p**dim > cap:
                 return None
-            out = []
-            for coeffs in itertools.product(range(self.p), repeat=len(basis)):
-                vec = [0] * self.d
-                for c, bas in zip(coeffs, basis):
-                    for i in range(self.d):
-                        vec[i] += c * bas[i]
-                out.append(RingElement(self, tuple(v % self.p for v in vec)))
-            return out
-        # prime-power modulus: brute force below the cap, else give up
-        if cap is None:
-            cap = 4096
-        if self.cardinality() <= cap:
-            zero = self.zero()
-            return [c for c in self.enumerate_elements() if b * c == zero]
-        return None
+        elif self.cardinality() > (4096 if cap is None else cap):
+            return None  # prime-power modulus: brute force below the cap only
+        entry = self._divisor(b)
+        ann = entry.get("ann")
+        if ann is None:
+            if self.m == self.p:
+                basis = nullspace_mod_p(self._mul_matrix(b), self.p)
+                assert len(basis) == dim
+                ann = []
+                for coeffs in itertools.product(range(self.p), repeat=dim):
+                    vec = [0] * self.d
+                    for c, bas in zip(coeffs, basis):
+                        for i in range(self.d):
+                            vec[i] += c * bas[i]
+                    ann.append(RingElement(self, tuple(v % self.p for v in vec)))
+            else:
+                zero = self.zero()
+                ann = [c for c in self.enumerate_elements() if b * c == zero]
+            ann = entry["ann"] = tuple(ann)
+        return list(ann)
+
+    def _divisor(self, b):
+        """The cache entry of the divisor b, a dict that keeps its
+        elimination ("elim") and annihilator ("ann") once they are built.
+        Equal rings share entries; past DIVISOR_CACHE_SIZE entries the
+        oldest is dropped."""
+        key = (self, b.data)
+        entry = _divisors.get(key)
+        if entry is None:
+            with _divisors_lock:
+                entry = _divisors.get(key)
+                if entry is None:
+                    if len(_divisors) >= DIVISOR_CACHE_SIZE:
+                        del _divisors[next(iter(_divisors))]
+                    entry = _divisors[key] = {}
+        return entry
+
+    def _elimination(self, b):
+        """The recorded elimination of b's multiplication matrix."""
+        entry = self._divisor(b)
+        elim = entry.get("elim")
+        if elim is None:
+            elim = entry["elim"] = Elimination(self._mul_matrix(b), self.p, self._M_for_solve())
+        return elim
 
     def _M_for_solve(self):
         raise NotImplementedError
@@ -688,7 +725,7 @@ class CyclotomicTruncation(_QuotientRing):
         self.minpoly = _cyclotomic_minpoly(p, N)
         d = len(self.minpoly) - 1
         m = p**M
-        self._init_quotient(p, m, d, _reduction_rows(self.minpoly, m), "z")
+        self._init_quotient(p, m, d, lambda: _reduction_rows(self.minpoly, m), "z")
 
     def _M_for_solve(self):
         return self.M
@@ -744,7 +781,7 @@ class CharPQuotient(_QuotientRing):
         self.K = K
         self._hash = hash(("charp", p, e, K))
         d = K * p**e
-        self._init_quotient(p, p, d, [(0,) * d] * max(d - 1, 0), "t")
+        self._init_quotient(p, p, d, lambda: [(0,) * d] * max(d - 1, 0), "t")
 
     def _M_for_solve(self):
         return 1

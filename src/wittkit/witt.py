@@ -713,15 +713,17 @@ class _KernelExprs(_IntExprs):
 
     def __init__(self, ring):
         self.m = ring.m
+        # the module, not its function: the call resolves when it runs, so
+        # a wrapper installed after compiling still sees it
         self.namespace = {
-            "_mul": _kernel.poly_mulmod,
+            "_kernel": _kernel,
             "_ctx": ring._ctx,
             "_zero": ring.zero().data,
             "_one": ring.one().data,
         }
 
     def product(self, a, b, temp):
-        return temp(("mul", a, b), f"_mul({a}, {b}, _ctx)")
+        return temp(("mul", a, b), f"_kernel.poly_mulmod({a}, {b}, _ctx)")
 
     def pow_expr(self, v, e, ns):
         return None

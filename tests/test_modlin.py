@@ -1,12 +1,26 @@
-"""Prime-power linear solving, cross-checked by brute force on tiny systems
-and against the dense elimination the sparse solver replaced."""
+"""Prime-power linear solving, cross-checked by brute force on tiny systems,
+against the dense elimination the sparse solver replaced, and against the
+one-pass many-rhs loop the recorded elimination replaced."""
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 
-from wittkit.modlin import nullspace_mod_p, pval, solve_mod_pp, solve_mod_pp_many
+from wittkit.modlin import Elimination, nullspace_mod_p, solve_mod_pp, solve_mod_pp_many
+
+
+def pval(c, p, M):
+    """p-valuation of c as a residue mod p^M (valuation of 0 is M)."""
+    c %= p**M
+    if c == 0:
+        return M
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
 
 
 def test_pval():
@@ -100,6 +114,82 @@ def _dense_solve_mod_pp(rows, rhs, p, M):
     return x
 
 
+def _one_pass_solve_many(rows, rhss, p, M):
+    """The many-rhs solver the recorded elimination replaced, kept as the
+    oracle: one pass of the elimination loop carries every right-hand side
+    along, and an Elimination must answer each exactly as it does."""
+    pm = p**M
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    a = [{j: r for j, r in enumerate([c % pm for c in row]) if r} for row in rows]
+    bs = [[c % pm for c in rhs] for rhs in rhss]
+    col_at = list(range(nc))
+    pos = list(range(nc))
+    pw = [p**v for v in range(M + 1)]
+    val_of = {pw[v]: v for v in range(M)}
+    pivots = []
+    k = 0
+    while k < min(nr, nc):
+        best = None
+        for i in range(k, nr):
+            row = a[i]
+            if row:
+                v = val_of[gcd(pm, *row.values())]
+                if best is None or v < best[0]:
+                    best = (v, i)
+                    if v == 0:
+                        break
+        if best is None:
+            break
+        v, bi = best
+        bj = min(pos[col] for col, c in a[bi].items() if c % pw[v + 1])
+        a[k], a[bi] = a[bi], a[k]
+        for b in bs:
+            b[k], b[bi] = b[bi], b[k]
+        ck, col = col_at[k], col_at[bj]
+        col_at[k], col_at[bj] = col, ck
+        pos[col], pos[ck] = k, bj
+        piv = a[k]
+        pv = pw[v]
+        inv_unit = pow(piv.pop(col) // pv, -1, pm)
+        for j in piv:
+            piv[j] = piv[j] * inv_unit % pm
+        live = []
+        for b in bs:
+            bk = b[k] = b[k] * inv_unit % pm
+            if bk:
+                live.append((b, bk))
+        for i in range(k + 1, nr):
+            row = a[i]
+            c = row.pop(col, 0)
+            if c:
+                w = c // pv
+                for j, cj in piv.items():
+                    r = (row.get(j, 0) - w * cj) % pm
+                    if r:
+                        row[j] = r
+                    else:
+                        row.pop(j, None)
+                for b, bk in live:
+                    b[i] = (b[i] - w * bk) % pm
+        pivots.append(pv)
+        k += 1
+    out = []
+    for b in bs:
+        if any(b[len(pivots) :]):
+            out.append(None)
+            continue
+        x = [0] * nc
+        for i in range(len(pivots) - 1, -1, -1):
+            c = (b[i] - sum([e * x[j] for j, e in a[i].items()])) % pm
+            if c % pivots[i]:
+                x = None
+                break
+            x[col_at[i]] = c // pivots[i]
+        out.append(x)
+    return out
+
+
 def _random_system(rng, p, M, nr, nc, density, scale):
     """A seeded system: entries nonzero with probability density, each a
     multiple of scale; some rows and columns zeroed; a consistent or a random
@@ -174,6 +264,54 @@ def test_many_rhs_solver_matches_dense_oracle_per_rhs(p, M):
                 assert all(sol is not None for sol in got[::2])
                 mixed += None in got
     assert mixed
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_elimination_replays_the_one_pass_loop(p, M):
+    # one recorded elimination answers every right-hand side as the one-pass
+    # loop does, in any order and however often it is asked: solving leaves
+    # no state behind
+    rng = random.Random(500 * p + M)
+    pm = p**M
+    for nr, nc in SHAPES:
+        for density in (0.05, 0.2, 0.5, 1.0):
+            for scale in (1, p) if M > 1 else (1,):
+                rows, _ = _random_system(rng, p, M, nr, nc, density, scale)
+                rhss = []
+                for _ in range(3):
+                    x = [rng.randrange(pm) for _ in range(nc)]
+                    rhss.append([sum(c * xi for c, xi in zip(row, x)) for row in rows])
+                    rhss.append([rng.randrange(-pm, 2 * pm) for _ in range(nr)])
+                want = _one_pass_solve_many(rows, rhss, p, M)
+                elim = Elimination(rows, p, M)
+                assert [elim.solve(rhs) for rhs in rhss] == want, (rows, rhss)
+                order = list(range(len(rhss)))
+                rng.shuffle(order)
+                assert [elim.solve(rhss[i]) for i in order] == [want[i] for i in order]
+                assert [elim.solve(rhs) for rhs in reversed(rhss)] == want[::-1]
+                assert elim.solve(rhss[0]) == want[0]
+                assert solve_mod_pp_many(rows, rhss, p, M) == want
+
+
+def test_elimination_degenerate_inputs():
+    p, M = 3, 2
+    cases = [
+        ([], [[], []]),
+        ([[0, 0], [0, 0]], [[0, 0], [0, 3], [9, 0]]),
+        ([[3]], [[1], [6]]),
+        ([[3]], []),
+        ([[-1, 9, 30], [0, 0, 0], [4, -18, 3]], [[5, 0, -2], [0, 1, 0]]),
+        ([[0, 0]], [[0], [3]]),
+    ]
+    for rows, rhss in cases:
+        elim = Elimination(rows, p, M)
+        want = _one_pass_solve_many(rows, rhss, p, M)
+        for _ in range(2):
+            assert [elim.solve(rhs) for rhs in rhss] == want, (rows, rhss)
+    assert Elimination([], p, M).rank == 0
+    assert Elimination([[0, 0], [0, 0]], p, M).rank == 0
+    assert Elimination([[3, 0], [0, 1]], p, M).rank == 2
 
 
 def test_many_rhs_solver_degenerate_inputs():
