@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the arithmetic layers of wittkit.
 
-Sixteen layers:
+Seventeen layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
     table cap, next to the kernel's schoolbook loop,
   * the unit test of the quotient rings: us per is_unit on 200 seeded
@@ -70,7 +70,13 @@ Sixteen layers:
     cyc(3,2,1), each as the per-element loop it ran as before and as run
     on batches now, from the same draws; and us per 1000 payload draws
     over cyc(3,2,1) and cyc(3,2,3), one randrange per coefficient against
-    random_payload.
+    random_payload,
+  * seeded draws: us per 1000 payloads over cyc(3,2,2), charp(3,0,3) and
+    cyc(5,2,1), one random_payload at a time against one
+    random_coefficients call (the coefficient array the sampled checks
+    build their batches from), and seconds of one in-process
+    `--suite witt-identities --budget 500000 --seed 1` run (warm: best of
+    three after one untimed run).
 
     python benchmarks/bench_kernels.py [--json PATH]
 
@@ -103,6 +109,7 @@ from wittkit.rings import (
     CyclotomicTruncation,
     IntegerRing,
     RingElement,
+    random_coefficients,
     random_element,
     random_payload,
 )
@@ -118,7 +125,7 @@ from wittkit.sequences import (
     witt_restriction_complex,
 )
 from wittkit.snf import smith_sparse
-from wittkit.suites import CHUNK
+from wittkit.suites import CHUNK, SuiteConfig, suite_witt_identities
 from wittkit.tate import freeness_probe
 from wittkit.tilt import (
     claimed_inclusion,
@@ -772,6 +779,27 @@ def bench_sampled_checks(repeat=5):
     return figures
 
 
+def bench_seeded_draws(repeat=5):
+    print("== seeded draws: us per 1000 payloads, one at a time / bulk ==")
+    figures = {}
+    for ring in (CyclotomicTruncation(3, 2, 2), CharPQuotient(3, 0, 3), CyclotomicTruncation(5, 2, 1)):
+        d, row = ring.d, []
+        for label, draw in [
+            ("one_at_a_time", lambda rng: [random_payload(ring, rng) for _ in range(1000)]),
+            ("bulk", lambda rng: random_coefficients(ring, rng, 1000 * d).reshape(1000, d)),
+        ]:
+            rng = random.Random(8)
+            us = _ms_per_call(lambda: draw(rng), repeat) * 1e3
+            figures[f"draws_us_per_1000_payloads.{ring.descriptor()}.{label}"] = round(us, 1)
+            row.append(f"{us:8.1f}")
+        print(f"  {ring.descriptor():<14} d = {d:<3} {' / '.join(row)} us")
+    cfg = SuiteConfig(suites=["witt-identities"], seed=1, budget=500000).validate()
+    dt = _ms_per_call(lambda: suite_witt_identities(cfg), 3) / 1e3
+    figures["witt_identities_s.budget500000_seed1"] = round(dt, 3)
+    print(f"  --suite witt-identities --budget 500000 --seed 1: {dt:6.3f} s")
+    return figures
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument(
@@ -796,6 +824,7 @@ def main():
     figures.update(bench_exact_rz_maps())
     figures.update(bench_tilt_ops())
     figures.update(bench_sampled_checks())
+    figures.update(bench_seeded_draws())
     if args.json:
         record = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version()}
         record.update(figures)

@@ -130,8 +130,3 @@ def report_write(aggregate, path, fmt="json"):
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
     return path
-
-
-def report_parse(path):
-    with open(path) as fh:
-        return json.load(fh)

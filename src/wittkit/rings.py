@@ -804,13 +804,6 @@ class CharPQuotient(_QuotientRing):
         vec[idx] = 1
         return RingElement(self, tuple(vec))
 
-    def s_valuation(self, a):
-        """Index of the lowest nonzero coefficient (d for zero)."""
-        for i, c in enumerate(a.data):
-            if c:
-                return i
-        return self.d
-
     def descriptor(self):
         return f"charp({self.p},{self.e},{self.K})"
 
@@ -898,6 +891,42 @@ def random_payload(ring, rng):
             r = draw(k)
         out.append(r)
     return tuple(out)
+
+
+def random_coefficients(ring, rng, count):
+    """The next count coefficients that random_payload draws over the
+    quotient ring, as an int64 array (of Python ints when m exceeds int64),
+    leaving rng as that loop leaves it.
+
+    getrandbits(k) reads w = ceil(k / 32) 32-bit words of the Mersenne
+    Twister, least significant first, and drops the low 32 w - k bits of the
+    last; getrandbits(32 w c) reads the same words in the same order.  So
+    each pass draws the words of the coefficients still missing in one
+    call, keeps those that read below m, and leaves the shortfall to the
+    next pass: no word past the last kept coefficient is drawn."""
+    m = ring.m
+    k = m.bit_length()
+    w = (k + 31) // 32
+    dtype = np.int64 if k < 64 else object
+    out = np.empty(count, dtype=dtype)
+    got = 0
+    while got < count:
+        need = count - got
+        bits = rng.getrandbits(32 * w * need).to_bytes(4 * w * need, "little")
+        words = np.frombuffer(bits, dtype="<u4").reshape(need, w)
+        if w == 1:
+            # a word reads below m, shifted, iff it is below m shifted back:
+            # only the kept words are shifted, straight into out
+            keep = words[words[:, 0] < m << (32 - k), 0]
+            np.right_shift(keep, 32 - k, out=out[got : got + len(keep)])
+        else:
+            vals = words[:, -1] >> (32 * w - k)
+            for j in range(w - 2, -1, -1):
+                vals = vals.astype(dtype) << 32 | words[:, j].astype(dtype)
+            keep = vals[vals < m]
+            out[got : got + len(keep)] = keep
+        got += len(keep)
+    return out
 
 
 def random_element(ring, rng):

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .kaehler import omega1_for_ring
-from .rings import RingElement, random_element, random_payload
+from .rings import RingElement, random_coefficients, random_element, random_payload
 from .witt import (
     _batch_mulmod,
     _coeff_batch_dtype,
@@ -335,17 +335,30 @@ def broken_complex(ring, p, n):
 # --- the twisted module on Omega^1 (+) A ---------------------------------------
 
 # The sampled checks below draw and evaluate their samples SAMPLE_CHUNK at a
-# time, as numpy batches: a chunk's arrays stay within a fraction of a MB.
+# time, as numpy batches: a chunk's arrays stay within a fraction of a MB, and
+# a chunk's coefficients are drawn in one call from the same random stream.
 SAMPLE_CHUNK = 256
 
 
-def sample_chunks(count, draw, batch):
-    """The chunks of count samples, each drawn by draw() in order, as
-    (batch(samples), samples.__getitem__): a chunk's batches, and its
-    samples by position."""
+def sample_chunks(rng, count, *layout):
+    """The chunks of count samples over one quotient ring.  A sample is one
+    payload of each raw_witt_ops in layout, in order; a chunk's coefficients
+    are drawn by one random_coefficients call, so the draws, and rng's state
+    after them, are those of one random_witt per payload in sample order.
+    Each chunk is (batches, at): one batch per entry of layout, built from
+    the coefficient array, and at(i), the i-th sample as WittVectors."""
+    ring = layout[0].ring
+    ends = list(itertools.accumulate(raw.n for raw in layout))
     for start in range(0, count, SAMPLE_CHUNK):
-        samples = [draw() for _ in range(min(SAMPLE_CHUNK, count - start))]
-        yield batch(samples), samples.__getitem__
+        k = min(SAMPLE_CHUNK, count - start)
+        rows = random_coefficients(ring, rng, k * ends[-1] * ring.d).reshape(k, ends[-1], ring.d)
+        batches = tuple(raw.from_coefficients(rows[:, e - raw.n : e]) for raw, e in zip(layout, ends))
+
+        def at(i, rows=rows):
+            payloads = tuple(map(tuple, rows[i].tolist()))
+            return tuple(raw.wrap(payloads[e - raw.n : e]) for raw, e in zip(layout, ends))
+
+        yield batches, at
 
 
 def _failures(holds, at):
@@ -414,12 +427,6 @@ class TwistedModule:
                 v[i, j] = c % m
         self._smith_v, self._smith_diag = v, np.array(diag, dtype=dtype)
 
-    def _module_rows(self, ms):
-        """A list of module elements as a batch (alpha rows, a rows)."""
-        alphas, elems = zip(*ms)
-        dtype = self._dtype
-        return np.array(alphas, dtype=dtype), np.array([a.data for a in elems], dtype=dtype)
-
     def _d(self, a):
         out = np.zeros_like(a)
         out[:, :-1] = a[:, 1:] * self._d_scale % self.ring.m
@@ -474,7 +481,7 @@ class TwistedModule:
         if y.ring is not ring and y.ring != ring:
             raise ValueError("owner mismatch")
         alpha, a = m
-        ms = self._module_rows([(self.omega._canonical(alpha), a)])
+        ms = tuple(np.array([c], dtype=self._dtype) for c in (self.omega._canonical(alpha), a.data))
         part1, part2 = self._act(self._scalars(self._raw.to_batch([y.data])), ms)
         return tuple(part1[0].tolist()), RingElement(ring, tuple(part2[0].tolist()))
 
@@ -491,25 +498,20 @@ def check_module_axioms(tm, rng, triples=100):
     that fails associativity is not checked for distributivity."""
     ring, n, raw = tm.ring, tm.n, tm._raw
     p = ring.p
-
-    def draw():
-        y, z = random_witt(ring, p, n + 1, rng), random_witt(ring, p, n + 1, rng)
-        return y, z, tm.random_element(rng)
-
-    def batch(drawn):
-        ys, zs, ms = zip(*drawn)
-        scalars = (raw.to_batch([w.data for w in ws]) for ws in (ys, zs))
-        return *scalars, tm._module_rows(ms)
-
+    raw1 = raw_witt_ops(ring, p, 1)
     failures = []
-    for (ys, zs, ms), at in sample_chunks(triples, draw, batch):
+    # m is drawn as tm.random_element draws it: alpha's payload, then a
+    for (ys, zs, alphas, elems), at in sample_chunks(rng, triples, raw, raw, raw1, raw1):
+        ms = tuple(raw1.coefficient_rows(c) for (c,) in (alphas, elems))
         # the scalars y, z, y z and y + z, each on m, as one batch; then y on z.m
         scalars = tm._scalars(_stack(ys, zs, raw.mul_batch(ys, zs), raw.add_batch(ys, zs)))
         y_m, z_m, yz_m, sum_m = _split(tm._act(scalars, _stack(ms, ms, ms, ms)), 4)
         assoc = tm._eq(yz_m, tm._act(_split(scalars, 4)[0], z_m))
         dist = tm._eq(sum_m, tm._add(y_m, z_m))
         for k in np.flatnonzero(~(assoc & dist)):
-            failures.append(("associativity" if not assoc[k] else "distributivity", *at(int(k))))
+            y, z, alpha, a = at(int(k))
+            kind = "associativity" if not assoc[k] else "distributivity"
+            failures.append((kind, y, z, (alpha.data[0], *a.coords)))
     one = witt_one(ring, p, n + 1)
     m = tm.random_element(rng)
     if not tm.eq(tm.action(one, m), m):
@@ -523,12 +525,6 @@ def check_fnd_leibniz(ring, n, rng, samples=50):
     tm = TwistedModule(ring, n)
     p, raw, mul = ring.p, tm._raw, tm._mul
 
-    def draw():
-        return random_witt(ring, p, n + 1, rng), random_witt(ring, p, n + 1, rng)
-
-    def batch(drawn):
-        return tuple(raw.to_batch([w.data for w in ws]) for ws in zip(*drawn))
-
     def fnd(ws):
         return tm._fn_d_rows([raw.coefficient_rows(c) for c in ws])[0]
 
@@ -536,7 +532,7 @@ def check_fnd_leibniz(ring, n, rng, samples=50):
         return raw.coefficient_rows(_frobenius_power_batch(ring, p, ws, n)[0])
 
     bad = []
-    for (xs, ws), at in sample_chunks(samples, draw, batch):
+    for (xs, ws), at in sample_chunks(rng, samples, raw, raw):
         lhs, fnd_x, fnd_w = np.split(fnd(_stack(raw.mul_batch(xs, ws), xs, ws)), 3)
         fx, fw = np.split(fn0(_stack(xs, ws)), 2)
         rhs = (mul(fw, fnd_x) + mul(fx, fnd_w)) % ring.m
@@ -548,16 +544,8 @@ def check_xv_identity(ring, p, n, rng, samples=100):
     """x V(y) = V(F(x) y) on samples (x, y) over a quotient ring (the formula
     behind the module law)."""
     raw, low = raw_witt_ops(ring, p, n + 1), raw_witt_ops(ring, p, n)
-
-    def draw():
-        return random_witt(ring, p, n + 1, rng), random_witt(ring, p, n, rng)
-
-    def batch(drawn):
-        xs, ys = zip(*drawn)
-        return raw.to_batch([x.data for x in xs]), low.to_batch([y.data for y in ys])
-
     bad = []
-    for (xs, ys), at in sample_chunks(samples, draw, batch):
+    for (xs, ys), at in sample_chunks(rng, samples, raw, low):
         lhs = raw.mul_batch(xs, verschiebung_batch(ys))
         rhs = verschiebung_batch(low.mul_batch(raw.frob_batch(xs), ys))
         bad += _failures(raw.equal_batch(lhs, rhs), at)
@@ -569,19 +557,12 @@ def check_vn_module_hom(ring, p, n, rng, samples=100):
     x V^n(a) = V^n(F^n(x) a), on samples (x, a) over a quotient ring, with
     F^n(x)_0 from the compiled Frobenius."""
     raw, raw1 = raw_witt_ops(ring, p, n + 1), raw_witt_ops(ring, p, 1)
-
-    def draw():
-        return random_witt(ring, p, n + 1, rng), random_element(ring, rng)
-
-    def batch(drawn):
-        xs, elems = zip(*drawn)
-        return raw.to_batch([x.data for x in xs]), raw1.to_batch([(a.data,) for a in elems])
-
     bad = []
-    for (xs, a), at in sample_chunks(samples, draw, batch):
+    for (xs, a), at in sample_chunks(rng, samples, raw, raw1):
         zeros = (np.zeros_like(a[0]),) * n
         fa = raw1.mul_batch(_frobenius_power_batch(ring, p, xs, n)[:1], a)
-        bad += _failures(raw.equal_batch(raw.mul_batch(xs, zeros + a), zeros + fa), at)
+        holds = raw.equal_batch(raw.mul_batch(xs, zeros + a), zeros + fa)
+        bad += [(x, *w.coords) for x, w in _failures(holds, at)]
     return bad
 
 

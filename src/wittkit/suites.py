@@ -221,13 +221,9 @@ def suite_witt_identities(cfg):
                 pair_mode = "exhaustive pairs"
             else:
                 pair_count = 1000
-                pairs = sample_chunks(
-                    pair_count,
-                    lambda: (
-                        raw2.unwrap(witt.random_witt(ring, p, 2, rng)),
-                        raw2.unwrap(witt.random_witt(ring, p, 2, rng)),
-                    ),
-                    lambda drawn: tuple(raw2.to_batch(part) for part in zip(*drawn)),
+                pairs = (
+                    (uv, lambda i, at=at: tuple(w.data for w in at(i)))
+                    for uv, at in sample_chunks(rng, pair_count, raw2, raw2)
                 )
                 pair_mode = "sampled pairs"
             [witness] = _first_failures(pairs, [v_additive])
@@ -255,15 +251,6 @@ def suite_witt_identities(cfg):
                 precision={"mode": mode},
             )
         samples = 1000 if mode == "sampled" else 200
-
-        def draw():
-            # x, then y
-            return witt.random_witt(ring, p, n + 1, rng), witt.random_witt(ring, p, n, rng)
-
-        def batch(drawn):
-            xs = raw3.to_batch([x.data for x, _ in drawn])
-            return xs, raw2.to_batch([y.data for _, y in drawn]), raw3.frob_batch(xs)
-
         checks = [
             (
                 "xv-identity",
@@ -283,7 +270,12 @@ def suite_witt_identities(cfg):
             checks.append(
                 ("fv-eq-p", "F(V(w)) = p w", lambda x, y, fx: fv_eq_p(y), lambda x, y: ("FV=p", y))
             )
-        found = _first_failures(sample_chunks(samples, draw, batch), [check[2] for check in checks])
+        # x, then y, per sample
+        chunks = (
+            ((xs, ys, raw3.frob_batch(xs)), at)
+            for (xs, ys), at in sample_chunks(rng, samples, raw3, raw2)
+        )
+        found = _first_failures(chunks, [check[2] for check in checks])
         for (name, anchor, _, explain), witness in zip(checks, found):
             rep.add(
                 f"{name}-{ring.descriptor()}",

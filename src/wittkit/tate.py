@@ -16,7 +16,7 @@ Fixed points of R delegate to the characteristic-p solver and are reported in
 the alpha coordinates.
 """
 
-from .rings import random_payload
+from .sequences import sample_chunks
 from .tilt import (
     eps_charp,
     frobenius_equation_solve,
@@ -161,8 +161,9 @@ def freeness_probe(ring, n, budget=None, rng=None):
     element of layer n is its scalar, so each payload must come back from
     wrap and unwrap unchanged: a left inverse of payload -> element makes
     that map injective.  When W_n(A) has more than ``budget`` elements,
-    FREENESS_SAMPLES payloads drawn from ``rng`` are checked instead, or
-    None is returned without an rng.
+    FREENESS_SAMPLES payloads, drawn from ``rng`` by sequences.sample_chunks
+    as one random_witt each would draw them, are checked instead, or None
+    is returned without an rng.
     """
     if ring.kind != "CyclotomicTruncation" or ring.N < n:
         raise ValueError("depth shortfall: layer n needs N >= n")
@@ -171,7 +172,9 @@ def freeness_probe(ring, n, budget=None, rng=None):
         if rng is None:
             return None
         payloads = {
-            tuple(random_payload(ring, rng) for _ in range(n)) for _ in range(FREENESS_SAMPLES)
+            at(i)[0].data
+            for (batch,), at in sample_chunks(rng, FREENESS_SAMPLES, raw)
+            for i in range(len(batch[0]))
         }
     else:
         payloads = raw.enumerate_payloads()

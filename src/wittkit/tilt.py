@@ -338,12 +338,6 @@ def tilt_witt_phi_inv(u):
     return TiltWittVector(u.base, tuple(c.root(1) for c in u.coords))
 
 
-def tilt_witt_frobenius(u):
-    """F: W_n -> W_{n-1}, as witt.frobenius.  The tilt has characteristic
-    p, so F is the coordinatewise p-th power, exact at full depth."""
-    return TiltWittVector(u.base, [c.frobenius() for c in u.coords[:-1]])
-
-
 def xi_element(ring, T, length):
     """xi = 1 + [eps^(1/p)] + ... + [eps^(1/p)]^(p-1), the ker-theta generator."""
     p = ring.p

@@ -1103,6 +1103,19 @@ class RawWittOps:
         dtype = _coeff_batch_dtype(self.ring)
         return tuple(np.array(col, dtype=dtype) for col in coords)
 
+    def from_coefficients(self, rows):
+        """The batch of the payloads whose coefficients are rows, a (B, n, d)
+        array: element indices at or below the table cap (base-m digits,
+        most significant first, as the elements enumerate), and above it
+        the coefficient rows themselves, as views of rows when its dtype is
+        the batch dtype."""
+        ring = self.ring
+        if self._tables is not None:
+            place = ring.m ** np.arange(ring.d - 1, -1, -1, dtype=np.int64)
+            return tuple((rows @ place).T)
+        self._batch_form()
+        return tuple(rows.astype(_coeff_batch_dtype(ring), copy=False).transpose(1, 0, 2))
+
     def payload_at(self, batch, k):
         """Payload k of a batch, as the tuple of Python tuples a
         WittVector stores."""
@@ -1395,35 +1408,6 @@ def z_element(ring, n):
 def serialize_witt(u):
     parts = "; ".join(u.ring.format_element(c) for c in u.coords)
     return f"W[p={u.p},n={u.length}; {parts}]"
-
-
-def parse_witt(s, ring):
-    m = re.fullmatch(r"W\[p=(\d+),n=(\d+);\s*(.*)\]", s.strip())
-    if not m:
-        raise ValueError(f"bad Witt vector literal {s!r}")
-    p, n, rest = int(m.group(1)), int(m.group(2)), m.group(3)
-    parts = rest.split(";")
-    if len(parts) != n:
-        raise ValueError("coordinate count mismatch")
-    return WittVector(ring, p, tuple(ring.parse_element(part) for part in parts))
-
-
-def witt_to_json(u):
-    """JSON-array form used by reports."""
-    return {
-        "p": u.p,
-        "n": u.length,
-        "ring": u.ring.descriptor(),
-        "coords": [u.ring.format_element(c) for c in u.coords],
-    }
-
-
-def witt_from_json(d, ring):
-    if ring.descriptor() != d["ring"]:
-        raise ValueError("ring descriptor mismatch")
-    return WittVector(
-        ring, d["p"], tuple(ring.parse_element(s) for s in d["coords"])
-    )
 
 
 def random_witt(ring, p, n, rng):

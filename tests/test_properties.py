@@ -23,13 +23,7 @@ from wittkit.rings import (
     ring_from_descriptor,
 )
 from wittkit.suites import EXTRA_SUITES, SUITES, SuiteConfig, UsageError
-from wittkit.witt import (
-    WittVector,
-    parse_witt,
-    serialize_witt,
-    witt_from_json,
-    witt_to_json,
-)
+from wittkit.witt import WittVector, serialize_witt
 
 configuration.set_hypothesis_home_dir(Path(__file__).resolve().parents[1] / ".pytest_cache" / "hypothesis")
 
@@ -112,7 +106,8 @@ def test_ring_and_element_round_trips(p_ring, data):
 
 @DETERMINISTIC
 @given(rings, st.integers(1, 3), st.data())
-def test_witt_vector_round_trips(p_ring, n, data):
+def test_witt_vector_round_trips(witt_text, p_ring, n, data):
+    parse_witt, witt_to_json, witt_from_json = witt_text
     p, ring = p_ring
     u = WittVector(ring, p, tuple(data.draw(_elements(ring)) for _ in range(n)))
     assert parse_witt(serialize_witt(u), ring) == u

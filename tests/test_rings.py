@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from wittkit.modlin import solve_mod_pp
@@ -12,6 +13,7 @@ from wittkit.rings import (
     IntegerRing,
     PrimeContext,
     RingElement,
+    random_coefficients,
     random_element,
     random_payload,
     ring_from_descriptor,
@@ -238,7 +240,8 @@ def test_canonical_form_is_reduced():
 
 
 class _Shape:
-    """A stand-in with the two attributes random_payload reads."""
+    """A stand-in with the two attributes random_payload reads (and m, which
+    random_coefficients reads)."""
 
     def __init__(self, m, d):
         self.m, self.d = m, d
@@ -254,6 +257,53 @@ def test_random_payload_draws_as_randrange(m):
             got = random_payload(_Shape(m, d), rng)
             assert got == tuple(want_rng.randrange(m) for _ in range(d))
         assert rng.getstate() == want_rng.getstate()
+
+
+def _coefficient_loop(m, rng, count):
+    """count coefficients as random_payload draws them, one getrandbits call
+    per drawn word: the oracle of the bulk draw."""
+    k, out = m.bit_length(), []
+    for _ in range(count):
+        r = rng.getrandbits(k)
+        while r >= m:
+            r = rng.getrandbits(k)
+        out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 25, 27, 343])
+def test_random_coefficients_draw_the_payloads_of_random_payload(m):
+    for d in (1, 2, 3, 6, 20, 100):
+        for count in (0, 1, 255, 256, 257, 1000):
+            seed = f"{m}/{d}/{count}"
+            rng, want_rng = random.Random(seed), random.Random(seed)
+            got = random_coefficients(_Shape(m, d), rng, count * d)
+            want = [c for _ in range(count) for c in random_payload(_Shape(m, d), want_rng)]
+            assert got.dtype == np.int64 and got.tolist() == want, (d, count)
+            assert rng.getstate() == want_rng.getstate(), (d, count)
+
+
+@pytest.mark.parametrize("m", [3, 25, 343, 2**31 + 1, 2**32 - 1, 2**32, 7**12, 3**40, 2**64 + 1])
+def test_random_coefficients_draw_as_the_per_coefficient_loop(m):
+    # from one to three words per coefficient; counts that are no multiple
+    # of a payload's degree; values as Python ints once m exceeds int64
+    for count in (0, 1, 7, 255, 256, 257, 1000):
+        rng, want_rng = random.Random(count), random.Random(count)
+        got = random_coefficients(_Shape(m, 1), rng, count)
+        assert got.tolist() == _coefficient_loop(m, want_rng, count)
+        assert rng.getstate() == want_rng.getstate()
+        assert all(type(c) is int for c in got.tolist())
+
+
+def test_random_coefficients_interleave_with_the_other_draws():
+    shape = _Shape(25, 6)
+    rng, want_rng = random.Random(9), random.Random(9)
+    for count in (3, 257, 0, 1, 40):
+        got = random_coefficients(shape, rng, count)
+        assert got.tolist() == _coefficient_loop(25, want_rng, count)
+        assert random_payload(shape, rng) == random_payload(shape, want_rng)
+        assert rng.randrange(1000) == want_rng.randrange(1000)
+    assert rng.getstate() == want_rng.getstate()
 
 
 def test_random_witt_and_random_element_draw_as_before():

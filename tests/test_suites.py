@@ -1,12 +1,14 @@
 """End-to-end suite runs (running the suite is the oracle)."""
 
 import json
+import random
 
 import pytest
 
 from wittkit import tate, tilt, witt
 from wittkit.cli import main
-from wittkit.rings import CyclotomicTruncation
+from wittkit.rings import CyclotomicTruncation, random_payload, ring_from_descriptor
+from wittkit.sequences import SAMPLE_CHUNK
 from wittkit.suites import SUITES, SuiteConfig, run_suites
 
 
@@ -104,6 +106,77 @@ def test_tate_tower_samples_freeness_over_budget():
     freeness = [c for c in agg.reports[0].checks if c.check_id == "freeness"][0]
     assert freeness.verdict == "pass"
     assert freeness.precision == {"mode": "sampled", "samples": 1000}
+
+
+def test_freeness_probe_samples_the_payloads_of_the_per_payload_loop(monkeypatch):
+    ring, n = CyclotomicTruncation(5, 2, 1), 2  # d = 20, 5^40 elements
+    raw = witt.raw_witt_ops(ring, 5, n)
+    seen, wrap = set(), raw.wrap
+
+    def recording(u):
+        seen.add(u)
+        return wrap(u)
+
+    monkeypatch.setitem(raw.__dict__, "wrap", recording)
+    rng, oracle_rng = random.Random(5), random.Random(5)
+    oracle_rng.random()
+    rng.random()  # a stream already in use
+    assert tate.freeness_probe(ring, n, budget=10**6, rng=rng) is True
+    want = {
+        tuple(random_payload(ring, oracle_rng) for _ in range(n))
+        for _ in range(tate.FREENESS_SAMPLES)
+    }
+    assert seen == want and len(want) == tate.FREENESS_SAMPLES
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+# The sampled checks of witt-identities at budget 500000: 1000 V-additivity
+# pairs over charp(3,0,3), and 1000 samples (x, y) over cyc(3,2,2), drawn
+# SAMPLE_CHUNK at a time.  The chosen samples sit in two chunks, the later
+# one named first.
+CHOSEN = (700, 300)
+
+
+def _witt_identities_under(cfg, corrupt, draws):
+    """The checks of the suite run with add perturbed on the chosen pairs
+    and the W_3 product on the chosen x V(y), and the first perturbed pair
+    and sample of a per-sample loop over the oracle's draws."""
+    p = cfg.p
+    charp, cyc = ring_from_descriptor("charp(3,0,3)"), ring_from_descriptor("cyc(3,2,2)")
+    c2, c3 = witt.raw_witt_ops(charp, p, 2), witt.raw_witt_ops(charp, p, 3)
+    y2, y3 = witt.raw_witt_ops(cyc, p, 2), witt.raw_witt_ops(cyc, p, 3)
+    vs = draws["charp(3,0,3)", 2][:2000]
+    pairs = [(u.data, v.data) for u, v in zip(vs[::2], vs[1::2])]
+    xs, ys = draws["cyc(3,2,2)", 3], draws["cyc(3,2,2)", 2]
+    assert len(pairs) == len(xs) == 1000
+    assert len({k // SAMPLE_CHUNK for k in CHOSEN}) == 2
+    c0, y0 = (charp.zero().data,), (cyc.zero().data,)
+    corrupt(c2, "add", [pairs[k] for k in CHOSEN])
+    corrupt(y3, "mul", [(xs[k].data, y0 + ys[k].data) for k in CHOSEN])
+    bad_pairs = (
+        (u, v) for u, v in pairs if c3.add(c0 + u, c0 + v) != c0 + c2.add(u, v)
+    )
+    bad_samples = (
+        ("xV(y)", x, y)
+        for x, y in zip(xs, ys)
+        if y3.mul(x.data, y0 + y.data) != y0 + y2.mul(y3.frob(x.data), y.data)
+    )
+    checks = {c.check_id: c for c in run_suites(cfg).reports[0].checks}
+    return checks, next(bad_pairs), next(bad_samples)
+
+
+def test_witt_identities_witnesses_are_the_first_perturbed_samples(corrupt, witt_identity_draws):
+    cfg = SuiteConfig(suites=["witt-identities"], seed=4, budget=500000).validate()
+    draws = witt_identity_draws(cfg)
+    checks, pair, sample = _witt_identities_under(cfg, corrupt, draws)
+    vs, xs, ys = draws["charp(3,0,3)", 2], draws["cyc(3,2,2)", 3], draws["cyc(3,2,2)", 2]
+    k = min(CHOSEN)
+    assert pair == (vs[2 * k].data, vs[2 * k + 1].data)
+    assert sample == ("xV(y)", xs[k], ys[k])
+    v_additive, xv = checks["v-additive-charp(3,0,3)"], checks["xv-identity-cyc(3,2,2)"]
+    assert v_additive.verdict == "fail" and v_additive.witnesses == [pair]
+    assert v_additive.precision == {"mode": "sampled pairs", "count": 1000}
+    assert xv.verdict == "fail" and [str(w) for w in xv.witnesses] == [str(sample)]
 
 
 def test_tate_tower_restricts_each_z_once(monkeypatch):

@@ -32,7 +32,6 @@ from wittkit.tilt import (
     tilt_sum,
     tilt_teichmuller,
     tilt_witt_add,
-    tilt_witt_frobenius,
     tilt_witt_mul,
     tilt_witt_phi_inv,
     tilt_witt_sum_many,
@@ -57,6 +56,18 @@ from wittkit.witt import (
     witt_one,
     witt_zero,
 )
+
+
+def tilt_witt_frobenius(u):
+    """F: W_n -> W_{n-1}, as witt.frobenius.  The tilt has characteristic
+    p, so F is the coordinatewise p-th power, exact at full depth."""
+    return TiltWittVector(u.base, [c.frobenius() for c in u.coords[:-1]])
+
+
+def _s_valuation(a):
+    """The index of the lowest nonzero coefficient of an element of a
+    charp ring (its degree d for zero)."""
+    return next((i for i, c in enumerate(a.data) if c), len(a.data))
 
 
 def test_epsilon_lifts():
@@ -468,7 +479,7 @@ def test_solution_count_bounds():
 def _wrapped_scan(ring, solutions, claimed_set):
     """Oracle for the solver's spurious-solution scan, through the wrapped
     WittVector API: one witt_add(y, -c) per (solution, claimed) pair, the
-    valuation from ring.s_valuation, and the least annihilating t-power by
+    valuation from _s_valuation, and the least annihilating t-power by
     multiplying with t^0, t^1, ... up to t^K."""
     t = ring.t_element()
     claimed, spurious = [], []
@@ -479,7 +490,7 @@ def _wrapped_scan(ring, solutions, claimed_set):
         best_val, best_junk = -1, None
         for cform in claimed_set:
             junk = witt_add(y, witt_neg(cform))
-            val = min(ring.s_valuation(c) for c in junk.coords)
+            val = min(_s_valuation(c) for c in junk.coords)
             if val > best_val:
                 best_val, best_junk = val, junk
         power, annihilator = ring.one(), None
@@ -563,7 +574,7 @@ def test_witt_difference_valuation_is_the_coordinatewise_first_difference(desc, 
     pairs.append((y, y))
     for y, c in pairs:
         junk = witt_add(y, witt_neg(c))
-        assert min(ring.s_valuation(x) for x in junk.coords) == _first_difference_of(y, c)
+        assert min(_s_valuation(x) for x in junk.coords) == _first_difference_of(y, c)
 
 
 def test_classify_solutions_makes_one_witt_subtraction_per_spurious_solution(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from wittkit import witt
 from wittkit.rings import ring_from_descriptor
-from wittkit.sequences import SAMPLE_CHUNK
+from wittkit.sequences import SAMPLE_CHUNK, sample_chunks
 from wittkit.suites import CHUNK, SuiteConfig, suite_witt_identities
 from wittkit.witt import random_witt, raw_witt_ops
 
@@ -51,6 +51,29 @@ def test_batch_ops_match_the_per_element_ops(desc, n):
         assert [raw.payload_at(pw, k) for k in range(len(us))] == [raw.scalar_mul(p, a) for a in us]
 
 
+@pytest.mark.parametrize(
+    "desc,n", [(desc, n) for desc, lengths in BATCH_SHAPES for n in lengths if n >= 2]
+)
+def test_sample_chunks_build_the_batches_of_the_per_sample_draws(desc, n):
+    ring = ring_from_descriptor(desc)
+    p = ring.p
+    layout = (raw_witt_ops(ring, p, n), raw_witt_ops(ring, p, 1))
+    rng, want_rng = random.Random(desc), random.Random(desc)
+    count = SAMPLE_CHUNK + 3
+    chunks = list(sample_chunks(rng, count, *layout))
+    want = [(random_witt(ring, p, n, want_rng), random_witt(ring, p, 1, want_rng)) for _ in range(count)]
+    assert rng.getstate() == want_rng.getstate()
+    assert len(chunks) == 2
+    for c, (batches, at) in enumerate(chunks):
+        samples = want[c * SAMPLE_CHUNK : (c + 1) * SAMPLE_CHUNK]
+        assert [at(i) for i in range(len(samples))] == samples
+        for raw, batch, ws in zip(layout, batches, zip(*samples)):
+            expect = raw.to_batch([w.data for w in ws])
+            assert len(batch) == len(expect) == raw.n
+            for a, b in zip(batch, expect):
+                assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+
+
 @pytest.mark.parametrize("desc,n", [("charp(3,0,2)", 2), ("cyc(3,1,1)", 3), ("cyc(3,1,2)", 1)])
 def test_payload_batch_follows_the_enumeration_order(desc, n):
     ring = ring_from_descriptor(desc)
@@ -84,8 +107,9 @@ def test_rings_without_coefficients_have_no_batch_form(desc):
 
 def _per_element_witnesses(cfg, draws):
     """The witnesses of the batched checks, by one loop per element in
-    enumeration or sample order over the samples the suite drew: the form
-    these checks took before they ran as batches."""
+    enumeration or sample order over the samples that witt_identity_draws
+    draws one at a time: the form these checks took before they ran as
+    batches."""
     p = cfg.p
     V, R, F = witt.verschiebung, witt.restriction, witt.frobenius
     out = {}
@@ -124,23 +148,9 @@ def _per_element_witnesses(cfg, draws):
     return {key: [str(w) for w in ws] for key, ws in out.items()}
 
 
-def _run_recording_draws(monkeypatch, cfg):
-    """The suite's report, and every Witt vector it drew, by (ring, length)."""
-    draws = {}
-    draw = witt.random_witt
-
-    def recording(ring, p, n, rng):
-        w = draw(ring, p, n, rng)
-        draws.setdefault((ring.descriptor(), n), []).append(w)
-        return w
-
-    monkeypatch.setattr(witt, "random_witt", recording)
-    rep = suite_witt_identities(cfg)
-    monkeypatch.setattr(witt, "random_witt", draw)
-    return rep, draws
-
-
-def test_batched_v_additive_reports_the_first_failing_pair_of_a_later_chunk(monkeypatch, corrupt):
+def test_batched_v_additive_reports_the_first_failing_pair_of_a_later_chunk(
+    corrupt, witt_identity_draws
+):
     cfg = SuiteConfig(suites=["witt-identities"], seed=7).validate()
     ring = ring_from_descriptor("charp(3,0,3)")
     raw2 = raw_witt_ops(ring, 3, 2)
@@ -151,16 +161,16 @@ def test_batched_v_additive_reports_the_first_failing_pair_of_a_later_chunk(monk
     first, later = CHUNK + 5, 3 * CHUNK + 1
     targets = [(payloads[k // size], payloads[k % size]) for k in (later, first)]
     corrupt(raw2, "add", targets)
-    rep, draws = _run_recording_draws(monkeypatch, cfg)
+    rep, draws = suite_witt_identities(cfg), witt_identity_draws(cfg)
     got = {c.check_id: [str(w) for w in c.witnesses] for c in rep.checks}
     assert got["v-additive-charp(3,0,3)"] == [str(targets[1])]
     for check_id, witnesses in _per_element_witnesses(cfg, draws).items():
         assert got[check_id] == witnesses, check_id
 
 
-def test_batched_samples_report_the_first_failing_sample(monkeypatch, corrupt):
+def test_batched_samples_report_the_first_failing_sample(corrupt, witt_identity_draws):
     cfg = SuiteConfig(suites=["witt-identities"], seed=7, budget=500000).validate()
-    _, draws = _run_recording_draws(monkeypatch, cfg)
+    draws = witt_identity_draws(cfg)
     charp = ring_from_descriptor("charp(3,0,3)")
     cyc = ring_from_descriptor("cyc(3,2,2)")
     c2, c3 = raw_witt_ops(charp, 3, 2), raw_witt_ops(charp, 3, 3)
@@ -179,10 +189,7 @@ def test_batched_samples_report_the_first_failing_sample(monkeypatch, corrupt):
     corrupt(y3, "mul", [(xs[k].data, y0 + ys[k].data) for k in (700, 300)])
     corrupt(y2, "frob", [(xs[k].data[:-1],) for k in (5, 2)])
     corrupt(y3, "frob", [(y0 + ys[k].data,) for k in (9, 4)])
-    rep, again = _run_recording_draws(monkeypatch, cfg)
-    assert again.keys() == draws.keys() and all(
-        [w.data for w in again[key]] == [w.data for w in draws[key]] for key in draws
-    )
+    rep = suite_witt_identities(cfg)
     got = {c.check_id: [str(w) for w in c.witnesses] for c in rep.checks}
     assert got["fv-eq-p-charp(3,0,3)"] == [str(payloads[100])]
     assert got["v-additive-charp(3,0,3)"] == [str(sampled_pairs[1])]

@@ -23,7 +23,6 @@ from wittkit.witt import (
     ghost,
     ghost_component,
     ghost_terms,
-    parse_witt,
     random_witt,
     raw_witt_ops,
     restriction,
@@ -214,9 +213,8 @@ def test_witt_divide_exact():
     assert witt_divide_exact(one, mu) is None
 
 
-def test_serialize_roundtrip():
-    from wittkit.witt import witt_from_json, witt_to_json
-
+def test_serialize_roundtrip(witt_text):
+    parse_witt, witt_to_json, witt_from_json = witt_text
     r = CyclotomicTruncation(3, 2, 2)
     w = random_witt(r, 3, 2, RNG)
     assert parse_witt(serialize_witt(w), r) == w
