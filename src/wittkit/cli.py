@@ -8,6 +8,7 @@ error.  PAPERCHECK_BUDGET overrides --budget.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -47,8 +48,15 @@ def build_parser():
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser of main, built once per process: parsing leaves it as it
+    was, and each build leaves cyclic garbage for the collector."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -139,7 +139,7 @@ def exactness_report(complex_, budget=10**6, rng=None, classifiers=None):
 
     rng is accepted, since callers pass it, and unused: samples are the
     first elements in enumeration order until sampling is seeded (ROADMAP
-    item 2).
+    item 3(b)).
 
     classifiers: optional {slot_index: fn(element) -> str | None}; a kernel
     element outside the image with a non-None explanation downgrades the slot

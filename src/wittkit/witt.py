@@ -15,14 +15,17 @@ exhaustive checks).  There is one element representation: a WittVector
 stores the payload tuple that RawWittOps computes on, and its ``coords`` are
 a view built on demand.  RawWittOps runs each of sum, product and Frobenius
 as one function that computes every coordinate at once.  One compiler
-(_compile_polys) builds them from programs of polynomial blocks: the product
-and the Frobenius are one block each, and the sum is a carry program,
-a + b = [a_0 + b_0] + V((eta'(a_0, b_0) + a') + b'): a block of the carries
-eta, as polynomials in a_0 + b_0 and a_0 b_0, and two shorter sums
-(_carry_program).  The compiler shares every power and
-partial product between the coordinates and blocks, and an expression back
-end renders the arithmetic.  The expanded sum polynomials are data for the
-interpreted evaluator and the symbolic checks, built on first read.
+(_compile_polys) builds them from programs of polynomial blocks, and one
+builder (_witt_program) writes the programs.  The Frobenius is one block.
+The sum is a carry program, a + b = [a_0 + b_0] + V((eta'(a_0, b_0) + a') +
+b'): a block of the carries eta, as polynomials in a_0 + b_0 and a_0 b_0,
+and two shorter sums.  The product is a program over the sum,
+a b = [a_0 b_0] + V(([a_0] b)' + a' F(b)): Teichmuller scalings, a
+Frobenius block, and a shorter product and sum.  The compiler shares every
+power and partial product between the coordinates and blocks, and an
+expression back end renders the arithmetic.  The sum and product
+polynomials expanded by ghost recursion in 2n variables are data for the
+symbolic checks and the tests' oracle only, built on first read.
 For rings with lookup tables (rings.SmallRingTables, at most
 rings.TABLE_CAP elements) the back end works over element indices,
 converting coordinate tuples only on entry and exit; above the cap it calls
@@ -251,19 +254,21 @@ def _teichmuller_ghost(p, i, x, y):
 class WittUniversalTable:
     """Sum/product/Frobenius polynomials for W_n at the prime p.
 
+    ``frob_polys[i]`` (i < n-1) live in the n variables x_0..x_{n-1} and
+    compute F: W_n -> W_{n-1}.  Negation is coordinatewise because p is
+    odd.  ``eta_polys[k]`` lives in the two variables x, y and is
+    coordinate k of [x] + [y]: eta_0 = x + y, and eta_k is homogeneous of
+    degree p^k and symmetric, so it is a polynomial ``eta_sym_polys[k]`` in
+    s = x + y and q = xy, with at most half its monomials.  The compiled
+    sum and product are the programs of _witt_program over ``eta_sym_polys``
+    and ``frob_polys``; __init__ builds only those and ``eta_polys``.
+
     ``sum_polys[i]`` and ``prod_polys[i]`` live in 2n variables
-    (x_0..x_{n-1}, y_0..y_{n-1}); ``frob_polys[i]`` (i < n-1) live in the n
-    variables x_0..x_{n-1} and compute F: W_n -> W_{n-1}.  Negation is
-    coordinatewise because p is odd.  ``eta_polys[k]`` lives in the two
-    variables x, y and is coordinate k of [x] + [y]: eta_0 = x + y, and
-    eta_k is homogeneous of degree p^k and symmetric, so it is a polynomial
-    ``eta_sym_polys[k]`` in s = x + y and q = xy, with at most half its
-    monomials.  The compiled sum is the carry program of _carry_program over
-    those.  The expanded ``sum_polys`` are data for verify_ghost_symbolic
-    and the tests' oracle; nothing compiled and no tilt
-    operation reads them.  They are built on the first read (they cost far
-    more than the rest of the table) and kept, so a caller may change them
-    in place.
+    (x_0..x_{n-1}, y_0..y_{n-1}): the sum and product expanded by ghost
+    recursion.  They are data for verify_ghost_symbolic and the tests'
+    oracle; nothing compiled and no tilt operation reads them.  They are
+    built on the first read (they cost far more than the rest of the
+    table) and kept, so a caller may change them in place.
     """
 
     def __init__(self, p, n):
@@ -272,14 +277,6 @@ class WittUniversalTable:
             raise ValueError("length must be >= 1")
         self.p = p
         self.n = n
-        pk = self._packing(2 * n)
-        xs, ys = pk.vars[:n], pk.vars[n:]
-        self.prod_polys = [
-            pk.unpack_poly(f)
-            for f in _ghost_recursion(
-                p, n, lambda i: _pmul(_ghost_poly(p, i, xs), _ghost_poly(p, i, ys))
-            )
-        ]
         pk = self._packing(n)
         self.frob_polys = [
             pk.unpack_poly(f)
@@ -303,12 +300,19 @@ class WittUniversalTable:
 
     @functools.cached_property
     def sum_polys(self):
+        return self._expanded(_padd)
+
+    @functools.cached_property
+    def prod_polys(self):
+        return self._expanded(_pmul)
+
+    def _expanded(self, op):
+        """The n polynomials in x_0..x_{n-1}, y_0..y_{n-1} whose ghost
+        components are op(w_i(x), w_i(y)), by ghost recursion over Z."""
         p, n = self.p, self.n
         pk = self._packing(2 * n)
         xs, ys = pk.vars[:n], pk.vars[n:]
-        polys = _ghost_recursion(
-            p, n, lambda i: _padd(_ghost_poly(p, i, xs), _ghost_poly(p, i, ys))
-        )
+        polys = _ghost_recursion(p, n, lambda i: op(_ghost_poly(p, i, xs), _ghost_poly(p, i, ys)))
         return [pk.unpack_poly(f) for f in polys]
 
     def compiled_indexed(self, which, tables, batch=False):
@@ -341,19 +345,16 @@ class WittUniversalTable:
 
     def _program(self, which):
         """The program of _compile_polys for sum, prod or frob."""
-        if which == "sum":
-            return _carry_program(self.eta_sym_polys, self.n)
-        polys = self.prod_polys if which == "prod" else self.frob_polys
-        nin = (2 if which == "prod" else 1) * self.n
-        return [(polys, tuple(range(nin)))], range(nin, nin + len(polys))
+        return _witt_program(which, self.p, self.n, self.eta_sym_polys, self.frob_polys)
 
 
 _SUM = {(1, 0): 1, (0, 1): 1}  # x + y
 
 
-def _carry_program(eta_sym_polys, n):
-    """The Witt sum of length n as a program of _compile_polys on the
-    coordinates a_0..a_{n-1}, b_0..b_{n-1} (values 0..2n-1).
+def _witt_program(which, p, n, eta_sym_polys, frob_polys):
+    """The Witt sum, product or Frobenius of length n as a program of
+    _compile_polys on the coordinates a_0..a_{n-1}, b_0..b_{n-1} (values
+    0..2n-1; the Frobenius reads a only).
 
     Every a in W_n is [a_0] + V(a'), and [x] + [y] = [x + y] + V(eta'(x, y))
     with eta' = (eta_1, ..., eta_{n-1}), so
@@ -364,10 +365,19 @@ def _carry_program(eta_sym_polys, n):
     of the carries eta_k = eta_sym_polys[k](s, q), and two sums of length
     n - 1, in place of expanded sum polynomials that read all 2n
     coordinates at once (Finotti, Computations with Witt vectors and the
-    Greenberg transform, IJNT 2014).
+    Greenberg transform, IJNT 2014).  V(x) y = V(x F(y)) and
+    [c] b = (c^(p^i) b_i)_i, so
+
+        a b = [a_0 b_0] + V(([a_0] b)' + a' F(b))
+
+    (Illusie, Complexe de de Rham-Witt, 1979): a block a_0^(p^i) b_i for
+    each i, one Frobenius block, a product of length n - 1 and a sum of
+    length n - 1.  The Frobenius W_k -> W_{k-1} is one block, frob_polys[:k-1]
+    with monomials cut to k variables: F_i reads only x_0..x_{i+1}.
     """
+    inputs = range((1 if which == "frob" else 2) * n)
     steps = []
-    size = 2 * n  # the number of values so far
+    size = len(inputs)  # the number of values so far
 
     def block(polys, args):
         nonlocal size
@@ -383,7 +393,19 @@ def _carry_program(eta_sym_polys, n):
         carries = block(eta_sym_polys[1:k], (s, q))
         return [s] + add(add(carries, xs[1:]), ys[1:])
 
-    return steps, add(range(n), range(n, 2 * n))
+    def mul(xs, ys):
+        scaled = [block(({(p**i, 1): 1},), (xs[0], y))[0] for i, y in enumerate(ys)]
+        if len(xs) == 1:
+            return scaled
+        return scaled[:1] + add(scaled[1:], mul(xs[1:], frob(ys)))
+
+    def frob(xs):
+        k = len(xs)
+        return block([{mono[:k]: c for mono, c in f.items()} for f in frob_polys[: k - 1]], xs)
+
+    if which == "frob":
+        return steps, frob(inputs)
+    return steps, (add if which == "sum" else mul)(inputs[:n], inputs[n:])
 
 
 def _compile_polys(program, operands, n, exprs):
@@ -394,8 +416,8 @@ def _compile_polys(program, operands, n, exprs):
     coordinates; each step (polys, args) evaluates every polynomial of polys
     on the values args, polynomial variable j reading value args[j], and
     appends the results as new values; outs are the values returned.  A
-    product or a Frobenius is one block on all the coordinates, a sum the
-    carry program of _carry_program.
+    Frobenius is one block on all the coordinates; a sum and a product are
+    the programs of _witt_program.
 
     Monomials are pruned modulo exprs.m (None prunes nothing).  Each value
     is held as a linear combination {atom: c} of named atoms (coordinates,
@@ -576,30 +598,14 @@ def _signed_groups(terms, m):
     return groups
 
 
-# the most operands one chain a + b + ... of generated source holds:
-# CPython's compiler recurses once per operator, and the unpruned W_5
-# product over Z sums tens of thousands of terms
-_MAX_CHAIN = 32
-
-
-def _sum_expr(items):
-    """Source of the sum of the source items: a chain for a few, and a sum()
-    of a tuple, whose nesting does not grow with their number, for many."""
-    if len(items) <= _MAX_CHAIN:
-        return " + ".join(items)
-    return f"sum(({', '.join(items)}))"
-
-
 def _linear_expr(groups):
     """Source of sum_c c * (sum of names) for groups {c: [names]}."""
     signed = []  # (sign, source of |c| * (sum of names))
     for c, names in groups.items():
-        inner = _sum_expr(names)
+        inner = " + ".join(names)
         if c != 1 and len(names) > 1:
             inner = f"({inner})"
         signed.append(("-" if c < 0 else "+", inner if abs(c) == 1 else f"{abs(c)}*{inner}"))
-    if len(signed) > _MAX_CHAIN:
-        return _sum_expr([f"-{term}" if sign == "-" else term for sign, term in signed])
     expr = " ".join(f"{sign} {term}" for sign, term in signed)
     return expr[2:] if expr.startswith("+ ") else expr
 
@@ -764,8 +770,8 @@ class _KernelBatchExprs(_IntExprs):
         # every coordinate of a Witt sum, product or Frobenius keeps a
         # monomial in the variables (x_i + y_i, x_i y_0^(p^i), x_i^p mod p),
         # and so does every carry that a block reads (eta_k has x^(p^k - 1) y
-        # with coefficient -1), so terms is never empty and never all
-        # constants
+        # with coefficient -1) and every Teichmuller scaling a_0^(p^i) b_i,
+        # so terms is never empty and never all constants
         if len(terms) == 1 and terms[0][0] == 1:
             return terms[0][1]  # a product or an input, already reduced
         groups = _signed_groups(((c, v or "_one") for c, v in terms), self.m)
@@ -821,7 +827,9 @@ def verify_ghost_symbolic(table):
     carries eta satisfy theirs, w_i(eta) = x^(p^i) + y^(p^i), in the form
     in x + y and xy that the compiled sum reads too; else a witness string
     naming the first failure.  The table's polynomials are packed on every
-    call, so what is checked is what the compiler reads, changes included.
+    call, so what is checked is what the compiler reads, changes included:
+    the programs of _witt_program read only the Frobenius polynomials and
+    the carries in x + y and xy.
     """
     p, n = table.p, table.n
     bound = _verify_bound(table)
@@ -987,8 +995,8 @@ class RawWittOps:
     representation: wrap attaches ring and p to a payload and unwrap reads
     it back, neither building a RingElement.  Obtain via raw_witt_ops(ring,
     p, n).  Sum, product and Frobenius are each one compiled function that
-    computes every coordinate at once (_compile_polys; the sum from the carry
-    program of _carry_program): over the lookup
+    computes every coordinate at once (_compile_polys, on the programs of
+    _witt_program): over the lookup
     tables of a ring with at most rings.TABLE_CAP elements, through the
     coefficient kernel above the cap, and on plain ints over Z.  Over a
     quotient ring, add_batch, mul_batch, frob_batch and scalar_mul_batch run
@@ -1317,7 +1325,13 @@ def ghost(u):
     ring, p = u.ring, u.p
     # a term that vanishes in w_{n-1} vanishes in every w_k
     data = u.data[: ghost_terms(ring, p, u.length - 1)]
-    return tuple(RingElement(ring, ghost_component(ring, p, data, k)) for k in range(u.length))
+    out, powers = [], []
+    for k in range(u.length):
+        # u_i^(p^(k-i)) is the p-th power of u_i^(p^(k-1-i))
+        powers = [ring._pow(x, p) for x in powers]
+        powers += data[k : k + 1]
+        out.append(RingElement(ring, ghost_component(ring, p, data, k, powers)))
+    return tuple(out)
 
 
 def witt_is_unit(u):

@@ -5,13 +5,17 @@ The oracle below is the engine as it was before monomials were packed: each
 monomial an exponent tuple, each product a new tuple.  Every table field
 built on packed monomials must equal the oracle's, and both verifiers must
 name the same first failure on a changed table, including one whose powers
-outgrow a fixed 8-bit exponent field.
+outgrow a fixed 8-bit exponent field.  The programs that the compiled sum,
+product and Frobenius run, evaluated symbolically on the oracle's
+arithmetic, must be the oracle's polynomials: that ties what runs to the
+ghost map.
 """
 
 import functools
 
 import pytest
 
+from wittkit.rings import ring_from_descriptor
 from wittkit.witt import (
     WittTableError,
     WittUniversalTable,
@@ -19,6 +23,7 @@ from wittkit.witt import (
     _symmetric_form,
     _verify_bound,
     get_table,
+    raw_witt_ops,
     verify_ghost_symbolic,
 )
 
@@ -183,6 +188,43 @@ def test_every_table_field_equals_the_oracles(p, n):
         assert getattr(table, field) == want, field
     assert verify_ghost_symbolic(table) is None
     assert _verify_bound(table) == p ** (n - 1)
+
+
+def _run_program(program, nvars):
+    """The outputs of a program of witt._compile_polys as polynomials in
+    its nvars inputs: each step substitutes the values it reads into its
+    polynomials, on exponent tuples."""
+    steps, outs = program
+    values = [_var(i, nvars) for i in range(nvars)]
+    for polys, args in steps:
+        subs = [values[a] for a in args]
+        values += [_psubst(poly, subs, nvars) for poly in polys]
+    return [values[v] for v in outs]
+
+
+@pytest.mark.parametrize("p,n", TABLES)
+def test_the_compiled_programs_evaluate_to_the_oracles_polynomials(p, n):
+    table, want = get_table(p, n), oracle_table(p, n)
+    assert _run_program(table._program("sum"), 2 * n) == want["sum_polys"]
+    assert _run_program(table._program("prod"), 2 * n) == want["prod_polys"]
+    assert _run_program(table._program("frob"), n) == want["frob_polys"]
+
+
+def test_a_changed_carry_changes_the_evaluated_programs():
+    # eta_1 in x + y and xy is read by the sum's carries and, through the
+    # sum of length 2, by the product
+    table = WittUniversalTable(3, 3)
+    _bump("eta_sym_polys", 1, (3, 0), 1)(table)
+    want = oracle_table(3, 3)
+    assert _run_program(table._program("sum"), 6) != want["sum_polys"]
+    assert _run_program(table._program("prod"), 6) != want["prod_polys"]
+
+
+def test_compiling_reads_no_expanded_polynomial():
+    raw_witt_ops(ring_from_descriptor("cyc(3,1,1)"), 3, 5)
+    table = get_table(3, 5)
+    assert "prod_polys" not in vars(table)
+    assert "sum_polys" not in vars(table)
 
 
 def _bump(field, index, mono, delta):

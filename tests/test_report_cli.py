@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from wittkit import cli
 from wittkit.cli import main
 from wittkit.report import AggregateReport, CheckReport, report_write
 from wittkit.suites import SuiteConfig, UsageError, run_suites
@@ -70,6 +71,16 @@ def test_cli_list(capsys):
 def test_cli_usage_errors(capsys):
     assert main(["--suite", "qlog", "-p", "4"]) == 2
     assert main(["--suite", "does-not-exist"]) == 2
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    # a parser per call would leave its cyclic garbage behind on every call
+    assert main(["--list"]) == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert main(["--list"]) == 0
+    assert main(["--no-such-option"]) == 2
+    assert main(["--suite", "qlog", "-p", "4"]) == 2
+    assert capsys.readouterr().out.split() == 2 * list(cli.SUITES)
 
 
 def test_cli_pass_and_report(tmp_path, capsys):

@@ -325,7 +325,7 @@ def test_tilt_witt_ops_on_teichmuller_pairs_keep_their_depth():
 
 def test_a_tilt_theta_run_leaves_the_expanded_sums_unbuilt(monkeypatch):
     # the tilt computes through the compiled W_n(A) operations, so no
-    # fresh table it builds has its expanded sum polynomials read
+    # fresh table it builds has its expanded sum or product polynomials read
     tables = {}
 
     def fresh_table(p, n):
@@ -337,7 +337,8 @@ def test_a_tilt_theta_run_leaves_the_expanded_sums_unbuilt(monkeypatch):
     monkeypatch.setattr(witt, "_raw_cache", {})
     agg = run_suites(SuiteConfig(N=4, T=3, suites=["tilt-theta"]).validate())
     assert agg.exit_code == 0
-    assert tables and all("sum_polys" not in vars(t) for t in tables.values())
+    expanded = ("sum_polys", "prod_polys")
+    assert tables and not any(f in vars(t) for t in tables.values() for f in expanded)
 
 
 def test_ker_f_generator_report():
