@@ -3,7 +3,9 @@
 
 Seventeen layers:
   * raw kernel calls (poly_mulmod) on the contexts of real rings above the
-    table cap, next to the kernel's schoolbook loop,
+    table cap, next to the kernel's schoolbook loop, and poly_powmod at
+    e = p and e = p^2 on charp(7,0,63) and cyc(5,3,1), where each factor p
+    of e is a coefficient map (poly_frobmod), not products,
   * the unit test of the quotient rings: us per is_unit on 200 seeded
     elements of cyc(3,2,1), cyc(3,3,3), cyc(5,3,2), cyc(7,2,2) and
     charp(3,0,9),
@@ -11,7 +13,8 @@ Seventeen layers:
     on the small-ring lookup tables, and on W_4(Z), which runs on plain ints,
     and (L1) wrapped against raw add/mul per call on W_2(cyc(3,2,1)),
   * raw Witt add/mul/frob above the table cap (W_3(cyc(3,2,2)),
-    W_4(cyc(3,3,1)) and W_3(cyc(5,3,1))), each operation one compiled
+    W_4(cyc(3,3,1)), W_3(cyc(5,3,1)), and W_2 and W_3 over charp(7,0,63),
+    whose p-th powers are Frobenius maps), each operation one compiled
     function over the kernel, with the time to compile the three, and the
     same on the table ring W_4(cyc(3,1,1)) and on W_4(Z); and at the top of
     the envelope, W_5 over cyc(3,1,1), cyc(3,2,2) and Z,
@@ -195,6 +198,18 @@ def bench_kernel_calls():
         row.append(f"{name}: {kernel_dt * 1e6:8.2f} us")
         row.append(f"schoolbook: {dt * 1e6:8.2f} us")
         print("  " + "   ".join(row))
+    for ring in [CharPQuotient(7, 0, 63), CyclotomicTruncation(5, 3, 1)]:
+        p, desc = ring.p, ring.descriptor()
+        elements = [random_payload(ring, rng) for _ in range(500)]
+        row = [f"{desc:<14} poly_powmod"]
+        for e in (p, p * p):
+            t0 = time.perf_counter()
+            for a in elements:
+                _kernel.poly_powmod(a, e, ring._ctx)
+            us = (time.perf_counter() - t0) / len(elements) * 1e6
+            figures[f"poly_powmod_us.{desc}.e{e}"] = round(us, 2)
+            row.append(f"e={e}: {us:6.2f} us")
+        print("  " + "   ".join(row))
     return figures
 
 
@@ -263,6 +278,8 @@ def bench_raw_ops_above_the_cap():
         (CyclotomicTruncation(3, 2, 2), 3),
         (CyclotomicTruncation(3, 3, 1), 4),
         (CyclotomicTruncation(5, 3, 1), 3),
+        (CharPQuotient(7, 0, 63), 2),
+        (CharPQuotient(7, 0, 63), 3),
         (CyclotomicTruncation(3, 1, 1), 4),  # a table ring, for comparison
         (IntegerRing(), 4),
         # the top of the envelope at p = 3

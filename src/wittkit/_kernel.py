@@ -8,6 +8,8 @@ kernel.  The calling convention:
 
     ctx = make_ctx(red_rows, m, d)  # red_rows[j] = x^(d+j) reduced, coeffs mod m
     c   = poly_mulmod(a, b, ctx)    # canonical product of canonical vectors
+    f   = poly_frobmod(a, ctx)      # a^p, when ctx.char = p is not None
+    g   = poly_powmod(a, e, ctx)    # a^e, e >= 0
 
 Vectors are tuples of ints in [0, m).
 
@@ -31,8 +33,21 @@ and ``int.from_bytes``/``int.to_bytes``, and every output slot is then
 reduced mod m.  Contexts whose reduction rows have neither shape, or whose
 bound exceeds 64-bit slots (e.g. cyc(3,1,40)), multiply with the schoolbook
 loop (``schoolbook_mulmod``).
+
+When m is a prime p and the rows have one of the two shapes (``charp``, or
+``cyc`` with d = (p-1)*q, so M = 1), the ring has characteristic p and
+``ctx.char`` is p (else None).  The Frobenius a -> a^p is then a ring map
+that fixes the coefficients (c^p = c in F_p), so a^p = sum_i c_i x^(i*p):
+``poly_frobmod`` moves coefficients instead of multiplying.  For ``charp``
+coefficient i goes to slot i*p, and slots past d drop.  For ``cyc``,
+x^(p*q) = 1 gives i*p = p*(i mod q) mod p*q: the p-1 blocks of q
+coefficients are summed, block entry r goes to slot p*r, and the top q
+slots fold through Phi as in the product.  ``poly_powmod`` takes each factor
+p of the exponent through ``poly_frobmod`` and square-and-multiplies the
+rest.
 """
 
+import operator
 import struct
 
 # slot width in bytes -> struct code of exactly that width (little-endian)
@@ -40,13 +55,16 @@ _SLOT_CODES = {2: "H", 4: "I", 8: "Q"}
 
 
 class _Ctx:
-    __slots__ = ("red", "m", "d", "slots", "keep", "fold", "low", "top", "spread", "pad")
+    __slots__ = (
+        "red", "m", "d", "char", "blocks", "slots", "keep", "fold", "low", "top", "spread", "pad"
+    )
 
     def __init__(self, red_rows, m, d):
         self.red = tuple(tuple(int(c) % m for c in row) for row in red_rows)
         self.m = int(m)
         self.d = int(d)
         self.slots = None  # struct of the d packed slots; None = schoolbook
+        self.char = None  # m when poly_frobmod applies
         d, m = self.d, self.m
         if not any(any(row) for row in self.red):
             q = None  # x^d = 0: keep the low d slots
@@ -54,6 +72,10 @@ class _Ctx:
             q = _cyclotomic_period(self.red, m, d)
             if q is None:
                 return
+        if _is_prime(m) and (q is None or d == (m - 1) * q):
+            self.char = m
+            # the p-1 blocks of q coefficients that poly_frobmod sums (cyc)
+            self.blocks = None if q is None else tuple(slice(k, k + q) for k in range(0, d, q))
         bound = d * (m - 1) ** 2
         pad = -(-bound // m) * m  # a multiple of m at least the bound
         need = bound if q is None else bound + pad
@@ -93,6 +115,10 @@ def _cyclotomic_period(red, m, d):
     return q if tuple(want) == red else None
 
 
+def _is_prime(m):
+    return m > 1 and all(m % k for k in range(2, int(m**0.5) + 1))
+
+
 def make_ctx(red_rows, m, d):
     return _Ctx(red_rows, m, d)
 
@@ -130,7 +156,33 @@ def schoolbook_mulmod(a, b, ctx):
     return tuple([c % m for c in out])
 
 
+def poly_frobmod(a, ctx):
+    """a^p for a context of characteristic p = ctx.char, by moving
+    coefficients: no product."""
+    p, d = ctx.char, ctx.d
+    out = [0] * d
+    if ctx.blocks is None:  # charp: slot i*p, dropped past d
+        out[::p] = a[: (d - 1) // p + 1]
+        return tuple(out)
+    # cyc: x^(p*q) = 1, so entry r of each of the p-1 blocks of q coefficients
+    # goes to slot p*r of p*q.  The slots p*r >= d are q/p slots d+j with j a
+    # multiple of p (N >= 2; none at q = 1), and x^(d+j) = -sum_{i<p-1}
+    # x^(i*q+j) subtracts slot d+j from the slots p*r < d that are j mod q.
+    sums = list(map(sum, zip(*map(a.__getitem__, ctx.blocks))))
+    low = (d - 1) // p + 1  # the slots p*r below d
+    vals = sums[:low]
+    if low < len(sums):
+        vals = map(operator.sub, vals, sums[low:] * (p - 1))
+    out[::p] = map(p.__rmod__, vals)
+    return tuple(out)
+
+
 def poly_powmod(a, e, ctx):
+    p = ctx.char
+    if p is not None:
+        while e and e % p == 0:
+            a = poly_frobmod(a, ctx)
+            e //= p
     result = None  # the power 1, never multiplied out
     base = a
     while e:

@@ -546,13 +546,19 @@ class _QuotientRing(RingHandle):
             yield RingElement(self, tup)
 
     def _mul_matrix(self, b):
-        """Columns: b * x^j in canonical form (d x d over Z/m)."""
-        cols = []
-        cur = b.data
-        for _ in range(self.d):
-            cols.append(cur)
-            cur = self._mul(cur, (0, 1) + (0,) * (self.d - 2)) if self.d > 1 else cur
-        return [[cols[j][i] for j in range(self.d)] for i in range(self.d)]
+        """Columns: b * x^j in canonical form (d x d over Z/m).  Column j+1
+        is column j times x: shifted up one slot, plus its top coefficient
+        times x^d reduced (the first reduction row), mod m."""
+        m = self.m
+        cols = [b.data]
+        for _ in range(self.d - 1):
+            cur = cols[-1]
+            top = cur[-1]
+            shifted = (0,) + cur[:-1]
+            if top:
+                shifted = tuple([(s + top * r) % m for s, r in zip(shifted, self._red_rows[0])])
+            cols.append(shifted)
+        return [list(row) for row in zip(*cols)]
 
     def _residue(self, a):
         """The image of the payload a in the residue field F_p, as an int."""

@@ -29,7 +29,8 @@ symbolic checks and the tests' oracle only, built on first read.
 For rings with lookup tables (rings.SmallRingTables, at most
 rings.TABLE_CAP elements) the back end works over element indices,
 converting coordinate tuples only on entry and exit; above the cap it calls
-the coefficient kernel (``_kernel``, packed big-int products) and forms each
+the coefficient kernel (``_kernel``: packed big-int products, and in
+characteristic p each p-th power as a coefficient map) and forms each
 coordinate as one linear combination reduced mod m; over Z it evaluates the
 unpruned polynomials on the coordinates' Python ints.  Quotient rings also
 have a batch form of sum, product and Frobenius, from two more back ends of
@@ -427,10 +428,13 @@ def _compile_polys(program, operands, n, exprs):
     (exprs.combine).  Powers, partial products, scaled terms and reduced
     values are named temporaries, computed once and reused by every block;
     powers come from exprs.pow_expr or, when it gives none, from memoised
-    square-and-multiply.  The expression back end (_TableExprs, _KernelExprs
-    or _IntExprs, or the batch forms _TableBatchExprs and _KernelBatchExprs)
-    renders products, powers, the terms c*atom and the combinations, and
-    names them through temp() where they are worth sharing.  Back ends with
+    square-and-multiply, except that a back end of characteristic p
+    (exprs.char, else None) takes v^(p*k) as the Frobenius exprs.frob of
+    v^k, which is a ring map there.  The expression back end (_TableExprs,
+    _KernelExprs or _IntExprs, or the batch forms _TableBatchExprs and
+    _KernelBatchExprs) renders products, powers, the terms c*atom and the
+    combinations, and names them through temp() where they are worth
+    sharing.  Back ends with
     inline_once set then get every temporary read only once substituted
     into its reader.
     """
@@ -462,6 +466,8 @@ def _compile_polys(program, operands, n, exprs):
             expr = exprs.pow_expr(v, e, ns)
             if expr is not None:
                 return temp(key, expr)
+            if exprs.char and e % exprs.char == 0:  # v^(p*k) = F(v^k)
+                return temp(key, exprs.frob(power(v, e // exprs.char)))
             half = power(v, e // 2)
             name = mul(half, half)
             if e & 1:
@@ -616,6 +622,7 @@ class _TableExprs:
     power and scalar multiple in between is a table lookup."""
 
     inline_once = False  # mul_expr reads its operands twice and uses walrus names
+    char = None  # powers are table lookups
 
     def __init__(self, tables):
         self.tables = tables
@@ -686,6 +693,7 @@ class _IntExprs:
     m = None
     namespace = {}
     inline_once = True  # plain calls and operators: inlining is sound
+    char = None  # Z has no Frobenius ring map
 
     def var(self, i):
         return f"a{i}"
@@ -714,11 +722,13 @@ class _IntExprs:
 class _KernelExprs(_IntExprs):
     """Back end over coefficient tuples of a quotient ring above the table
     cap: products call the kernel's poly_mulmod, powers are built from
-    products, and each coordinate is one linear combination of its terms,
-    reduced slot by slot mod m."""
+    products and, in characteristic p, from the kernel's poly_frobmod, and
+    each coordinate is one linear combination of its terms, reduced slot by
+    slot mod m."""
 
     def __init__(self, ring):
         self.m = ring.m
+        self.char = ring._ctx.char
         # the module, not its function: the call resolves when it runs, so
         # a wrapper installed after compiling still sees it
         self.namespace = {
@@ -730,6 +740,9 @@ class _KernelExprs(_IntExprs):
 
     def product(self, a, b, temp):
         return temp(("mul", a, b), f"_kernel.poly_mulmod({a}, {b}, _ctx)")
+
+    def frob(self, v):
+        return f"_kernel.poly_frobmod({v}, _ctx)"
 
     def pow_expr(self, v, e, ns):
         return None
@@ -750,18 +763,25 @@ class _KernelBatchExprs(_IntExprs):
     """The kernel back end on a batch: every coordinate is a (B, d) array of
     coefficient rows, of int64 or Python ints (_coeff_batch_dtype).  A
     product is a batched convolution reduced through the ring's reduction
-    rows (_batch_mulmod), and each coordinate one linear combination of its
+    rows (_batch_mulmod), a Frobenius in characteristic p the coefficient
+    map of _batch_frobmod, and each coordinate one linear combination of its
     terms, reduced mod m."""
 
     def __init__(self, ring):
         self.m = ring.m
+        self.char = ring._ctx.char
         self.namespace = {
             "_mul": _batch_mulmod(ring),
             "_one": np.array(ring.one().data, dtype=_coeff_batch_dtype(ring)),
         }
+        if self.char:
+            self.namespace["_frob"] = _batch_frobmod(ring)
 
     def product(self, a, b, temp):
         return temp(("mul", a, b), f"_mul({a}, {b})")
+
+    def frob(self, v):
+        return f"_frob({v})"
 
     def pow_expr(self, v, e, ns):
         return None
@@ -807,6 +827,32 @@ def _batch_mulmod(ring):
         return out
 
     return mul
+
+
+def _batch_frobmod(ring):
+    """a^p of (B, d) coefficient arrays in a quotient ring of characteristic
+    p (ring._ctx.char), as _kernel.poly_frobmod computes it: for charp a
+    column scatter, coefficient i to column i*p; for cyc the sum of the p-1
+    blocks of q columns, the first (d-1)//p+1 sums less the others tiled
+    p-1 times, scattered to the columns p*r."""
+    ctx = ring._ctx
+    p, d = ctx.char, ctx.d
+    low = (d - 1) // p + 1  # the columns i*p below d
+    q = None if ctx.blocks is None else d // (p - 1)
+
+    def frob(a):
+        out = np.zeros_like(a)
+        if q is None:
+            out[:, ::p] = a[:, :low]
+            return out
+        sums = a.reshape(len(a), p - 1, q).sum(axis=1)
+        vals = sums[:, :low]
+        if low < q:
+            vals = vals - np.tile(sums[:, low:], p - 1)
+        out[:, ::p] = vals % p
+        return out
+
+    return frob
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,12 +1,14 @@
-"""The kernel's packed products must agree with its schoolbook loop and with
-naive modular arithmetic."""
+"""The kernel's packed products and Frobenius maps must agree with its
+schoolbook loop and with naive modular arithmetic."""
 
 import random
 
+import numpy as np
 import pytest
 
 from wittkit import _kernel
-from wittkit.rings import CyclotomicTruncation, ring_from_descriptor
+from wittkit.rings import CyclotomicTruncation, random_element, ring_from_descriptor
+from wittkit.witt import _batch_frobmod, _coeff_batch_dtype, random_witt, raw_witt_ops
 
 
 def _reduction_rows(base, m, d):
@@ -80,7 +82,7 @@ def test_packed_products_match_the_schoolbook_loop(desc):
 def test_shapes_past_the_slot_bound_keep_the_schoolbook_loop():
     ring = CyclotomicTruncation(3, 1, 40)  # (m-1)^2 alone needs more than 64 bits
     ctx = _kernel.make_ctx(ring._red_rows, ring.m, ring.d)
-    assert ctx.slots is None
+    assert ctx.slots is None and ctx.char is None
     rng = random.Random(40)
     for _ in range(200):
         a = tuple(rng.randrange(ring.m) for _ in range(ring.d))
@@ -99,6 +101,7 @@ def test_arbitrary_reduction_rows_keep_the_schoolbook_loop():
         base[1 % d] = 1  # no sum_{i<p} x^(i*q) has this row
         ctx = _kernel.make_ctx(_reduction_rows(base, m, d), m, d)
         assert ctx.slots is None or d == 1
+        assert ctx.char is None or d == 1  # d = 1: no reduction rows, Z/m itself
 
 
 def test_mulmod_against_naive_modular_arithmetic():
@@ -123,3 +126,124 @@ def test_mulmod_against_naive_modular_arithmetic():
                 prod[k - d + j] -= c * minpoly[j]
         want = tuple(c % m for c in prod[:d])
         assert _kernel.poly_mulmod(tuple(a), tuple(b), ctx) == want
+
+
+# rings of characteristic p whose contexts take p-th powers as a coefficient
+# map: d = 1, d prime to p, d a power of p, q = 1 and q > 1
+FROBENIUS_SHAPES = [
+    "charp(3,0,1)",
+    "charp(5,0,7)",
+    "charp(3,0,27)",
+    "charp(7,0,63)",
+    "cyc(3,1,1)",
+    "cyc(3,3,1)",
+    "cyc(5,3,1)",
+    "cyc(7,2,1)",
+]
+
+
+def _schoolbook_pow(a, e, ctx):
+    want = (1,) + (0,) * (ctx.d - 1)
+    for _ in range(e):
+        want = _kernel.schoolbook_mulmod(want, a, ctx)
+    return want
+
+
+@pytest.mark.parametrize("desc", FROBENIUS_SHAPES)
+def test_frobenius_and_powers_match_repeated_schoolbook_products(desc):
+    ring = ring_from_descriptor(desc)
+    p, d, m = ring.p, ring.d, ring.m
+    ctx = _kernel.make_ctx(ring._red_rows, m, d)
+    assert ctx.char == p
+    rng = random.Random(f"frobenius/{desc}")
+    vectors = [(0,) * d, (1,) + (0,) * (d - 1), (m - 1,) * d]
+    vectors += [tuple(rng.randrange(m) for _ in range(d)) for _ in range(6)]
+    for a in vectors:
+        assert _kernel.poly_frobmod(a, ctx) == _schoolbook_pow(a, p, ctx)
+        for e in (p, p * p, 2 * p, p + 1, p * p - 1):
+            assert _kernel.poly_powmod(a, e, ctx) == _schoolbook_pow(a, e, ctx), e
+
+
+@pytest.mark.parametrize("desc", ["cyc(3,2,3)", "cyc(7,2,3)"])
+def test_prime_power_moduli_get_no_frobenius(desc):
+    ring = ring_from_descriptor(desc)
+    assert _kernel.make_ctx(ring._red_rows, ring.m, ring.d).char is None
+
+
+def test_cyclotomic_rows_mod_another_prime_get_no_frobenius():
+    # Phi_9 modulo 5: the cyc fold applies, but x^5 is no coefficient map
+    ctx = _kernel.make_ctx(_reduction_rows([4, 0, 0, 4, 0, 0], 5, 6), 5, 6)
+    assert ctx.slots is not None and ctx.fold is not None and ctx.char is None
+
+
+@pytest.mark.parametrize("desc", FROBENIUS_SHAPES)
+def test_batch_frobenius_matches_the_kernel_row_by_row(desc):
+    ring = ring_from_descriptor(desc)
+    frob = _batch_frobmod(ring)
+    rng = random.Random(f"batch-frobenius/{desc}")
+    rows = [tuple(rng.randrange(ring.m) for _ in range(ring.d)) for _ in range(40)]
+    rows.append((ring.m - 1,) * ring.d)
+    out = frob(np.array(rows, dtype=_coeff_batch_dtype(ring)))
+    assert out.shape == (len(rows), ring.d)
+    for a, got in zip(rows, out.tolist()):
+        assert tuple(got) == _kernel.poly_frobmod(a, ring._ctx)
+
+
+def _mul_matrix_by_products(ring, b):
+    """The oracle: column j+1 is the kernel product of column j with x."""
+    d, m = ring.d, ring.m
+    ctx = _kernel.make_ctx(ring._red_rows, m, d)
+    x = (0, 1) + (0,) * (d - 2)
+    cols = [b.data]
+    for _ in range(d - 1):
+        cols.append(_kernel.schoolbook_mulmod(cols[-1], x, ctx))
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
+@pytest.mark.parametrize(
+    "desc",
+    # table rings (at most TABLE_CAP elements) and kernel rings, d = 1 too
+    ["cyc(3,1,1)", "cyc(3,2,1)", "charp(3,0,1)", "charp(3,0,3)", "cyc(3,2,3)", "cyc(3,3,1)",
+     "cyc(5,3,1)", "charp(7,0,63)", "cyc(7,2,3)", "cyc(3,1,40)"],
+)
+def test_multiplication_matrix_matches_the_column_by_column_products(desc):
+    ring = ring_from_descriptor(desc)
+    rng = random.Random(f"mul-matrix/{desc}")
+    elements = [ring.zero(), ring.one(), ring.from_coeffs([ring.m - 1] * ring.d)]
+    elements += [random_element(ring, rng) for _ in range(5)]
+    for b in elements:
+        assert ring._mul_matrix(b) == _mul_matrix_by_products(ring, b)
+
+
+# kernel products (poly_mulmod) and Frobenius maps (poly_frobmod) per call of
+# the compiled RawWittOps add, mul and frob, (ring, n) -> {op: (products,
+# Frobenius maps)}: in characteristic p every p-th power is a coefficient
+# map, so the products by square-and-multiply (mul 11 and 40, frob 4 and 8 on
+# W_2 and W_3 over charp(7,0,63)) would fail here
+WITT_OP_COUNTS = {
+    ("charp(7,0,63)", 2): {"add": (10, 0), "mul": (3, 2), "frob": (0, 1)},
+    ("charp(7,0,63)", 3): {"add": (98, 4), "mul": (16, 6), "frob": (0, 2)},
+    ("cyc(5,3,1)", 2): {"add": (6, 0), "mul": (3, 2), "frob": (0, 1)},
+    ("cyc(5,3,1)", 3): {"add": (48, 3), "mul": (12, 6), "frob": (0, 2)},
+}
+
+
+@pytest.mark.parametrize("desc,n", sorted(WITT_OP_COUNTS))
+def test_compiled_witt_ops_take_p_th_powers_as_frobenius_maps(desc, n, monkeypatch):
+    ring = ring_from_descriptor(desc)
+    raw = raw_witt_ops(ring, ring.p, n)
+    calls = {"poly_mulmod": 0, "poly_frobmod": 0}
+    for name in calls:
+        # the compiled functions call the kernel through its module
+        def counted(*args, _fn=getattr(_kernel, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(_kernel, name, counted)
+    rng = random.Random(f"op-counts/{desc}/{n}")
+    u, v = (raw.unwrap(random_witt(ring, ring.p, n, rng)) for _ in range(2))
+    for op, want in WITT_OP_COUNTS[desc, n].items():
+        for name in calls:
+            calls[name] = 0
+        getattr(raw, op)(*((u,) if op == "frob" else (u, v)))
+        assert (calls["poly_mulmod"], calls["poly_frobmod"]) == want, op
