@@ -917,7 +917,7 @@ def suite_negative_controls(cfg):
 
     table = witt.WittUniversalTable(p, fixture["corrupted_table"]["length"])
     mono, delta = fixture["corrupted_table"]["perturbation"]
-    poly = table.sum_polys[1]
+    poly = table.eta_sym_polys[1]
     key = tuple(mono)
     poly[key] = poly.get(key, 0) + delta
     witness = witt.verify_ghost_symbolic(table)

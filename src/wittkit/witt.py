@@ -23,9 +23,9 @@ and two shorter sums.  The product is a program over the sum,
 a b = [a_0 b_0] + V(([a_0] b)' + a' F(b)): Teichmuller scalings, a
 Frobenius block, and a shorter product and sum.  The compiler shares every
 power and partial product between the coordinates and blocks, and an
-expression back end renders the arithmetic.  The sum and product
-polynomials expanded by ghost recursion in 2n variables are data for the
-symbolic checks and the tests' oracle only, built on first read.
+expression back end renders the arithmetic.  verify_ghost_symbolic checks
+the ghost identities on these same programs, evaluated on polynomials:
+nothing builds the sum or product expanded in 2n variables.
 For rings with lookup tables (rings.SmallRingTables, at most
 rings.TABLE_CAP elements) the back end works over element indices,
 converting coordinate tuples only on entry and exit; above the cap it calls
@@ -77,8 +77,8 @@ class WittTableError(RuntimeError):
 # components are weighted-homogeneous (x_k of weight p^k), so every
 # exponent of a table built for (p, n) is at most p^(n-1), and so is every
 # exponent that its ghost recursion forms.  verify_ghost_symbolic reads
-# tables that a caller may have changed, so it takes its width from their
-# exponents (_verify_bound).
+# tables and programs that a caller may have changed, so it takes its width
+# from their exponents, carried through the programs (_verify_bound).
 
 
 class _Packing:
@@ -184,7 +184,7 @@ def _psubst(poly, subs):
                 if power is None:
                     power = powers[vi, e] = _ppow(sub, e)
                 term = power if term is None else _pmul(term, power)
-        for m, k in (term or {0: 1}).items():
+        for m, k in ({0: 1} if term is None else term).items():
             m += shift
             out[m] = get(m, 0) + c * k
     return {mono: c for mono, c in out.items() if c}
@@ -222,7 +222,8 @@ def _ghost_recursion(p, count, target):
 
 def _ghost_components(p, polys):
     """w_0, w_1, ... of the vector of polynomials polys."""
-    for i, (partial, f) in enumerate(zip(_ghost_partials(p, polys), polys)):
+    # polys first: zip then stops before asking for a level past the last
+    for i, (f, partial) in enumerate(zip(polys, _ghost_partials(p, polys))):
         yield _padd(partial, f, p**i)
 
 
@@ -260,16 +261,10 @@ class WittUniversalTable:
     odd.  ``eta_polys[k]`` lives in the two variables x, y and is
     coordinate k of [x] + [y]: eta_0 = x + y, and eta_k is homogeneous of
     degree p^k and symmetric, so it is a polynomial ``eta_sym_polys[k]`` in
-    s = x + y and q = xy, with at most half its monomials.  The compiled
-    sum and product are the programs of _witt_program over ``eta_sym_polys``
-    and ``frob_polys``; __init__ builds only those and ``eta_polys``.
-
-    ``sum_polys[i]`` and ``prod_polys[i]`` live in 2n variables
-    (x_0..x_{n-1}, y_0..y_{n-1}): the sum and product expanded by ghost
-    recursion.  They are data for verify_ghost_symbolic and the tests'
-    oracle; nothing compiled and no tilt operation reads them.  They are
-    built on the first read (they cost far more than the rest of the
-    table) and kept, so a caller may change them in place.
+    s = x + y and q = xy, with at most half its monomials.  The sum and
+    product are the programs of _witt_program over ``eta_sym_polys`` and
+    ``frob_polys``: compiled to run, evaluated to be checked, never
+    expanded in all 2n coordinates.
     """
 
     def __init__(self, p, n):
@@ -289,32 +284,12 @@ class WittUniversalTable:
             for f in _ghost_recursion(p, n, lambda i: _teichmuller_ghost(p, i, *pk.vars))
         ]
         self.eta_sym_polys = [_symmetric_form(poly) for poly in self.eta_polys]
-        # negation is coordinatewise because p is odd (all ghost exponents
-        # are odd); stored for the interface, verified symbolically below
-        self.neg_polys = [{tuple(int(j == i) for j in range(n)): -1} for i in range(n)]
         self._compiled = {}
 
     def _packing(self, nvars):
         """Packed monomials in nvars variables for the build: every exponent
         of the table is at most p^(n-1)."""
         return _Packing(nvars, self.p ** (self.n - 1))
-
-    @functools.cached_property
-    def sum_polys(self):
-        return self._expanded(_padd)
-
-    @functools.cached_property
-    def prod_polys(self):
-        return self._expanded(_pmul)
-
-    def _expanded(self, op):
-        """The n polynomials in x_0..x_{n-1}, y_0..y_{n-1} whose ghost
-        components are op(w_i(x), w_i(y)), by ghost recursion over Z."""
-        p, n = self.p, self.n
-        pk = self._packing(2 * n)
-        xs, ys = pk.vars[:n], pk.vars[n:]
-        polys = _ghost_recursion(p, n, lambda i: op(_ghost_poly(p, i, xs), _ghost_poly(p, i, ys)))
-        return [pk.unpack_poly(f) for f in polys]
 
     def compiled_indexed(self, which, tables, batch=False):
         """All coordinates of sum/prod/frob in one function on raw payloads,
@@ -868,21 +843,23 @@ def get_table(p, n):
 def verify_ghost_symbolic(table):
     """Exact polynomial identity check of the ghost-homomorphism property.
 
-    Returns None when every sum/product/Frobenius polynomial satisfies its
-    ghost identity, the negation polynomials cancel in the sum, and the
-    carries eta satisfy theirs, w_i(eta) = x^(p^i) + y^(p^i), in the form
-    in x + y and xy that the compiled sum reads too; else a witness string
-    naming the first failure.  The table's polynomials are packed on every
-    call, so what is checked is what the compiler reads, changes included:
-    the programs of _witt_program read only the Frobenius polynomials and
-    the carries in x + y and xy.
+    The programs that the compiled sum and product run (table._program) are
+    evaluated on the variables x_0..x_{n-1}, y_0..y_{n-1} (_run_program).
+    Returns None when their outputs' ghost components are w_i(x) + w_i(y)
+    and w_i(x) w_i(y), the Frobenius polynomials satisfy their identity,
+    the sum program cancels x against the coordinatewise -x, and the
+    carries eta satisfy theirs, w_i(eta) = x^(p^i) + y^(p^i), and agree with
+    their form in x + y and xy; else a witness string naming the first
+    failure.  The programs are built and evaluated on every call, so what is
+    checked is what runs, changes to the table included.
     """
     p, n = table.p, table.n
-    bound = _verify_bound(table)
+    programs = [table._program("sum"), table._program("prod")]
+    bound = _verify_bound(table, programs)
     pk = _Packing(2 * n, bound)
     xs, ys = pk.vars[:n], pk.vars[n:]
-    sums = _ghost_components(p, [pk.pack_poly(f) for f in table.sum_polys])
-    prods = _ghost_components(p, [pk.pack_poly(f) for f in table.prod_polys])
+    inputs = [{x: 1} for x in pk.vars]
+    sums, prods = (_ghost_components(p, _run_program(prog, inputs)) for prog in programs)
     for i in range(n):
         wx = _ghost_poly(p, i, xs)
         wy = _ghost_poly(p, i, ys)
@@ -897,10 +874,9 @@ def verify_ghost_symbolic(table):
     for i in range(n - 1):
         if _padd(next(frobs), _ghost_poly(p, i + 1, pk.vars), -1):
             return f"frob polynomial violates ghost identity at i={i} (p={p}, n={n})"
-    # x + neg(x) = 0: substitute the negation polynomials into the sum ones
-    subs = [{x: 1} for x in pk.vars] + [pk.pack_poly(f) for f in table.neg_polys]
-    for i in range(n):
-        if _psubst(table.sum_polys[i], subs):
+    negated = [{x: 1} for x in pk.vars] + [{x: -1} for x in pk.vars]
+    for i, f in enumerate(_run_program(programs[0], negated)):
+        if f:
             return f"negation polynomial fails S_{i}(x, -x) = 0 (p={p}, n={n})"
     pk = _Packing(2, bound)
     x, y = pk.vars
@@ -914,38 +890,60 @@ def verify_ghost_symbolic(table):
     return None
 
 
-def _verify_bound(table):
-    """The largest exponent that verify_ghost_symbolic can form on table.
+def _run_program(program, inputs):
+    """The outputs of a program of _compile_polys on the packed polynomials
+    inputs: each step substitutes the values it reads into its block."""
+    steps, outs = program
+    values = list(inputs)
+    for polys, args in steps:
+        subs = [values[a] for a in args]
+        values += [_psubst(f, subs) for f in polys]
+    return [values[v] for v in outs]
 
-    Its ghost components are at most p^(n-1) in each exponent; the ghost
-    components w_0..w_{k-1} of k polynomials raise polynomial j to powers
-    of at most p^(k-1-j).  It substitutes the negation polynomials into the
-    sum ones, and x + y and xy into the carries in that form: a monomial of
-    total degree D becomes one of exponents at most D times the largest
-    exponent substituted.  On a table as built the bound is p^(n-1).
+
+def _verify_bound(table, programs):
+    """The largest exponent that verify_ghost_symbolic can form on table
+    and its sum and product programs.
+
+    The programs are run on exponent bounds (_exponent_bounds), on x, y and
+    the sum's on x, -x, and the ghost components raise output j to powers
+    of at most p^(n-1-j).  Those of the k Frobenius polynomials or carries
+    raise polynomial j to powers of at most p^(k-1-j), and x + y and xy
+    substituted into a carry make exponents of at most its total degree.
+    On a table as built the bound is p^(n-1).
     """
     p, n = table.p, table.n
-    neg = _max_exponent(table.neg_polys)
-    powered = (table.sum_polys, table.prod_polys, table.frob_polys, table.eta_polys)
-    return max(
-        p ** (n - 1),
-        neg,
-        *(
-            _max_exponent([f]) * p ** (len(polys) - 1 - j)
-            for polys in powered
-            for j, f in enumerate(polys)
-        ),
-        _max_degree(table.sum_polys) * max(1, neg),
-        _max_degree(table.eta_sym_polys),
-    )
+    units = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
+    bounds = [p ** (n - 1)]
+    for steps, outs in programs:
+        values = _exponent_bounds(steps, units)
+        bounds += map(max, values)
+        bounds += [max(values[v]) * p ** (n - 1 - j) for j, v in enumerate(outs)]
+    bounds += map(max, _exponent_bounds(programs[0][0], [u[:n] for u in units[:n]] * 2))
+    for polys in (table.frob_polys, table.eta_polys):
+        k = len(polys)
+        bounds += [max(map(max, f), default=0) * p ** (k - 1 - j) for j, f in enumerate(polys)]
+    bounds += [max(map(sum, f), default=0) for f in table.eta_sym_polys]
+    return max(bounds)
 
 
-def _max_exponent(polys):
-    return max((max(map(max, poly), default=0) for poly in polys), default=0)
-
-
-def _max_degree(polys):
-    return max((max(map(sum, poly), default=0) for poly in polys), default=0)
+def _exponent_bounds(steps, inputs):
+    """The values of a program's steps on exponent bounds, inputs first: a
+    value bounds the exponent of each variable, and a step bounds it in
+    prod_j v_j^(e_j) by sum_j e_j * bound(args[j])."""
+    values = list(inputs)
+    for polys, args in steps:
+        subs = [values[a] for a in args]
+        for f in polys:
+            bound = [0] * len(inputs[0])
+            for mono in f:
+                got = [0] * len(bound)
+                for e, sub in zip(mono, subs):
+                    if e:
+                        got = [g + e * b for g, b in zip(got, sub)]
+                bound = list(map(max, bound, got))
+            values.append(bound)
+    return values
 
 
 # --- Witt vectors ------------------------------------------------------------

@@ -1,15 +1,18 @@
-"""The tests' oracle for Witt arithmetic: sparse polynomials evaluated
-on RingElements; a fixture that corrupts one raw Witt operation at chosen
-inputs; the witt-identities suite's draws, one vector at a time; and the
-inverses of the text and JSON forms of a Witt vector."""
+"""The tests' oracles for Witt arithmetic: sparse polynomials evaluated
+on RingElements; the universal polynomials by ghost recursion on exponent
+tuples, with the programs of the compiled operations evaluated and checked
+in the same arithmetic; a fixture that corrupts one raw Witt operation at
+chosen inputs; the witt-identities suite's draws, one vector at a time; and
+the inverses of the text and JSON forms of a Witt vector."""
 
+import functools
 import re
 
 import numpy as np
 import pytest
 
 from wittkit.rings import IntegerRing, ring_from_descriptor
-from wittkit.witt import WittVector, random_witt
+from wittkit.witt import WittVector, _symmetric_form, random_witt
 
 
 def eval_poly(poly, values):
@@ -60,6 +63,205 @@ def eval_polys():
     nonempty list of RingElements of one ring, independently of the compiled
     Witt operations; the oracle for raw_witt_ops and the wrapped API."""
     return _eval_polys
+
+
+# --- the tuple oracle: sparse polynomials keyed by exponent tuples ----------
+#
+# The arithmetic of wittkit.witt as it was before monomials were packed:
+# each monomial an exponent tuple, each product a new tuple.  It builds the
+# sum and product expanded in all 2n coordinates by ghost recursion, which
+# src/ never builds, and evaluates the programs of the compiled operations
+# step by step.
+
+
+def _padd(a, b):
+    out = dict(a)
+    for mono, c in b.items():
+        nc = out.get(mono, 0) + c
+        if nc:
+            out[mono] = nc
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def _pscale(a, k):
+    if k == 0:
+        return {}
+    return {mono: c * k for mono, c in a.items()}
+
+
+def _pmul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            nc = out.get(mono, 0) + ca * cb
+            if nc:
+                out[mono] = nc
+            else:
+                out.pop(mono, None)
+    return out
+
+
+def _ppow(a, e, nvars):
+    result = {(0,) * nvars: 1}
+    base = a
+    while e:
+        if e & 1:
+            result = _pmul(result, base)
+        e >>= 1
+        if e:
+            base = _pmul(base, base)
+    return result
+
+
+def _pdiv_exact(a, k):
+    assert all(c % k == 0 for c in a.values())
+    return {mono: c // k for mono, c in a.items()}
+
+
+def _var(i, nvars):
+    mono = [0] * nvars
+    mono[i] = 1
+    return {tuple(mono): 1}
+
+
+def _psubst(poly, subs, nvars_out):
+    out = {}
+    for mono, c in poly.items():
+        term = {(0,) * nvars_out: c}
+        for vi, e in enumerate(mono):
+            if e:
+                term = _pmul(term, _ppow(subs[vi], e, nvars_out))
+        out = _padd(out, term)
+    return out
+
+
+def _ghost_poly(p, i, var_indices, nvars):
+    out = {}
+    for j in range(i + 1):
+        term = _pscale(_ppow(_var(var_indices[j], nvars), p ** (i - j), nvars), p**j)
+        out = _padd(out, term)
+    return out
+
+
+def _ghost_of(polys, p, i, nvars):
+    acc = {}
+    for j, poly in enumerate(polys):
+        acc = _padd(acc, _pscale(_ppow(poly, p ** (i - j), nvars), p**j))
+    return acc
+
+
+def _ghost_recursion(p, count, target, nvars):
+    polys = []
+    for i in range(count):
+        acc = _ghost_of(polys, p, i, nvars)
+        polys.append(_pdiv_exact(_padd(target(i), _pscale(acc, -1)), p**i))
+    return polys
+
+
+def _teichmuller_ghost(p, i):
+    return _padd(_ppow(_var(0, 2), p**i, 2), _ppow(_var(1, 2), p**i, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_table(p, n):
+    """The universal polynomials of W_n at p, built on exponent tuples: the
+    sum and product expanded in x_0..x_{n-1}, y_0..y_{n-1}, and every
+    field of WittUniversalTable(p, n).  eta_sym is the table's own
+    _symmetric_form of the oracle's eta, which runs on exponent tuples in
+    both."""
+    nv2 = 2 * n
+    xs, ys = list(range(n)), list(range(n, nv2))
+    eta = _ghost_recursion(p, n, functools.partial(_teichmuller_ghost, p), 2)
+    return {
+        "sum_polys": _ghost_recursion(
+            p, n, lambda i: _padd(_ghost_poly(p, i, xs, nv2), _ghost_poly(p, i, ys, nv2)), nv2
+        ),
+        "prod_polys": _ghost_recursion(
+            p, n, lambda i: _pmul(_ghost_poly(p, i, xs, nv2), _ghost_poly(p, i, ys, nv2)), nv2
+        ),
+        "frob_polys": _ghost_recursion(p, n - 1, lambda i: _ghost_poly(p, i + 1, xs, n), n),
+        "eta_polys": eta,
+        "eta_sym_polys": [_symmetric_form(poly) for poly in eta],
+    }
+
+
+def _run_program(program, nvars, inputs=None):
+    """The outputs of a program of witt._compile_polys as polynomials in
+    nvars variables: each step substitutes the values it reads into its
+    polynomials.  The input values are the variables themselves, or the
+    polynomials inputs."""
+    steps, outs = program
+    values = [_var(i, nvars) for i in range(nvars)] if inputs is None else list(inputs)
+    for polys, args in steps:
+        subs = [values[a] for a in args]
+        values += [_psubst(poly, subs, nvars) for poly in polys]
+    return [values[v] for v in outs]
+
+
+def _oracle_verify(table):
+    """witt.verify_ghost_symbolic on exponent tuples: the same checks in
+    the same order, on the programs table._program returns."""
+    p, n = table.p, table.n
+    nv2 = 2 * n
+    xs = list(range(n))
+    ys = list(range(n, 2 * n))
+    sums = _run_program(table._program("sum"), nv2)
+    prods = _run_program(table._program("prod"), nv2)
+    for i in range(n):
+        wx = _ghost_poly(p, i, xs, nv2)
+        wy = _ghost_poly(p, i, ys, nv2)
+        for which, polys, target in (
+            ("sum", sums, _padd(wx, wy)),
+            ("prod", prods, _pmul(wx, wy)),
+        ):
+            if _padd(_ghost_of(polys[: i + 1], p, i, nv2), _pscale(target, -1)):
+                return f"{which} polynomial violates ghost identity at i={i} (p={p}, n={n})"
+    for i in range(n - 1):
+        target = _ghost_poly(p, i + 1, xs, n)
+        if _padd(_ghost_of(table.frob_polys[: i + 1], p, i, n), _pscale(target, -1)):
+            return f"frob polynomial violates ghost identity at i={i} (p={p}, n={n})"
+    xs = [_var(i, n) for i in range(n)]
+    negated = _run_program(table._program("sum"), n, xs + [_pscale(x, -1) for x in xs])
+    for i, poly in enumerate(negated):
+        if poly:
+            return f"negation polynomial fails S_{i}(x, -x) = 0 (p={p}, n={n})"
+    sq = [_padd(_var(0, 2), _var(1, 2)), {(1, 1): 1}]
+    for i in range(n):
+        target = _teichmuller_ghost(p, i)
+        if _padd(_ghost_of(table.eta_polys[: i + 1], p, i, 2), _pscale(target, -1)):
+            return f"eta polynomial violates ghost identity at i={i} (p={p}, n={n})"
+        if _padd(_psubst(table.eta_sym_polys[i], sq, 2), _pscale(table.eta_polys[i], -1)):
+            return f"eta polynomial in x + y, xy differs from eta at i={i} (p={p}, n={n})"
+    return None
+
+
+@pytest.fixture(scope="session")
+def oracle_table():
+    """oracle_table(p, n): {field: polynomials} on exponent tuples, built by
+    ghost recursion independently of wittkit's packed engine and programs:
+    "sum_polys" and "prod_polys", the sum and product expanded in the 2n
+    variables x_0..x_{n-1}, y_0..y_{n-1}, and "frob_polys", "eta_polys"
+    and "eta_sym_polys", as the table's fields of those names.  Cached for
+    the session; callers must not change it."""
+    return _oracle_table
+
+
+@pytest.fixture(scope="session")
+def run_program():
+    """run_program(program, nvars, inputs=None): a program of
+    witt._compile_polys evaluated on exponent tuples in nvars variables,
+    its input values the variables or the polynomials inputs."""
+    return _run_program
+
+
+@pytest.fixture(scope="session")
+def oracle_verify():
+    """oracle_verify(table): the witness of witt.verify_ghost_symbolic,
+    computed on exponent tuples through run_program."""
+    return _oracle_verify
 
 
 @pytest.fixture

@@ -39,8 +39,6 @@ from wittkit.tilt import (
     witt_phi,
     xi_element,
 )
-from wittkit import witt
-from wittkit.suites import SuiteConfig, run_suites
 from wittkit.witt import (
     WittVector,
     frobenius,
@@ -248,22 +246,22 @@ def _oracle_mul(u, v, prod_polys, eval_polys):
 @pytest.mark.parametrize(
     "desc,T", [("cyc(3,4,1)", 3), ("cyc(5,2,1)", 2), ("cyc(3,3,2)", 3), ("cyc(3,3,3)", 3)]
 )
-def test_tilt_witt_ops_match_the_per_level_oracle(desc, T, eval_polys):
+def test_tilt_witt_ops_match_the_per_level_oracle(desc, T, eval_polys, oracle_table):
     # lifts, depths and TiltPrecisionErrors of sums, products, F and the
     # p-fold sum at length 3 against the unpruned polynomials on each lift
     # level, stabilized once per coordinate
     ring = ring_from_descriptor(desc)
     p, n = ring.p, 3
-    table = get_table(p, n)
+    table, expanded = get_table(p, n), oracle_table(p, n)
     inputs = _tilt_inputs(ring, T, n)
     outcomes = []
     for u in inputs:
         for v in inputs:
             got = _outcome(lambda: _lifts(tilt_witt_add(u, v)))
-            assert got == _outcome(lambda: _oracle_sum([u, v], table.sum_polys, eval_polys))
+            assert got == _outcome(lambda: _oracle_sum([u, v], expanded["sum_polys"], eval_polys))
             outcomes.append(got)
             got = _outcome(lambda: _lifts(tilt_witt_mul(u, v)))
-            assert got == _outcome(lambda: _oracle_mul(u, v, table.prod_polys, eval_polys))
+            assert got == _outcome(lambda: _oracle_mul(u, v, expanded["prod_polys"], eval_polys))
             outcomes.append(got)
         # F is the coordinatewise p-th power at full depth, and the integer
         # Frobenius polynomials agree with it mod p on every lift level
@@ -275,7 +273,7 @@ def test_tilt_witt_ops_match_the_per_level_oracle(desc, T, eval_polys):
                 assert not any((a - b) % p for a, b in zip(got_c.data, want.lifts[j].data))
         vectors = [u] + inputs[: p - 1]
         got = _outcome(lambda: _lifts(tilt_witt_sum_many(vectors)))
-        assert got == _outcome(lambda: _oracle_sum(vectors, table.sum_polys, eval_polys))
+        assert got == _outcome(lambda: _oracle_sum(vectors, expanded["sum_polys"], eval_polys))
         outcomes.append(got)
     assert any(o is not TiltPrecisionError for o in outcomes)
 
@@ -321,24 +319,6 @@ def test_tilt_witt_ops_on_teichmuller_pairs_keep_their_depth():
         for j, v in ws.items():
             assert tilt_witt_mul(u, v) == tilt_teichmuller(eps ** (i + j), 3)
             assert tilt_witt_add(u, v).depth == 2
-
-
-def test_a_tilt_theta_run_leaves_the_expanded_sums_unbuilt(monkeypatch):
-    # the tilt computes through the compiled W_n(A) operations, so no
-    # fresh table it builds has its expanded sum or product polynomials read
-    tables = {}
-
-    def fresh_table(p, n):
-        if (p, n) not in tables:
-            tables[p, n] = witt.WittUniversalTable(p, n)
-        return tables[p, n]
-
-    monkeypatch.setattr(witt, "get_table", fresh_table)
-    monkeypatch.setattr(witt, "_raw_cache", {})
-    agg = run_suites(SuiteConfig(N=4, T=3, suites=["tilt-theta"]).validate())
-    assert agg.exit_code == 0
-    expanded = ("sum_polys", "prod_polys")
-    assert tables and not any(f in vars(t) for t in tables.values() for f in expanded)
 
 
 def test_ker_f_generator_report():

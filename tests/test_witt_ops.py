@@ -316,12 +316,12 @@ def test_scalar_mul_is_iterated_addition(desc, n, monkeypatch):
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)])
-def test_integer_witt_ops_match_the_operator_form(p, n, eval_polys):
+def test_integer_witt_ops_match_the_operator_form(p, n, eval_polys, oracle_table):
     # W_n(Z) runs on plain ints; the oracle evaluates the same polynomials
     # on RingElements
     Z = IntegerRing()
     assert raw_witt_ops(Z, p, n) is not None
-    table = get_table(p, n)
+    table, want = get_table(p, n), oracle_table(p, n)
     rng = random.Random(f"witt-z/{p}/{n}")
 
     def coord():
@@ -335,8 +335,8 @@ def test_integer_witt_ops_match_the_operator_form(p, n, eval_polys):
         u, v = vector(), vector()
         args = u.coords + v.coords
         s, m = witt_add(u, v), witt_mul(u, v)
-        assert s.coords == eval_polys(table.sum_polys, args)
-        assert m.coords == eval_polys(table.prod_polys, args)
+        assert s.coords == eval_polys(want["sum_polys"], args)
+        assert m.coords == eval_polys(want["prod_polys"], args)
         gu, gv = ghost(u), ghost(v)
         assert ghost(s) == tuple(a + b for a, b in zip(gu, gv))
         assert ghost(m) == tuple(a * b for a, b in zip(gu, gv))
@@ -362,14 +362,14 @@ ABOVE_THE_CAP = [
 
 
 @pytest.mark.parametrize("desc,n", ABOVE_THE_CAP)
-def test_raw_witt_ops_above_the_cap_match_the_operator_form(desc, n, eval_polys):
+def test_raw_witt_ops_above_the_cap_match_the_operator_form(desc, n, eval_polys, oracle_table):
     # one function per operation computes every coordinate through the
     # kernel; the oracle evaluates the unpruned polynomials on RingElements
     ring = ring_from_descriptor(desc)
     p = ring.p
     raw = raw_witt_ops(ring, p, n)
     assert ring._tables is None and raw._tables is None
-    table = get_table(p, n)
+    table, want = get_table(p, n), oracle_table(p, n)
     zero = ring.zero()
     rng = random.Random(f"raw-above-cap/{desc}/{n}")
     elems = [zero, ring.one(), ring.from_int(-1)]
@@ -381,8 +381,8 @@ def test_raw_witt_ops_above_the_cap_match_the_operator_form(desc, n, eval_polys)
             x, y = random_witt(ring, p, n, rng), random_witt(ring, p, n, rng)
         u, v = raw.unwrap(x), raw.unwrap(y)
         args = x.coords + y.coords
-        assert raw.add(u, v) == tuple(c.data for c in eval_polys(table.sum_polys, args))
-        assert raw.mul(u, v) == tuple(c.data for c in eval_polys(table.prod_polys, args))
+        assert raw.add(u, v) == tuple(c.data for c in eval_polys(want["sum_polys"], args))
+        assert raw.mul(u, v) == tuple(c.data for c in eval_polys(want["prod_polys"], args))
         assert raw.frob(u) == tuple(c.data for c in eval_polys(table.frob_polys, x.coords))
 
 
@@ -402,10 +402,11 @@ def _from_ghost(w, p):
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_raw_witt_ops_compile_and_run_across_the_envelope(p, eval_polys):
+def test_raw_witt_ops_compile_and_run_across_the_envelope(p, eval_polys, oracle_table):
     # every Witt length the suites admit, on a ring with lookup tables, a
-    # packed ring above the table cap and Z; the expanded polynomials are the
-    # oracle below the top length, where they are cheap to build
+    # packed ring above the table cap and Z; the oracle's expanded
+    # polynomials are the oracle below the top length, where they are cheap
+    # to build
     top = _MAX_PRACTICAL_LEN[p]
     rings = [ring_from_descriptor(f"cyc({p},1,1)"), ring_from_descriptor(
         "cyc(3,2,2)" if p == 3 else "cyc(5,2,1)"), IntegerRing()]
@@ -420,10 +421,10 @@ def test_raw_witt_ops_compile_and_run_across_the_envelope(p, eval_polys):
                 s, m = raw.add(u, v), raw.mul(u, v)
                 f = raw.frob(u) if n > 1 else None
                 if n < top:
-                    table = get_table(p, n)
+                    table, want = get_table(p, n), oracle_table(p, n)
                     args = x.coords + y.coords
-                    assert s == tuple(c.data for c in eval_polys(table.sum_polys, args))
-                    assert m == tuple(c.data for c in eval_polys(table.prod_polys, args))
+                    assert s == tuple(c.data for c in eval_polys(want["sum_polys"], args))
+                    assert m == tuple(c.data for c in eval_polys(want["prod_polys"], args))
                     if n > 1:
                         assert f == tuple(c.data for c in eval_polys(table.frob_polys, x.coords))
                     continue

@@ -1,9 +1,10 @@
 """Universal Witt polynomials: ghost identities and frozen forms.
 
-The independent oracle is the ghost map itself: sum/product polynomials must
-satisfy their defining polynomial identities over Z (verified symbolically
-with exact dict arithmetic), and numeric evaluations over Z must commute with
-the ghost map.
+The independent oracle is the ghost map itself: the programs of the
+compiled sum and product, evaluated on polynomials, must satisfy their
+defining polynomial identities over Z (verified symbolically with exact
+dict arithmetic), and numeric evaluations over Z must commute with the
+ghost map.
 """
 
 import random
@@ -27,28 +28,29 @@ from wittkit.witt import (
 )
 
 
-def test_frozen_forms_p3():
+def test_frozen_forms_p3(run_program):
+    # the textbook S_0, P_0, S_1 and P_1, as the programs that run compute them
     t1 = get_table(3, 1)
-    assert t1.sum_polys[0] == {(1, 0): 1, (0, 1): 1}  # S_0 = x_0 + y_0
-    assert t1.prod_polys[0] == {(1, 1): 1}  # P_0 = x_0 y_0
+    assert run_program(t1._program("sum"), 2) == [{(1, 0): 1, (0, 1): 1}]  # S_0 = x_0 + y_0
+    assert run_program(t1._program("prod"), 2) == [{(1, 1): 1}]  # P_0 = x_0 y_0
     t2 = get_table(3, 2)
-    assert t2.sum_polys[1] == {
+    assert run_program(t2._program("sum"), 4)[1] == {
         (0, 1, 0, 0): 1,
         (0, 0, 0, 1): 1,
         (2, 0, 1, 0): -1,
         (1, 0, 2, 0): -1,
     }  # S_1 = x_1 + y_1 - x_0^2 y_0 - x_0 y_0^2
-    assert t2.prod_polys[1] == {
+    assert run_program(t2._program("prod"), 4)[1] == {
         (3, 0, 0, 1): 1,
         (0, 1, 3, 0): 1,
         (0, 1, 0, 1): 3,
     }  # P_1 = x_0^p y_1 + x_1 y_0^p + p x_1 y_1
 
 
-def test_frozen_p1_general_p():
+def test_frozen_p1_general_p(run_program):
     for p in (3, 5, 7):
         t = get_table(p, 2)
-        assert t.prod_polys[1] == {
+        assert run_program(t._program("prod"), 4)[1] == {
             (p, 0, 0, 1): 1,
             (0, 1, p, 0): 1,
             (0, 1, 0, 1): p,
@@ -98,44 +100,42 @@ def test_practical_length_cap():
 
 
 def test_corrupted_table_detected():
+    # a carry that the compiled sum reads, eta_1 = -s q in s = x + y and
+    # q = xy, with q added: the negative control corrupted-witt-table
     table = WittUniversalTable(3, 2)
-    table.sum_polys[1][(0, 1, 0, 0)] += 1
-    assert verify_ghost_symbolic(table) is not None
+    table.eta_sym_polys[1][(0, 1)] = 1
+    assert verify_ghost_symbolic(table) == "sum polynomial violates ghost identity at i=1 (p=3, n=2)"
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
-def test_eta_polys_are_the_sum_of_two_teichmuller_vectors(p, n):
+def test_eta_polys_are_the_sum_of_two_teichmuller_vectors(p, n, oracle_table):
     # eta_k(x, y) is coordinate k of [x] + [y]: the sum polynomial S_k with
     # every coordinate but x_0 and y_0 set to zero
     table = WittUniversalTable(p, n)
     for k in range(n):
         restricted = {
             (mono[0], mono[n]): c
-            for mono, c in table.sum_polys[k].items()
+            for mono, c in oracle_table(p, n)["sum_polys"][k].items()
             if not any(mono[i] for i in range(2 * n) if i not in (0, n))
         }
         assert table.eta_polys[k] == restricted
         assert all(sum(mono) == p**k for mono in table.eta_polys[k])
 
 
-def test_sum_polys_are_built_on_first_read_and_kept():
-    table = WittUniversalTable(3, 3)
-    assert "sum_polys" not in vars(table)
-    polys = table.sum_polys
-    assert table.sum_polys is polys
-    polys[1][(0, 1, 0, 0, 0, 0)] += 1  # perturbed in place, as negative-controls does
-    assert verify_ghost_symbolic(table).startswith("sum polynomial")
-
-
 def test_corrupted_eta_polynomial_is_named():
     table = WittUniversalTable(3, 3)
     table.eta_polys[2][(4, 5)] += 3
     assert verify_ghost_symbolic(table) == "eta polynomial violates ghost identity at i=2 (p=3, n=3)"
-    # the form in x + y and xy that the compiled sum reads
+    # the form in x + y and xy: the compiled sum reads eta_1..eta_{n-1} in
+    # it, so a change there fails the sum program first; eta_0 in that
+    # form is read by its own check only
     table = WittUniversalTable(3, 3)
     table.eta_sym_polys[2][(1, 4)] += 1
+    assert verify_ghost_symbolic(table) == "sum polynomial violates ghost identity at i=2 (p=3, n=3)"
+    table = WittUniversalTable(3, 3)
+    table.eta_sym_polys[0][(0, 1)] = 1
     assert verify_ghost_symbolic(table) == (
-        "eta polynomial in x + y, xy differs from eta at i=2 (p=3, n=3)"
+        "eta polynomial in x + y, xy differs from eta at i=0 (p=3, n=3)"
     )
 
 
