@@ -162,13 +162,13 @@ def _pdiv_exact(a, k):
 
 
 def _psubst(poly, subs):
-    """A polynomial in exponent tuples with the packed polynomials subs
-    substituted for its variables.  A substitute of one monomial only
-    shifts and scales each term."""
+    """poly, in exponent tuples, with the packed polynomials subs put for its
+    variables.  A one-monomial substitute shifts and scales each term; a new
+    power of another is the largest one taken so far times the rest."""
     powers = {}
     out = {}
     get = out.get
-    for mono, c in poly.items():
+    for mono, c in sorted(poly.items()):
         if min(mono) < 0:
             raise WittTableError(f"negative exponent in {mono}")
         shift, term = 0, None
@@ -182,7 +182,11 @@ def _psubst(poly, subs):
                     continue
                 power = powers.get((vi, e))
                 if power is None:
-                    power = powers[vi, e] = _ppow(sub, e)
+                    below = max((d for v, d in powers if v == vi and d < e), default=0)
+                    power = _ppow(sub, e - below)
+                    if below:
+                        power = _pmul(powers[vi, below], power)
+                    powers[vi, e] = power
                 term = power if term is None else _pmul(term, power)
         for m, k in ({0: 1} if term is None else term).items():
             m += shift
@@ -221,10 +225,11 @@ def _ghost_recursion(p, count, target):
 
 
 def _ghost_components(p, polys):
-    """w_0, w_1, ... of the vector of polynomials polys."""
-    # polys first: zip then stops before asking for a level past the last
-    for i, (f, partial) in enumerate(zip(polys, _ghost_partials(p, polys))):
+    """w_0, w_1, ... of the iterable polys: w_i reads none past polys[i]."""
+    read = []
+    for i, (f, partial) in enumerate(zip(polys, _ghost_partials(p, read))):
         yield _padd(partial, f, p**i)
+        read.append(f)
 
 
 def _symmetric_form(poly):
@@ -273,23 +278,19 @@ class WittUniversalTable:
             raise ValueError("length must be >= 1")
         self.p = p
         self.n = n
-        pk = self._packing(n)
+        bound = p ** (n - 1)  # the largest exponent of the table
+        pk = _Packing(n, bound)
         self.frob_polys = [
             pk.unpack_poly(f)
             for f in _ghost_recursion(p, n - 1, lambda i: _ghost_poly(p, i + 1, pk.vars))
         ]
-        pk = self._packing(2)
+        pk = _Packing(2, bound)
         self.eta_polys = [
             pk.unpack_poly(f)
             for f in _ghost_recursion(p, n, lambda i: _teichmuller_ghost(p, i, *pk.vars))
         ]
         self.eta_sym_polys = [_symmetric_form(poly) for poly in self.eta_polys]
         self._compiled = {}
-
-    def _packing(self, nvars):
-        """Packed monomials in nvars variables for the build: every exponent
-        of the table is at most p^(n-1)."""
-        return _Packing(nvars, self.p ** (self.n - 1))
 
     def compiled_indexed(self, which, tables, batch=False):
         """All coordinates of sum/prod/frob in one function on raw payloads,
@@ -844,14 +845,15 @@ def verify_ghost_symbolic(table):
     """Exact polynomial identity check of the ghost-homomorphism property.
 
     The programs that the compiled sum and product run (table._program) are
-    evaluated on the variables x_0..x_{n-1}, y_0..y_{n-1} (_run_program).
-    Returns None when their outputs' ghost components are w_i(x) + w_i(y)
-    and w_i(x) w_i(y), the Frobenius polynomials satisfy their identity,
-    the sum program cancels x against the coordinatewise -x, and the
-    carries eta satisfy theirs, w_i(eta) = x^(p^i) + y^(p^i), and agree with
-    their form in x + y and xy; else a witness string naming the first
-    failure.  The programs are built and evaluated on every call, so what is
-    checked is what runs, changes to the table included.
+    evaluated on the variables x_0..x_{n-1}, y_0..y_{n-1} (_run_program),
+    level i only on the steps that outputs 0..i read.  Returns None when
+    their outputs' ghost components are w_i(x) + w_i(y) and w_i(x) w_i(y),
+    the Frobenius polynomials satisfy their identity, and the carries eta
+    satisfy theirs, w_i(eta) = x^(p^i) + y^(p^i), and agree with their form
+    in x + y and xy; else a witness string naming the first failure.  The
+    programs are built and evaluated on every call, so what is checked is
+    what runs, changes to the table included.  Negation is implied: p is
+    odd, so w_i(-x) = -w_i(x), and the checked sum takes x, -x to 0.
     """
     p, n = table.p, table.n
     programs = [table._program("sum"), table._program("prod")]
@@ -861,8 +863,7 @@ def verify_ghost_symbolic(table):
     inputs = [{x: 1} for x in pk.vars]
     sums, prods = (_ghost_components(p, _run_program(prog, inputs)) for prog in programs)
     for i in range(n):
-        wx = _ghost_poly(p, i, xs)
-        wy = _ghost_poly(p, i, ys)
+        wx, wy = _ghost_poly(p, i, xs), _ghost_poly(p, i, ys)
         for which, ghosts, target in (
             ("sum", sums, _padd(wx, wy)),
             ("prod", prods, _pmul(wx, wy)),
@@ -874,10 +875,6 @@ def verify_ghost_symbolic(table):
     for i in range(n - 1):
         if _padd(next(frobs), _ghost_poly(p, i + 1, pk.vars), -1):
             return f"frob polynomial violates ghost identity at i={i} (p={p}, n={n})"
-    negated = [{x: 1} for x in pk.vars] + [{x: -1} for x in pk.vars]
-    for i, f in enumerate(_run_program(programs[0], negated)):
-        if f:
-            return f"negation polynomial fails S_{i}(x, -x) = 0 (p={p}, n={n})"
     pk = _Packing(2, bound)
     x, y = pk.vars
     etas = [pk.pack_poly(f) for f in table.eta_polys]
@@ -892,26 +889,31 @@ def verify_ghost_symbolic(table):
 
 def _run_program(program, inputs):
     """The outputs of a program of _compile_polys on the packed polynomials
-    inputs: each step substitutes the values it reads into its block."""
+    inputs, as an iterator: each step substitutes the values it reads into
+    its block when an output first reads it."""
     steps, outs = program
-    values = list(inputs)
-    for polys, args in steps:
-        subs = [values[a] for a in args]
-        values += [_psubst(f, subs) for f in polys]
-    return [values[v] for v in outs]
+    values, made = dict(enumerate(inputs)), {}  # a value past the inputs: its step, first value
+    for step in steps:
+        first = len(inputs) + len(made)
+        made.update((first + j, (step, first)) for j in range(len(step[0])))
+
+    def value(v):
+        if v not in values:
+            (polys, args), first = made[v]
+            subs = [value(a) for a in args]
+            values.update(enumerate((_psubst(f, subs) for f in polys), first))
+        return values[v]
+
+    return map(value, outs)
 
 
 def _verify_bound(table, programs):
     """The largest exponent that verify_ghost_symbolic can form on table
-    and its sum and product programs.
-
-    The programs are run on exponent bounds (_exponent_bounds), on x, y and
-    the sum's on x, -x, and the ghost components raise output j to powers
-    of at most p^(n-1-j).  Those of the k Frobenius polynomials or carries
-    raise polynomial j to powers of at most p^(k-1-j), and x + y and xy
-    substituted into a carry make exponents of at most its total degree.
-    On a table as built the bound is p^(n-1).
-    """
+    and its sum and product programs, p^(n-1) on a table as built: each
+    step's exponent bound (_exponent_bounds), output j of a program raised
+    to p^(n-1-j) and polynomial j of the k Frobenius polynomials or carries
+    to p^(k-1-j) by the ghost components, and each carry in x + y and xy
+    its total degree, as x + y and xy are substituted into it."""
     p, n = table.p, table.n
     units = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
     bounds = [p ** (n - 1)]
@@ -919,7 +921,6 @@ def _verify_bound(table, programs):
         values = _exponent_bounds(steps, units)
         bounds += map(max, values)
         bounds += [max(values[v]) * p ** (n - 1 - j) for j, v in enumerate(outs)]
-    bounds += map(max, _exponent_bounds(programs[0][0], [u[:n] for u in units[:n]] * 2))
     for polys in (table.frob_polys, table.eta_polys):
         k = len(polys)
         bounds += [max(map(max, f), default=0) * p ** (k - 1 - j) for j, f in enumerate(polys)]

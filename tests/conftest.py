@@ -188,46 +188,54 @@ def _oracle_table(p, n):
     }
 
 
-def _run_program(program, nvars, inputs=None):
-    """The outputs of a program of witt._compile_polys as polynomials in
-    nvars variables: each step substitutes the values it reads into its
-    polynomials.  The input values are the variables themselves, or the
-    polynomials inputs."""
+def _program_outputs(program, nvars):
+    """The outputs of a program of witt._compile_polys as polynomials in its
+    nvars input variables, one at a time: each step substitutes the values
+    it reads into its polynomials, once an output reads it."""
     steps, outs = program
-    values = [_var(i, nvars) for i in range(nvars)] if inputs is None else list(inputs)
+    values = {i: _var(i, nvars) for i in range(nvars)}
+    makers = {}
     for polys, args in steps:
-        subs = [values[a] for a in args]
-        values += [_psubst(poly, subs, nvars) for poly in polys]
-    return [values[v] for v in outs]
+        first = nvars + len(makers)
+        makers.update((first + j, (polys, args, first)) for j in range(len(polys)))
+
+    def value(v):
+        if v not in values:
+            polys, args, first = makers[v]
+            subs = [value(a) for a in args]
+            for j, poly in enumerate(polys):
+                values[first + j] = _psubst(poly, subs, nvars)
+        return values[v]
+
+    for v in outs:
+        yield value(v)
+
+
+def _run_program(program, nvars):
+    return list(_program_outputs(program, nvars))
 
 
 def _oracle_verify(table):
     """witt.verify_ghost_symbolic on exponent tuples: the same checks in
-    the same order, on the programs table._program returns."""
+    the same order, on the programs table._program returns, each output
+    evaluated when its level is checked."""
     p, n = table.p, table.n
     nv2 = 2 * n
     xs = list(range(n))
     ys = list(range(n, 2 * n))
-    sums = _run_program(table._program("sum"), nv2)
-    prods = _run_program(table._program("prod"), nv2)
+    runs = {which: (_program_outputs(table._program(which), nv2), []) for which in ("sum", "prod")}
     for i in range(n):
         wx = _ghost_poly(p, i, xs, nv2)
         wy = _ghost_poly(p, i, ys, nv2)
-        for which, polys, target in (
-            ("sum", sums, _padd(wx, wy)),
-            ("prod", prods, _pmul(wx, wy)),
-        ):
-            if _padd(_ghost_of(polys[: i + 1], p, i, nv2), _pscale(target, -1)):
+        for which, target in (("sum", _padd(wx, wy)), ("prod", _pmul(wx, wy))):
+            outputs, polys = runs[which]
+            polys.append(next(outputs))
+            if _padd(_ghost_of(polys, p, i, nv2), _pscale(target, -1)):
                 return f"{which} polynomial violates ghost identity at i={i} (p={p}, n={n})"
     for i in range(n - 1):
         target = _ghost_poly(p, i + 1, xs, n)
         if _padd(_ghost_of(table.frob_polys[: i + 1], p, i, n), _pscale(target, -1)):
             return f"frob polynomial violates ghost identity at i={i} (p={p}, n={n})"
-    xs = [_var(i, n) for i in range(n)]
-    negated = _run_program(table._program("sum"), n, xs + [_pscale(x, -1) for x in xs])
-    for i, poly in enumerate(negated):
-        if poly:
-            return f"negation polynomial fails S_{i}(x, -x) = 0 (p={p}, n={n})"
     sq = [_padd(_var(0, 2), _var(1, 2)), {(1, 1): 1}]
     for i in range(n):
         target = _teichmuller_ghost(p, i)
@@ -251,9 +259,9 @@ def oracle_table():
 
 @pytest.fixture(scope="session")
 def run_program():
-    """run_program(program, nvars, inputs=None): a program of
-    witt._compile_polys evaluated on exponent tuples in nvars variables,
-    its input values the variables or the polynomials inputs."""
+    """run_program(program, nvars): the list of outputs of a program of
+    witt._compile_polys, evaluated on exponent tuples in its nvars input
+    variables."""
     return _run_program
 
 

@@ -19,6 +19,8 @@ from wittkit.witt import (
     WittUniversalTable,
     _ghost_components,
     _Packing,
+    _padd,
+    _ppow,
     _psubst,
     _verify_bound,
     get_table,
@@ -111,8 +113,10 @@ def _read_step(which, k, args):
 # the first level they enter, before any power of them is taken, except in
 # the carries in x + y and xy, where the sum program substitutes into the
 # changed monomial: s^300 there forms exponents past any that an 8-bit field
-# holds.  The sum program reads eta_1.. eta_{n-1} in that form, so a change
-# there fails the sum; only eta_0 is read by the check of that form alone.
+# holds, and the nested carries of a sum of length 4 would substitute it into
+# itself twice, for exponents up to 300^3, if the check got that far.  The
+# sum program reads eta_1.. eta_{n-1} in that form, so a change there fails
+# the sum; only eta_0 is read by the check of that form alone.
 PERTURBATIONS = {
     "sum": (3, 3, _read_step("sum", -1, (18, 4))),
     "prod": (3, 3, _read_step("prod", 1, (4, 0))),
@@ -122,7 +126,7 @@ PERTURBATIONS = {
     "eta": (7, 3, _bump("eta_polys", 1, (3, 4), 7)),
     "eta_sym": (3, 3, _bump("eta_sym_polys", 2, (1, 4), 1)),
     "eta_sym_0": (3, 3, _bump("eta_sym_polys", 0, (0, 1), 1)),
-    "eta_sym-s^300": (3, 2, _bump("eta_sym_polys", 1, (300, 0), 1)),
+    "eta_sym-s^300": (3, 4, _bump("eta_sym_polys", 1, (300, 0), 1)),
 }
 
 
@@ -150,7 +154,7 @@ def test_the_changed_programs_fail_where_they_are_changed():
         assert verify_ghost_symbolic(table) == witness
 
 
-@pytest.mark.parametrize("name,bound", [("prod-x0^40", 40 * 27), ("eta_sym-s^300", 300)])
+@pytest.mark.parametrize("name,bound", [("prod-x0^40", 40 * 27), ("eta_sym-s^300", 300**3)])
 def test_the_width_grows_with_a_changed_table(name, bound):
     p, n, change = PERTURBATIONS[name]
     table = WittUniversalTable(p, n)
@@ -158,6 +162,24 @@ def test_the_width_grows_with_a_changed_table(name, bound):
     change(table)
     assert _verify_bound(table, _programs(table)) == bound
     assert verify_ghost_symbolic(table) is not None
+
+
+def test_a_check_evaluates_only_the_steps_its_levels_read(monkeypatch):
+    # S_1 reads the carries of x_0 and y_0 but none of the nested carries,
+    # so the check fails at level 1 having substituted the changed eta_1
+    # once, into x_0 + y_0 and x_0 y_0, and never into itself
+    table = WittUniversalTable(3, 4)
+    PERTURBATIONS["eta_sym-s^300"][2](table)
+    substituted = []
+    psubst = witt._psubst
+
+    def recording(poly, subs):
+        substituted.append(poly)
+        return psubst(poly, subs)
+
+    monkeypatch.setattr(witt, "_psubst", recording)
+    assert verify_ghost_symbolic(table) == "sum polynomial violates ghost identity at i=1 (p=3, n=4)"
+    assert sum(poly is table.eta_sym_polys[1] for poly in substituted) == 1
 
 
 # --- the width guard ------------------------------------------------------
@@ -188,6 +210,16 @@ def test_a_zero_substitute_is_zero():
     assert _psubst({(2,): 1}, [{}]) == {}
     assert _psubst({(1, 1): 1}, [{}, {1: 1}]) == {}
     assert _psubst({(0,): 5, (2,): 1}, [{}]) == {0: 5}
+
+
+def test_powers_of_a_substitute_equal_the_direct_ones():
+    # s^2 and s^6 are taken from s and s^5, the largest powers below them
+    s = {1 << 8: 1, 0: 1}  # x + 1
+    poly = {(6,): 1, (1,): 2, (5,): -1, (2,): 3}
+    want = {}
+    for (e,), c in poly.items():
+        want = _padd(want, _ppow(s, e), c)
+    assert _psubst(poly, [s]) == want
 
 
 def test_ghost_components_stop_at_the_last_level(monkeypatch):
