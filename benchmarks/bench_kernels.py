@@ -26,8 +26,9 @@ Seventeen layers:
   * the exhaustive freeness probe over W_2(cyc(3,2,1)) (L2): seconds, and
     its tracemalloc peak in a second run,
   * universal-table build times (the feasibility envelope per prime, up to
-    its top, (3, 5) and (5, 4)): the table as the compiled operations read
-    it,
+    its top, (3, 5) and (5, 4), and one length past it, (3, 6) and (5, 5),
+    through the WittUniversalTable constructor, which get_table's length
+    cap does not bound): the table as the compiled operations read it,
   * the symbolic ghost check: ms per verify_ghost_symbolic on the tables
     of (p, n) = (3, 4), (5, 3) and (7, 3), the first call on a fresh table
     and the median of five calls after it (warm),
@@ -381,7 +382,7 @@ def bench_freeness_probe():
 def bench_table_builds():
     print("== universal table build times (feasibility envelope) ==")
     figures = {}
-    for p, n in [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (5, 4), (7, 2)]:
+    for p, n in [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3), (5, 4), (5, 5), (7, 2)]:
         t0 = time.perf_counter()
         WittUniversalTable(p, n)
         ms = (time.perf_counter() - t0) * 1e3

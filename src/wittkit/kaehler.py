@@ -15,7 +15,7 @@ log-differential sub-presentation check dlog m = x dy - u^{-1} du.
 from math import gcd, prod
 
 from .modlin import solve_mod_pp, solve_mod_pp_many
-from .rings import IntegerRing, RingElement
+from .rings import CyclotomicTruncation, IntegerRing, RingElement
 from .snf import smith_sparse
 from .witt import WittVector
 
@@ -379,13 +379,11 @@ def check_p_surjectivity(ring, samples):
     p = ring.p
     omega = omega1_for_ring(ring)
     d = ring.d
-    # Frobenius matrix on A/pA in the power basis
-    frob_cols = []
-    for j in range(d):
-        xj = [0] * d
-        xj[j] = 1
-        frob_cols.append(_poly_mul_mod_f_pow(xj, p, ring.minpoly, p))
-    frob_rows = [[frob_cols[j][i] for j in range(d)] for i in range(d)]
+    # Frobenius matrix on A/pA in the power basis, by the residue ring's
+    # own p-th powers
+    residue = CyclotomicTruncation(p, ring.N, 1)
+    frob_cols = [residue._pow(tuple(int(i == j) for i in range(d)), p) for j in range(d)]
+    frob_rows = [list(row) for row in zip(*frob_cols)]
     sols = solve_mod_pp_many(frob_rows, [a.data for a in samples], p, 1)
     out = []
     for a, sol in zip(samples, sols):
@@ -408,18 +406,6 @@ def check_p_surjectivity(ring, samples):
             out.append((a, "pass", tuple(w)))
         else:
             out.append((a, "fail", None))
-    return out
-
-
-def _poly_mul_mod_f_pow(a, e, f, modulus):
-    out = [1] + [0] * (len(f) - 2)
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _poly_mul_mod_f(out, base, f, modulus)
-        e >>= 1
-        if e:
-            base = _poly_mul_mod_f(base, base, f, modulus)
     return out
 
 

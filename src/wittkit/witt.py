@@ -1,10 +1,10 @@
 """Truncated p-typical Witt vectors over any RingHandle.
 
-The ring structure is computed through universal integer polynomials (sum,
-product, Frobenius, and the carries eta of [x] + [y]), built once per (p, n)
-by ghost recursion with exact division by p.  Integrality of those divisions
-is a theorem; a failed division means the builder is broken and raises
-WittTableError immediately.
+The ring structure is computed through universal integer polynomials (the
+Frobenius, and the carries eta of [x] + [y] in s = x + y and q = xy), built
+once per (p, n) by ghost recursion with exact division by p.  Integrality
+of those divisions is a theorem; a failed division means the builder is
+broken and raises WittTableError immediately.
 
 Universal polynomials are sparse dicts {exponent tuple: int coefficient},
 built and checked on packed monomials (one int per monomial, _Packing).
@@ -232,27 +232,14 @@ def _ghost_components(p, polys):
         read.append(f)
 
 
-def _symmetric_form(poly):
-    """H with poly(x, y) = H(x + y, xy), for a polynomial poly in two
-    variables that is symmetric and homogeneous: each step takes the term
-    c x^i y^j (i >= j) of highest degree in x and subtracts c (x + y)^(i-j)
-    (xy)^j, whose term of highest degree in x it is."""
-    rest, out = dict(poly), {}
-    while rest:
-        i, j = max(rest)
-        c = rest[i, j]
-        if i < j:
-            raise WittTableError("not a symmetric polynomial")
-        out[i - j, j] = c
-        a = i - j
-        rest = _padd(rest, {(t + j, a - t + j): math.comb(a, t) for t in range(a + 1)}, -c)
-    return out
-
-
-def _teichmuller_ghost(p, i, x, y):
-    """x^(p^i) + y^(p^i) in the packed variables x, y: the ghost component
-    w_i of [x] + [y]."""
-    return {x * p**i: 1, y * p**i: 1}
+def _power_sum(k, s, q):
+    """x^k + y^k (k >= 1) in the packed variables s = x + y and q = xy, by
+    Waring's formula: sum_j (-1)^j k/(k-j) C(k-j, j) s^(k-2j) q^j.  At
+    k = p^i it is the ghost component w_i of [x] + [y]."""
+    return {
+        s * (k - 2 * j) + q * j: (-1) ** j * (k * math.comb(k - j, j) // (k - j))
+        for j in range(k // 2 + 1)
+    }
 
 
 # --- universal tables -------------------------------------------------------
@@ -263,10 +250,11 @@ class WittUniversalTable:
 
     ``frob_polys[i]`` (i < n-1) live in the n variables x_0..x_{n-1} and
     compute F: W_n -> W_{n-1}.  Negation is coordinatewise because p is
-    odd.  ``eta_polys[k]`` lives in the two variables x, y and is
-    coordinate k of [x] + [y]: eta_0 = x + y, and eta_k is homogeneous of
-    degree p^k and symmetric, so it is a polynomial ``eta_sym_polys[k]`` in
-    s = x + y and q = xy, with at most half its monomials.  The sum and
+    odd.  ``eta_sym_polys[k]`` is coordinate k of [x] + [y], which is
+    symmetric in x and y, as a polynomial in the two variables s = x + y
+    and q = xy: eta_0 = s, and eta_k has weighted degree p^k (q of weight
+    2).  The carries are built by ghost recursion in s and q directly,
+    against the power sums x^(p^i) + y^(p^i) (_power_sum).  The sum and
     product are the programs of _witt_program over ``eta_sym_polys`` and
     ``frob_polys``: compiled to run, evaluated to be checked, never
     expanded in all 2n coordinates.
@@ -285,11 +273,10 @@ class WittUniversalTable:
             for f in _ghost_recursion(p, n - 1, lambda i: _ghost_poly(p, i + 1, pk.vars))
         ]
         pk = _Packing(2, bound)
-        self.eta_polys = [
+        self.eta_sym_polys = [
             pk.unpack_poly(f)
-            for f in _ghost_recursion(p, n, lambda i: _teichmuller_ghost(p, i, *pk.vars))
+            for f in _ghost_recursion(p, n, lambda i: _power_sum(p**i, *pk.vars))
         ]
-        self.eta_sym_polys = [_symmetric_form(poly) for poly in self.eta_polys]
         self._compiled = {}
 
     def compiled_indexed(self, which, tables, batch=False):
@@ -325,9 +312,6 @@ class WittUniversalTable:
         return _witt_program(which, self.p, self.n, self.eta_sym_polys, self.frob_polys)
 
 
-_SUM = {(1, 0): 1, (0, 1): 1}  # x + y
-
-
 def _witt_program(which, p, n, eta_sym_polys, frob_polys):
     """The Witt sum, product or Frobenius of length n as a program of
     _compile_polys on the coordinates a_0..a_{n-1}, b_0..b_{n-1} (values
@@ -342,7 +326,9 @@ def _witt_program(which, p, n, eta_sym_polys, frob_polys):
     of the carries eta_k = eta_sym_polys[k](s, q), and two sums of length
     n - 1, in place of expanded sum polynomials that read all 2n
     coordinates at once (Finotti, Computations with Witt vectors and the
-    Greenberg transform, IJNT 2014).  V(x) y = V(x F(y)) and
+    Greenberg transform, IJNT 2014).  Each s and q block is a new pair of
+    dicts, so no block is shared with another program; the carry blocks
+    hold the table's own eta_sym_polys.  V(x) y = V(x F(y)) and
     [c] b = (c^(p^i) b_i)_i, so
 
         a b = [a_0 b_0] + V(([a_0] b)' + a' F(b))
@@ -364,9 +350,10 @@ def _witt_program(which, p, n, eta_sym_polys, frob_polys):
 
     def add(xs, ys):
         k = len(xs)
+        s_q = ({(1, 0): 1, (0, 1): 1}, {(1, 1): 1})  # x + y, xy
         if k == 1:
-            return block((_SUM,), (xs[0], ys[0]))
-        s, q = block((_SUM, {(1, 1): 1}), (xs[0], ys[0]))
+            return block(s_q[:1], (xs[0], ys[0]))
+        s, q = block(s_q, (xs[0], ys[0]))
         carries = block(eta_sym_polys[1:k], (s, q))
         return [s] + add(add(carries, xs[1:]), ys[1:])
 
@@ -848,12 +835,14 @@ def verify_ghost_symbolic(table):
     evaluated on the variables x_0..x_{n-1}, y_0..y_{n-1} (_run_program),
     level i only on the steps that outputs 0..i read.  Returns None when
     their outputs' ghost components are w_i(x) + w_i(y) and w_i(x) w_i(y),
-    the Frobenius polynomials satisfy their identity, and the carries eta
-    satisfy theirs, w_i(eta) = x^(p^i) + y^(p^i), and agree with their form
-    in x + y and xy; else a witness string naming the first failure.  The
-    programs are built and evaluated on every call, so what is checked is
-    what runs, changes to the table included.  Negation is implied: p is
-    odd, so w_i(-x) = -w_i(x), and the checked sum takes x, -x to 0.
+    the Frobenius polynomials satisfy their identity, and the carries
+    satisfy theirs in s = x + y and q = xy, w_i(eta) = x^(p^i) + y^(p^i)
+    as a polynomial in s and q (_power_sum); else a witness string naming
+    the first failure.  The sum program reads the carries eta_1..eta_{n-1},
+    so a wrong one fails the sum first.  The programs are built and
+    evaluated on every call, so what is checked is what runs, changes to
+    the table included.  Negation is implied: p is odd, so w_i(-x) =
+    -w_i(x), and the checked sum takes x, -x to 0.
     """
     p, n = table.p, table.n
     programs = [table._program("sum"), table._program("prod")]
@@ -876,14 +865,10 @@ def verify_ghost_symbolic(table):
         if _padd(next(frobs), _ghost_poly(p, i + 1, pk.vars), -1):
             return f"frob polynomial violates ghost identity at i={i} (p={p}, n={n})"
     pk = _Packing(2, bound)
-    x, y = pk.vars
-    etas = [pk.pack_poly(f) for f in table.eta_polys]
-    ghosts = _ghost_components(p, etas)
+    etas = _ghost_components(p, [pk.pack_poly(f) for f in table.eta_sym_polys])
     for i in range(n):
-        if _padd(next(ghosts), _teichmuller_ghost(p, i, x, y), -1):
+        if _padd(next(etas), _power_sum(p**i, *pk.vars), -1):
             return f"eta polynomial violates ghost identity at i={i} (p={p}, n={n})"
-        if _padd(_psubst(table.eta_sym_polys[i], [{x: 1, y: 1}, {x + y: 1}]), etas[i], -1):
-            return f"eta polynomial in x + y, xy differs from eta at i={i} (p={p}, n={n})"
     return None
 
 
@@ -910,10 +895,9 @@ def _run_program(program, inputs):
 def _verify_bound(table, programs):
     """The largest exponent that verify_ghost_symbolic can form on table
     and its sum and product programs, p^(n-1) on a table as built: each
-    step's exponent bound (_exponent_bounds), output j of a program raised
-    to p^(n-1-j) and polynomial j of the k Frobenius polynomials or carries
-    to p^(k-1-j) by the ghost components, and each carry in x + y and xy
-    its total degree, as x + y and xy are substituted into it."""
+    step's exponent bound (_exponent_bounds), and output j of a program
+    raised to p^(n-1-j) and polynomial j of the k Frobenius polynomials or
+    carries to p^(k-1-j) by the ghost components."""
     p, n = table.p, table.n
     units = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
     bounds = [p ** (n - 1)]
@@ -921,10 +905,9 @@ def _verify_bound(table, programs):
         values = _exponent_bounds(steps, units)
         bounds += map(max, values)
         bounds += [max(values[v]) * p ** (n - 1 - j) for j, v in enumerate(outs)]
-    for polys in (table.frob_polys, table.eta_polys):
+    for polys in (table.frob_polys, table.eta_sym_polys):
         k = len(polys)
         bounds += [max(map(max, f), default=0) * p ** (k - 1 - j) for j, f in enumerate(polys)]
-    bounds += [max(map(sum, f), default=0) for f in table.eta_sym_polys]
     return max(bounds)
 
 

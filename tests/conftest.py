@@ -6,13 +6,14 @@ chosen inputs; the witt-identities suite's draws, one vector at a time; and
 the inverses of the text and JSON forms of a Witt vector."""
 
 import functools
+import math
 import re
 
 import numpy as np
 import pytest
 
 from wittkit.rings import IntegerRing, ring_from_descriptor
-from wittkit.witt import WittVector, _symmetric_form, random_witt
+from wittkit.witt import WittVector, random_witt
 
 
 def eval_poly(poly, values):
@@ -68,10 +69,11 @@ def eval_polys():
 # --- the tuple oracle: sparse polynomials keyed by exponent tuples ----------
 #
 # The arithmetic of wittkit.witt as it was before monomials were packed:
-# each monomial an exponent tuple, each product a new tuple.  It builds the
-# sum and product expanded in all 2n coordinates by ghost recursion, which
-# src/ never builds, and evaluates the programs of the compiled operations
-# step by step.
+# each monomial an exponent tuple, each product a new tuple.  It builds, by
+# ghost recursion, the sum and product expanded in all 2n coordinates and
+# the carries in x and y, none of which src/ builds, rewrites the carries in
+# x + y and xy (_symmetric_form), and evaluates the programs of the compiled
+# operations step by step.
 
 
 def _padd(a, b):
@@ -165,16 +167,47 @@ def _teichmuller_ghost(p, i):
     return _padd(_ppow(_var(0, 2), p**i, 2), _ppow(_var(1, 2), p**i, 2))
 
 
+def _symmetric_form(poly):
+    """H with poly(x, y) = H(x + y, xy), for a polynomial poly in two
+    variables that is symmetric and homogeneous: each step takes the term
+    c x^i y^j (i >= j) of highest degree in x and subtracts c (x + y)^(i-j)
+    (xy)^j, whose term of highest degree in x it is."""
+    rest, out = dict(poly), {}
+    while rest:
+        i, j = max(rest)
+        c = rest[i, j]
+        assert i >= j, "not a symmetric polynomial"
+        out[i - j, j] = c
+        a = i - j
+        rest = _padd(rest, {(t + j, a - t + j): -c * math.comb(a, t) for t in range(a + 1)})
+    return out
+
+
+def _power_sum(k):
+    """x^k + y^k (k >= 1) in s = x + y and q = xy, on exponent tuples (s, q),
+    by the recurrence P_k = s P_(k-1) - q P_(k-2) from P_0 = 2, P_1 = s."""
+    s, q = _var(0, 2), _var(1, 2)
+    prev, cur = {(0, 0): 2}, s
+    for _ in range(k - 1):
+        prev, cur = cur, _padd(_pmul(s, cur), _pscale(_pmul(q, prev), -1))
+    return cur
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_carries(p, n):
+    """The carries eta_0..eta_{n-1} of [x] + [y] in W_n at p, in the two
+    variables x, y, by ghost recursion on exponent tuples."""
+    return _ghost_recursion(p, n, functools.partial(_teichmuller_ghost, p), 2)
+
+
 @functools.lru_cache(maxsize=None)
 def _oracle_table(p, n):
     """The universal polynomials of W_n at p, built on exponent tuples: the
     sum and product expanded in x_0..x_{n-1}, y_0..y_{n-1}, and every
-    field of WittUniversalTable(p, n).  eta_sym is the table's own
-    _symmetric_form of the oracle's eta, which runs on exponent tuples in
-    both."""
+    field of WittUniversalTable(p, n).  eta_sym is the symmetric form of
+    the oracle's carries in x, y."""
     nv2 = 2 * n
     xs, ys = list(range(n)), list(range(n, nv2))
-    eta = _ghost_recursion(p, n, functools.partial(_teichmuller_ghost, p), 2)
     return {
         "sum_polys": _ghost_recursion(
             p, n, lambda i: _padd(_ghost_poly(p, i, xs, nv2), _ghost_poly(p, i, ys, nv2)), nv2
@@ -183,8 +216,7 @@ def _oracle_table(p, n):
             p, n, lambda i: _pmul(_ghost_poly(p, i, xs, nv2), _ghost_poly(p, i, ys, nv2)), nv2
         ),
         "frob_polys": _ghost_recursion(p, n - 1, lambda i: _ghost_poly(p, i + 1, xs, n), n),
-        "eta_polys": eta,
-        "eta_sym_polys": [_symmetric_form(poly) for poly in eta],
+        "eta_sym_polys": [_symmetric_form(poly) for poly in _oracle_carries(p, n)],
     }
 
 
@@ -236,13 +268,10 @@ def _oracle_verify(table):
         target = _ghost_poly(p, i + 1, xs, n)
         if _padd(_ghost_of(table.frob_polys[: i + 1], p, i, n), _pscale(target, -1)):
             return f"frob polynomial violates ghost identity at i={i} (p={p}, n={n})"
-    sq = [_padd(_var(0, 2), _var(1, 2)), {(1, 1): 1}]
     for i in range(n):
-        target = _teichmuller_ghost(p, i)
-        if _padd(_ghost_of(table.eta_polys[: i + 1], p, i, 2), _pscale(target, -1)):
+        target = _power_sum(p**i)
+        if _padd(_ghost_of(table.eta_sym_polys[: i + 1], p, i, 2), _pscale(target, -1)):
             return f"eta polynomial violates ghost identity at i={i} (p={p}, n={n})"
-        if _padd(_psubst(table.eta_sym_polys[i], sq, 2), _pscale(table.eta_polys[i], -1)):
-            return f"eta polynomial in x + y, xy differs from eta at i={i} (p={p}, n={n})"
     return None
 
 
@@ -251,10 +280,26 @@ def oracle_table():
     """oracle_table(p, n): {field: polynomials} on exponent tuples, built by
     ghost recursion independently of wittkit's packed engine and programs:
     "sum_polys" and "prod_polys", the sum and product expanded in the 2n
-    variables x_0..x_{n-1}, y_0..y_{n-1}, and "frob_polys", "eta_polys"
-    and "eta_sym_polys", as the table's fields of those names.  Cached for
-    the session; callers must not change it."""
+    variables x_0..x_{n-1}, y_0..y_{n-1}, and "frob_polys" and
+    "eta_sym_polys", as the table's fields of those names.  Cached for the
+    session; callers must not change it."""
     return _oracle_table
+
+
+@pytest.fixture(scope="session")
+def oracle_carries():
+    """oracle_carries(p, n): the carries eta_0..eta_{n-1} of [x] + [y] as
+    polynomials in x, y on exponent tuples, by ghost recursion and without
+    the 2n-variable expansion.  Cached for the session; callers must not
+    change them."""
+    return _oracle_carries
+
+
+@pytest.fixture(scope="session")
+def symmetric_form():
+    """symmetric_form(poly): H with poly(x, y) = H(x + y, xy), for a
+    symmetric homogeneous polynomial in x, y on exponent tuples."""
+    return _symmetric_form
 
 
 @pytest.fixture(scope="session")

@@ -3,12 +3,14 @@ oracle of conftest.
 
 The oracle is the engine as it was before monomials were packed: each
 monomial an exponent tuple, each product a new tuple.  Every table field
-built on packed monomials must equal the oracle's, and the programs that
-the compiled sum, product and Frobenius run, evaluated symbolically on the
-oracle's arithmetic, must be the oracle's expanded polynomials: that ties
-what runs to the ghost map.  Both verifiers must name the same first
-failure on a changed table or a changed program, including one whose powers
-outgrow a fixed 8-bit exponent field.
+built on packed monomials must equal the oracle's: the carries, which the
+table builds in s = x + y and q = xy, must be the symmetric form of the
+oracle's carries in x and y, up to the top lengths (3, 5) and (5, 4).  The
+programs that the compiled sum, product and Frobenius run, evaluated
+symbolically on the oracle's arithmetic, must be the oracle's expanded
+polynomials: that ties what runs to the ghost map.  Both verifiers must
+name the same first failure on a changed table or a changed program,
+including one whose powers outgrow a fixed 8-bit exponent field.
 """
 
 import pytest
@@ -37,10 +39,17 @@ def _programs(table):
 @pytest.mark.parametrize("p,n", TABLES)
 def test_every_table_field_equals_the_oracles(p, n, oracle_table):
     table, want = get_table(p, n), oracle_table(p, n)
-    for field in ("frob_polys", "eta_polys", "eta_sym_polys"):
+    for field in ("frob_polys", "eta_sym_polys"):
         assert getattr(table, field) == want[field], field
     assert verify_ghost_symbolic(table) is None
     assert _verify_bound(table, _programs(table)) == p ** (n - 1)
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (5, 4)])
+def test_the_carries_at_the_top_lengths_equal_the_oracles(p, n, oracle_carries, symmetric_form):
+    # the carries alone, without the oracle's 2n-variable expansion
+    table = WittUniversalTable(p, n)
+    assert table.eta_sym_polys == [symmetric_form(eta) for eta in oracle_carries(p, n)]
 
 
 @pytest.mark.parametrize("p,n", TABLES)
@@ -63,6 +72,23 @@ def test_a_changed_carry_changes_the_evaluated_programs(oracle_table, run_progra
     assert run_program(table._program("prod"), 6) != want["prod_polys"]
 
 
+def test_editing_a_sum_block_in_place_changes_no_other_program(oracle_table, run_program):
+    # s = x_0 + y_0 made 2 x_0 + y_0 in the first block of one program: a
+    # fresh program and a newly compiled sum still add (1, 0) + (1, 0) to
+    # (2, -2).  The edit is undone at the end, so that a block shared with
+    # other programs would not leak into later tests.
+    table = WittUniversalTable(3, 2)
+    steps, _ = table._program("sum")
+    s = steps[0][0][0]
+    assert s == {(1, 0): 1, (0, 1): 1}
+    s[1, 0] = 2
+    try:
+        assert run_program(table._program("sum"), 4) == oracle_table(3, 2)["sum_polys"]
+        assert table.compiled_ints("sum")((1, 0), (1, 0)) == (2, -2)
+    finally:
+        s[1, 0] = 1
+
+
 def _bump(field, index, mono, delta):
     def change(table):
         poly = getattr(table, field)[index]
@@ -71,10 +97,26 @@ def _bump(field, index, mono, delta):
     return change
 
 
+def _bump_unread(index, mono, delta):
+    """A change of the carry eta_sym_polys[index] that no program reads: the
+    table's programs are built first, from the carries as they were, and
+    the changed carry is a new dict."""
+
+    def change(table):
+        programs = {which: table._program(which) for which in ("sum", "prod", "frob")}
+        table._program = programs.__getitem__
+        poly = dict(table.eta_sym_polys[index])
+        poly[mono] = poly.get(mono, 0) + delta
+        table.eta_sym_polys[index] = poly
+
+    return change
+
+
 def _change_step(which, k, change):
     """A change of a table whose _program(which) then returns the program
-    with step k replaced by change(polys, args), polys copied first: the
-    blocks share their polynomials with the table and with each other."""
+    with step k replaced by change(polys, args), changed in place: a new
+    program holds new polynomials, except that its carry blocks hold the
+    table's own eta_sym_polys."""
 
     def apply(table):
         build = table._program
@@ -84,7 +126,7 @@ def _change_step(which, k, change):
             if name == which:
                 steps = list(steps)
                 polys, args = steps[k]
-                steps[k] = change([dict(f) for f in polys], args)
+                steps[k] = change(polys, args)
             return steps, outs
 
         table._program = program
@@ -115,15 +157,16 @@ def _read_step(which, k, args):
 # changed monomial: s^300 there forms exponents past any that an 8-bit field
 # holds, and the nested carries of a sum of length 4 would substitute it into
 # itself twice, for exponents up to 300^3, if the check got that far.  The
-# sum program reads eta_1.. eta_{n-1} in that form, so a change there fails
-# the sum; only eta_0 is read by the check of that form alone.
+# sum program reads eta_1.. eta_{n-1}, so a change there fails the sum; the
+# eta check alone reads eta_0, and a carry changed after the programs are
+# built ("eta").
 PERTURBATIONS = {
     "sum": (3, 3, _read_step("sum", -1, (18, 4))),
     "prod": (3, 3, _read_step("prod", 1, (4, 0))),
     "prod-frob": (5, 2, _bump_step("prod", 2, 0, (0, 1), 1)),
     "prod-x0^40": (3, 4, _bump_step("prod", 0, 0, (40, 0), 1)),
     "frob": (3, 4, _bump("frob_polys", 1, (1, 2, 0, 0), -1)),
-    "eta": (7, 3, _bump("eta_polys", 1, (3, 4), 7)),
+    "eta": (7, 3, _bump_unread(1, (3, 2), 7)),
     "eta_sym": (3, 3, _bump("eta_sym_polys", 2, (1, 4), 1)),
     "eta_sym_0": (3, 3, _bump("eta_sym_polys", 0, (0, 1), 1)),
     "eta_sym-s^300": (3, 4, _bump("eta_sym_polys", 1, (300, 0), 1)),

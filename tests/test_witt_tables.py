@@ -108,48 +108,50 @@ def test_corrupted_table_detected():
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
-def test_eta_polys_are_the_sum_of_two_teichmuller_vectors(p, n, oracle_table):
-    # eta_k(x, y) is coordinate k of [x] + [y]: the sum polynomial S_k with
-    # every coordinate but x_0 and y_0 set to zero
+def test_eta_polys_are_the_sum_of_two_teichmuller_vectors(p, n, oracle_table, run_program):
+    # eta_k(x + y, xy) is coordinate k of [x] + [y]: the sum polynomial S_k
+    # with every coordinate but x_0 and y_0 set to zero.  The program puts
+    # s = x + y and q = xy into the carries.
     table = WittUniversalTable(p, n)
+    program = [(({(1, 0): 1, (0, 1): 1}, {(1, 1): 1}), (0, 1)), (table.eta_sym_polys, (2, 3))]
+    carries = run_program((program, range(4, 4 + n)), 2)
     for k in range(n):
         restricted = {
             (mono[0], mono[n]): c
             for mono, c in oracle_table(p, n)["sum_polys"][k].items()
             if not any(mono[i] for i in range(2 * n) if i not in (0, n))
         }
-        assert table.eta_polys[k] == restricted
-        assert all(sum(mono) == p**k for mono in table.eta_polys[k])
+        assert carries[k] == restricted
+        assert all(sum(mono) == p**k for mono in carries[k])
 
 
 def test_corrupted_eta_polynomial_is_named():
-    table = WittUniversalTable(3, 3)
-    table.eta_polys[2][(4, 5)] += 3
-    assert verify_ghost_symbolic(table) == "eta polynomial violates ghost identity at i=2 (p=3, n=3)"
-    # the form in x + y and xy: the compiled sum reads eta_1..eta_{n-1} in
-    # it, so a change there fails the sum program first; eta_0 in that
-    # form is read by its own check only
+    # the compiled sum reads eta_1..eta_{n-1}, so a change there fails the
+    # sum program first; eta_0 is read by the eta check alone
     table = WittUniversalTable(3, 3)
     table.eta_sym_polys[2][(1, 4)] += 1
     assert verify_ghost_symbolic(table) == "sum polynomial violates ghost identity at i=2 (p=3, n=3)"
     table = WittUniversalTable(3, 3)
     table.eta_sym_polys[0][(0, 1)] = 1
-    assert verify_ghost_symbolic(table) == (
-        "eta polynomial in x + y, xy differs from eta at i=0 (p=3, n=3)"
-    )
+    assert verify_ghost_symbolic(table) == "eta polynomial violates ghost identity at i=0 (p=3, n=3)"
+    # a carry changed after the programs are built is named by the eta check
+    table = WittUniversalTable(3, 3)
+    programs = {which: table._program(which) for which in ("sum", "prod")}
+    table._program = programs.__getitem__
+    table.eta_sym_polys[2] = {**table.eta_sym_polys[2], (4, 1): 3}
+    assert verify_ghost_symbolic(table) == "eta polynomial violates ghost identity at i=2 (p=3, n=3)"
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (7, 3)])
-def test_eta_polys_are_polynomials_in_the_sum_and_the_product(p, n):
+def test_eta_polys_are_polynomials_in_the_sum_and_the_product(p, n, oracle_carries):
     # eta_k(x, y) = H_k(x + y, xy), H_k of weighted degree p^k, with at
-    # most half the monomials of eta_k (verify_ghost_symbolic checks that
-    # they agree)
+    # most half the monomials of eta_k in x and y
     table = WittUniversalTable(p, n)
     assert table.eta_sym_polys[0] == {(1, 0): 1}
     for k in range(1, n):
         sym = table.eta_sym_polys[k]
         assert all(a + 2 * b == p**k for a, b in sym)
-        assert 2 * len(sym) <= len(table.eta_polys[k]) + 1
+        assert 2 * len(sym) <= len(oracle_carries(p, n)[k]) + 1
     assert verify_ghost_symbolic(table) is None
 
 
