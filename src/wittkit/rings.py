@@ -154,7 +154,11 @@ class SmallRingTables:
     def int64(self, table):
         """An int64 numpy copy of one of these tables, built once, for index
         arrays to gather through: lookups then return numpy's own index type,
-        and the index arithmetic between them cannot wrap as uint16 would."""
+        and the index arithmetic between them cannot wrap as uint16 would.
+        It would: at d = 1, add_lo holds Q * L = m^2 entries, and at
+        charp(257,0,1) the index x % L * L + y % L passes 2^16, so a batch
+        sum on uint16 views of the tables disagrees with the per-element
+        one (tests/test_witt_batch.py)."""
         got = self._int64.get(id(table))
         if got is None:
             got = self._int64[id(table)] = np.frombuffer(table, dtype=np.uint16).astype(np.int64)

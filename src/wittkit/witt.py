@@ -26,8 +26,9 @@ power and partial product between the coordinates and blocks, and an
 expression back end renders the arithmetic.  verify_ghost_symbolic checks
 the ghost identities on these same programs, evaluated on polynomials:
 nothing builds the sum or product expanded in 2n variables.
-For rings with lookup tables (rings.SmallRingTables, at most
-rings.TABLE_CAP elements) the back end works over element indices,
+WittUniversalTable.compiled is the one entry, and the ring picks the back
+end (_back_end).  For rings with lookup tables (rings.SmallRingTables, at
+most rings.TABLE_CAP elements) it works over element indices,
 converting coordinate tuples only on entry and exit; above the cap it calls
 the coefficient kernel (``_kernel``: packed big-int products, and in
 characteristic p each p-th power as a coefficient map) and forms each
@@ -279,27 +280,13 @@ class WittUniversalTable:
         ]
         self._compiled = {}
 
-    def compiled_indexed(self, which, tables, batch=False):
-        """All coordinates of sum/prod/frob in one function on raw payloads,
-        evaluated through the lookup tables of a small ring; with batch, on
-        numpy arrays of element indices instead."""
-        exprs = _TableBatchExprs if batch else _TableExprs
-        return self._compiled_all(which, ("indexed", tables, batch), lambda: exprs(tables))
-
-    def compiled_coeffs(self, which, ring, batch=False):
+    def compiled(self, which, ring, batch=False):
         """All coordinates of sum/prod/frob in one function on raw payloads
-        of a quotient ring, multiplying through the coefficient kernel; with
-        batch, on (B, d) numpy arrays of coefficients instead."""
-        exprs = _KernelBatchExprs if batch else _KernelExprs
-        return self._compiled_all(which, ("coeffs", ring, batch), lambda: exprs(ring))
-
-    def compiled_ints(self, which):
-        """All coordinates of sum/prod/frob in one function on tuples of
-        Python ints (W_n(Z)); nothing is pruned."""
-        return self._compiled_all(which, ("ints",), _IntExprs)
-
-    def _compiled_all(self, which, key, make_exprs):
-        key = (which,) + key
+        of W_n(ring), or with batch on batches of them, through the back end
+        that _back_end picks for ring.  Cached by what that back end reads,
+        so the rings of one table shape share their functions."""
+        source, make_exprs = _back_end(ring, batch)
+        key = (which, source, batch)
         fn = self._compiled.get(key)
         if fn is None:
             operands = 1 if which == "frob" else 2
@@ -761,6 +748,22 @@ class _KernelBatchExprs(_IntExprs):
         return f"({_linear_expr(groups)}) % {self.m}"
 
 
+def _back_end(ring, batch):
+    """The back end of _compile_polys for W_n(ring), per element or on a
+    batch, as (what it reads, a function that builds it): the ints over Z,
+    which have no batch form; the ring's SmallRingTables when it has them;
+    else the ring's coefficient kernel."""
+    if isinstance(ring, IntegerRing):
+        if batch:
+            raise TypeError(f"W_n({ring.descriptor()}) has no batch form")
+        return ring, _IntExprs
+    if ring._tables is not None:
+        return ring._tables, functools.partial(
+            _TableBatchExprs if batch else _TableExprs, ring._tables
+        )
+    return ring, functools.partial(_KernelBatchExprs if batch else _KernelExprs, ring)
+
+
 def _coeff_batch_dtype(ring):
     """The dtype of a batch of coefficient rows of a quotient ring: int64
     when no sum inside a batched product can reach 2**63 (they stay below
@@ -835,11 +838,10 @@ def verify_ghost_symbolic(table):
     evaluated on the variables x_0..x_{n-1}, y_0..y_{n-1} (_run_program),
     level i only on the steps that outputs 0..i read.  Returns None when
     their outputs' ghost components are w_i(x) + w_i(y) and w_i(x) w_i(y),
-    the Frobenius polynomials satisfy their identity, and the carries
-    satisfy theirs in s = x + y and q = xy, w_i(eta) = x^(p^i) + y^(p^i)
-    as a polynomial in s and q (_power_sum); else a witness string naming
-    the first failure.  The sum program reads the carries eta_1..eta_{n-1},
-    so a wrong one fails the sum first.  The programs are built and
+    and the Frobenius polynomials satisfy their identity; else a witness
+    string naming the first failure.  The carries have no check of their
+    own: the sum program reads eta_1..eta_{n-1}, so a wrong one fails the
+    sum, and nothing compiled reads eta_0.  The programs are built and
     evaluated on every call, so what is checked is what runs, changes to
     the table included.  Negation is implied: p is odd, so w_i(-x) =
     -w_i(x), and the checked sum takes x, -x to 0.
@@ -864,11 +866,6 @@ def verify_ghost_symbolic(table):
     for i in range(n - 1):
         if _padd(next(frobs), _ghost_poly(p, i + 1, pk.vars), -1):
             return f"frob polynomial violates ghost identity at i={i} (p={p}, n={n})"
-    pk = _Packing(2, bound)
-    etas = _ghost_components(p, [pk.pack_poly(f) for f in table.eta_sym_polys])
-    for i in range(n):
-        if _padd(next(etas), _power_sum(p**i, *pk.vars), -1):
-            return f"eta polynomial violates ghost identity at i={i} (p={p}, n={n})"
     return None
 
 
@@ -896,8 +893,8 @@ def _verify_bound(table, programs):
     """The largest exponent that verify_ghost_symbolic can form on table
     and its sum and product programs, p^(n-1) on a table as built: each
     step's exponent bound (_exponent_bounds), and output j of a program
-    raised to p^(n-1-j) and polynomial j of the k Frobenius polynomials or
-    carries to p^(k-1-j) by the ghost components."""
+    raised to p^(n-1-j) and polynomial j of the k Frobenius polynomials to
+    p^(k-1-j) by the ghost components."""
     p, n = table.p, table.n
     units = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
     bounds = [p ** (n - 1)]
@@ -905,9 +902,8 @@ def _verify_bound(table, programs):
         values = _exponent_bounds(steps, units)
         bounds += map(max, values)
         bounds += [max(values[v]) * p ** (n - 1 - j) for j, v in enumerate(outs)]
-    for polys in (table.frob_polys, table.eta_sym_polys):
-        k = len(polys)
-        bounds += [max(map(max, f), default=0) * p ** (k - 1 - j) for j, f in enumerate(polys)]
+    k = len(table.frob_polys)
+    bounds += [max(map(max, f), default=0) * p ** (k - 1 - j) for j, f in enumerate(table.frob_polys)]
     return max(bounds)
 
 
@@ -1023,49 +1019,40 @@ class RawWittOps:
     representation: wrap attaches ring and p to a payload and unwrap reads
     it back, neither building a RingElement.  Obtain via raw_witt_ops(ring,
     p, n).  Sum, product and Frobenius are each one compiled function that
-    computes every coordinate at once (_compile_polys, on the programs of
-    _witt_program): over the lookup
-    tables of a ring with at most rings.TABLE_CAP elements, through the
-    coefficient kernel above the cap, and on plain ints over Z.  Over a
-    quotient ring, add_batch, mul_batch, frob_batch and scalar_mul_batch run
-    the same operations on a batch of many payloads.
+    computes every coordinate at once, from the one entry
+    WittUniversalTable.compiled: the ring picks the back end (_back_end),
+    the lookup tables of a ring with at most rings.TABLE_CAP elements, the
+    coefficient kernel above the cap, or plain ints over Z.  Over a quotient
+    ring, add_batch, mul_batch, frob_batch and scalar_mul_batch run the same
+    operations on a batch of many payloads, from the same entry.
     """
 
     def __init__(self, ring, p, n):
         self.ring = ring
         self.p = p
         self.n = n
-        table = get_table(p, n)
+        self._universal = get_table(p, n)
         self.zero_payload = ring.zero().data
         self._neg = ring._neg
         self._tables = getattr(ring, "_tables", None)
-        self._compile_batch = None  # Z has no batch form
-        if isinstance(ring, IntegerRing):
-            # nothing is pruned over Z, so the polynomials are large and each
-            # operation compiles on its first use
-            self._compile = table.compiled_ints
-            return
-        if self._tables is not None:
-            self._compile = functools.partial(table.compiled_indexed, tables=self._tables)
-        else:
-            self._compile = functools.partial(table.compiled_coeffs, ring=ring)
-        self._compile_batch = functools.partial(self._compile, batch=True)
         # compile all three now: the compile's transient memory is then freed
-        # before the operations start allocating
-        for name in ("_sum", "_prod", "_frob"):
-            getattr(self, name)
+        # before the operations start allocating.  Nothing is pruned over Z,
+        # so the polynomials are large and each compiles on its first use.
+        if not isinstance(ring, IntegerRing):
+            for name in ("_sum", "_prod", "_frob"):
+                getattr(self, name)
 
     @functools.cached_property
     def _sum(self):
-        return self._compile("sum")
+        return self._universal.compiled("sum", self.ring)
 
     @functools.cached_property
     def _prod(self):
-        return self._compile("prod")
+        return self._universal.compiled("prod", self.ring)
 
     @functools.cached_property
     def _frob(self):
-        return self._compile("frob")
+        return self._universal.compiled("frob", self.ring)
 
     def add(self, u, v):
         return self._sum(u, v)
@@ -1091,27 +1078,23 @@ class RawWittOps:
     # rows (shape (B, d); int64, or Python ints for a large modulus) above
     # it.  Zero is index 0 or the zero row, so V and R are shifts of the
     # coordinate tuple on batches too.  The batch functions come from the
-    # same compiler and compile on first use.
+    # same entry and compile on first use; to_batch and payload_at convert
+    # through from_coefficients and coefficient_rows.
 
     def _batch_form(self):
-        if self._compile_batch is None:
-            raise TypeError(f"W_n({self.ring.descriptor()}) has no batch form")
-
-    def _batch_fn(self, which):
-        self._batch_form()
-        return self._compile_batch(which)
+        _back_end(self.ring, batch=True)  # raises over Z
 
     @functools.cached_property
     def _sum_batch(self):
-        return self._batch_fn("sum")
+        return self._universal.compiled("sum", self.ring, batch=True)
 
     @functools.cached_property
     def _prod_batch(self):
-        return self._batch_fn("prod")
+        return self._universal.compiled("prod", self.ring, batch=True)
 
     @functools.cached_property
     def _frob_batch(self):
-        return self._batch_fn("frob")
+        return self._universal.compiled("frob", self.ring, batch=True)
 
     def add_batch(self, u, v):
         return self._sum_batch(u, v)
@@ -1131,13 +1114,8 @@ class RawWittOps:
 
     def to_batch(self, payloads):
         """The batch of a nonempty list of payloads (of any one length)."""
-        coords = zip(*payloads)
-        if self._tables is not None:
-            index = self._tables.index
-            return tuple(np.array([index[c] for c in col], dtype=np.int64) for col in coords)
         self._batch_form()
-        dtype = _coeff_batch_dtype(self.ring)
-        return tuple(np.array(col, dtype=dtype) for col in coords)
+        return self.from_coefficients(np.array(payloads, dtype=_coeff_batch_dtype(self.ring)))
 
     def from_coefficients(self, rows):
         """The batch of the payloads whose coefficients are rows, a (B, n, d)
@@ -1148,17 +1126,16 @@ class RawWittOps:
         ring = self.ring
         if self._tables is not None:
             place = ring.m ** np.arange(ring.d - 1, -1, -1, dtype=np.int64)
-            return tuple((rows @ place).T)
+            # one 2-D product: numpy's int64 matmul on a stack of (n, d)
+            # matrices raises the process's peak resident memory
+            return tuple((rows.reshape(-1, ring.d) @ place).reshape(rows.shape[:-1]).T)
         self._batch_form()
         return tuple(rows.astype(_coeff_batch_dtype(ring), copy=False).transpose(1, 0, 2))
 
     def payload_at(self, batch, k):
         """Payload k of a batch, as the tuple of Python tuples a
         WittVector stores."""
-        if self._tables is not None:
-            elems = self._tables.elems
-            return tuple(elems[int(c[k])] for c in batch)
-        return tuple(tuple(c[k].tolist()) for c in batch)
+        return tuple(tuple(self.coefficient_rows(c[k : k + 1])[0].tolist()) for c in batch)
 
     def payload_batch(self, positions):
         """The batch of the payloads at the given positions (an int64 array)

@@ -183,16 +183,6 @@ def _symmetric_form(poly):
     return out
 
 
-def _power_sum(k):
-    """x^k + y^k (k >= 1) in s = x + y and q = xy, on exponent tuples (s, q),
-    by the recurrence P_k = s P_(k-1) - q P_(k-2) from P_0 = 2, P_1 = s."""
-    s, q = _var(0, 2), _var(1, 2)
-    prev, cur = {(0, 0): 2}, s
-    for _ in range(k - 1):
-        prev, cur = cur, _padd(_pmul(s, cur), _pscale(_pmul(q, prev), -1))
-    return cur
-
-
 @functools.lru_cache(maxsize=None)
 def _oracle_carries(p, n):
     """The carries eta_0..eta_{n-1} of [x] + [y] in W_n at p, in the two
@@ -268,10 +258,6 @@ def _oracle_verify(table):
         target = _ghost_poly(p, i + 1, xs, n)
         if _padd(_ghost_of(table.frob_polys[: i + 1], p, i, n), _pscale(target, -1)):
             return f"frob polynomial violates ghost identity at i={i} (p={p}, n={n})"
-    for i in range(n):
-        target = _power_sum(p**i)
-        if _padd(_ghost_of(table.eta_sym_polys[: i + 1], p, i, 2), _pscale(target, -1)):
-            return f"eta polynomial violates ghost identity at i={i} (p={p}, n={n})"
     return None
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from wittkit import _kernel
 from wittkit.rings import TABLE_CAP, CyclotomicTruncation, SmallRingTables, ring_from_descriptor
-from wittkit.witt import get_table, random_witt, raw_witt_ops
+from wittkit.witt import WittUniversalTable, get_table, random_witt, raw_witt_ops
 
 SHAPES = [
     "charp(3,0,2)",
@@ -93,11 +93,14 @@ def test_rings_above_the_cap_build_no_tables():
 @pytest.mark.parametrize("desc", ["cyc(3,2,1)", "charp(3,0,6)", "cyc(3,1,3)"])
 def test_table_memory_at_the_cap(desc):
     ring = ring_from_descriptor(desc)
-    # a fresh table set, holding only what the Witt operations need
-    tables = SmallRingTables(ring.m, ring.d, ring._red_rows)
+    # a fresh table set, holding only what the Witt operations need: this
+    # ring handle reads it, and fresh universal tables compile against it
+    ring._tables = tables = SmallRingTables(ring.m, ring.d, ring._red_rows)
     for n in LENGTHS[desc]:
+        table = WittUniversalTable(ring.p, n)
         for which in ("sum", "prod", "frob"):
-            get_table(ring.p, n).compiled_indexed(which, tables)
+            table.compiled(which, ring)
+    assert tables._pow  # the compile took its power tables from the fresh set
     Q, m, d = ring.cardinality(), ring.m, ring.d
     assert Q == TABLE_CAP
     # a full Q x Q multiplication table alone would take 2 * Q**2 bytes

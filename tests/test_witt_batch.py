@@ -13,13 +13,17 @@ from wittkit.sequences import SAMPLE_CHUNK, sample_chunks
 from wittkit.suites import CHUNK, SuiteConfig, suite_witt_identities
 from wittkit.witt import random_witt, raw_witt_ops
 
-# (ring, Witt lengths): four shapes with lookup tables, three above the cap
-# on int64 rows, and one whose modulus 3^40 needs rows of Python ints
+# (ring, Witt lengths): five shapes with lookup tables, three above the cap
+# on int64 rows, and one whose modulus 3^40 needs rows of Python ints.  At
+# d = 1 the split tables of charp(257,0,1) hold 257^2 entries, so the batch
+# index arithmetic passes 2^16: on uint16 views of the tables, in place of
+# their int64 copies, add_batch there would disagree with add.
 BATCH_SHAPES = [
     ("charp(3,0,3)", (1, 2, 3, 4)),
     ("cyc(3,1,1)", (1, 2, 3)),
     ("cyc(3,2,1)", (1, 2, 3)),
     ("cyc(5,1,1)", (1, 2, 3)),
+    ("charp(257,0,1)", (1, 2)),
     ("cyc(3,2,2)", (1, 2, 3)),
     ("charp(3,0,9)", (1, 2, 3)),
     ("cyc(5,3,1)", (1, 2, 3)),
@@ -100,6 +104,49 @@ def test_rings_without_coefficients_have_no_batch_form(desc):
         raw.to_batch([u])
     with pytest.raises(TypeError, match="no batch form"):
         raw.add_batch(u, u)
+    with pytest.raises(TypeError, match="no batch form"):
+        witt.WittUniversalTable(3, 2).compiled("prod", raw.ring, batch=True)
+
+
+# ring: the mark of its back end in the compiled source per element and on
+# a batch: int powers over Z, which has no batch form, lookups in the tables
+# of a ring at or below the cap, kernel products above it
+BACK_ENDS = {
+    "Z": ("**", None),
+    "charp(3,0,6)": ("_I[", "_MH["),
+    "cyc(3,2,2)": ("_kernel.poly_mulmod(", "_mul("),
+}
+
+
+@pytest.mark.parametrize(
+    "desc,batch",
+    [(desc, batch) for desc, marks in BACK_ENDS.items() for batch in (False, True) if marks[batch]],
+)
+def test_the_compile_entry_takes_the_back_end_from_the_ring(desc, batch):
+    ring = ring_from_descriptor(desc)
+    table = witt.WittUniversalTable(3, 2)
+    per_element, mark = BACK_ENDS[desc][0], BACK_ENDS[desc][batch]
+    others = [m for d, marks in BACK_ENDS.items() if d != desc for m in marks if m]
+    for which in ("sum", "prod", "frob"):
+        fn = table.compiled(which, ring, batch=batch)
+        if which == "prod":
+            src = fn.__source__
+            # a batch source reads no per-element mark
+            assert mark in src and (per_element in src) != batch
+            assert not any(m in src for m in others)
+        # an equal ring instance reads the same, and gets the cached function
+        assert table.compiled(which, ring_from_descriptor(desc), batch=batch) is fn
+    assert len(table._compiled) == 3
+
+
+def test_rings_of_one_table_shape_share_their_compiled_functions():
+    # charp(3,0,6) and charp(3,1,2) are unequal rings on the same tables
+    table = witt.WittUniversalTable(3, 2)
+    a, b = ring_from_descriptor("charp(3,0,6)"), ring_from_descriptor("charp(3,1,2)")
+    assert a != b and a._tables is b._tables
+    for batch in (False, True):
+        assert table.compiled("prod", a, batch=batch) is table.compiled("prod", b, batch=batch)
+    assert len(table._compiled) == 2
 
 
 # --- the first-witness rule --------------------------------------------------

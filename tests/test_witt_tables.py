@@ -127,19 +127,10 @@ def test_eta_polys_are_the_sum_of_two_teichmuller_vectors(p, n, oracle_table, ru
 
 def test_corrupted_eta_polynomial_is_named():
     # the compiled sum reads eta_1..eta_{n-1}, so a change there fails the
-    # sum program first; eta_0 is read by the eta check alone
+    # sum program
     table = WittUniversalTable(3, 3)
     table.eta_sym_polys[2][(1, 4)] += 1
     assert verify_ghost_symbolic(table) == "sum polynomial violates ghost identity at i=2 (p=3, n=3)"
-    table = WittUniversalTable(3, 3)
-    table.eta_sym_polys[0][(0, 1)] = 1
-    assert verify_ghost_symbolic(table) == "eta polynomial violates ghost identity at i=0 (p=3, n=3)"
-    # a carry changed after the programs are built is named by the eta check
-    table = WittUniversalTable(3, 3)
-    programs = {which: table._program(which) for which in ("sum", "prod")}
-    table._program = programs.__getitem__
-    table.eta_sym_polys[2] = {**table.eta_sym_polys[2], (4, 1): 3}
-    assert verify_ghost_symbolic(table) == "eta polynomial violates ghost identity at i=2 (p=3, n=3)"
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (7, 3)])
