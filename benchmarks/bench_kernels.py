@@ -24,14 +24,14 @@ Seventeen layers:
   * one exhaustive exactness sweep (L2): map calls and seconds of
     exactness_report on the Witt restriction complex over cyc(3,2,1), n = 1,
   * the exhaustive freeness probe over W_2(cyc(3,2,1)) (L2): seconds, and
-    its tracemalloc peak in a second run,
+    its tracemalloc peak in a second run, in KiB,
   * universal-table build times (the feasibility envelope per prime, up to
     its top, (3, 5) and (5, 4), and one length past it, (3, 6) and (5, 5),
     through the WittUniversalTable constructor, which get_table's length
     cap does not bound): the table as the compiled operations read it,
-  * the symbolic ghost check: ms per verify_ghost_symbolic on the tables
-    of (p, n) = (3, 4), (5, 3) and (7, 3), on a fresh table per call and on
-    one table called again (warm),
+  * the symbolic ghost check: ms per verify_ghost_symbolic on a fresh table
+    per call, for (p, n) = (3, 4), (5, 3) and (7, 3); the check caches
+    nothing on a table, so a repeat call on one table times the same work,
   * the Kahler layer: log_presentation_check on the first tuple of the
     log-presentation suite at p = 7 (an 84 x 126 system over Z/7^3, once
     the unit blocks are eliminated), torsion_is_free_rank_one(cyc(5,3,3), 1)
@@ -56,7 +56,8 @@ Seventeen layers:
   * the maps of the exact-rz complex over cyc(3,2,1) (a table ring) at
     n = 1 and over cyc(3,3,1) (above the cap) at n = 1 and 2: ns per
     element of R z on W_{n+1}, the W_n product of the restrictions (R is a
-    ring map), and of F^n on W_n, the ghost component w_n,
+    ring map) by the constant R(z), and of F^n on W_n, the ghost component
+    w_n of (w, 0),
   * the Witt operations of the tilt, through the compiled W_n(A)
     operations on each lift level: us per tilt_witt_add and tilt_witt_mul
     over the 9 Teichmuller pairs [eps^i], [eps^j] (i, j in 1..3) at
@@ -353,11 +354,11 @@ def bench_freeness_probe():
     finally:
         tracemalloc.stop()
     print(f"  freeness_probe(cyc(3,2,1), 2) -> {ok}: {dt:6.2f} s, "
-          f"tracemalloc peak {peak / 2**20:7.2f} MiB")
+          f"tracemalloc peak {peak / 2**10:7.1f} KiB")
     return {
         "freeness_probe_free.W2_cyc(3,2,1)": ok,
         "freeness_probe_s.W2_cyc(3,2,1)": round(dt, 3),
-        "freeness_probe_peak_mib.W2_cyc(3,2,1)": round(peak / 2**20, 2),
+        "freeness_probe_peak_kib.W2_cyc(3,2,1)": round(peak / 2**10, 1),
     }
 
 
@@ -376,14 +377,10 @@ def bench_ghost_checks():
     figures = {}
     for p, n in [(3, 4), (5, 3), (7, 3)]:
         fresh = [WittUniversalTable(p, n) for _ in range(6)]
-        table = fresh[-1]
-        witness = verify_ghost_symbolic(table)
-        first = _ms_per_call(lambda: verify_ghost_symbolic(fresh.pop()), len(fresh) - 1)
-        warm = _ms_per_call(lambda: verify_ghost_symbolic(table))
-        figures[f"verify_ghost_symbolic_ms.p{p}n{n}"] = round(first, 2)
-        figures[f"verify_ghost_symbolic_ms.p{p}n{n}.warm"] = round(warm, 2)
-        print(f"  verify_ghost_symbolic(WittUniversalTable({p}, {n})) -> {witness}: "
-              f"{first:7.2f} ms first, {warm:7.2f} ms warm")
+        witness = verify_ghost_symbolic(fresh[-1])
+        ms = _ms_per_call(lambda: verify_ghost_symbolic(fresh.pop()), len(fresh) - 1)
+        figures[f"verify_ghost_symbolic_ms.p{p}n{n}"] = round(ms, 2)
+        print(f"  verify_ghost_symbolic(WittUniversalTable({p}, {n})) -> {witness}: {ms:7.2f} ms")
     return figures
 
 
@@ -545,8 +542,9 @@ def bench_exact_rz_maps():
         name = f"n{n}_{ring.descriptor()}"
         row = [f"n = {n}, {ring.descriptor()}:"]
         for op, fn, args in [("rz", rz, ws), ("fnbar", fnbar, vs)]:
-            ns = _ms_per_call(lambda: list(map(fn, args)), 3) / size * 1e6
-            figures[f"{op}_ns.{name}.new"] = round(ns, 1)
+            # best of 9: a call is a few ms, and single figures drift by a third
+            ns = _ms_per_call(lambda: list(map(fn, args)), 9) / size * 1e6
+            figures[f"{op}_ns.{name}"] = round(ns, 1)
             row.append(f"{op} {ns:6.0f} ns")
         print("  " + "   ".join(row))
     return figures

@@ -57,9 +57,10 @@ class SmallRingTables:
     (``add_hi`` entries are already multiplied by L).  A product splits one
     operand: a*b is the ring sum of mul_hi[a*H + b//L], the product of a with
     the high digits of b, and mul_lo[a*L + b%L], with the low ones.  ``neg``,
-    and the tables of ``pow_table(e)`` and ``scale_table(c)``, map an index to
-    the index of -a, a**e and c*a.  Every table is an ``array('H')``; the two
-    multiplication tables take 2*Q*(H+L) bytes, far less than a Q*Q table.
+    and the tables of ``pow_table(e)``, ``mul_row(k)`` and
+    ``scale_table(c)``, map an index a to the index of -a, a**e, k*a and c*a.
+    Every table is an ``array('H')``; the two multiplication tables take
+    2*Q*(H+L) bytes, far less than a Q*Q table.
 
     ``add_expr`` and ``mul_expr`` give the sum and product as Python source
     over the tables in ``namespace``, for code generated elsewhere; ``add``
@@ -87,7 +88,7 @@ class SmallRingTables:
         self.add_hi = _half_add_table(m, dh, L)
         self.add_lo = _half_add_table(m, d - dh, 1)
         self._pow = {}
-        self._scale = {}
+        self._rows = {}
         self._int64 = {}
         self.neg = self.scale_table(m - 1)
         self.namespace = {
@@ -142,14 +143,18 @@ class SmallRingTables:
             table = self._pow.setdefault(e, array("H", result.astype(np.uint16).tobytes()))
         return table
 
-    def scale_table(self, c):
-        """Table of a -> c*a for an integer c, built once per residue mod m."""
-        c %= self.m
-        table = self._scale.get(c)
+    def mul_row(self, k):
+        """Table of a -> k*a for the element of index k, built once per k:
+        row k of the multiplication table."""
+        table = self._rows.get(k)
         if table is None:
-            prod = self._vmul(np.arange(self.Q, dtype=np.int64), np.int64(c * self.one))
-            table = self._scale.setdefault(c, array("H", prod.astype(np.uint16).tobytes()))
+            prod = self._vmul(np.arange(self.Q, dtype=np.int64), np.int64(k))
+            table = self._rows.setdefault(k, array("H", prod.astype(np.uint16).tobytes()))
         return table
+
+    def scale_table(self, c):
+        """Table of a -> c*a for an integer c: the row of c*1."""
+        return self.mul_row(c % self.m * self.one)
 
     def int64(self, table):
         """An int64 numpy copy of one of these tables, built once, for index
@@ -166,7 +171,7 @@ class SmallRingTables:
 
     def nbytes(self):
         tables = [self.mul_hi, self.mul_lo, self.add_hi, self.add_lo]
-        tables += list(self._pow.values()) + list(self._scale.values())
+        tables += list(self._pow.values()) + list(self._rows.values())
         return sum(t.itemsize * len(t) for t in tables)
 
     def _vmul(self, a, b):
@@ -546,8 +551,12 @@ class _QuotientRing(RingHandle):
         return self.m**self.d
 
     def enumerate_elements(self):
-        for tup in itertools.product(range(self.m), repeat=self.d):
+        for tup in self.enumerate_payloads():
             yield RingElement(self, tup)
+
+    def enumerate_payloads(self):
+        """The payloads of enumerate_elements, in its order."""
+        return itertools.product(range(self.m), repeat=self.d)
 
     def _mul_matrix(self, b):
         """Columns: b * x^j in canonical form (d x d over Z/m).  Column j+1

@@ -15,11 +15,10 @@ import itertools
 import numpy as np
 
 from .kaehler import omega1_for_ring
+from ._compiler import _batch_mulmod, _coeff_batch_dtype
 from .rings import RingElement, random_coefficients, random_element, random_payload
 from .witt import (
-    _batch_mulmod,
-    _coeff_batch_dtype,
-    ghost_component,
+    get_table,
     ghost_terms,
     random_witt,
     raw_witt_ops,
@@ -53,7 +52,7 @@ def ring_carrier(ring):
     return Carrier(
         ring.descriptor(),
         ring.cardinality(),
-        lambda: (e.data for e in ring.enumerate_elements()),
+        ring.enumerate_payloads,
         lambda x: x == zero,
     )
 
@@ -237,15 +236,43 @@ def _rz_map(ring, p, n):
     W_{n+1}(A) -> W_n(A), w -> R(z w), on payloads.
 
     R is a ring map, so R(z w) = R(z) R(w): one W_n product, never the
-    W_{n+1} product whose top coordinate R drops.
+    W_{n+1} product whose top coordinate R drops, compiled with R(z) as its
+    fixed first operand.
     """
     z = z_element(ring, n + 1).data
-    mul, z_low = raw_witt_ops(ring, p, n).mul, z[:-1]
+    mul = get_table(p, n).compiled("prod", ring, fixed=dict(enumerate(z[:-1])))
 
     def rz(w):
-        return mul(z_low, w[:-1])
+        return mul(w[:-1])
 
     return z, rz
+
+
+def _fn_map(ring, p, n):
+    """F^n: W_n(A) -> A/p^n A, w -> F^n(w)_0 mod p^n, on payloads.
+
+    F shifts the ghost components, so F^n(w, 0)_0 is the ghost component
+    w_n(w, 0), read from the ghost block of W_{n+1} compiled with its last
+    coordinate fixed at zero; its pruning mod m drops the terms that
+    vanish.  Payloads are already reduced mod m, so only p^n < m needs a
+    reduction.
+    """
+    ghost = get_table(p, n + 1).compiled("ghost", ring, fixed={n: ring.zero().data})
+    pk = min(p**n, ring.m)
+    if pk == ring.m:
+        return lambda w: ghost(w)[n]
+    return lambda w: tuple([c % pk for c in ghost(w)[n]])
+
+
+def frobenius_image(ring, n):
+    """The classes mod p^n of the p^n-th powers of A, as coefficient tuples
+    reduced mod p^n.  a = b mod p gives a^(p^n) = b^(p^n) mod p^(n+1), so
+    the representatives of A/pA, coefficients in [0, p), give them all;
+    each is mapped by the compiled F^n on its Teichmuller payload
+    (a, 0, ..., 0)."""
+    p = ring.p
+    fn, zeros = _fn_map(ring, p, n), (ring.zero().data,) * (n - 1)
+    return {fn((a,) + zeros) for a in itertools.product(range(p), repeat=ring.d)}
 
 
 def exact_rz_complex(ring, n):
@@ -259,16 +286,9 @@ def exact_rz_complex(ring, n):
     zero = ring.zero().data
     z, rz = _rz_map(ring, p, n)
     pk = min(p**n, ring.m)
-    terms = ghost_terms(ring, p, n)
 
     def vmap(a):
         return (zero,) * n + (a,)
-
-    def fnbar(w):
-        # F^n(w, 0)_0 is the ghost component w_n(w, 0); payloads are
-        # already reduced mod m, so only p^n < m needs a reduction
-        g = ghost_component(ring, p, w[:terms], n)
-        return g if pk == ring.m else tuple(c % pk for c in g)
 
     z0_elem = RingElement(ring, z[0])
 
@@ -281,21 +301,11 @@ def exact_rz_complex(ring, n):
             )
         return None
 
-    frob_image = None
-
     def classify_surj(missing):
-        nonlocal frob_image
-        if frob_image is None:
-            frob_image = set()
-            for a in ring.enumerate_elements():
-                b = a ** (p**n)
-                frob_image.add(tuple(c % pk for c in b.data))
-        defect = {tuple(c % pk for c in itertools.chain(y)) for y in missing}
-        expected = set()
-        for y in itertools.product(range(pk), repeat=ring.d):
-            if y not in frob_image:
-                expected.add(y)
-        if defect == expected:
+        # missing: the classes of A/p^n outside the image of F^n, reduced
+        image = frobenius_image(ring, n)
+        expected = {y for y in itertools.product(range(pk), repeat=ring.d) if y not in image}
+        if set(missing) == expected:
             return (
                 "missing classes are exactly the p^n-power defect of the "
                 "truncation (the complete ring has surjective Frobenius)"
@@ -310,7 +320,7 @@ def exact_rz_complex(ring, n):
             witt_carrier(ring, p, n),
             quotient_carrier(ring, n),
         ],
-        [vmap, rz, fnbar],
+        [vmap, rz, _fn_map(ring, p, n)],
     )
     return cx, {1: classify_middle, 3: classify_surj}
 
@@ -399,7 +409,7 @@ class TwistedModule:
     An element is a pair (alpha, a): alpha a coefficient tuple in the
     generators x^j dx of Omega^1, a a RingElement.  The action runs on
     batches of coefficient rows ((B, d) arrays, multiplied by
-    witt._batch_mulmod), with the scalars as a batch of raw_witt_ops(ring, p,
+    _compiler._batch_mulmod), with the scalars as a batch of raw_witt_ops(ring, p,
     n + 1); action(y, m) is the batch of one.  F^n(y)_0 is the ghost
     component w_n(y), and its powers y_i^(p^(n-i)) are each one product past
     the powers of fnd; only the powers that w_n(y) reads are formed.

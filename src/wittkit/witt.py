@@ -13,44 +13,36 @@ truncations with p^M = 0 the compiled form drops monomials whose coefficient
 vanishes mod p^M (sound in the target ring, and the bulk of the speedup for
 exhaustive checks).  There is one element representation: a WittVector
 stores the payload tuple that RawWittOps computes on, and its ``coords`` are
-a view built on demand.  RawWittOps runs each of sum, product and Frobenius
-as one function that computes every coordinate at once.  One compiler
-(_compile_polys) builds them from programs of polynomial blocks, and one
-builder (_witt_program) writes the programs.  The Frobenius is one block.
-The sum is a carry program, a + b = [a_0 + b_0] + V((eta'(a_0, b_0) + a') +
-b'): a block of the carries eta, as polynomials in a_0 + b_0 and a_0 b_0,
-and two shorter sums.  The product is a program over the sum,
-a b = [a_0 b_0] + V(([a_0] b)' + a' F(b)): Teichmuller scalings, a
-Frobenius block, and a shorter product and sum.  The compiler shares every
-power and partial product between the coordinates and blocks, and an
-expression back end renders the arithmetic.  verify_ghost_symbolic checks
-the ghost identities on these same programs, evaluated on polynomials:
-nothing builds the sum or product expanded in 2n variables.
-WittUniversalTable.compiled is the one entry, and the ring picks the back
-end (_back_end).  For rings with lookup tables (rings.SmallRingTables, at
-most rings.TABLE_CAP elements) it works over element indices,
-converting coordinate tuples only on entry and exit; above the cap it calls
-the coefficient kernel (``_kernel``: packed big-int products, and in
-characteristic p each p-th power as a coefficient map) and forms each
-coordinate as one linear combination reduced mod m; over Z it evaluates the
-unpruned polynomials on the coordinates' Python ints.  Quotient rings also
-have a batch form of sum, product and Frobenius, from two more back ends of
-the same compiler: the table source on numpy arrays of element indices, and
-batched convolutions on (B, d) arrays of coefficients above the cap.  The
-tilt's Witt arithmetic runs these same operations on the payloads of its
-lifts, one lift level at a time.
+a view built on demand.  RawWittOps runs each of sum, product, Frobenius and
+ghost map as one function that computes every coordinate at once.  One
+compiler (_compiler._compile_polys) builds them from programs of polynomial
+blocks, and one builder (_witt_program) writes the programs.  The Frobenius
+and the ghost map are one block each.  The sum is a carry program,
+a + b = [a_0 + b_0] + V((eta'(a_0, b_0) + a') + b'): a block of the carries
+eta, as polynomials in a_0 + b_0 and a_0 b_0, and two shorter sums.  The
+product is a program over the sum, a b = [a_0 b_0] + V(([a_0] b)' + a' F(b)):
+Teichmuller scalings, a Frobenius block, and a shorter product and sum.
+verify_ghost_symbolic checks the ghost identities on these same programs,
+evaluated on polynomials: nothing builds the sum or product expanded in 2n
+variables.  WittUniversalTable.compiled is the one entry: the ring picks
+the back end (_compiler._back_end), lookup tables at or below
+rings.TABLE_CAP elements, the coefficient kernel above it, plain ints over
+Z, and quotient rings also have a batch form of sum, product and Frobenius.
+Coordinates can be fixed at compile time (the exact-rz maps: R z as a
+product by the constant R(z), F^n as the ghost block on (w, 0)), and the
+compiler folds their products and powers into constants.  The tilt's Witt
+arithmetic runs these same operations on the payloads of its lifts, one
+lift level at a time.
 """
 
-import collections
 import functools
 import itertools
 import math
 import operator
-import re
 
 import numpy as np
 
-from . import _kernel
+from ._compiler import _back_end, _coeff_batch_dtype, _compile_polys
 from .rings import IntegerRing, RingElement, _digits, random_payload, require_odd_prime
 
 _MAX_PRACTICAL_LEN = {3: 5, 5: 4}
@@ -280,29 +272,39 @@ class WittUniversalTable:
         ]
         self._compiled = {}
 
-    def compiled(self, which, ring, batch=False):
-        """All coordinates of sum/prod/frob in one function on raw payloads
-        of W_n(ring), or with batch on batches of them, through the back end
-        that _back_end picks for ring.  Cached by what that back end reads,
-        so the rings of one table shape share their functions."""
+    def compiled(self, which, ring, batch=False, fixed=None):
+        """All coordinates of sum/prod/frob/ghost in one function on raw
+        payloads of W_n(ring), or with batch on batches of them, through the
+        back end that _back_end picks for ring; ghost gives the ghost
+        components w_0..w_{n-1}.  fixed, per element only, is a dict
+        {coordinate: payload} of operand coordinates (0..n-1 the first
+        operand's, n..2n-1 the second's) folded in at compile time as
+        constants: the function takes each operand without its fixed
+        coordinates, and an operand fixed whole not at all.  Cached by what
+        the back end reads and by fixed, so the rings of one table shape
+        share their functions."""
+        fixed = tuple(sorted((fixed or {}).items()))
+        if batch and fixed:
+            raise TypeError("fixed coordinates compile per element only")
         source, make_exprs = _back_end(ring, batch)
-        key = (which, source, batch)
+        key = (which, source, batch, fixed)
         fn = self._compiled.get(key)
         if fn is None:
-            operands = 1 if which == "frob" else 2
-            fn = _compile_polys(self._program(which), operands, self.n, make_exprs())
+            operands = 1 if which in ("frob", "ghost") else 2
+            fn = _compile_polys(self._program(which), operands, self.n, make_exprs(), dict(fixed))
             self._compiled[key] = fn
         return fn
 
     def _program(self, which):
-        """The program of _compile_polys for sum, prod or frob."""
+        """The program of _compile_polys for sum, prod, frob or ghost."""
         return _witt_program(which, self.p, self.n, self.eta_sym_polys, self.frob_polys)
 
 
 def _witt_program(which, p, n, eta_sym_polys, frob_polys):
-    """The Witt sum, product or Frobenius of length n as a program of
-    _compile_polys on the coordinates a_0..a_{n-1}, b_0..b_{n-1} (values
-    0..2n-1; the Frobenius reads a only).
+    """The Witt sum, product, Frobenius or ghost map of length n as a
+    program of _compile_polys on the coordinates a_0..a_{n-1},
+    b_0..b_{n-1} (values 0..2n-1; the Frobenius and the ghost map read a
+    only).
 
     Every a in W_n is [a_0] + V(a'), and [x] + [y] = [x + y] + V(eta'(x, y))
     with eta' = (eta_1, ..., eta_{n-1}), so
@@ -323,8 +325,13 @@ def _witt_program(which, p, n, eta_sym_polys, frob_polys):
     (Illusie, Complexe de de Rham-Witt, 1979): a block a_0^(p^i) b_i for
     each i, one Frobenius block, a product of length n - 1 and a sum of
     length n - 1.  The Frobenius W_k -> W_{k-1} is one block, frob_polys[:k-1]
-    with monomials cut to k variables: F_i reads only x_0..x_{i+1}.
+    with monomials cut to k variables: F_i reads only x_0..x_{i+1}.  The
+    ghost map is one block, w_i = sum_{j<=i} p^j x_j^(p^(i-j)) for i < n.
     """
+    if which == "ghost":
+        pk = _Packing(n, p ** (n - 1))
+        ghosts = [pk.unpack_poly(_ghost_poly(p, i, pk.vars)) for i in range(n)]
+        return [(ghosts, range(n))], range(n, 2 * n)
     inputs = range((1 if which == "frob" else 2) * n)
     steps = []
     size = len(inputs)  # the number of values so far
@@ -357,468 +364,6 @@ def _witt_program(which, p, n, eta_sym_polys, frob_polys):
     if which == "frob":
         return steps, frob(inputs)
     return steps, (add if which == "sum" else mul)(inputs[:n], inputs[n:])
-
-
-def _compile_polys(program, operands, n, exprs):
-    """Compile a program of polynomial blocks on operands payloads of
-    length n to one function f(payload, ...) -> payload.
-
-    A program is (steps, outs).  Values 0..operands*n-1 are the payloads'
-    coordinates; each step (polys, args) evaluates every polynomial of polys
-    on the values args, polynomial variable j reading value args[j], and
-    appends the results as new values; outs are the values returned.  A
-    Frobenius is one block on all the coordinates; a sum and a product are
-    the programs of _witt_program.
-
-    Monomials are pruned modulo exprs.m (None prunes nothing).  Each value
-    is held as a linear combination {atom: c} of named atoms (coordinates,
-    products, reduced values; None is the constant 1), so linear steps fuse
-    into one combination; a value is reduced to a name (exprs.reduce) only
-    where a power or a product reads it, and each output is one combination
-    (exprs.combine).  Powers, partial products, scaled terms and reduced
-    values are named temporaries, computed once and reused by every block;
-    powers come from exprs.pow_expr or, when it gives none, from memoised
-    square-and-multiply, except that a back end of characteristic p
-    (exprs.char, else None) takes v^(p*k) as the Frobenius exprs.frob of
-    v^k, which is a ring map there.  The expression back end (_TableExprs,
-    _KernelExprs or _IntExprs, or the batch forms _TableBatchExprs and
-    _KernelBatchExprs) renders products, powers, the terms c*atom and the
-    combinations, and names them through temp() where they are worth
-    sharing.  Back ends with
-    inline_once set then get every temporary read only once substituted
-    into its reader.
-    """
-    steps, outs = program
-    m = exprs.m
-    ns = dict(exprs.namespace)
-    body = []
-    used = set()
-    memo = {}
-    nin = operands * n
-    values = []  # the linear combinations of values nin, nin + 1, ...
-
-    def temp(key, expr):
-        name = memo.get(key)
-        if name is None:
-            name = memo[key] = f"t{len(body)}"
-            body.append(f"    {name} = {expr}")
-        return name
-
-    def mul(a, b):
-        return exprs.product(a, b, temp)
-
-    def power(v, e):
-        if e == 1:
-            return v
-        key = ("pow", v, e)
-        name = memo.get(key)
-        if name is None:
-            expr = exprs.pow_expr(v, e, ns)
-            if expr is not None:
-                return temp(key, expr)
-            if exprs.char and e % exprs.char == 0:  # v^(p*k) = F(v^k)
-                return temp(key, exprs.frob(power(v, e // exprs.char)))
-            half = power(v, e // 2)
-            name = mul(half, half)
-            if e & 1:
-                name = mul(name, v)
-            memo[key] = name
-        return name
-
-    def combination(vi):
-        if vi < nin:
-            used.add(vi)
-            return {exprs.var(vi): 1}
-        return values[vi - nin]
-
-    def terms(comb):
-        return [exprs.term(c, atom, temp, ns) for atom, c in comb.items()]
-
-    def named(vi):
-        comb = combination(vi)
-        if len(comb) == 1:
-            ((atom, c),) = comb.items()
-            if c == 1 and atom is not None:
-                return atom
-        expr = exprs.reduce(terms(comb), temp)
-        name = expr if expr.isidentifier() else temp(("reduce", vi), expr)
-        values[vi - nin] = {name: 1}  # later steps read the reduced value
-        return name
-
-    def accumulate(comb, atom, c):
-        c += comb.get(atom, 0)
-        if m is not None:
-            c %= m
-        if c:
-            comb[atom] = c
-        else:
-            comb.pop(atom, None)
-
-    for polys, args in steps:
-        # reduce the values that powers and products read first, so that the
-        # block's linear steps read them reduced too
-        nonlinear = set()
-        for poly in polys:
-            for mono, c in poly.items():
-                if sum(mono) > 1 and (m is None or c % m):
-                    nonlinear.update(j for j, e in enumerate(mono) if e)
-        for j in sorted(nonlinear):
-            named(args[j])
-        for poly in polys:
-            comb = {}
-            for mono in sorted(poly):
-                c = poly[mono] if m is None else poly[mono] % m
-                if c == 0:
-                    continue
-                if sum(mono) == 1:  # c times one value: a linear step
-                    for atom, k in combination(args[mono.index(1)]).items():
-                        accumulate(comb, atom, c * k)
-                    continue
-                val = None  # None: the constant 1
-                for j, e in enumerate(mono):
-                    if e:
-                        f = power(named(args[j]), e)
-                        val = f if val is None else mul(val, f)
-                accumulate(comb, val, c)
-            values.append(comb)
-    outs = [exprs.combine(terms(combination(vi)), temp) for vi in outs]
-    if exprs.inline_once:
-        body, outs = _inline_single_uses(body, outs)
-    args = [f"u{k}" for k in range(operands)]
-    head = [f"def _f({', '.join(args)}):"]
-    for k, arg in enumerate(args):
-        head.append(f"    ({''.join(f'a{k * n + i}, ' for i in range(n))}) = {arg}")
-    head += [line for line in map(exprs.load, sorted(used)) if line]
-    tail = f"    return ({''.join(f'{out}, ' for out in outs)})"
-    src = "\n".join(head + body + [tail]) + "\n"
-    exec(src, ns)  # noqa: S102 - generated from table data only
-    fn = ns["_f"]
-    fn.__source__ = src
-    return fn
-
-
-# the names _compile_polys gives its temporaries
-_TEMP = re.compile(r"\bt\d+\b")
-
-# the most substitutions _inline_single_uses nests into one expression: each
-# adds a level or two of calls or operators, and CPython's compiler recurses
-# once per level, so a few thousand exhaust it
-_MAX_INLINE_DEPTH = 32
-
-
-def _inline_single_uses(body, outs):
-    """(body, outs) with every temporary that is read once substituted into
-    the expression that reads it, unless that would nest more than
-    _MAX_INLINE_DEPTH substitutions: such a temporary keeps its name.
-
-    Only sound for side-effect-free expressions that evaluate each operand
-    once.  A function with a thousand single-use temporaries compiles into
-    several MB that the allocator then keeps; nested calls compile smaller
-    and run no slower.
-    """
-    uses = collections.Counter(_TEMP.findall("\n".join(body + outs)))
-    inlined = {}  # name -> (expression, substitutions nested in it)
-
-    def substitute(text):
-        depth = 0
-
-        def expand(mt):
-            nonlocal depth
-            got = inlined.get(mt.group())
-            if got is None:
-                return mt.group()
-            depth = max(depth, got[1])
-            return got[0]
-
-        return _TEMP.sub(expand, text), depth + 1
-
-    kept = []
-    for line in body:
-        name, expr = line.strip().split(" = ", 1)
-        expr, depth = substitute(expr)
-        if uses[name] == 2 and depth <= _MAX_INLINE_DEPTH:  # its definition and one read
-            inlined[name] = expr, depth
-        else:
-            kept.append(f"    {name} = {expr}")
-    return kept, [substitute(out)[0] for out in outs]
-
-
-def _signed_groups(terms, m):
-    """Terms (c, name) grouped by coefficient, each c the residue of least
-    absolute value mod m (m None: c as given), in first-seen order."""
-    groups = {}
-    for c, name in terms:
-        if m is not None and c > m - c:
-            c -= m
-        groups.setdefault(c, []).append(name)
-    return groups
-
-
-def _linear_expr(groups):
-    """Source of sum_c c * (sum of names) for groups {c: [names]}."""
-    signed = []  # (sign, source of |c| * (sum of names))
-    for c, names in groups.items():
-        inner = " + ".join(names)
-        if c != 1 and len(names) > 1:
-            inner = f"({inner})"
-        signed.append(("-" if c < 0 else "+", inner if abs(c) == 1 else f"{abs(c)}*{inner}"))
-    expr = " ".join(f"{sign} {term}" for sign, term in signed)
-    return expr[2:] if expr.startswith("+ ") else expr
-
-
-class _TableExprs:
-    """Back end over element indices of a SmallRingTables ring: coordinates
-    convert to indices on entry and back on exit, and every product, sum,
-    power and scalar multiple in between is a table lookup."""
-
-    inline_once = False  # mul_expr reads its operands twice and uses walrus names
-    char = None  # powers are table lookups
-
-    def __init__(self, tables):
-        self.tables = tables
-        self.m = tables.m
-        self.namespace = dict(tables.namespace, _E=tables.elems, _I=tables.index)
-
-    def _table(self, table):
-        return table
-
-    def var(self, i):
-        return f"v{i}"
-
-    def load(self, i):
-        return f"    v{i} = _I[a{i}]"
-
-    def product(self, a, b, temp):
-        return temp(("mul", a, b), self.tables.mul_expr(a, b))
-
-    def pow_expr(self, v, e, ns):
-        ns[f"_P{e}"] = self._table(self.tables.pow_table(e))
-        return f"_P{e}[{v}]"
-
-    def term(self, c, val, temp, ns):
-        if val is None:
-            return str(c * self.tables.one)  # the constant c*1
-        if c != 1:
-            ns[f"_S{c}"] = self._table(self.tables.scale_table(c))
-            val = temp(("scale", val, c), f"_S{c}[{val}]")
-        return val
-
-    def reduce(self, terms, temp):
-        return self._sum(terms, temp)
-
-    def combine(self, terms, temp):
-        return f"_E[{self._sum(terms, temp)}]"
-
-    def _sum(self, terms, temp):
-        acc = terms[0] if terms else "0"
-        for t in terms[1:]:
-            acc = temp(("add", acc, t), self.tables.add_expr(acc, t))
-        return acc
-
-
-class _TableBatchExprs(_TableExprs):
-    """The table back end on a batch: every coordinate is a numpy array of
-    element indices, in and out, and the same source gathers through int64
-    copies of the tables."""
-
-    def __init__(self, tables):
-        self.tables = tables
-        self.m = tables.m
-        self.namespace = {name: tables.int64(t) for name, t in tables.namespace.items()}
-
-    def _table(self, table):
-        return self.tables.int64(table)
-
-    def load(self, i):
-        return f"    v{i} = a{i}"
-
-    def combine(self, terms, temp):
-        return self._sum(terms, temp)
-
-
-class _IntExprs:
-    """Back end over Python ints (W_n(Z)): exact, nothing pruned, and each
-    coordinate one integer linear combination of its terms."""
-
-    m = None
-    namespace = {}
-    inline_once = True  # plain calls and operators: inlining is sound
-    char = None  # Z has no Frobenius ring map
-
-    def var(self, i):
-        return f"a{i}"
-
-    def load(self, i):
-        return None  # payload entries are used as they are
-
-    def product(self, a, b, temp):
-        return temp(("mul", a, b), f"{a} * {b}")
-
-    def pow_expr(self, v, e, ns):
-        return f"{v} ** {e}"
-
-    def term(self, c, val, temp, ns):
-        return c, val
-
-    def combine(self, terms, temp):
-        if not terms:
-            return "0"
-        return f"({_linear_expr(_signed_groups(((c, v or '1') for c, v in terms), None))})"
-
-    def reduce(self, terms, temp):
-        return self.combine(terms, temp)  # every value is canonical
-
-
-class _KernelExprs(_IntExprs):
-    """Back end over coefficient tuples of a quotient ring above the table
-    cap: products call the kernel's poly_mulmod, powers are built from
-    products and, in characteristic p, from the kernel's poly_frobmod, and
-    each coordinate is one linear combination of its terms, reduced slot by
-    slot mod m."""
-
-    def __init__(self, ring):
-        self.m = ring.m
-        self.char = ring._ctx.char
-        # the module, not its function: the call resolves when it runs, so
-        # a wrapper installed after compiling still sees it
-        self.namespace = {
-            "_kernel": _kernel,
-            "_ctx": ring._ctx,
-            "_zero": ring.zero().data,
-            "_one": ring.one().data,
-        }
-
-    def product(self, a, b, temp):
-        return temp(("mul", a, b), f"_kernel.poly_mulmod({a}, {b}, _ctx)")
-
-    def frob(self, v):
-        return f"_kernel.poly_frobmod({v}, _ctx)"
-
-    def pow_expr(self, v, e, ns):
-        return None
-
-    def combine(self, terms, temp):
-        if not terms:
-            return "_zero"
-        if len(terms) == 1 and terms[0][0] == 1 and terms[0][1] is not None:
-            return terms[0][1]  # a product or an input, already canonical
-        names = [v or "_one" for _, v in terms]
-        zs = [f"z{k}" for k in range(len(names))]
-        groups = _signed_groups(zip((c for c, _ in terms), zs), self.m)
-        expr = f"({_linear_expr(groups)}) % {self.m}"
-        return f"tuple([{expr} for {', '.join(zs)}, in zip({', '.join(names)})])"
-
-
-class _KernelBatchExprs(_IntExprs):
-    """The kernel back end on a batch: every coordinate is a (B, d) array of
-    coefficient rows, of int64 or Python ints (_coeff_batch_dtype).  A
-    product is a batched convolution reduced through the ring's reduction
-    rows (_batch_mulmod), a Frobenius in characteristic p the coefficient
-    map of _batch_frobmod, and each coordinate one linear combination of its
-    terms, reduced mod m."""
-
-    def __init__(self, ring):
-        self.m = ring.m
-        self.char = ring._ctx.char
-        self.namespace = {
-            "_mul": _batch_mulmod(ring),
-            "_one": np.array(ring.one().data, dtype=_coeff_batch_dtype(ring)),
-        }
-        if self.char:
-            self.namespace["_frob"] = _batch_frobmod(ring)
-
-    def product(self, a, b, temp):
-        return temp(("mul", a, b), f"_mul({a}, {b})")
-
-    def frob(self, v):
-        return f"_frob({v})"
-
-    def pow_expr(self, v, e, ns):
-        return None
-
-    def combine(self, terms, temp):
-        # every coordinate of a Witt sum, product or Frobenius keeps a
-        # monomial in the variables (x_i + y_i, x_i y_0^(p^i), x_i^p mod p),
-        # and so does every carry that a block reads (eta_k has x^(p^k - 1) y
-        # with coefficient -1) and every Teichmuller scaling a_0^(p^i) b_i,
-        # so terms is never empty and never all constants
-        if len(terms) == 1 and terms[0][0] == 1:
-            return terms[0][1]  # a product or an input, already reduced
-        groups = _signed_groups(((c, v or "_one") for c, v in terms), self.m)
-        return f"({_linear_expr(groups)}) % {self.m}"
-
-
-def _back_end(ring, batch):
-    """The back end of _compile_polys for W_n(ring), per element or on a
-    batch, as (what it reads, a function that builds it): the ints over Z,
-    which have no batch form; the ring's SmallRingTables when it has them;
-    else the ring's coefficient kernel."""
-    if isinstance(ring, IntegerRing):
-        if batch:
-            raise TypeError(f"W_n({ring.descriptor()}) has no batch form")
-        return ring, _IntExprs
-    if ring._tables is not None:
-        return ring._tables, functools.partial(
-            _TableBatchExprs if batch else _TableExprs, ring._tables
-        )
-    return ring, functools.partial(_KernelBatchExprs if batch else _KernelExprs, ring)
-
-
-def _coeff_batch_dtype(ring):
-    """The dtype of a batch of coefficient rows of a quotient ring: int64
-    when no sum inside a batched product can reach 2**63 (they stay below
-    (2d-1) * d * (m-1)^3), else Python ints."""
-    d, m = ring.d, ring.m
-    return np.int64 if (2 * d - 1) * d * (m - 1) ** 3 < 2**63 else object
-
-
-def _batch_mulmod(ring):
-    """The product of (B, d) coefficient arrays in a quotient ring: the
-    convolution of each pair of rows, one shifted multiple of the second
-    factor per column of the first, then its top d-1 slots folded in
-    through the reduction rows (x^(d+j) reduced) by one matrix product, and
-    mod m.  Numpy's integer loops run it: a float64 product would call
-    BLAS, and numpy's sliding windows would leave a little memory behind
-    on every call, both costing more resident memory than the arrays."""
-    d, m = ring.d, ring.m
-    dtype = _coeff_batch_dtype(ring)
-    red = np.array(ring._red_rows, dtype=dtype).reshape(d - 1, d)
-
-    def mul(a, b):
-        conv = np.zeros((len(a), 2 * d - 1), dtype=dtype)
-        for i in range(d):
-            conv[:, i : i + d] += a[:, i, None] * b
-        out = conv[:, :d] + conv[:, d:] @ red
-        out %= m
-        return out
-
-    return mul
-
-
-def _batch_frobmod(ring):
-    """a^p of (B, d) coefficient arrays in a quotient ring of characteristic
-    p (ring._ctx.char), as _kernel.poly_frobmod computes it: for charp a
-    column scatter, coefficient i to column i*p; for cyc the sum of the p-1
-    blocks of q columns, the first (d-1)//p+1 sums less the others tiled
-    p-1 times, scattered to the columns p*r."""
-    ctx = ring._ctx
-    p, d = ctx.char, ctx.d
-    low = (d - 1) // p + 1  # the columns i*p below d
-    q = None if ctx.blocks is None else d // (p - 1)
-
-    def frob(a):
-        out = np.zeros_like(a)
-        if q is None:
-            out[:, ::p] = a[:, :low]
-            return out
-        sums = a.reshape(len(a), p - 1, q).sum(axis=1)
-        vals = sums[:, :low]
-        if low < q:
-            vals = vals - np.tile(sums[:, low:], p - 1)
-        out[:, ::p] = vals % p
-        return out
-
-    return frob
 
 
 @functools.lru_cache(maxsize=None)
@@ -1018,8 +563,8 @@ class RawWittOps:
     The payload is what a WittVector stores, so there is one element
     representation: wrap attaches ring and p to a payload and unwrap reads
     it back, neither building a RingElement.  Obtain via raw_witt_ops(ring,
-    p, n).  Sum, product and Frobenius are each one compiled function that
-    computes every coordinate at once, from the one entry
+    p, n).  Sum, product, Frobenius and ghost map are each one compiled
+    function that computes every coordinate at once, from the one entry
     WittUniversalTable.compiled: the ring picks the back end (_back_end),
     the lookup tables of a ring with at most rings.TABLE_CAP elements, the
     coefficient kernel above the cap, or plain ints over Z.  Over a quotient
@@ -1054,6 +599,10 @@ class RawWittOps:
     def _frob(self):
         return self._universal.compiled("frob", self.ring)
 
+    @functools.cached_property
+    def _ghost(self):
+        return self._universal.compiled("ghost", self.ring)
+
     def add(self, u, v):
         return self._sum(u, v)
 
@@ -1065,6 +614,10 @@ class RawWittOps:
 
     def frob(self, u):
         return self._frob(u)
+
+    def ghost(self, u):
+        """The ghost components w_0..w_{n-1} of u, as payloads."""
+        return self._ghost(u)
 
     def scalar_mul(self, k, u):
         if k < 0:
@@ -1308,35 +861,11 @@ def ghost_terms(ring, p, k):
     return k + 1
 
 
-def ghost_component(ring, p, u, k, powers=None):
-    """The payload of the ghost component w_k(u) = sum_{i<=k} p^i u_i^(p^(k-i))
-    of a payload u over ring; coordinates past the end of u count as zero.
-
-    F shifts the ghost components, so w_k(u) is also coordinate 0 of F^k(u).
-    powers, if given, holds u_i^(p^(k-i)) for each coordinate i <= k of u,
-    for a caller that has computed them already.  Every coordinate of u
-    counts, so callers pass u[:ghost_terms(ring, p, k)] and no power of a
-    vanishing term is taken; a map counts those terms once, not per element.
-    """
-    acc = None
-    for i, c in enumerate(u[: k + 1]):
-        x = ring._pow(c, p ** (k - i)) if powers is None else powers[i]
-        acc = x if acc is None else ring._add(acc, ring._scale(x, p**i))
-    return acc
-
-
 def ghost(u):
-    """Ghost components (w_0, ..., w_{n-1}) as ring elements."""
-    ring, p = u.ring, u.p
-    # a term that vanishes in w_{n-1} vanishes in every w_k
-    data = u.data[: ghost_terms(ring, p, u.length - 1)]
-    out, powers = [], []
-    for k in range(u.length):
-        # u_i^(p^(k-i)) is the p-th power of u_i^(p^(k-1-i))
-        powers = [ring._pow(x, p) for x in powers]
-        powers += data[k : k + 1]
-        out.append(RingElement(ring, ghost_component(ring, p, data, k, powers)))
-    return tuple(out)
+    """Ghost components (w_0, ..., w_{n-1}) as ring elements, from the
+    compiled ghost block of W_n."""
+    ring = u.ring
+    return tuple(RingElement(ring, w) for w in raw_witt_ops(ring, u.p, u.length).ghost(u.data))
 
 
 def witt_is_unit(u):

@@ -211,7 +211,7 @@ def _oracle_table(p, n):
 
 
 def _program_outputs(program, nvars):
-    """The outputs of a program of witt._compile_polys as polynomials in its
+    """The outputs of a program of _compiler._compile_polys as polynomials in its
     nvars input variables, one at a time: each step substitutes the values
     it reads into its polynomials, once an output reads it."""
     steps, outs = program
@@ -291,7 +291,7 @@ def symmetric_form():
 @pytest.fixture(scope="session")
 def run_program():
     """run_program(program, nvars): the list of outputs of a program of
-    witt._compile_polys, evaluated on exponent tuples in its nvars input
+    _compiler._compile_polys, evaluated on exponent tuples in its nvars input
     variables."""
     return _run_program
 

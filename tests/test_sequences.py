@@ -1,9 +1,11 @@
 """Complex exactness machinery and its registered instances."""
 
 import hashlib
+import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from wittkit.kaehler import fn_d, omega1_for_ring
@@ -18,6 +20,7 @@ from wittkit.sequences import (
     check_xv_identity,
     exact_rz_complex,
     exactness_report,
+    frobenius_image,
     ring_carrier,
     witt_carrier,
     witt_restriction_complex,
@@ -70,6 +73,9 @@ def test_broken_complex_fails_with_witness():
     verdicts = exactness_report(bad, budget=10**4)
     fails = [v for v in verdicts if v.verdict == "fail"]
     assert fails and fails[0].witness is not None
+    # the first element whose Teichmuller lift R z does not send to zero,
+    # as the map computed it before R z was compiled with z folded in
+    assert (fails[0].slot, fails[0].witness) == ("composite 0->2", (0, 0, 0, 0, 0, 1))
 
 
 def test_sampled_mode_flags_verdict():
@@ -371,7 +377,9 @@ MAP_SHAPES = [
     (CyclotomicTruncation(3, 3, 1), 1),  # above the table cap
     (CyclotomicTruncation(3, 3, 1), 2),
     (CyclotomicTruncation(3, 2, 2), 1),  # p^n < m: F^n reduced mod p^n
+    (CyclotomicTruncation(3, 2, 3), 1),  # p^n < m, and p x_1 kept in w_1
     (CyclotomicTruncation(5, 2, 1), 1),
+    (CyclotomicTruncation(5, 3, 1), 2),  # characteristic p, W_2 product by R(z_3)
 ]
 
 
@@ -387,6 +395,69 @@ def test_exact_rz_maps_match_the_long_product_and_the_iterated_frobenius(ring, n
     assert images == [old_rz(w) for w in ws]
     ws = images + _witt_inputs(ring, n, rng, 25)
     assert [fnbar(w) for w in ws] == [old_fnbar(w) for w in ws]
+
+
+def test_exact_rz_maps_compile_once_per_process(monkeypatch):
+    # R z and F^n are compiled functions with their constants folded in,
+    # cached on the universal tables: a second complex compiles nothing
+    import wittkit.witt as witt
+
+    ring = CyclotomicTruncation(3, 2, 1)
+    for n in (1, 2):
+        monkeypatch.setattr(witt.get_table(3, n), "_compiled", {})  # as in a fresh process
+    compiles = []
+    compile_polys = witt._compile_polys
+
+    def counted(program, operands, n, exprs, fixed=None):
+        compiles.append((n, sorted(fixed or {})))
+        return compile_polys(program, operands, n, exprs, fixed)
+
+    monkeypatch.setattr(witt, "_compile_polys", counted)
+    exact_rz_complex(ring, 1)
+    # R z: the W_1 product with its first operand R(z_2) fixed; F: the
+    # ghost block of W_2 with its last coordinate fixed at zero
+    assert sorted(compiles) == [(1, [0]), (2, [1])]
+    exact_rz_complex(ring, 1)
+    broken_complex(ring, 3, 1)
+    assert len(compiles) == 2
+
+
+def _frobenius_image_by_enumeration(ring, n):
+    """{a^(p^n) mod p^n : a in A} over every element a of ring, by
+    square-and-multiply on numpy rows of coefficients, each product a
+    convolution reduced through the ring's reduction rows: independent of
+    the compiled Witt functions and of the kernel."""
+    p, d, m = ring.p, ring.d, ring.m
+    pk = min(p**n, m)
+    red = np.array(ring._red_rows, dtype=np.int64).reshape(d - 1, d)
+
+    def mul(a, b):
+        conv = np.zeros((len(a), 2 * d - 1), dtype=np.int64)
+        for i in range(d):
+            conv[:, i : i + d] += a[:, i, None] * b
+        return (conv[:, :d] + conv[:, d:] @ red) % m
+
+    image = set()
+    rows = np.array(list(itertools.product(range(m), repeat=d)), dtype=np.int64)
+    for start in range(0, len(rows), 1 << 14):
+        base, acc, e = rows[start : start + (1 << 14)], None, p**n
+        while e:
+            if e & 1:
+                acc = base if acc is None else mul(acc, base)
+            e >>= 1
+            if e:
+                base = mul(base, base)
+        image.update(map(tuple, (acc % pk).tolist()))
+    return image
+
+
+@pytest.mark.parametrize("desc", ["cyc(3,1,2)", "cyc(3,1,3)", "cyc(5,1,2)"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_frobenius_image_from_a_mod_p_matches_full_enumeration(desc, n):
+    # a = b mod p gives a^(p^n) = b^(p^n) mod p^(n+1): the classes of A/pA
+    # give the whole image that classify_surj compares the defect with
+    ring = ring_from_descriptor(desc)
+    assert frobenius_image(ring, n) == _frobenius_image_by_enumeration(ring, n)
 
 
 ACTION_SHAPES = MAP_SHAPES + [

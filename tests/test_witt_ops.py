@@ -21,7 +21,6 @@ from wittkit.witt import (
     frobenius_power,
     get_table,
     ghost,
-    ghost_component,
     ghost_terms,
     random_witt,
     raw_witt_ops,
@@ -64,19 +63,19 @@ def test_ghost_of_teichmuller_and_v():
     [("cyc(3,2,1)", 1), ("cyc(3,2,1)", 2), ("cyc(3,2,2)", 2), ("charp(3,0,3)", 2), ("Z", 3)],
 )
 def test_ghost_component_is_coordinate_zero_of_the_frobenius_power(desc, k):
-    # F shifts ghost components, so F^k(u)_0 = w_k(u); a payload shorter
-    # than k + 1 reads as padded with zeros
+    # F shifts ghost components, so F^k(u)_0 = w_k(u), for the compiled
+    # ghost block of W_{k+1} and for ghost(u); a payload whose last
+    # coordinate is zero, as the exact-rz map F^k reads it, included
     ring = ring_from_descriptor(desc)
     rng = random.Random(12)
     zero = ring.zero().data
+    block = get_table(3, k + 1).compiled("ghost", ring)
     for _ in range(20):
         u = random_witt(ring, 3, k + 1, rng)
-        want = frobenius_power(u, k).data[0]
-        assert ghost_component(ring, 3, u.data, k) == want
-        assert ghost_component(ring, 3, u.data[:-1], k) == ghost_component(
-            ring, 3, u.data[:-1] + (zero,), k
-        )
-        assert RingElement(ring, want) == ghost(u)[k]
+        for w in (u, WittVector._trusted(ring, 3, u.data[:-1] + (zero,))):
+            want = frobenius_power(w, k).data[0]
+            assert block(w.data)[k] == want
+            assert RingElement(ring, want) == ghost(w)[k]
 
 
 @pytest.mark.parametrize(
@@ -490,3 +489,65 @@ def test_enumerate_payloads_reads_a_prefix_lazily():
         tracemalloc.stop()
     assert peak < 2**20
     assert first[0] == ((0,) * 12, (0,) * 12) and first[1][1][-1] == 1
+
+
+# --- fixed coordinates and the ghost block -----------------------------------
+
+# (ring, p, n) per back end: plain ints over Z, the lookup tables at or below
+# the table cap, the kernel above it, in characteristic p (cyc(5,3,1),
+# charp(7,0,63)) and not (cyc(3,2,2))
+COMPILED_SHAPES = [
+    ("Z", 3, 3),
+    ("cyc(3,2,1)", 3, 2),
+    ("charp(3,0,3)", 3, 3),
+    ("cyc(3,2,2)", 3, 3),
+    ("cyc(5,3,1)", 5, 2),
+    ("charp(7,0,63)", 7, 2),
+]
+COMPILED_IDS = [f"W{n}_{desc}" for desc, _, n in COMPILED_SHAPES]
+
+
+@pytest.mark.parametrize("desc,p,n", COMPILED_SHAPES, ids=COMPILED_IDS)
+def test_fixed_coordinates_compute_the_general_sum_and_product(desc, p, n):
+    ring = ring_from_descriptor(desc)
+    raw, table = raw_witt_ops(ring, p, n), get_table(p, n)
+    rng = random.Random(f"fixed/{desc}/{n}")
+    zero = ring.zero().data
+    # zero and one fold away, a Teichmuller lift has zero coordinates, and
+    # seeded vectors have none
+    firsts = [(zero,) * n, witt_one(ring, p, n).data]
+    firsts.append(teichmuller(random_element(ring, rng), p, n).data)
+    firsts += [random_witt(ring, p, n, rng).data for _ in range(3)]
+    seconds = [random_witt(ring, p, n, rng).data for _ in range(6)]
+    for which, op in (("sum", raw.add), ("prod", raw.mul)):
+        for a in firsts:
+            fn = table.compiled(which, ring, fixed=dict(enumerate(a)))
+            assert [fn(b) for b in seconds] == [op(a, b) for b in seconds]
+            assert table.compiled(which, ring, fixed=dict(enumerate(a))) is fn
+        # the second operand's last coordinate fixed at zero: the function
+        # takes both operands, the second one coordinate short
+        fn = table.compiled(which, ring, fixed={2 * n - 1: zero})
+        for a, b in zip(firsts, seconds):
+            assert fn(a, b[:-1]) == op(a, b[:-1] + (zero,))
+
+
+def test_fixed_coordinates_compile_per_element_only():
+    ring = ring_from_descriptor("cyc(3,2,1)")
+    with pytest.raises(TypeError, match="per element only"):
+        get_table(3, 2).compiled("prod", ring, batch=True, fixed={0: ring.zero().data})
+
+
+@pytest.mark.parametrize("desc,p,n", COMPILED_SHAPES, ids=COMPILED_IDS)
+def test_ghost_matches_the_oracle(desc, p, n, eval_polys):
+    # w_i = sum_{j<=i} p^j x_j^(p^(i-j)) evaluated unpruned on the
+    # coordinates, against the compiled ghost block of every length up to n+1
+    ring = ring_from_descriptor(desc)
+    rng = random.Random(f"ghost/{desc}/{n}")
+    for k in range(1, n + 2):
+        polys = [
+            {tuple(p ** (i - j) if v == j else 0 for v in range(k)): p**j for j in range(i + 1)}
+            for i in range(k)
+        ]
+        for _ in range(8):
+            u = random_witt(ring, p, k, rng)
+            assert ghost(u) == eval_polys(polys, list(u.coords))

@@ -11,13 +11,12 @@ import random
 
 import pytest
 
+from wittkit._compiler import _MAX_INLINE_DEPTH, _inline_single_uses
 from wittkit.rings import IntegerRing
 from wittkit.witt import (
-    _MAX_INLINE_DEPTH,
     WittTableError,
     WittUniversalTable,
     WittVector,
-    _inline_single_uses,
     _pdiv_exact,
     get_table,
     ghost,
