@@ -45,8 +45,11 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
     products, reduced values; None is the constant 1), so linear steps fuse
     into one combination; a value is reduced to a name (exprs.reduce) only
     where a power or a product reads it, and each output is one combination
-    (exprs.combine).  Powers, partial products, scaled terms and reduced
-    values are named temporaries, computed once and reused by every block.
+    (exprs.combine), or an input coordinate as the function got it when it
+    is exactly that coordinate: no conversion in and out, and no load of it
+    when nothing else reads it.  Powers, partial products, scaled terms and
+    reduced values are named temporaries, computed once and reused by every
+    block.
     A power comes from exprs.pow_expr; when that gives none, a block forms
     each value's powers in ascending order, a new one the largest taken so
     far times the rest by memoised square-and-multiply (as _psubst does).
@@ -72,10 +75,11 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
     m = exprs.m
     ns = dict(exprs.namespace)
     body = []
-    used = set()
     memo = {}
     taken = collections.defaultdict(list)  # value name -> exponents of its powers so far
     nin = operands * n
+    inputs = {exprs.var(vi): f"a{vi}" for vi in range(nin)}  # atom -> argument
+    read = set()  # the input atoms that the code reads, rendered in body or outs
     values = []  # the linear combinations of values nin, nin + 1, ...
 
     def temp(key, expr):
@@ -137,11 +141,11 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
         if vi < nin:
             if vi in fixed:
                 return {_Const(fixed[vi]): 1}
-            used.add(vi)
             return {exprs.var(vi): 1}
         return values[vi - nin]
 
     def terms(comb):
+        read.update(comb.keys() & inputs.keys())
         if any(isinstance(atom, _Const) for atom in comb):  # sum the constants into one
             consts = {atom: c for atom, c in comb.items() if _is_constant(atom)}
             comb = {atom: c for atom, c in comb.items() if not _is_constant(atom)}
@@ -157,6 +161,8 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
         if len(comb) == 1:
             ((atom, c),) = comb.items()
             if c == 1 and atom is not None:
+                if atom in inputs:
+                    read.add(atom)
                 return atom
         expr = exprs.reduce(terms(comb), temp)
         name = expr if expr.isidentifier() else temp(("reduce", vi), expr)
@@ -204,7 +210,15 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
                         val = f if val is None else mul(val, f)
                 accumulate(comb, val, c)
             values.append(comb)
-    outs = [exprs.combine(terms(combination(vi)), temp) for vi in outs]
+
+    def output(vi):
+        comb = combination(vi)
+        atom = next(iter(comb), None)
+        if comb == {atom: 1} and atom in inputs:
+            return inputs[atom]
+        return exprs.combine(terms(comb), temp)
+
+    outs = [output(vi) for vi in outs]
     if exprs.inline_once:
         body, outs = _inline_single_uses(body, outs)
     unpack = {}  # operand -> the names of its coordinates that are not fixed
@@ -213,7 +227,7 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
             unpack.setdefault(f"u{vi // n}", []).append(f"a{vi}, ")
     head = [f"def _f({', '.join(unpack)}):"]
     head += [f"    ({''.join(names)}) = {arg}" for arg, names in unpack.items()]
-    head += [line for line in map(exprs.load, sorted(used)) if line]
+    head += [line for vi in range(nin) if exprs.var(vi) in read and (line := exprs.load(vi))]
     tail = f"    return ({''.join(f'{out}, ' for out in outs)})"
     src = "\n".join(head + body + [tail]) + "\n"
     exec(src, ns)  # noqa: S102 - generated from table data only
@@ -488,8 +502,10 @@ class _KernelBatchExprs(_IntExprs):
         # every coordinate of a Witt sum, product or Frobenius keeps a
         # monomial in the variables (x_i + y_i, x_i y_0^(p^i), x_i^p mod p),
         # and so does every carry that a block reads (eta_k has x^(p^k - 1) y
-        # with coefficient -1) and every Teichmuller scaling a_0^(p^i) b_i,
-        # so terms is never empty and never all constants
+        # with coefficient -1), every Teichmuller scaling a_0^(p^i) b_i, and
+        # every output of the ghost and twist blocks (x_0^(p^k) in w_k, the
+        # powers x_i^(p^(k-i) - 1) of F^k d), so terms is never empty and
+        # never all constants
         if len(terms) == 1 and terms[0][0] == 1:
             return terms[0][1]  # a product or an input, already reduced
         groups = _signed_groups(((c, v or "_one") for c, v in terms), self.m)

@@ -19,7 +19,6 @@ from ._compiler import _batch_mulmod, _coeff_batch_dtype
 from .rings import RingElement, random_coefficients, random_element, random_payload
 from .witt import (
     get_table,
-    ghost_terms,
     random_witt,
     raw_witt_ops,
     restriction,
@@ -386,22 +385,6 @@ def _split(batch, k):
     return list(zip(*(np.split(c, k) for c in batch)))
 
 
-def _frobenius_power_batch(ring, p, xs, k):
-    """F^k on a batch of W_n(A), through the compiled Frobenius."""
-    for _ in range(k):
-        xs = raw_witt_ops(ring, p, len(xs)).frob_batch(xs)
-    return xs
-
-
-def _ghost_rows(p, m, powers):
-    """w_k as coefficient rows from the rows of its terms' powers
-    u_i^(p^(k-i)), i < len(powers): sum_i p^i powers[i] mod m."""
-    acc = powers[0]
-    for i, x in enumerate(powers[1:], 1):
-        acc = acc + p**i * x
-    return acc % m
-
-
 class TwistedModule:
     """Omega^1_A (+) A as a W_{n+1}(A)-module:
     y . (alpha, a) = (F^n(y) alpha - a * fnd(y), F^n(y) a).
@@ -411,8 +394,11 @@ class TwistedModule:
     batches of coefficient rows ((B, d) arrays, multiplied by
     _compiler._batch_mulmod), with the scalars as a batch of raw_witt_ops(ring, p,
     n + 1); action(y, m) is the batch of one.  F^n(y)_0 is the ghost
-    component w_n(y), and its powers y_i^(p^(n-i)) are each one product past
-    the powers of fnd; only the powers that w_n(y) reads are formed.
+    component w_n(y), and the twist block of W_{n+1} (witt._witt_program)
+    computes it together with the powers y_i^(p^(n-i) - 1) that fnd reads,
+    each y_i^(p^(n-i)) of w_n one product past them, and the terms that
+    vanish mod m pruned; d is no ring map, so the products by d(y_i) are
+    batch products outside the block.
     Equality in Omega^1 reads the Smith basis of its relations: an element
     is zero iff its coordinates vec * V there are divisible by the invariant
     factors.  Every invariant factor divides m (m dx^j is a relation), so V
@@ -423,8 +409,8 @@ class TwistedModule:
         self.ring = ring
         self.n = n
         self.omega = omega1_for_ring(ring)
-        self._ghost_terms = ghost_terms(ring, ring.p, n)
         self._raw = raw_witt_ops(ring, ring.p, n + 1)
+        self._twist = get_table(ring.p, n + 1).compiled("twist", ring, batch=True)
         self._mul = _batch_mulmod(ring)
         self._dtype = dtype = _coeff_batch_dtype(ring)
         m, d = ring.m, ring.d
@@ -442,33 +428,17 @@ class TwistedModule:
         out[:, :-1] = a[:, 1:] * self._d_scale % self.ring.m
         return out
 
-    def _fn_d_rows(self, u):
-        """fnd(y) = sum_i y_i^(p^(n-i) - 1) d y_i on the coefficient rows u
-        of y's coordinates, with the powers y_i^(p^(n-i) - 1), i < n."""
-        p, n, mul = self.ring.p, self.n, self._mul
-        powers = []
-        for i, c in enumerate(u[:n]):
-            e, acc = p ** (n - i) - 1, None
-            while e:
-                if e & 1:
-                    acc = c if acc is None else mul(acc, c)
-                e >>= 1
-                if e:
-                    c = mul(c, c)
-            powers.append(acc)
-        acc = self._d(u[n])
-        for x, c in zip(powers, u):
-            acc = acc + mul(x, self._d(c))
-        return acc % self.ring.m, powers
-
     def _scalars(self, ys):
         """(F^n(y)_0, fnd(y)) as coefficient rows, for a batch ys of
-        W_{n+1}(A)."""
-        u = [self._raw.coefficient_rows(c) for c in ys]
-        fnd, powers = self._fn_d_rows(u)
-        t = self._ghost_terms
-        powers = [*map(self._mul, powers[:t], u), *u[self.n : t]]
-        return _ghost_rows(self.ring.p, self.ring.m, powers), fnd
+        W_{n+1}(A): fnd(y) = sum_i y_i^(p^(n-i) - 1) d y_i, with w_n(y) and
+        the powers (i < n) from the twist block."""
+        rows = self._raw.coefficient_rows
+        fny, *powers = self._twist(ys)
+        u = list(map(rows, ys))
+        # one power's rows at a time, and d(y_n) last: the batch products
+        # run with no more (B, d) arrays alive than they read
+        acc = sum(self._mul(rows(x), self._d(c)) for x, c in zip(powers, u))
+        return rows(fny), (acc + self._d(u[self.n])) % self.ring.m
 
     def _act(self, scalars, ms):
         (fny, fnd), (alpha, a), mul = scalars, ms, self._mul
@@ -531,20 +501,15 @@ def check_module_axioms(tm, rng, triples=100):
 
 def check_fnd_leibniz(ring, n, rng, samples=50):
     """fnd(x w) = F^n(x) fnd(w) + F^n(w) fnd(x), exact on samples (x, w),
-    with F^n(x)_0 from the compiled Frobenius."""
+    with F^n(.)_0 and fnd of x w, x and w from one call of the twisted
+    module's scalars (its twist block); x w is the compiled Witt product."""
     tm = TwistedModule(ring, n)
-    p, raw, mul = ring.p, tm._raw, tm._mul
-
-    def fnd(ws):
-        return tm._fn_d_rows([raw.coefficient_rows(c) for c in ws])[0]
-
-    def fn0(ws):
-        return raw.coefficient_rows(_frobenius_power_batch(ring, p, ws, n)[0])
-
+    raw, mul = tm._raw, tm._mul
     bad = []
     for (xs, ws), at in sample_chunks(rng, samples, raw, raw):
-        lhs, fnd_x, fnd_w = np.split(fnd(_stack(raw.mul_batch(xs, ws), xs, ws)), 3)
-        fx, fw = np.split(fn0(_stack(xs, ws)), 2)
+        fn0, fnd = tm._scalars(_stack(raw.mul_batch(xs, ws), xs, ws))
+        _, fx, fw = np.split(fn0, 3)
+        lhs, fnd_x, fnd_w = np.split(fnd, 3)
         rhs = (mul(fw, fnd_x) + mul(fx, fnd_w)) % ring.m
         bad += _failures(tm._omega_eq(lhs, rhs), at)
     return bad
@@ -565,12 +530,14 @@ def check_xv_identity(ring, p, n, rng, samples=100):
 def check_vn_module_hom(ring, p, n, rng, samples=100):
     """V^n: A -> W_{n+1}(A) is a module map for the F^n-structure:
     x V^n(a) = V^n(F^n(x) a), on samples (x, a) over a quotient ring, with
-    F^n(x)_0 from the compiled Frobenius."""
+    F^n(x)_0 = w_n(x) read from the twist block of W_{n+1}, the one that the
+    twisted module compiles."""
     raw, raw1 = raw_witt_ops(ring, p, n + 1), raw_witt_ops(ring, p, 1)
+    twist = get_table(p, n + 1).compiled("twist", ring, batch=True)
     bad = []
     for (xs, a), at in sample_chunks(rng, samples, raw, raw1):
         zeros = (np.zeros_like(a[0]),) * n
-        fa = raw1.mul_batch(_frobenius_power_batch(ring, p, xs, n)[:1], a)
+        fa = raw1.mul_batch(twist(xs)[:1], a)
         holds = raw.equal_batch(raw.mul_batch(xs, zeros + a), zeros + fa)
         bad += [(x, *w.coords) for x, w in _failures(holds, at)]
     return bad

@@ -16,8 +16,9 @@ stores the payload tuple that RawWittOps computes on, and its ``coords`` are
 a view built on demand.  RawWittOps runs each of sum, product, Frobenius and
 ghost map as one function that computes every coordinate at once.  One
 compiler (_compiler._compile_polys) builds them from programs of polynomial
-blocks, and one builder (_witt_program) writes the programs.  The Frobenius
-and the ghost map are one block each.  The sum is a carry program,
+blocks, and one builder (_witt_program) writes the programs.  The Frobenius,
+the ghost map and the twist (F^n(x)_0 with the powers of F^n d, for the
+twisted module) are one block each.  The sum is a carry program,
 a + b = [a_0 + b_0] + V((eta'(a_0, b_0) + a') + b'): a block of the carries
 eta, as polynomials in a_0 + b_0 and a_0 b_0, and two shorter sums.  The
 product is a program over the sum, a b = [a_0 b_0] + V(([a_0] b)' + a' F(b)):
@@ -273,10 +274,11 @@ class WittUniversalTable:
         self._compiled = {}
 
     def compiled(self, which, ring, batch=False, fixed=None):
-        """All coordinates of sum/prod/frob/ghost in one function on raw
-        payloads of W_n(ring), or with batch on batches of them, through the
-        back end that _back_end picks for ring; ghost gives the ghost
-        components w_0..w_{n-1}.  fixed, per element only, is a dict
+        """All coordinates of sum/prod/frob/ghost/twist in one function on
+        raw payloads of W_n(ring), or with batch on batches of them, through
+        the back end that _back_end picks for ring; ghost gives the ghost
+        components w_0..w_{n-1}, twist w_{n-1} and the powers of F^(n-1) d
+        (_witt_program).  fixed, per element only, is a dict
         {coordinate: payload} of operand coordinates (0..n-1 the first
         operand's, n..2n-1 the second's) folded in at compile time as
         constants: the function takes each operand without its fixed
@@ -290,13 +292,13 @@ class WittUniversalTable:
         key = (which, source, batch, fixed)
         fn = self._compiled.get(key)
         if fn is None:
-            operands = 1 if which in ("frob", "ghost") else 2
+            operands = 1 if which in ("frob", "ghost", "twist") else 2
             fn = _compile_polys(self._program(which), operands, self.n, make_exprs(), dict(fixed))
             self._compiled[key] = fn
         return fn
 
     def _program(self, which):
-        """The program of _compile_polys for sum, prod, frob or ghost."""
+        """The program of _compile_polys for sum, prod, frob, ghost or twist."""
         return _witt_program(which, self.p, self.n, self.eta_sym_polys, self.frob_polys)
 
 
@@ -327,11 +329,20 @@ def _witt_program(which, p, n, eta_sym_polys, frob_polys):
     length n - 1.  The Frobenius W_k -> W_{k-1} is one block, frob_polys[:k-1]
     with monomials cut to k variables: F_i reads only x_0..x_{i+1}.  The
     ghost map is one block, w_i = sum_{j<=i} p^j x_j^(p^(i-j)) for i < n.
+    The twist is one block too, the scalars of the F^k-twisted module at
+    k = n - 1: w_k = F^k(x)_0, then x_i^(p^(k-i) - 1) for i < k, the powers
+    that F^k d(x) = sum_i x_i^(p^(k-i) - 1) d x_i reads (d is no ring map,
+    so its products stay outside); each x_i^(p^(k-i)) of w_k is then one
+    product past them.
     """
-    if which == "ghost":
+    if which in ("ghost", "twist"):
         pk = _Packing(n, p ** (n - 1))
-        ghosts = [pk.unpack_poly(_ghost_poly(p, i, pk.vars)) for i in range(n)]
-        return [(ghosts, range(n))], range(n, 2 * n)
+        if which == "ghost":
+            polys = [_ghost_poly(p, i, pk.vars) for i in range(n)]
+        else:
+            polys = [_ghost_poly(p, n - 1, pk.vars)]
+            polys += [{x * (p ** (n - 1 - i) - 1): 1} for i, x in enumerate(pk.vars[:-1])]
+        return [(list(map(pk.unpack_poly, polys)), range(n))], range(n, n + len(polys))
     inputs = range((1 if which == "frob" else 2) * n)
     steps = []
     size = len(inputs)  # the number of values so far
@@ -846,19 +857,6 @@ def frobenius_power(u, k):
     for _ in range(k):
         u = frobenius(u)
     return u
-
-
-def ghost_terms(ring, p, k):
-    """The number of leading terms of w_k = sum_{i<=k} p^i u_i^(p^(k-i)) that
-    can be nonzero over ring: over a quotient ring with coefficient modulus m
-    the term i vanishes from the first i with m | p^i on, as the compiled
-    polynomials drop it; over Z all k + 1 terms count."""
-    m = getattr(ring, "m", None)  # None over Z
-    if m is not None:
-        for i in range(k + 1):
-            if p**i % m == 0:
-                return i
-    return k + 1
 
 
 def ghost(u):

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from wittkit.kaehler import fn_d, omega1_for_ring
-from wittkit.rings import CharPQuotient, CyclotomicTruncation, random_element, ring_from_descriptor
+from wittkit.rings import (
+    CharPQuotient,
+    CyclotomicTruncation,
+    random_coefficients,
+    random_element,
+    ring_from_descriptor,
+)
 from wittkit.sequences import (
     TwistedModule,
     broken_complex,
@@ -481,29 +487,67 @@ def test_twisted_action_and_fn_d_match_the_frobenius_power_forms(ring, n):
         assert got[1].data == want[1].data
 
 
-@pytest.mark.parametrize("M,read", [(1, 1), (2, 2), (3, 3)])
-def test_twisted_action_forms_only_the_powers_the_ghost_component_reads(monkeypatch, M, read):
-    # at n = 2 over cyc(3,2,M), w_2(y) has the terms p^i y_i^(p^(2-i)) for
-    # p^i not divisible by m = 3^M, that is for i < M
+# batch products (_compiler._batch_mulmod) per TwistedModule._scalars call
+# over kernel rings, (ring, n) -> count: the twist block forms each
+# y_i^(p^(n-i) - 1), and each y_i^(p^(n-i)) that w_n keeps mod m one
+# product past it (y_i^p is one Frobenius map in characteristic p); then
+# one product by d(y_i) per i < n.  A square-and-multiply per power, with
+# w_n summed outside the block, takes 3 and 7, so its 3 would fail here.
+SCALAR_PRODUCTS = {("cyc(3,4,1)", 1): 2, ("cyc(3,3,1)", 2): 7}
+
+
+@pytest.mark.parametrize("desc,n", sorted(SCALAR_PRODUCTS))
+def test_twisted_scalars_take_the_pinned_batch_products(monkeypatch, desc, n):
+    import wittkit._compiler as compiler
     import wittkit.sequences as sequences
+    from wittkit.witt import get_table
 
-    ring, n = CyclotomicTruncation(3, 2, M), 2
+    ring = ring_from_descriptor(desc)
+    assert ring._tables is None
+    calls = []
+    batch_mulmod = compiler._batch_mulmod
+
+    def counted(ring):
+        mul = batch_mulmod(ring)
+
+        def counted_mul(a, b):
+            calls.append(len(a))
+            return mul(a, b)
+
+        return counted_mul
+
+    # the products of the compiled block and of the products by d(y_i)
+    monkeypatch.setattr(compiler, "_batch_mulmod", counted)
+    monkeypatch.setattr(sequences, "_batch_mulmod", counted)
+    monkeypatch.setattr(get_table(3, n + 1), "_compiled", {})  # as in a fresh process
     tm = TwistedModule(ring, n)
-    formed = []
-    ghost_rows = sequences._ghost_rows
+    rng = random.Random(f"scalar-products/{desc}")
+    ys = tm._raw.to_batch([random_witt(ring, 3, n + 1, rng).data for _ in range(8)])
+    tm._scalars(ys)
+    assert calls == [8] * SCALAR_PRODUCTS[desc, n]
 
-    def recording(p, m, powers):
-        formed.append(len(powers))
-        return ghost_rows(p, m, powers)
 
-    monkeypatch.setattr(sequences, "_ghost_rows", recording)
-    rng = random.Random(5)
-    for u in _witt_inputs(ring, n + 1, rng, 6):
-        y = raw_witt_ops(ring, ring.p, n + 1).wrap(u)
-        m = tm.random_element(rng)
-        assert tm.action(y, m) == _action_by_frobenius_power(tm, y, m)
-    assert check_module_axioms(tm, rng, triples=20) == []
-    assert formed and set(formed) == {read}
+@pytest.mark.parametrize("desc,n", [("cyc(3,2,1)", 1), ("cyc(3,2,1)", 2), ("cyc(3,3,1)", 1), ("cyc(3,1,3)", 2)])
+def test_twisted_scalars_agree_on_the_table_and_kernel_back_ends(monkeypatch, desc, n):
+    # the same ring with its tables switched off runs the twist block on
+    # the kernel back end, on coefficient rows in place of element indices;
+    # cyc(3,3,1) is above the table cap, on the kernel either way
+    import wittkit.witt as witt
+
+    d = ring_from_descriptor(desc).d
+    rows = random_coefficients(ring_from_descriptor(desc), random.Random(desc), 60 * (n + 1) * d)
+    got = []
+    for tables in (True, False):
+        ring = ring_from_descriptor(desc)
+        if not tables:
+            monkeypatch.setattr(ring, "_tables", None)
+            monkeypatch.setattr(witt, "_raw_cache", {})
+            monkeypatch.setattr(witt.get_table(3, n + 1), "_compiled", {})
+        tm = TwistedModule(ring, n)
+        assert ("_mul(" in tm._twist.__source__) == (tm._raw._tables is None)
+        ys = tm._raw.from_coefficients(rows.reshape(60, n + 1, d))
+        got.append([c.tolist() for c in tm._scalars(ys)])
+    assert got[0] == got[1]
 
 
 # --- negative controls of the batched sampled checks ------------------------
@@ -577,7 +621,8 @@ def test_leibniz_negative_control_reports_the_perturbed_samples_in_order(corrupt
     ring, n, p = CyclotomicTruncation(3, 2, 1), 1, 3
     samples = _draws(1, 300, *[lambda r: random_witt(ring, p, n + 1, r)] * 2)
     raw = raw_witt_ops(ring, p, n + 1)
-    corrupt(raw, "frob", [(samples[k][0].data,) for k in TARGETS])
+    # fnd(x w) reads the compiled product x w
+    corrupt(raw, "mul", [(x.data, w.data) for x, w in (samples[k] for k in TARGETS)])
     omega = omega1_for_ring(ring)
 
     def holds(x, w):

@@ -139,6 +139,23 @@ def test_the_compile_entry_takes_the_back_end_from_the_ring(desc, batch):
     assert len(table._compiled) == 3
 
 
+def test_a_plain_input_coordinate_is_returned_as_given(monkeypatch):
+    # w_0 = x_0: the table back end returns a0 itself, with no index round
+    # trip, and loads x_0 only where something else reads it
+    ring, kernel_ring = ring_from_descriptor("cyc(3,2,1)"), ring_from_descriptor("cyc(3,2,1)")
+    monkeypatch.setattr(kernel_ring, "_tables", None)
+    src = witt.WittUniversalTable(3, 2).compiled("ghost", ring).__source__
+    assert "return (a0, _E[" in src and "_E[v0]" not in src and src.count("v0 = _I[a0]") == 1
+    for batch in (False, True):
+        src = witt.WittUniversalTable(3, 1).compiled("ghost", ring, batch=batch).__source__
+        assert src.endswith("    (a0, ) = u0\n    return (a0, )\n")
+    rng = random.Random("plain-input")
+    for n in (1, 2, 3):
+        tables, kernel = (witt.WittUniversalTable(3, n).compiled("ghost", r) for r in (ring, kernel_ring))
+        us = [random_witt(ring, 3, n, rng).data for _ in range(20)]
+        assert list(map(tables, us)) == list(map(kernel, us))
+
+
 def test_rings_of_one_table_shape_share_their_compiled_functions():
     # charp(3,0,6) and charp(3,1,2) are unequal rings on the same tables
     table = witt.WittUniversalTable(3, 2)

@@ -21,7 +21,6 @@ from wittkit.witt import (
     frobenius_power,
     get_table,
     ghost,
-    ghost_terms,
     random_witt,
     raw_witt_ops,
     restriction,
@@ -58,37 +57,60 @@ def test_ghost_of_teichmuller_and_v():
     assert ghost(u)[1] == u.coords[0] ** 3 + 3 * u.coords[1]
 
 
+GHOST_SHAPES = [("cyc(3,2,1)", 1), ("cyc(3,2,1)", 2), ("cyc(3,2,2)", 2), ("charp(3,0,3)", 2), ("Z", 3)]
+
+
 @pytest.mark.parametrize(
-    "desc,k",
-    [("cyc(3,2,1)", 1), ("cyc(3,2,1)", 2), ("cyc(3,2,2)", 2), ("charp(3,0,3)", 2), ("Z", 3)],
+    "desc,k,batch",
+    [pytest.param(desc, k, False, id=f"{desc}-{k}") for desc, k in GHOST_SHAPES]
+    + [pytest.param(desc, k, True, id=f"{desc}-{k}-batch") for desc, k in GHOST_SHAPES if desc != "Z"],
 )
-def test_ghost_component_is_coordinate_zero_of_the_frobenius_power(desc, k):
+def test_ghost_component_is_coordinate_zero_of_the_frobenius_power(desc, k, batch):
     # F shifts ghost components, so F^k(u)_0 = w_k(u), for the compiled
-    # ghost block of W_{k+1} and for ghost(u); a payload whose last
-    # coordinate is zero, as the exact-rz map F^k reads it, included
+    # ghost block of W_{k+1} and for ghost(u), and on a batch for the ghost
+    # block and the twist block (whose output 0 is w_k); a payload whose
+    # last coordinate is zero, as the exact-rz map F^k reads it, included
     ring = ring_from_descriptor(desc)
     rng = random.Random(12)
     zero = ring.zero().data
-    block = get_table(3, k + 1).compiled("ghost", ring)
+    table = get_table(3, k + 1)
+    ws = []
     for _ in range(20):
         u = random_witt(ring, 3, k + 1, rng)
-        for w in (u, WittVector._trusted(ring, 3, u.data[:-1] + (zero,))):
-            want = frobenius_power(w, k).data[0]
-            assert block(w.data)[k] == want
-            assert RingElement(ring, want) == ghost(w)[k]
+        ws += [u, WittVector._trusted(ring, 3, u.data[:-1] + (zero,))]
+    want = [frobenius_power(w, k).data[0] for w in ws]
+    if not batch:
+        block = table.compiled("ghost", ring)
+        assert [block(w.data)[k] for w in ws] == want
+        assert [ghost(w)[k] for w in ws] == [RingElement(ring, c) for c in want]
+        return
+    raw, raw1 = raw_witt_ops(ring, 3, k + 1), raw_witt_ops(ring, 3, 1)
+    ys = raw.to_batch([w.data for w in ws])
+    for which, out in (("ghost", k), ("twist", 0)):
+        wk = (table.compiled(which, ring, batch=True)(ys)[out],)
+        assert [raw1.payload_at(wk, i)[0] for i in range(len(ws))] == want, which
 
 
-@pytest.mark.parametrize(
-    "desc,M",
-    [("cyc(3,1,1)", 1), ("cyc(3,1,2)", 2), ("cyc(3,1,3)", 3), ("Z", None)],
-    ids=["m=3", "m=9", "m=27", "Z"],
-)
-def test_ghost_terms_stop_at_the_first_multiple_of_the_modulus(desc, M):
-    # p^i u_i^(p^(k-i)) vanishes once m = p^M divides p^i, so w_k keeps
-    # min(M, k + 1) of its terms; over Z it keeps all k + 1
-    ring = ring_from_descriptor(desc)
-    for k in range(5):
-        assert ghost_terms(ring, 3, k) == (k + 1 if M is None else min(M, k + 1))
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("which", ["ghost", "twist"])
+def test_ghost_blocks_drop_the_terms_that_vanish_mod_the_modulus(which, M):
+    # p^i y_i^(p^(n-i)) vanishes once m = 3^M divides p^i: over cyc(3,2,M)
+    # at n = 2 the compiled w_n does not read y_i for i >= M, and reads
+    # every y_i with i < M
+    ring, n = ring_from_descriptor(f"cyc(3,2,{M})"), 2
+    raw, raw1 = raw_witt_ops(ring, 3, n + 1), raw_witt_ops(ring, 3, 1)
+    block = get_table(3, n + 1).compiled(which, ring, batch=True)
+    rng = random.Random(f"ghost-terms/{M}")
+    ys = [random_witt(ring, 3, n + 1, rng).data for _ in range(10)]
+
+    def wn(payloads):
+        out = (block(raw.to_batch(payloads))[n if which == "ghost" else 0],)
+        return [raw1.payload_at(out, k)[0] for k in range(len(payloads))]
+
+    base = wn(ys)
+    for i in range(n + 1):
+        moved = [y[:i] + (random_element(ring, rng).data,) + y[i + 1 :] for y in ys]
+        assert (wn(moved) != base) == (i < M), i
 
 
 @pytest.mark.parametrize("ring", RINGS)
