@@ -10,9 +10,7 @@ from .rings import (
     CharPQuotient,
     CyclotomicTruncation,
     IntegerRing,
-    PrimeContext,
     RingElement,
-    make_cyclotomic,
     ring_from_descriptor,
 )
 from .witt import (
@@ -35,12 +33,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "impl_name",
-    "PrimeContext",
     "IntegerRing",
     "CyclotomicTruncation",
     "CharPQuotient",
     "RingElement",
-    "make_cyclotomic",
     "ring_from_descriptor",
     "WittUniversalTable",
     "WittVector",

@@ -79,7 +79,6 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
     taken = collections.defaultdict(list)  # value name -> exponents of its powers so far
     nin = operands * n
     inputs = {exprs.var(vi): f"a{vi}" for vi in range(nin)}  # atom -> argument
-    read = set()  # the input atoms that the code reads, rendered in body or outs
     values = []  # the linear combinations of values nin, nin + 1, ...
 
     def temp(key, expr):
@@ -144,15 +143,36 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
             return {exprs.var(vi): 1}
         return values[vi - nin]
 
+    def fold_constants(comb):
+        """comb with its constants summed into one _Const, or none if they
+        sum to zero."""
+        if not any(isinstance(atom, _Const) for atom in comb):
+            return comb
+        k = fold({atom: c for atom, c in comb.items() if _is_constant(atom)})
+        comb = {atom: c for atom, c in comb.items() if not _is_constant(atom)}
+        if k != exprs.ring.zero().data:
+            comb[_Const(k)] = 1
+        return comb
+
     def terms(comb):
-        read.update(comb.keys() & inputs.keys())
-        if any(isinstance(atom, _Const) for atom in comb):  # sum the constants into one
-            consts = {atom: c for atom, c in comb.items() if _is_constant(atom)}
-            comb = {atom: c for atom, c in comb.items() if not _is_constant(atom)}
-            k = fold(consts)
-            if k != exprs.ring.zero().data:
-                comb[exprs.constant(k, ns)] = 1
-        return [exprs.term(c, atom, temp, ns) for atom, c in comb.items()]
+        out = []
+        for atom, c in fold_constants(comb).items():
+            if isinstance(atom, _Const):
+                atom = exprs.constant(atom.payload, ns)
+            out.append(exprs.term(c, atom, temp, ns))
+        return out
+
+    def reads_zero(mono, args):
+        """Whether the monomial reads a value that is the constant zero."""
+        if not fixed:
+            return False
+        zero = exprs.ring.zero().data
+        for j, e in enumerate(mono):
+            if e:
+                comb = combination(args[j])
+                if all(map(_is_constant, comb)) and fold(comb) == zero:
+                    return True
+        return False
 
     def named(vi):
         comb = combination(vi)
@@ -161,8 +181,6 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
         if len(comb) == 1:
             ((atom, c),) = comb.items()
             if c == 1 and atom is not None:
-                if atom in inputs:
-                    read.add(atom)
                 return atom
         expr = exprs.reduce(terms(comb), temp)
         name = expr if expr.isidentifier() else temp(("reduce", vi), expr)
@@ -185,7 +203,7 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
         exponents = collections.defaultdict(set)
         for poly in polys:
             for mono, c in poly.items():
-                if sum(mono) > 1 and (m is None or c % m):
+                if sum(mono) > 1 and (m is None or c % m) and not reads_zero(mono, args):
                     for j, e in enumerate(mono):
                         if e:
                             exponents[j].add(e)
@@ -203,6 +221,8 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
                     for atom, k in combination(args[mono.index(1)]).items():
                         accumulate(comb, atom, c * k)
                     continue
+                if reads_zero(mono, args):
+                    continue
                 val = None  # None: the constant 1
                 for j, e in enumerate(mono):
                     if e:
@@ -212,7 +232,7 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
             values.append(comb)
 
     def output(vi):
-        comb = combination(vi)
+        comb = fold_constants(combination(vi))
         atom = next(iter(comb), None)
         if comb == {atom: 1} and atom in inputs:
             return inputs[atom]
@@ -227,6 +247,7 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
             unpack.setdefault(f"u{vi // n}", []).append(f"a{vi}, ")
     head = [f"def _f({', '.join(unpack)}):"]
     head += [f"    ({''.join(names)}) = {arg}" for arg, names in unpack.items()]
+    read = set(_NAME.findall("\n".join(body + outs)))  # the names the code reads
     head += [line for vi in range(nin) if exprs.var(vi) in read and (line := exprs.load(vi))]
     tail = f"    return ({''.join(f'{out}, ' for out in outs)})"
     src = "\n".join(head + body + [tail]) + "\n"
@@ -238,6 +259,8 @@ def _compile_polys(program, operands, n, exprs, fixed=None):
 
 # the names _compile_polys gives its temporaries
 _TEMP = re.compile(r"\bt\d+\b")
+# any name in generated code
+_NAME = re.compile(r"\b\w+\b")
 
 # the most substitutions _inline_single_uses nests into one expression: each
 # adds a level or two of calls or operators, and CPython's compiler recurses

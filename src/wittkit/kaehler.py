@@ -378,12 +378,8 @@ def check_p_surjectivity(ring, samples):
     """
     p = ring.p
     omega = omega1_for_ring(ring)
-    d = ring.d
-    # Frobenius matrix on A/pA in the power basis, by the residue ring's
-    # own p-th powers
-    residue = CyclotomicTruncation(p, ring.N, 1)
-    frob_cols = [residue._pow(tuple(int(i == j) for i in range(d)), p) for j in range(d)]
-    frob_rows = [list(row) for row in zip(*frob_cols)]
+    # Frobenius matrix on A/pA in the power basis
+    frob_rows = CyclotomicTruncation(p, ring.N, 1)._frobenius_rows()
     sols = solve_mod_pp_many(frob_rows, [a.data for a in samples], p, 1)
     out = []
     for a, sol in zip(samples, sols):

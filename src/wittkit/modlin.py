@@ -2,7 +2,8 @@
 
 Z/p^M is a chain ring: every nonzero element is unit * p^v, so Gaussian
 elimination works once pivots are chosen by minimal p-valuation.  These
-routines back divide_exact on the finite quotient rings and every membership
+routines back divide_exact and the annihilators on the finite quotient
+rings, the fixed-point solver's F_p-linear levels, and every membership
 test on finitely presented modules with a p-power modulus.
 
 ``Elimination`` eliminates one matrix on sparse rows: each row is a
@@ -27,6 +28,11 @@ given now or later, and each answer is the one a fresh elimination of the
 matrix with that right-hand side would give.  ``solve_mod_pp`` and
 ``solve_mod_pp_many`` eliminate and solve at once; ``divide_exact`` keeps
 the elimination of each divisor's multiplication matrix and replays it.
+
+Over F_p (M = 1) the eliminated rows also give the kernel: ``kernel()``
+sets one column without a pivot to 1 and back-substitutes, and
+``solutions(rhs, cap)`` lists the solution ``solve`` returns plus every
+combination of that basis.  So one elimination answers a solution set too.
 """
 
 from math import gcd
@@ -37,6 +43,8 @@ class Elimination:
 
     ``rank`` is the number of pivots.  ``solve(rhs)`` returns one solution
     x (list) of A x = rhs, or None; solving leaves the elimination as it was.
+    With M = 1, ``kernel()`` and ``solutions(rhs, cap)`` give a kernel basis
+    and the whole solution set.
     """
 
     def __init__(self, rows, p, M):
@@ -105,6 +113,7 @@ class Elimination:
         self._rows = a[:k]
         self._pivots = pivots
         self._cols = col_at[:k]
+        self._free = sorted(col_at[k:])
         self._steps = steps
 
     def solve(self, rhs):
@@ -130,6 +139,35 @@ class Elimination:
             x[self._cols[i]] = c // pv
         return x
 
+    def kernel(self):
+        """A basis of the kernel of A over F_p (M = 1): for each column
+        without a pivot, in column order, the vector with 1 there and 0 at
+        the other such columns, back-substituted through the pivot rows."""
+        basis = []
+        for f in self._free:
+            x = [0] * self.nc
+            x[f] = 1
+            for i in range(self.rank - 1, -1, -1):
+                x[self._cols[i]] = -sum([e * x[j] for j, e in self._rows[i].items()]) % self.pm
+            basis.append(x)
+        return basis
+
+    def solutions(self, rhs, cap=None):
+        """Every solution of A x = rhs over F_p (M = 1), as tuples: the
+        solution ``solve`` returns plus each combination of the kernel
+        basis, in ``itertools.product`` order of the coefficients.  [] if
+        there is none, None if there are more than cap."""
+        p = self.pm
+        part = self.solve(rhs)
+        if part is None:
+            return []
+        if cap is not None and p ** (self.nc - self.rank) > cap:
+            return None
+        out = [tuple(part)]
+        for vec in self.kernel():
+            out = [tuple([(x + c * y) % p for x, y in zip(u, vec)]) for u in out for c in range(p)]
+        return out
+
 
 def solve_mod_pp(rows, rhs, p, M):
     """One solution x (list) of A x = rhs over Z/p^M, or None.
@@ -147,44 +185,3 @@ def solve_mod_pp_many(rows, rhss, p, M):
     """
     elim = Elimination(rows, p, M)
     return [elim.solve(rhs) for rhs in rhss]
-
-
-def nullspace_mod_p(rows, p):
-    """Basis of the right kernel of A over F_p (list of length-nc vectors)."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    a = [[c % p for c in row] for row in rows]
-    pivot_col = []
-    r = 0
-    for j in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if a[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][j], -1, p)
-        a[r] = [c * inv % p for c in a[r]]
-        for i in range(nr):
-            if i != r and a[i][j]:
-                f = a[i][j]
-                a[i] = [(c - f * ck) % p for c, ck in zip(a[i], a[r])]
-        pivot_col.append(j)
-        r += 1
-        if r == nr:
-            break
-    free_cols = [j for j in range(nc) if j not in pivot_col]
-    basis = []
-    for j in free_cols:
-        vec = [0] * nc
-        vec[j] = 1
-        for i, pc in enumerate(pivot_col):
-            vec[pc] = -a[i][j] % p
-        basis.append(vec)
-    return basis
-
-
-def solve_mod_p(rows, rhs, p):
-    return solve_mod_pp(rows, rhs, p, 1)

@@ -12,7 +12,10 @@ Three kinds of ring handle:
 Elements are stored in canonical form (coefficient tuples reduced modulo the
 minimal polynomial and modulo p^M, entries in [0, p^M)), so equality is
 tuple equality.  Handles and elements are immutable; everything here is safe
-to share between threads.
+to share between threads.  Each divisor's elimination and annihilator are
+kept in an lru_cache of DIVISOR_CACHE_SIZE entries, which does its own
+bookkeeping under a lock; two threads may build one entry twice, and
+either copy is right.
 
 Quotient rings with at most TABLE_CAP elements multiply through lookup tables
 over element indices (SmallRingTables); larger ones multiply coefficient
@@ -22,16 +25,16 @@ products, or a schoolbook loop).  Payloads are tuples either way.
 p = 2 is rejected everywhere.
 """
 
+import functools
 import itertools
 import re
-import threading
 from array import array
 from fractions import Fraction
 
 import numpy as np
 
 from . import _kernel as kernel
-from .modlin import Elimination, nullspace_mod_p
+from .modlin import Elimination
 
 # Quotient rings with m**d <= TABLE_CAP elements get lookup tables.  At the
 # cap the two multiplication tables take 2 * 729 * 27 entries of 2 bytes.
@@ -247,9 +250,14 @@ def _quotient_shape(kind, m, d, make_red_rows):
 # The most divisors whose linear algebra _QuotientRing keeps, over all rings.
 DIVISOR_CACHE_SIZE = 32
 
-# (ring, divisor payload) -> {"elim": Elimination, "ann": tuple of elements}
-_divisors = {}
-_divisors_lock = threading.Lock()  # held to add an entry, and to evict one
+
+@functools.lru_cache(maxsize=DIVISOR_CACHE_SIZE)
+def _divisor_entry(ring, payload):
+    """The cache entry of the divisor payload of ring, a dict that keeps its
+    elimination ("elim") and annihilator ("ann") once they are built.
+    Equal rings share entries; past DIVISOR_CACHE_SIZE entries the least
+    recently used is dropped."""
+    return {}
 
 
 def is_odd_prime(p):
@@ -267,24 +275,6 @@ def require_odd_prime(p):
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime >= 3, got {p!r}")
     return p
-
-
-class PrimeContext:
-    """A fixed odd prime; the standing hypothesis for every structure here."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        self.p = require_odd_prime(p)
-
-    def __repr__(self):
-        return f"PrimeContext(p={self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeContext) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("PrimeContext", self.p))
 
 
 class RingElement:
@@ -609,54 +599,37 @@ class _QuotientRing(RingHandle):
         return c
 
     def annihilator(self, b, cap=None):
-        if self.m == self.p:
-            dim = self.d - self._elimination(b).rank
-            if cap is not None and self.p**dim > cap:
-                return None
-        elif self.cardinality() > (4096 if cap is None else cap):
+        if self.m != self.p and self.cardinality() > (4096 if cap is None else cap):
             return None  # prime-power modulus: brute force below the cap only
-        entry = self._divisor(b)
+        entry = _divisor_entry(self, b.data)
         ann = entry.get("ann")
         if ann is None:
             if self.m == self.p:
-                basis = nullspace_mod_p(self._mul_matrix(b), self.p)
-                assert len(basis) == dim
-                ann = []
-                for coeffs in itertools.product(range(self.p), repeat=dim):
-                    vec = [0] * self.d
-                    for c, bas in zip(coeffs, basis):
-                        for i in range(self.d):
-                            vec[i] += c * bas[i]
-                    ann.append(RingElement(self, tuple(v % self.p for v in vec)))
+                ann = self._elimination(b).solutions((0,) * self.d, cap)
+                if ann is None:
+                    return None
+                ann = [RingElement(self, u) for u in ann]
             else:
                 zero = self.zero()
                 ann = [c for c in self.enumerate_elements() if b * c == zero]
             ann = entry["ann"] = tuple(ann)
+        elif cap is not None and len(ann) > cap:
+            return None
         return list(ann)
-
-    def _divisor(self, b):
-        """The cache entry of the divisor b, a dict that keeps its
-        elimination ("elim") and annihilator ("ann") once they are built.
-        Equal rings share entries; past DIVISOR_CACHE_SIZE entries the
-        oldest is dropped."""
-        key = (self, b.data)
-        entry = _divisors.get(key)
-        if entry is None:
-            with _divisors_lock:
-                entry = _divisors.get(key)
-                if entry is None:
-                    if len(_divisors) >= DIVISOR_CACHE_SIZE:
-                        del _divisors[next(iter(_divisors))]
-                    entry = _divisors[key] = {}
-        return entry
 
     def _elimination(self, b):
         """The recorded elimination of b's multiplication matrix."""
-        entry = self._divisor(b)
+        entry = _divisor_entry(self, b.data)
         elim = entry.get("elim")
         if elim is None:
             elim = entry["elim"] = Elimination(self._mul_matrix(b), self.p, self._M_for_solve())
         return elim
+
+    def _frobenius_rows(self):
+        """The matrix of u -> u^p on the power basis (d x d over Z/m, rows),
+        column j the payload of (x^j)^p."""
+        cols = [self._pow(tuple(int(i == j) for i in range(self.d)), self.p) for j in range(self.d)]
+        return [list(row) for row in zip(*cols)]
 
     def _M_for_solve(self):
         raise NotImplementedError
@@ -884,10 +857,6 @@ def ring_from_descriptor(s):
     if m:
         return CharPQuotient(*(int(g) for g in m.groups()))
     raise ValueError(f"bad ring descriptor {s!r}")
-
-
-def make_cyclotomic(p, N, M):
-    return CyclotomicTruncation(p, N, M)
 
 
 def random_payload(ring, rng):

@@ -28,11 +28,12 @@ Two complementary models:
 import functools
 import itertools
 
-from .modlin import nullspace_mod_p, solve_mod_p
+from .modlin import Elimination
 from .rings import CharPQuotient, RingElement
 from .witt import (
     WittVector,
     frobenius,
+    frobenius_power,
     raw_witt_ops,
     teichmuller,
     witt_add,
@@ -395,10 +396,7 @@ def check_ker_F_generators(ring, n, rng=None):
     if ring.N < n + 1:
         raise ValueError("depth shortfall: need N >= n+1")
     z = z_element(ring, n + 1)
-    fn_z = z
-    for _ in range(n):
-        fn_z = frobenius(fn_z)
-    membership_zn = fn_z.is_zero()
+    membership_zn = frobenius_power(z, n).is_zero()
 
     big = witt_zero(ring, p, n + 1)
     zeta = ring.zeta(n + 1)
@@ -414,10 +412,7 @@ def check_ker_F_generators(ring, n, rng=None):
         for _ in range(4):
             r = random_witt(ring, p, n + 1, rng)
             w = witt_mul(z, r)
-            wk = w
-            for _ in range(n):
-                wk = frobenius(wk)
-            if not wk.is_zero():
+            if not frobenius_power(w, n).is_zero():
                 constructed_ok = False
                 witnesses.append(("constructed member escaped the kernel", repr(w)))
                 continue
@@ -513,34 +508,17 @@ def enumerate_wn_fp(ring, p, n):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _power_basis_frobenius(ring):
-    """The payloads of the power basis s^j of the char-p ring, and of their
-    p-th powers (s^j)^p."""
-    basis = [tuple(int(i == j) for i in range(ring.d)) for j in range(ring.d)]
-    return basis, [ring._pow(e, ring.p) for e in basis]
-
-
 def _frobenius_affine_solutions(ring, a, b, cap=None):
     """All u in the char-p ring with u^p - a*u = b (F_p-affine in u), as
     payloads in increasing order, or None if there are more than cap; a and
     b are payloads."""
     p = ring.p
-    basis, frob = _power_basis_frobenius(ring)
-    cols = [ring._sub(f, ring._mul(a, e)) for e, f in zip(basis, frob)]
-    rows = [list(row) for row in zip(*cols)]
-    part = solve_mod_p(rows, list(b), p)
-    if part is None:
-        return []
-    kernel = nullspace_mod_p(rows, p)
-    if cap is not None and p ** len(kernel) > cap:
-        return None
-    out = [tuple(c % p for c in part)]
-    for kernel_vec in kernel:
-        out = [
-            tuple((x + c * y) % p for x, y in zip(u, kernel_vec)) for u in out for c in range(p)
-        ]
-    return sorted(set(out))
+    rows = [
+        [(f - c) % p for f, c in zip(fr, cr)]
+        for fr, cr in zip(ring._frobenius_rows(), ring._mul_matrix(RingElement(ring, a)))
+    ]
+    out = Elimination(rows, p, 1).solutions(b, cap)
+    return out if out is None else sorted(out)
 
 
 class SolutionBudgetError(ArithmeticError):

@@ -11,7 +11,7 @@ import pytest
 
 from wittkit import cli, kaehler, rings
 from wittkit.kaehler import Omega1, omega1_for_ring
-from wittkit.modlin import nullspace_mod_p, solve_mod_pp
+from wittkit.modlin import Elimination, solve_mod_pp
 from wittkit.rings import CharPQuotient, CyclotomicTruncation, RingElement, random_element
 from wittkit.witt import random_witt, witt_divide_exact, witt_mul, z_element
 
@@ -82,14 +82,53 @@ def test_divisor_cache_stays_at_its_bound():
     for b in divisors:
         a = b * random_element(ring, rng)
         assert b * ring.divide_exact(a, b) == a
-        assert len(rings._divisors) <= rings.DIVISOR_CACHE_SIZE
-    assert len(rings._divisors) == rings.DIVISOR_CACHE_SIZE
+        assert rings._divisor_entry.cache_info().currsize <= rings.DIVISOR_CACHE_SIZE
+    assert rings._divisor_entry.cache_info().currsize == rings.DIVISOR_CACHE_SIZE
+
+
+def _nullspace_mod_p(rows, p):
+    """The dense Gauss-Jordan kernel basis over F_p that Elimination.kernel
+    replaced, kept as the oracle: for each column without a pivot of the
+    reduced row echelon form, in column order, the vector with 1 there."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    a = [[c % p for c in row] for row in rows]
+    pivot_col = []
+    r = 0
+    for j in range(nc):
+        piv = None
+        for i in range(r, nr):
+            if a[i][j]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][j], -1, p)
+        a[r] = [c * inv % p for c in a[r]]
+        for i in range(nr):
+            if i != r and a[i][j]:
+                f = a[i][j]
+                a[i] = [(c - f * ck) % p for c, ck in zip(a[i], a[r])]
+        pivot_col.append(j)
+        r += 1
+        if r == nr:
+            break
+    basis = []
+    for j in range(nc):
+        if j not in pivot_col:
+            vec = [0] * nc
+            vec[j] = 1
+            for i, pc in enumerate(pivot_col):
+                vec[pc] = -a[i][j] % p
+            basis.append(vec)
+    return basis
 
 
 def _annihilator_by_nullspace(ring, b, cap):
     """The annihilator as it was computed before the cache, kept as the
     oracle: a nullspace basis over F_p, then every combination in order."""
-    basis = nullspace_mod_p(ring._mul_matrix(b), ring.p)
+    basis = _nullspace_mod_p(ring._mul_matrix(b), ring.p)
     if cap is not None and ring.p ** len(basis) > cap:
         return None
     out = []
@@ -119,6 +158,25 @@ def test_annihilator_is_the_list_it_was(ring):
             # twice: the second answer comes from the cache
             assert ring.annihilator(b, cap=cap) == want
             assert ring.annihilator(b, cap=cap) == want
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [CyclotomicTruncation(3, k, 1) for k in (1, 2, 3, 4)]
+    + [CyclotomicTruncation(5, 2, 1), CyclotomicTruncation(7, 2, 1)]
+    + [CharPQuotient(3, 0, 9), CharPQuotient(3, 1, 5), CharPQuotient(5, 1, 3)]
+    + [CharPQuotient(3, 2, 4)],
+    ids=lambda r: r.descriptor(),
+)
+def test_kernel_is_the_dense_basis_on_multiplication_matrices(ring):
+    # on the matrices the rings build, the recorded elimination leaves the
+    # columns without a pivot that Gauss-Jordan leaves, so the two bases,
+    # and with them the annihilator's order, agree vector for vector
+    rng = random.Random(ring.d + ring.p)
+    for _ in range(40):
+        b = _divisor(ring, rng, rng.randrange(ring.d + 1))
+        rows = ring._mul_matrix(b)
+        assert Elimination(rows, ring.p, 1).kernel() == _nullspace_mod_p(rows, ring.p)
 
 
 def test_annihilator_cap_with_a_prime_power_modulus():

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from wittkit.modlin import Elimination, nullspace_mod_p, solve_mod_pp, solve_mod_pp_many
+from wittkit.modlin import Elimination, solve_mod_pp, solve_mod_pp_many
 
 
 def pval(c, p, M):
@@ -338,13 +338,21 @@ def test_sparse_solver_unreduced_and_degenerate_inputs():
     assert solve_mod_pp([], [], p, M) == []
 
 
-def test_nullspace_mod_p():
+def _span(basis, p, nc):
+    """Every F_p-combination of the basis vectors, as a set of tuples."""
+    return {
+        tuple(sum(c * v[i] for c, v in zip(cs, basis)) % p for i in range(nc))
+        for cs in itertools.product(range(p), repeat=len(basis))
+    }
+
+
+def test_elimination_kernel():
     rng = random.Random(4)
     p = 3
     for _ in range(60):
         nr, nc = rng.randint(1, 3), rng.randint(1, 4)
         rows = [[rng.randrange(p) for _ in range(nc)] for _ in range(nr)]
-        basis = nullspace_mod_p(rows, p)
+        basis = Elimination(rows, p, 1).kernel()
         # every basis vector is in the kernel
         for vec in basis:
             assert all(
@@ -353,3 +361,65 @@ def test_nullspace_mod_p():
         # the kernel size matches the brute-force count
         brute = _brute_solutions(rows, [0] * nr, p, nc)
         assert p ** len(basis) == len(brute)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_elimination_kernel_spans_the_brute_kernel(p):
+    # the pivot rule is not Gauss-Jordan's, so on a general matrix the basis
+    # can differ from the reduced echelon one; the span may not
+    rng = random.Random(40 + p)
+    for _ in range(150):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 4 if p == 3 else 3)
+        density = rng.choice((0.3, 0.7, 1.0))
+        rows = [
+            [rng.randrange(-p, 2 * p) if rng.random() < density else 0 for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        elim = Elimination(rows, p, 1)
+        basis = elim.kernel()
+        assert len(basis) == nc - elim.rank
+        assert _span(basis, p, nc) == set(_brute_solutions(rows, [0] * nr, p, nc))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_elimination_solutions_are_the_brute_solution_set(p):
+    rng = random.Random(60 + p)
+    unsolvable = 0
+    for _ in range(150):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 4 if p == 3 else 3)
+        rows = [
+            [rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(nc)] for _ in range(nr)
+        ]
+        x = [rng.randrange(p) for _ in range(nc)]
+        solvable = [sum(c * xi for c, xi in zip(row, x)) for row in rows]
+        elim = Elimination(rows, p, 1)
+        for rhs in (solvable, [rng.randrange(-p, 2 * p) for _ in range(nr)]):
+            brute = _brute_solutions(rows, rhs, p, nc)
+            got = elim.solutions(rhs)
+            assert len(got) == len(set(got)) == len(brute)
+            assert set(got) == set(brute), (rows, rhs)
+            unsolvable += not brute
+            if brute:
+                # the first is the solution solve returns; the cap bounds the count
+                assert list(got[0]) == elim.solve(rhs)
+                assert elim.solutions(rhs, len(brute)) == got
+                assert elim.solutions(rhs, len(brute) - 1) is None
+            else:
+                assert elim.solutions(rhs, 0) == []
+    assert unsolvable
+
+
+def test_elimination_solutions_run_in_product_order():
+    # the particular solution plus c_1 k_1 + ... + c_r k_r, the last
+    # coefficient varying fastest
+    p = 3
+    rows = [[1, 1, 0, 2], [0, 0, 0, 0]]
+    elim = Elimination(rows, p, 1)
+    part, basis = elim.solve([2, 0]), elim.kernel()
+    want = [
+        tuple((x + sum(c * k[i] for c, k in zip(cs, basis))) % p for i, x in enumerate(part))
+        for cs in itertools.product(range(p), repeat=len(basis))
+    ]
+    assert elim.solutions([2, 0]) == want
+    assert Elimination([], p, 1).solutions([]) == [()]
+    assert Elimination([[0, 0]], p, 1).solutions([1]) == []

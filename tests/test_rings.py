@@ -11,11 +11,11 @@ from wittkit.rings import (
     CharPQuotient,
     CyclotomicTruncation,
     IntegerRing,
-    PrimeContext,
     RingElement,
     random_coefficients,
     random_element,
     random_payload,
+    require_odd_prime,
     ring_from_descriptor,
 )
 from wittkit.witt import WittVector, random_witt
@@ -33,8 +33,8 @@ RINGS_MEDIUM = [
 def test_prime_context_rejects_bad_primes():
     for bad in (2, 4, 9, 1, -3):
         with pytest.raises(ValueError):
-            PrimeContext(bad)
-    assert PrimeContext(3).p == 3
+            require_odd_prime(bad)
+    assert require_odd_prime(3) == 3
     with pytest.raises(ValueError):
         CyclotomicTruncation(2, 1, 1)
     with pytest.raises(ValueError):
@@ -111,6 +111,24 @@ def test_charp_frobenius():
     f = CharPQuotient(3, 0, 9)
     t = f.t_element()
     assert (f.one() + t) ** 3 == f.one() + t**3
+
+
+@pytest.mark.parametrize("desc", ["cyc(3,2,1)", "cyc(5,2,1)", "cyc(3,3,1)", "charp(3,0,9)"])
+def test_frobenius_rows_are_the_p_th_powers_of_the_power_basis(desc):
+    # column j is (x^j)^p; over F_p the Frobenius is additive, so the matrix
+    # sends any u to u^p
+    ring = ring_from_descriptor(desc)
+    p, d = ring.p, ring.d
+    rows = ring._frobenius_rows()
+    assert len(rows) == d and all(len(row) == d for row in rows)
+    for j in range(d):
+        xj = ring.from_coeffs([int(i == j) for i in range(d)])
+        assert [row[j] for row in rows] == list(ring._pow(xj.data, p)) == list((xj**p).data)
+    rng = random.Random(d)
+    for _ in range(10):
+        u = random_element(ring, rng)
+        image = [sum(r * c for r, c in zip(row, u.data)) % p for row in rows]
+        assert image == list((u**p).data)
 
 
 @pytest.mark.parametrize(

@@ -156,6 +156,43 @@ def test_a_plain_input_coordinate_is_returned_as_given(monkeypatch):
         assert list(map(tables, us)) == list(map(kernel, us))
 
 
+def test_constants_that_fold_to_zero_leave_no_trace_in_the_source():
+    # the W_2 product by (1, 0): coordinate 1 is x_1 plus constants that
+    # fold to zero, so it is a1 as given, and x_0^3 y_1 (y_1 = 0) forms no
+    # power of x_0; nothing reads x_0 or x_1, so neither is loaded
+    ring = ring_from_descriptor("cyc(3,2,1)")
+    one, zero = ring.one().data, ring.zero().data
+    fn = witt.WittUniversalTable(3, 2).compiled("prod", ring, fixed={2: one, 3: zero})
+    assert fn.__source__ == "def _f(u0):\n    (a0, a1, ) = u0\n    return (a0, a1, )\n"
+
+
+@pytest.mark.parametrize("desc", ["cyc(3,2,1)", "charp(3,0,3)", "cyc(3,2,2)", "charp(5,0,3)"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fixed_coordinates_compute_as_the_operation_without_them(desc, n):
+    # a compile with fixed coordinates, zeros and ones among them, is the
+    # compile without them called with those constants in place
+    ring = ring_from_descriptor(desc)
+    table = witt.WittUniversalTable(ring.p, n)
+    one, zero = ring.one().data, ring.zero().data
+    rng = random.Random(f"fixed {desc} {n}")
+    zs = [random_witt(ring, ring.p, n, rng).data for _ in range(20)]
+    for which in ("sum", "prod"):
+        plain = table.compiled(which, ring)
+        for fixed in ({n: one}, {n: zero}, {0: zero}, {n: one, 2 * n - 1: zero}):
+            fn = table.compiled(which, ring, fixed=fixed)
+            for x, y in zip(zs, zs[1:] + zs[:1]):
+                coords = list(x + y)
+                for vi, c in fixed.items():
+                    coords[vi] = c
+                # each operand without its fixed coordinates; one fixed whole goes
+                ops = [
+                    tuple(c for vi, c in enumerate(coords) if vi // n == k and vi not in fixed)
+                    for k in (0, 1)
+                ]
+                args = [op for op in ops if op]
+                assert fn(*args) == plain(tuple(coords[:n]), tuple(coords[n:])), fixed
+
+
 def test_rings_of_one_table_shape_share_their_compiled_functions():
     # charp(3,0,6) and charp(3,1,2) are unequal rings on the same tables
     table = witt.WittUniversalTable(3, 2)
