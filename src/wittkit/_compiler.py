@@ -589,7 +589,7 @@ def _batch_frobmod(ring):
     ctx = ring._ctx
     p, d = ctx.char, ctx.d
     low = (d - 1) // p + 1  # the columns i*p below d
-    q = None if ctx.blocks is None else d // (p - 1)
+    q = ctx.q
 
     def frob(a):
         out = np.zeros_like(a)

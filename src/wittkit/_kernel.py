@@ -6,7 +6,7 @@ rings with more than ``rings.TABLE_CAP`` elements; smaller rings use the
 lookup tables of ``rings.SmallRingTables`` and never call the multiplication
 kernel.  The calling convention:
 
-    ctx = make_ctx(red_rows, m, d)  # red_rows[j] = x^(d+j) reduced, coeffs mod m
+    ctx = make_ctx(m, d, q)         # q = p^(N-1) for cyc, None for charp
     c   = poly_mulmod(a, b, ctx)    # canonical product of canonical vectors
     f   = poly_frobmod(a, ctx)      # a^p, when ctx.char = p is not None
     g   = poly_powmod(a, e, ctx)    # a^e, e >= 0
@@ -14,8 +14,9 @@ kernel.  The calling convention:
 Vectors are tuples of ints in [0, m).
 
 Every ring that reaches this kernel (more than ``rings.TABLE_CAP`` elements)
-is a ``CyclotomicTruncation`` or a ``CharPQuotient``, and ``make_ctx``
-recognises both shapes from the reduction rows.  Their products are packed
+is a ``CyclotomicTruncation`` or a ``CharPQuotient``, and the ring passes
+its period q to ``make_ctx``, which derives the reduction rows (``ctx.red``,
+x^(d+j) reduced) and everything else from it.  Products are packed
 (Kronecker substitution): each operand becomes one int with a fixed-width
 slot per coefficient, one big-int multiply forms the whole convolution, and
 the reduction works on the packed product:
@@ -30,21 +31,19 @@ The slots are 16, 32 or 64 bits wide, the narrowest that holds the worst
 case: a convolution coefficient is at most d*(m-1)^2, and the cyc fold adds
 a pad of the same size.  Slots go in and out through one ``struct.Struct``
 and ``int.from_bytes``/``int.to_bytes``, and every output slot is then
-reduced mod m.  Contexts whose reduction rows have neither shape, or whose
-bound exceeds 64-bit slots (e.g. cyc(3,1,40)), multiply with the schoolbook
-loop (``schoolbook_mulmod``).
+reduced mod m.  Contexts whose bound exceeds 64-bit slots (e.g.
+cyc(3,1,40)) multiply with the schoolbook loop (``schoolbook_mulmod``).
 
-When m is a prime p and the rows have one of the two shapes (``charp``, or
-``cyc`` with d = (p-1)*q, so M = 1), the ring has characteristic p and
-``ctx.char`` is p (else None).  The Frobenius a -> a^p is then a ring map
-that fixes the coefficients (c^p = c in F_p), so a^p = sum_i c_i x^(i*p):
-``poly_frobmod`` moves coefficients instead of multiplying.  For ``charp``
-coefficient i goes to slot i*p, and slots past d drop.  For ``cyc``,
-x^(p*q) = 1 gives i*p = p*(i mod q) mod p*q: the p-1 blocks of q
-coefficients are summed, block entry r goes to slot p*r, and the top q
-slots fold through Phi as in the product.  ``poly_powmod`` takes each factor
-p of the exponent through ``poly_frobmod`` and square-and-multiplies the
-rest.
+For ``charp``, and for ``cyc`` with d = (m-1)*q (M = 1, m = p), the ring
+has characteristic p and ``ctx.char`` is p (else None).  The Frobenius
+a -> a^p is then a ring map that fixes the coefficients (c^p = c in F_p), so
+a^p = sum_i c_i x^(i*p): ``poly_frobmod`` moves coefficients instead of
+multiplying.  For ``charp`` coefficient i goes to slot i*p, and slots past d
+drop.  For ``cyc``, x^(p*q) = 1 gives i*p = p*(i mod q) mod p*q: the p-1
+blocks of q coefficients are summed, block entry r goes to slot p*r, and the
+top q slots fold through Phi as in the product.  ``poly_powmod`` takes each
+factor p of the exponent through ``poly_frobmod`` and square-and-multiplies
+the rest.
 """
 
 import operator
@@ -56,23 +55,31 @@ _SLOT_CODES = {2: "H", 4: "I", 8: "Q"}
 
 class _Ctx:
     __slots__ = (
-        "red", "m", "d", "char", "blocks", "slots", "keep", "fold", "low", "top", "spread", "pad"
+        "red", "m", "d", "q", "char", "blocks", "slots", "keep", "fold", "low", "top", "spread",
+        "pad"
     )
 
-    def __init__(self, red_rows, m, d):
-        self.red = tuple(tuple(int(c) % m for c in row) for row in red_rows)
-        self.m = int(m)
-        self.d = int(d)
+    def __init__(self, m, d, q):
+        self.m = m = int(m)
+        self.d = d = int(d)
+        self.q = q
+        # x^(d+j) reduced, j = 0..d-2: zero for charp; for cyc
+        # -sum_{i<p-1} x^(i*q+j) when j < q, else x^(j-q) since x^(p*q) = 1
+        zero = (0,) * d
+        rows = [zero] * max(d - 1, 0)
+        if q is not None:
+            for j in range(d - 1):
+                row = list(zero)
+                if j < q:
+                    for k in range(j, d, q):
+                        row[k] = m - 1
+                else:
+                    row[j - q] = 1
+                rows[j] = tuple(row)
+        self.red = tuple(rows)
         self.slots = None  # struct of the d packed slots; None = schoolbook
         self.char = None  # m when poly_frobmod applies
-        d, m = self.d, self.m
-        if not any(any(row) for row in self.red):
-            q = None  # x^d = 0: keep the low d slots
-        else:
-            q = _cyclotomic_period(self.red, m, d)
-            if q is None:
-                return
-        if _is_prime(m) and (q is None or d == (m - 1) * q):
+        if q is None or d == (m - 1) * q:
             self.char = m
             # the p-1 blocks of q coefficients that poly_frobmod sums (cyc)
             self.blocks = None if q is None else tuple(slice(k, k + q) for k in range(0, d, q))
@@ -96,31 +103,10 @@ class _Ctx:
         self.pad = sum(pad << (i * s) for i in range(d))
 
 
-def _cyclotomic_period(red, m, d):
-    """q when the rows reduce modulo sum_{i<p} x^(i*q) with d = (p-1)*q,
-    else None."""
-    base = red[0]
-    q = next((k for k in range(1, d) if base[k]), None)
-    if q is None or d % q:
-        return None
-    want = []
-    for j in range(d - 1):
-        row = [0] * d
-        if j < q:  # x^(d+j) = -sum_{i<p-1} x^(i*q+j)
-            for k in range(j, d, q):
-                row[k] = m - 1
-        else:  # x^(d+j) = x^(j-q), since x^(p*q) = 1
-            row[j - q] = 1
-        want.append(tuple(row))
-    return q if tuple(want) == red else None
-
-
-def _is_prime(m):
-    return m > 1 and all(m % k for k in range(2, int(m**0.5) + 1))
-
-
-def make_ctx(red_rows, m, d):
-    return _Ctx(red_rows, m, d)
+def make_ctx(m, d, q):
+    """The context of Z/m[x]/(Phi) with Phi = sum_{i<p} x^(i*q) of degree
+    d = (p-1)*q (cyc), or of Z/m[x]/(x^d) when q is None (charp)."""
+    return _Ctx(m, d, q)
 
 
 def poly_mulmod(a, b, ctx):

@@ -92,7 +92,6 @@ def main(argv=None):
     except UsageError as exc:
         print(f"paper-check: {exc}", file=sys.stderr)
         return 2
-    body = agg.to_json() if args.format == "json" else agg.to_text()
     if args.out:
         try:
             report_write(agg, args.out, args.format)
@@ -100,7 +99,7 @@ def main(argv=None):
             print(f"paper-check: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(body)
+        sys.stdout.write(agg.to_json() if args.format == "json" else agg.to_text())
     return agg.exit_code
 
 

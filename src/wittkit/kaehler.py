@@ -15,7 +15,7 @@ log-differential sub-presentation check dlog m = x dy - u^{-1} du.
 from math import gcd, prod
 
 from .modlin import solve_mod_pp, solve_mod_pp_many
-from .rings import CyclotomicTruncation, IntegerRing, RingElement
+from .rings import CyclotomicTruncation, RingElement
 from .snf import smith_sparse
 from .witt import WittVector
 
@@ -23,8 +23,7 @@ from .witt import WittVector
 class PresentedModule:
     """Z^g modulo the row span of an integer relation matrix."""
 
-    def __init__(self, gens, relations, base=None):
-        self.base = base if base is not None else IntegerRing()
+    def __init__(self, gens, relations):
         self.gens = gens
         self.relations = [list(map(int, row)) for row in relations]
         for row in self.relations:
@@ -81,16 +80,12 @@ class PresentedModule:
         free = sum(1 for d in diag if d == 0)
         return torsion, free
 
-    def cardinality(self):
-        torsion, free = self.invariant_factors()
-        return None if free else prod(torsion)
-
     def torsion(self, q):
         """The q-torsion subgroup (q a prime power).
 
-        Returns (presentation, generators): a diagonal presentation of the
-        subgroup and its generators in the original coordinates, each of
-        additive order exactly its diagonal entry.
+        Returns (orders, generators): the subgroup is the direct sum of the
+        cyclic groups of these orders, on generators given in the original
+        coordinates, each of additive order exactly its entry of orders.
         """
         diag, _, vinv = self._snf_data()
         gens = []
@@ -104,21 +99,7 @@ class PresentedModule:
                 continue
             gens.append([(d // g) * vinv[j].get(i, 0) for i in range(self.gens)])
             orders.append(g)
-        pres = PresentedModule(
-            len(gens),
-            [
-                [orders[i] if i == j else 0 for j in range(len(gens))]
-                for i in range(len(orders))
-            ],
-        )
-        return pres, gens
-
-    def to_json_dict(self):
-        return {
-            "base": self.base.descriptor(),
-            "gens": self.gens,
-            "relations": self.relations,
-        }
+        return orders, gens
 
 
 # --- integer polynomial utilities mod a monic f ------------------------------
@@ -324,8 +305,6 @@ def alpha_order_report(p, N, M):
     The limit claim is that alpha is p-torsion; finite truncations may
     disagree, so this only reports.
     """
-    from .rings import CyclotomicTruncation
-
     ring = CyclotomicTruncation(p, N, M)
     omega, alpha = solve_alpha(ring)
     return omega.order_of(alpha)
@@ -343,8 +322,8 @@ def torsion_is_free_rank_one(ring, r):
         raise ValueError("torsion layer exceeds coefficient precision")
     omega, alpha = solve_alpha(ring)
     q = p**r
-    pres, gens = omega.torsion(q)
-    card_torsion = prod(d for d, _ in zip_diag(pres)) if gens else 1
+    orders, gens = omega.torsion(q)
+    card_torsion = prod(orders)
     card_target = q**ring.d
     order = omega.order_of(alpha)
     if order not in (None, 0) and order > q:
@@ -360,10 +339,6 @@ def torsion_is_free_rank_one(ring, r):
         "target_cardinality": card_target,
         "generators_hit": surj,
     }
-
-
-def zip_diag(pres):
-    return [(pres.relations[i][i], i) for i in range(pres.gens)]
 
 
 # --- division by p -----------------------------------------------------------

@@ -233,17 +233,18 @@ def _half_add_table(m, k, scale):
 _shapes = {}
 
 
-def _quotient_shape(kind, m, d, make_red_rows):
-    """The reduction rows, kernel context and SmallRingTables (None above
-    TABLE_CAP) of the quotient rings of one kind, modulus and degree, built
-    once per process and shared by every ring handle of that shape;
-    make_red_rows gives the rows."""
+def _quotient_shape(kind, m, d, q):
+    """The kernel context and SmallRingTables (None above TABLE_CAP) of the
+    quotient rings of one kind, modulus and degree, built once per process
+    and shared by every ring handle of that shape.  q is the cyclotomic
+    period p^(N-1), or None for x^d = 0; the context derives the reduction
+    rows from it, and the tables read them there."""
     key = (kind, m, d)
     shape = _shapes.get(key)
     if shape is None:
-        red_rows = tuple(tuple(r) for r in make_red_rows())
-        tables = SmallRingTables(m, d, red_rows) if m**d <= TABLE_CAP else None
-        shape = _shapes.setdefault(key, (red_rows, kernel.make_ctx(red_rows, m, d), tables))
+        ctx = kernel.make_ctx(m, d, q)
+        tables = SmallRingTables(m, d, ctx.red) if m**d <= TABLE_CAP else None
+        shape = _shapes.setdefault(key, (ctx, tables))
     return shape
 
 
@@ -486,20 +487,22 @@ class IntegerRing(RingHandle):
 class _QuotientRing(RingHandle):
     """Shared machinery: Z/m[x]/(modpoly) with canonical coefficient tuples.
 
-    Subclasses fix m, the degree d, the reduction rows for x^(d+j), the
-    residue map to F_p, and the printing variable.  Both rings are local:
-    the maximal ideal is (x - 1) for cyc and (s) for charp.
+    Subclasses fix m, the degree d, the cyclotomic period q (None for
+    x^d = 0), from which the kernel context derives the reduction rows for
+    x^(d+j), the residue map to F_p, and the printing variable.  Both rings
+    are local: the maximal ideal is (x - 1) for cyc and (s) for charp.
     """
 
     # set by subclass __init__: p, m (coefficient modulus), d (degree),
-    # _ctx (kernel context), _tables (SmallRingTables or None), _var (print
-    # name)
+    # _ctx (kernel context), _red_rows (its reduction rows), _tables
+    # (SmallRingTables or None), _var (print name)
 
-    def _init_quotient(self, p, m, d, make_red_rows, var):
+    def _init_quotient(self, p, m, d, q, var):
         self.p = p
         self.m = m
         self.d = d
-        self._red_rows, self._ctx, self._tables = _quotient_shape(self.kind, m, d, make_red_rows)
+        self._ctx, self._tables = _quotient_shape(self.kind, m, d, q)
+        self._red_rows = self._ctx.red
         self._var = var
 
     def _add(self, a, b):
@@ -684,22 +687,6 @@ def _cyclotomic_minpoly(p, N):
     return coeffs
 
 
-def _reduction_rows(minpoly, m):
-    """Canonical vectors of x^(d+j), j = 0..d-2, modulo (minpoly, m)."""
-    d = len(minpoly) - 1
-    # x^d = -(minpoly - x^d)
-    base = [(-c) % m for c in minpoly[:d]]
-    rows = [tuple(base)]
-    for _ in range(d - 2):
-        prev = rows[-1]
-        # multiply by x: shift, then fold the overflow through x^d
-        shifted = [0] + list(prev[: d - 1])
-        top = prev[d - 1]
-        row = [(shifted[i] + top * base[i]) % m for i in range(d)]
-        rows.append(tuple(row))
-    return rows if d > 1 else []
-
-
 class CyclotomicTruncation(_QuotientRing):
     """Z[x]/(Phi_{p^N}(x), p^M); zeta(n) is the class of x^(p^(N-n))."""
 
@@ -715,9 +702,7 @@ class CyclotomicTruncation(_QuotientRing):
         self.M = M
         self._hash = hash(("cyc", p, N, M))
         self.minpoly = _cyclotomic_minpoly(p, N)
-        d = len(self.minpoly) - 1
-        m = p**M
-        self._init_quotient(p, m, d, lambda: _reduction_rows(self.minpoly, m), "z")
+        self._init_quotient(p, p**M, len(self.minpoly) - 1, p ** (N - 1), "z")
 
     def _M_for_solve(self):
         return self.M
@@ -772,8 +757,7 @@ class CharPQuotient(_QuotientRing):
         self.e = e
         self.K = K
         self._hash = hash(("charp", p, e, K))
-        d = K * p**e
-        self._init_quotient(p, p, d, lambda: [(0,) * d] * max(d - 1, 0), "t")
+        self._init_quotient(p, p, K * p**e, None, "t")
 
     def _M_for_solve(self):
         return 1

@@ -410,10 +410,9 @@ def suite_sequences(cfg):
             witnesses=fails[:1],
             precision={"triples": 100, "ring": tm_ring.descriptor()},
         )
-        tmv = sequences.TwistedModule(tm_ring, n)
         y = witt.verschiebung(witt.witt_one(tm_ring, p, n))
-        m = tmv.random_element(rng)
-        got = tmv.action(y, m)
+        m = tm.random_element(rng)
+        got = tm.action(y, m)
         want = (
             tuple(p * c % tm_ring.m for c in m[0]),
             p * m[1],
@@ -421,7 +420,7 @@ def suite_sequences(cfg):
         rep.add(
             f"twisted-v1-action-n{n}",
             "V(1).(alpha, a) = (p alpha, p a)",
-            tmv.eq(got, want),
+            tm.eq(got, want),
         )
     leib = sequences.check_fnd_leibniz(tm_ring, 1, rng, samples=50)
     rep.add(
@@ -480,8 +479,7 @@ def suite_kaehler_torsion(cfg):
     )
 
     for q in (p, p * p):
-        pres, gens = om.torsion(q)
-        orders = [pres.relations[i][i] for i in range(pres.gens)]
+        orders, _ = om.torsion(q)
         rep.add(
             f"torsion-{q}",
             f"[{q}]-torsion of Omega^1(Z[zeta_p]) is the whole module",

@@ -12,24 +12,41 @@ from wittkit._compiler import _batch_frobmod, _coeff_batch_dtype
 from wittkit.witt import random_witt, raw_witt_ops
 
 
-def _reduction_rows(base, m, d):
+def _reduction_rows(minpoly, m):
+    """The oracle: x^(d+j), j = 0..d-2, reduced modulo (minpoly, m) by
+    multiplying by x and folding the overflow through x^d."""
+    d = len(minpoly) - 1
+    base = [(-c) % m for c in minpoly[:d]]  # x^d = -(minpoly - x^d)
     rows = [tuple(base)]
     for _ in range(d - 2):
         prev = rows[-1]
         shifted = [0] + list(prev[: d - 1])
         top = prev[d - 1]
         rows.append(tuple((shifted[i] + top * base[i]) % m for i in range(d)))
-    return rows if d > 1 else []
+    return tuple(rows) if d > 1 else ()
 
 
-SHAPES = [(2, 9), (6, 3), (6, 27), (100, 5), (1, 3), (27, 3), (20, 25)]
+@pytest.mark.parametrize(
+    "desc",
+    ["cyc(3,1,1)", "cyc(3,2,1)", "cyc(3,3,2)", "cyc(5,2,1)", "cyc(7,2,3)", "cyc(3,1,40)",
+     "charp(3,0,1)", "charp(3,0,9)", "charp(5,1,2)"],
+)
+def test_context_rows_are_the_reduction_rows_of_the_ring(desc):
+    # the context derives its rows from the period; the oracle from minpoly
+    ring = ring_from_descriptor(desc)
+    if ring.kind == "CyclotomicTruncation":
+        want = _reduction_rows(ring.minpoly, ring.m)
+    else:
+        want = ((0,) * ring.d,) * (ring.d - 1)
+    assert ring._ctx.red == want
+    assert ring._red_rows is ring._ctx.red
 
 
 def test_fallback_packed_path_matches_loops():
     # a degree well above the old vectorized cutoff: one packed product each
     ring = CyclotomicTruncation(3, 4, 2)
     d, m = ring.d, ring.m
-    ctx = _kernel.make_ctx(ring._red_rows, m, d)
+    ctx = ring._ctx
     assert ctx.slots is not None
     rng = random.Random(1)
     for _ in range(25):
@@ -59,7 +76,7 @@ PACKED_SHAPES = {
 def test_packed_products_match_the_schoolbook_loop(desc):
     ring = ring_from_descriptor(desc)
     p, d, m = ring.p, ring.d, ring.m
-    ctx = _kernel.make_ctx(ring._red_rows, m, d)
+    ctx = ring._ctx
     assert ctx.slots.size == d * PACKED_SHAPES[desc]
     zero, one, top = (0,) * d, (1,) + (0,) * (d - 1), (m - 1,) * d  # top reaches the slot bound
     special = [zero, one, top]
@@ -82,7 +99,7 @@ def test_packed_products_match_the_schoolbook_loop(desc):
 
 def test_shapes_past_the_slot_bound_keep_the_schoolbook_loop():
     ring = CyclotomicTruncation(3, 1, 40)  # (m-1)^2 alone needs more than 64 bits
-    ctx = _kernel.make_ctx(ring._red_rows, ring.m, ring.d)
+    ctx = ring._ctx
     assert ctx.slots is None and ctx.char is None
     rng = random.Random(40)
     for _ in range(200):
@@ -95,24 +112,12 @@ def test_shapes_past_the_slot_bound_keep_the_schoolbook_loop():
         assert _kernel.poly_mulmod(a, b, ctx) == _kernel.schoolbook_mulmod(a, b, ctx) == want
 
 
-def test_arbitrary_reduction_rows_keep_the_schoolbook_loop():
-    rng = random.Random(2)
-    for d, m in SHAPES:
-        base = [rng.randrange(m) for _ in range(d)]
-        base[1 % d] = 1  # no sum_{i<p} x^(i*q) has this row
-        ctx = _kernel.make_ctx(_reduction_rows(base, m, d), m, d)
-        assert ctx.slots is None or d == 1
-        assert ctx.char is None or d == 1  # d = 1: no reduction rows, Z/m itself
-
-
 def test_mulmod_against_naive_modular_arithmetic():
     # oracle: multiply in Z[x], long-divide by the minimal polynomial, reduce
     rng = random.Random(5)
     d, m = 6, 27
     minpoly = [1, 0, 0, 1, 0, 0, 1]  # x^6 + x^3 + 1
-    base = [(-c) % m for c in minpoly[:d]]
-    red = _reduction_rows(base, m, d)
-    ctx = _kernel.make_ctx(red, m, d)
+    ctx = _kernel.make_ctx(m, d, 3)
     for _ in range(40):
         a = [rng.randrange(m) for _ in range(d)]
         b = [rng.randrange(m) for _ in range(d)]
@@ -154,7 +159,7 @@ def _schoolbook_pow(a, e, ctx):
 def test_frobenius_and_powers_match_repeated_schoolbook_products(desc):
     ring = ring_from_descriptor(desc)
     p, d, m = ring.p, ring.d, ring.m
-    ctx = _kernel.make_ctx(ring._red_rows, m, d)
+    ctx = ring._ctx
     assert ctx.char == p
     rng = random.Random(f"frobenius/{desc}")
     vectors = [(0,) * d, (1,) + (0,) * (d - 1), (m - 1,) * d]
@@ -168,12 +173,12 @@ def test_frobenius_and_powers_match_repeated_schoolbook_products(desc):
 @pytest.mark.parametrize("desc", ["cyc(3,2,3)", "cyc(7,2,3)"])
 def test_prime_power_moduli_get_no_frobenius(desc):
     ring = ring_from_descriptor(desc)
-    assert _kernel.make_ctx(ring._red_rows, ring.m, ring.d).char is None
+    assert ring._ctx.char is None
 
 
 def test_cyclotomic_rows_mod_another_prime_get_no_frobenius():
     # Phi_9 modulo 5: the cyc fold applies, but x^5 is no coefficient map
-    ctx = _kernel.make_ctx(_reduction_rows([4, 0, 0, 4, 0, 0], 5, 6), 5, 6)
+    ctx = _kernel.make_ctx(5, 6, 3)
     assert ctx.slots is not None and ctx.fold is not None and ctx.char is None
 
 
@@ -192,8 +197,7 @@ def test_batch_frobenius_matches_the_kernel_row_by_row(desc):
 
 def _mul_matrix_by_products(ring, b):
     """The oracle: column j+1 is the kernel product of column j with x."""
-    d, m = ring.d, ring.m
-    ctx = _kernel.make_ctx(ring._red_rows, m, d)
+    d, ctx = ring.d, ring._ctx
     x = (0, 1) + (0,) * (d - 2)
     cols = [b.data]
     for _ in range(d - 1):

@@ -35,7 +35,7 @@ def test_ring_arithmetic_matches_the_schoolbook_kernel(desc):
     ring = ring_from_descriptor(desc)
     t = ring._tables
     assert t is not None and t.Q == ring.cardinality() <= TABLE_CAP
-    ctx = _kernel.make_ctx(ring._red_rows, ring.m, ring.d)
+    ctx = ring._ctx
     rng = random.Random(f"tables/{desc}")
     for a, b in _pairs(ring, rng):
         want = _kernel.schoolbook_mulmod(a.data, b.data, ctx)
